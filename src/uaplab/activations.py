@@ -16,7 +16,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernels as K
 from .errors import (
@@ -384,6 +383,23 @@ def _gap(sigma: ActivationSpec, x) -> np.ndarray:
     return np.asarray(sigma(x), dtype=np.float64) - x
 
 
+def _bisect_gap(sigma: ActivationSpec, a: float, b: float, xtol: float) -> float:
+    """A root of sigma(x) - x in [a, b], where the gap has opposite nonzero
+    signs at the two ends, to within xtol (or to the float spacing)."""
+    fa = float(_gap(sigma, [a])[0])
+    while True:
+        m = 0.5 * (a + b)
+        if b - a <= xtol or m in (a, b):
+            return m
+        fm = float(_gap(sigma, [m])[0])
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+
+
 def _branch_sample_points(b: Branch, search_radius: float, n_lin: int) -> np.ndarray:
     lo = max(b.lo, -search_radius)
     hi = min(b.hi, search_radius)
@@ -487,9 +503,7 @@ def _sampled_gap_roots(sigma: ActivationSpec, b: Branch, search_radius: float,
         s0, s1 = sign[i], sign[i + 1]
         if s0 == 0 or s1 == 0 or s0 == s1:
             continue
-        r = brentq(lambda x: float(_gap(sigma, np.asarray([x]))[0]),
-                   pts[i], pts[i + 1], xtol=1e-13)
-        roots.append(float(r))
+        roots.append(_bisect_gap(sigma, float(pts[i]), float(pts[i + 1]), 1e-13))
     # unresolved near-zeros: flagged only if not adjacent to a found root
     near = (np.abs(vals) > _ROOT_TOL) & (np.abs(vals) < _NEAR_TOL)
     for x in pts[near]:
@@ -580,10 +594,7 @@ def _classify_cached(sigma: ActivationSpec, search_radius: float,
             signed = [(p, float(_gap(sigma, [p])[0])) for p in sorted(probes)]
             for (x0, v0), (x1, v1) in zip(signed, signed[1:]):
                 if v0 * v1 < 0:
-                    witness = float(brentq(
-                        lambda x: float(_gap(sigma, np.asarray([x]))[0]),
-                        x0, x1, xtol=1e-10,
-                    ))
+                    witness = _bisect_gap(sigma, x0, x1, 1e-10)
                     break
         if witness is None:
             flat = next(

@@ -7,13 +7,30 @@ CLI can serialize it into machine-readable error JSON.
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    return value
+
 
 class UaplabError(Exception):
     """Base class for all library errors."""
 
     def payload(self) -> dict:
-        """JSON-serializable description of the failure."""
-        return {"error": type(self).__name__, "message": str(self)}
+        """JSON-serializable description of the failure: the error's name,
+        its message and every public attribute of the instance (tuples as
+        lists, numpy values as Python numbers)."""
+        out = {"error": type(self).__name__, "message": str(self)}
+        out.update({k: _jsonable(v) for k, v in vars(self).items()
+                    if not k.startswith("_")})
+        return out
 
 
 class DimensionMismatchError(UaplabError):
@@ -85,11 +102,6 @@ class VerificationError(UaplabError):
         self.measured = dict(measured or {})
         super().__init__(message)
 
-    def payload(self) -> dict:
-        out = super().payload()
-        out["measured"] = self.measured
-        return out
-
 
 class DivergenceError(UaplabError):
     """A running supremum kept growing without stabilizing."""
@@ -125,8 +137,3 @@ class ConfigError(UaplabError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-    def payload(self) -> dict:
-        out = super().payload()
-        out["violations"] = self.violations
-        return out

@@ -9,11 +9,11 @@ each series term is strictly below 2**-k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     DimensionMismatchError,
@@ -276,14 +276,80 @@ class Measure1D:
         return abs(mass - self.total_mass) <= rtol * max(1.0, self.total_mass)
 
 
+# Wichura, "Algorithm AS 241: The percentage points of the normal
+# distribution", Applied Statistics 37 (1988), PPND16: rational
+# approximations for the central region |p - 1/2| <= 0.425 and for the two
+# tails in r = sqrt(-log(min(p, 1 - p))), split at r = 5.  Coefficients are
+# listed highest degree first, as np.polyval takes them.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR_TAIL = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_AS241_FAR_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+
+def _ratio(coeffs, r: np.ndarray) -> np.ndarray:
+    num, den = coeffs
+    return np.polyval(num, r) / np.polyval(den, r)
+
+
+def _ndtri(p) -> np.ndarray:
+    """Standard normal quantile (AS 241); exactly -inf at 0 and +inf at 1,
+    nan outside [0, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.full(p.shape, np.nan)
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    r = 0.180625 - q[central] ** 2
+    out[central] = q[central] * _ratio(_AS241_CENTRAL, r)
+    tail = (p > 0) & (p < 1) & ~central
+    # the tail is computed from the smaller of p and 1 - p: 0.5 - |q| would
+    # lose the low digits of p near 0
+    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
+    near = r <= 5.0
+    z = np.empty_like(r)
+    z[near] = _ratio(_AS241_NEAR_TAIL, r[near] - 1.6)
+    z[~near] = _ratio(_AS241_FAR_TAIL, r[~near] - 5.0)
+    out[tail] = np.where(q[tail] < 0, -z, z)
+    out[p == 0] = -np.inf
+    out[p == 1] = np.inf
+    return out
+
+
+def _ndtr(z) -> np.ndarray:
+    """Standard normal cdf, pointwise through math.erfc."""
+    z = np.asarray(z, dtype=np.float64)
+    vals = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.ravel().tolist()]
+    return np.asarray(vals, dtype=np.float64).reshape(z.shape)
+
+
 def gaussian_measure(mean: float = 0.0, std: float = 1.0, mass: float = 1.0) -> Measure1D:
     mean, std, mass = float(mean), float(std), float(mass)
     return Measure1D(
         density=lambda x: mass * np.exp(-0.5 * ((x - mean) / std) ** 2)
         / (std * np.sqrt(2 * np.pi)),
         total_mass=mass,
-        quantile=lambda u: mean + std * ndtri(u),
-        cdf=lambda x: mass * ndtr((x - mean) / std),
+        quantile=lambda u: mean + std * _ndtri(u),
+        cdf=lambda x: mass * _ndtr((x - mean) / std),
         kind="gaussian",
         params={"mean": mean, "std": std, "mass": mass},
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import _kernels as K
 from .activations import ActivationSpec, activation_from_config, activation_to_config
@@ -191,6 +190,25 @@ def _train_grid(dim_in: int, region: float, grid_points: int) -> np.ndarray:
     raise DimensionMismatchError("shallow fitting supports dim_in <= 2")
 
 
+_SOLVE_BLOCK = 128
+
+
+def _cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs for the lower Cholesky factor L by blocked
+    forward then back substitution: the off-diagonal blocks are matrix
+    products, only the small diagonal blocks go through a dense solve."""
+    n = chol.shape[0]
+    x = np.array(rhs, dtype=np.float64)
+    starts = range(0, n, _SOLVE_BLOCK)
+    for s in starts:  # L y = rhs
+        e = min(s + _SOLVE_BLOCK, n)
+        x[s:e] = np.linalg.solve(chol[s:e, s:e], x[s:e] - chol[s:e, :s] @ x[:s])
+    for s in reversed(starts):  # L^T x = y
+        e = min(s + _SOLVE_BLOCK, n)
+        x[s:e] = np.linalg.solve(chol[s:e, s:e].T, x[s:e] - chol[e:, s:e].T @ x[e:])
+    return x
+
+
 def fit_shallow(target: GridFunction, width: int, activation: ActivationSpec,
                 fit_region: float, seed: int = 0, ridge: float = 1e-9,
                 grid_points: int = 2001,
@@ -249,15 +267,13 @@ def fit_shallow(target: GridFunction, width: int, activation: ActivationSpec,
         gram = gram + ridge * np.eye(width + 1)
     rhs = phi_w.T @ y_w
     try:
-        # Cholesky both solves the SPD system and certifies nonsingularity
+        # Cholesky certifies nonsingularity; its factor then solves the system
         chol = np.linalg.cholesky(gram)
-        beta = solve_triangular(
-            chol.T, solve_triangular(chol, rhs, lower=True), lower=False
-        )
     except np.linalg.LinAlgError as exc:
         raise FitSingularError(
             f"normal equations singular at ridge={ridge}; retry with ridge > 0"
         ) from exc
+    beta = _cholesky_solve(chol, rhs)
     w_out = beta[:width].T  # (n, width)
     b_out = beta[width]
     net = FeedForwardNet(

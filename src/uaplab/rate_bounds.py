@@ -18,7 +18,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .activations import ActivationSpec
-from .errors import DimensionMismatchError, PreconditionError, VerificationError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    PreconditionError,
+    VerificationError,
+)
 from .function_space import GridFunction, GridSpec, Measure1D
 from .network import TreeFunction
 
@@ -255,7 +260,13 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
         }
         return row, fit.coefficients
 
-    workers = max(1, int(os.environ.get("UAPLAB_THREADS", "1")))
+    threads = os.environ.get("UAPLAB_THREADS", "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise ConfigError(
+            [f"UAPLAB_THREADS: expected an integer, got {threads!r}"]
+        ) from None
     ns = [int(n) for n in n_values]
     nested = all(a < b for a, b in zip(ns, ns[1:]))
     if workers > 1 and not nested:

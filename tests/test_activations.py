@@ -102,6 +102,24 @@ class TestClassifyShippedActivations:
         assert act.invert(opaque, opaque(2.0)) == pytest.approx(2.0, abs=1e-9)
 
 
+class TestBisectGap:
+    def test_root_to_xtol(self):
+        # oracle: the gap x^3 - x has its only root in [0.5, 2] at x = 1
+        cube = act.ActivationSpec(
+            "cube", [act.Branch(-math.inf, math.inf, "power", (1.0, 3.0, 0.0, 0.0))]
+        )
+        assert abs(act._bisect_gap(cube, 0.5, 2.0, 1e-13) - 1.0) <= 1e-13
+        assert abs(act._bisect_gap(cube, -2.0, -0.5, 1e-10) + 1.0) <= 1e-10
+
+    def test_stops_at_float_spacing(self):
+        # near x = 1e6 adjacent floats are 1.2e-10 apart, coarser than xtol
+        far = act.ActivationSpec(
+            "far", [act.Branch(-math.inf, math.inf, "affine", (2.0, -1e6 - 0.3))]
+        )
+        root = act._bisect_gap(far, 5e5, 3e6, 1e-13)
+        assert abs(root - (1e6 + 0.3)) <= 2 * math.ulp(1e6)
+
+
 class TestConstructTransitive:
     def cube(self):
         return act.ActivationSpec(

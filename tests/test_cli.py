@@ -218,6 +218,34 @@ def test_rate_sweep_thread_env_deterministic(tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_rate_sweep_bad_thread_env_exits_2(tmp_path):
+    cfg = write_config(tmp_path, "rs", SMALL_CONFIGS["rate-sweep"])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("UAPLAB_")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "uaplab", "rate-sweep",
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+        env={**env, "UAPLAB_THREADS": "notanumber"},
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "ConfigError"
+    assert payload["violations"] == [
+        "UAPLAB_THREADS: expected an integer, got 'notanumber'"
+    ]
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, uaplab.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_computation_failure_exits_1(tmp_path):
     # rescaled Leaky-ReLU is not Transitive: the uniform demo must fail
     cfg = write_config(tmp_path, "bad", {

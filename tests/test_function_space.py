@@ -10,6 +10,8 @@ import pytest
 from uaplab.errors import DimensionMismatchError, NonFiniteValueError, QuadratureError
 from uaplab.function_space import (
     GridFunction,
+    _ndtr,
+    _ndtri,
     GridSpec,
     Weight,
     WeightFamily,
@@ -231,6 +233,44 @@ class TestMeasures:
     def test_table_measure_rejects_bad_input(self):
         with pytest.raises(ValueError):
             table_measure([0, 1], [-1.0, 1.0])
+
+
+class TestGaussianSpecialFunctions:
+    """The numpy/stdlib quantile and cdf against scipy.special."""
+
+    LEVELS = np.concatenate([
+        (np.arange(2001) + 0.5) / 2001,  # equal-mass midpoints
+        (np.arange(2000) + 0.5) / 2000,
+        np.logspace(-300, -1, 600),
+        1.0 - np.logspace(-16, -1, 300),
+        [0.0, 1.0, 0.5],
+    ])
+
+    def test_quantile_matches_scipy(self):
+        from scipy.special import ndtri
+
+        got, want = _ndtri(self.LEVELS), ndtri(self.LEVELS)
+        inf = np.isinf(want)
+        assert inf.sum() == 2
+        assert np.array_equal(got[inf], want[inf])  # exactly -inf at 0, +inf at 1
+        assert got[self.LEVELS == 0.5].tolist() == [0.0, 0.0]
+        assert np.all(np.abs(got[~inf] - want[~inf]) <= 1e-14 * np.abs(want[~inf]))
+
+    def test_quantile_nan_outside_unit_interval(self):
+        assert np.isnan(_ndtri(np.array([-0.1, 1.1, np.nan]))).all()
+
+    def test_cdf_matches_scipy(self):
+        from scipy.special import ndtr, ndtri
+
+        z = ndtri(self.LEVELS)  # |z| up to 37
+        got, want = _ndtr(z), ndtr(z)
+        inf = np.isinf(z)
+        assert np.array_equal(got[inf], want[inf])
+        # erfc's relative condition number at |z|/sqrt(2) is z^2, so the one
+        # rounding of the argument costs either side up to ~z^2 eps/2
+        tol = 1e-14 + 2 * np.finfo(float).eps * z[~inf] ** 2
+        assert np.all(np.abs(got[~inf] - want[~inf]) <= tol * want[~inf])
+        assert _ndtr(np.array([0.0]))[0] == 0.5
 
 
 class TestWeightFamily:

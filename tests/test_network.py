@@ -10,6 +10,7 @@ from uaplab.network import (
     AffineLayer,
     FeedForwardNet,
     TreeFunction,
+    _cholesky_solve,
     fit_shallow,
     identity_layer,
     net_eval,
@@ -150,6 +151,20 @@ class TestFitShallow:
         # the injected unit kinks exactly at x = 0.7
         assert (0.0 - b) / w == pytest.approx(0.7, abs=1e-12)
         assert res.sup_residual < 1e-2
+
+    @pytest.mark.parametrize("size", [1, 127, 128, 129, 1025])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_cholesky_solve_matches_dense_solve(self, size, columns):
+        # sizes straddle the substitution block of 128
+        rng = np.random.default_rng(size)
+        feats = rng.standard_normal((size + 7, size))
+        gram = feats.T @ feats + 1e-3 * np.eye(size)
+        shape = (size,) if columns is None else (size, columns)
+        rhs = rng.standard_normal(shape)
+        got = _cholesky_solve(np.linalg.cholesky(gram), rhs)
+        want = np.linalg.solve(gram, rhs)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
 class TestTrees:
