@@ -12,7 +12,11 @@ Modules:
     cli                 batch experiment runner
 """
 
-from ._kernels import BACKEND as kernel_backend
+# The kernels in ``_kernels`` (activation evaluation and inversion, the
+# iterated map S^N, indicator trees) have one numpy implementation.
+# ``kernel_backend`` names it.  It is a constant, not a switch, and stays
+# because ``uapbench/run.py`` writes it into every ``env.json``.
+kernel_backend = "numpy"
 
 __version__ = "0.1.0"
 __all__ = ["kernel_backend", "__version__"]

@@ -1,0 +1,136 @@
+"""Numpy kernels for tabulated piecewise activations and indicator trees.
+
+* A piecewise activation is tabulated as ``edges`` (B+1 floats, first -inf,
+  last +inf, strictly increasing), ``kinds`` (B int32 codes) and ``par``
+  (B x 4 float64 parameter rows).  Codes: 0 = affine ``a*x + b`` with
+  ``par = [a, b, _, _]``; 1 = power ``s*sign(x)*|x|**p + a*x + b`` with
+  ``par = [s, p, a, b]``.  Branch j covers ``[edges[j], edges[j+1])``.
+* Inversion assumes the tabulated map is strictly increasing; callers gate
+  on the classification verdict.
+"""
+
+import numpy as np
+
+KIND_AFFINE = 0
+KIND_POWER = 1
+
+
+def act_eval(edges, kinds, par, x):
+    """Apply the tabulated piecewise map elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    idx = np.searchsorted(edges[1:-1], flat, side="right")
+    out = par[idx, 0] * flat + par[idx, 1]
+    for j in np.flatnonzero(kinds == KIND_POWER):
+        m = idx == j
+        s, p, a, b = par[j]
+        xp = flat[m]
+        out[m] = s * np.sign(xp) * np.abs(xp) ** p + a * xp + b
+    return out.reshape(x.shape)
+
+
+def act_deriv(edges, kinds, par, x):
+    """Elementwise derivative of the tabulated map (one-sided at breakpoints)."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    idx = np.searchsorted(edges[1:-1], flat, side="right")
+    out = par[idx, 0]
+    for j in np.flatnonzero(kinds == KIND_POWER):
+        m = idx == j
+        s, p, a, _ = par[j]
+        out[m] = s * p * np.abs(flat[m]) ** (p - 1.0) + a
+    return out.reshape(x.shape)
+
+
+def act_invert(edges, kinds, par, vedges, y, tol=1e-14):
+    """Invert a strictly increasing tabulated map elementwise.
+
+    ``vedges`` holds the map's values at the interior breakpoints.  On a
+    power branch x is found to a relative step of ``tol``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    flat = y.ravel()
+    idx = np.searchsorted(vedges, flat, side="right")
+    # on power-branch points this is meaningless; the loop replaces it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (flat - par[idx, 1]) / par[idx, 0]
+    for j in np.flatnonzero(kinds == KIND_POWER):
+        m = idx == j
+        out[m] = _invert_power(par[j], edges[j], edges[j + 1], flat[m], tol)
+    return out.reshape(y.shape)
+
+
+def _invert_power(p4, lo, hi, y, tol):
+    """Solve ``s*sign(x)*|x|**p + a*x + b = y`` for x in ``[lo, hi]``,
+    pointwise, by Newton's method safeguarded with bisection."""
+    s, p, a, b = p4
+
+    def resid(x):
+        return s * np.sign(x) * np.abs(x) ** p + a * x + b - y
+
+    # finite brackets: an infinite branch end steps outward, doubling the
+    # step, until the residual there changes sign
+    anchor = lo if np.isfinite(lo) else (hi if np.isfinite(hi) else 0.0)
+    xlo = np.full_like(y, lo if np.isfinite(lo) else anchor - 1.0)
+    xhi = np.full_like(y, hi if np.isfinite(hi) else anchor + 1.0)
+    for end, sign, bound in ((xlo, -1.0, lo), (xhi, 1.0, hi)):
+        step = 1.0
+        need = np.isinf(bound) & (sign * resid(end) < 0)
+        while need.any():
+            end[need] += sign * step
+            step *= 2.0
+            need &= sign * resid(end) < 0
+    # start from the inverse of the dominant term s*sign(x)*|x|**p.  p < 1
+    # makes the derivative infinite at 0, and s <= 0 makes the start NaN;
+    # such points take a bisection step instead
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.clip(np.sign(y - b) * (np.abs(y - b) / s) ** (1.0 / p), xlo, xhi)
+        for _ in range(200):
+            r = resid(x)
+            xlo = np.where(r <= 0, x, xlo)
+            xhi = np.where(r >= 0, x, xhi)
+            d = s * p * np.abs(x) ** (p - 1.0) + a
+            nx = x - r / d
+            newton = np.isfinite(d) & (d > 0) & (nx >= xlo) & (nx <= xhi)
+            nx = np.where(newton, nx, 0.5 * (xlo + xhi))
+            done = np.abs(nx - x) <= tol * np.abs(nx)
+            x = nx
+            if done.all():
+                break
+    return x
+
+
+def s_iter(edges, kinds, par, x, b, n):
+    """n-fold iteration of x -> sigma•(x + b) on points of shape (N, m)."""
+    out = np.array(x, dtype=np.float64, copy=True)
+    if out.ndim == 1:
+        out = out[:, None]
+    for _ in range(int(n)):
+        out = act_eval(edges, kinds, par, out + b[None, :])
+    return out
+
+
+def s_inv_iter(edges, kinds, par, vedges, y, b, n, tol=1e-14):
+    """n-fold iteration of y -> sigma^{-1}•(y) - b (inverse of s_iter's step)."""
+    out = np.array(y, dtype=np.float64, copy=True)
+    if out.ndim == 1:
+        out = out[:, None]
+    for _ in range(int(n)):
+        out = act_invert(edges, kinds, par, vedges, out, tol) - b[None, :]
+    return out
+
+
+def tree_eval(amp, lo, hi, x):
+    """Sum of amp_j over terms with lo_j < x < hi_j (open intervals).
+
+    Each term adds amp_j at lo_j and takes it away at hi_j; the result is
+    the prefix sum over the ends below x.  ``hi_j <= x`` exactly when
+    ``nextafter(hi_j, -inf) < x``, so one strict search serves both ends.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    keep = lo < hi  # an empty interval adds 0 everywhere, also at x == lo
+    ends = np.concatenate([lo[keep], np.nextafter(hi[keep], -np.inf)])
+    steps = np.concatenate([amp[keep], -amp[keep]])
+    order = np.argsort(ends)
+    csum = np.concatenate(([0.0], np.cumsum(steps[order])))
+    return csum[np.searchsorted(ends[order], x)]

@@ -145,7 +145,8 @@ class ActivationSpec:
 
     @cached_property
     def is_tabulated(self) -> bool:
-        """True when all branches are affine/power (compiled-kernel fast path)."""
+        """True when all branches are affine/power, so the vectorized numpy
+        kernels in ``_kernels`` evaluate and invert the map from ``_table``."""
         return all(b.kind in ("affine", "power") for b in self.branches)
 
     @cached_property
