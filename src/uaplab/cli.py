@@ -6,8 +6,7 @@ config and writing a result JSON (plus CSV tables where tabular).
 Exit codes: 0 success, 1 computation failure, 2 config error.  Result JSON is
 byte-reproducible for a fixed config and seed except for the wall_time_s
 field; every result embeds the sha256 hash of its canonical (command, params,
-seed) triple.  UAPLAB_THREADS caps worker fan-out in sweep commands; workers
-only share immutable configs and results merge in parameter order.
+seed) triple.
 """
 
 from __future__ import annotations

@@ -13,27 +13,17 @@ available, so honest widths are reported instead).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-import numpy as np
-
-from .activations import classify
 from .depth_dynamics import (
+    TERMS,
     CompositionOperator,
-    _blend,
-    _escape_box,
+    _escape_blend_fit,
     _min_tail_cutoff,
-    _pullback_kinks,
-    _two_zone_points,
-    escape_time,
+    _ucc_gate,
 )
-from .errors import (
-    ConstraintViolationError,
-    DimensionMismatchError,
-    FitBudgetError,
-    PreconditionError,
-)
-from .function_space import GridFunction, GridSpec, d_ucc
+from .errors import ConstraintViolationError, FitBudgetError, PreconditionError
+from .function_space import GridFunction, d_ucc
 from .network import (
     FeedForwardNet,
     FitConfig,
@@ -49,6 +39,9 @@ __all__ = [
     "assemble_prescribed",
     "assemble_constrained",
 ]
+
+GUARD_BAND = 0.01  # a fitted segment must stay this fraction below thresholds
+ATTEMPTS = 3       # tries; each retry adds 2 to k0 and doubles the fit width
 
 
 @dataclass(frozen=True)
@@ -104,44 +97,13 @@ class ConstrainedNetReport:
         }
 
 
-def _gate(op: CompositionOperator, f: GridFunction, g: GridFunction,
-          eps: float, delta: float) -> None:
-    if eps <= 0 or delta <= 0:
-        raise PreconditionError("tolerances must be positive")
-    if op.A is not None:
-        raise PreconditionError("the assembly needs A=identity")
-    verdict = classify(op.activation)
-    if verdict.kind != "Transitive":
-        raise PreconditionError(
-            f"{op.activation.name} classified {verdict.kind}; assembly needs "
-            f"a Transitive activation"
-        )
-    if f.dim_in != op.dim or g.dim_in != op.dim or f.dim_out != g.dim_out:
-        raise DimensionMismatchError("operator/function dimensions do not agree")
-
-
 def _frozen_stack(segment: FeedForwardNet, op: CompositionOperator,
                   n: int) -> FeedForwardNet:
     frozen = [identity_layer(op.dim, op.b, True) for _ in range(n)]
     return stack(segment, frozen) if n else segment
 
 
-def _fit_segment(h: GridFunction, op: CompositionOperator, fit: FitConfig,
-                 reach: float, zones=None, kinks=None):
-    region = max(fit.region, reach)
-    pts = None
-    if zones is not None:
-        core_radius, box_lo, box_hi = zones
-        pts = _two_zone_points(core_radius, box_lo, box_hi,
-                               fit.grid_points, op.dim)
-    return fit_shallow(
-        h, fit.width, op.activation, region,
-        seed=fit.seed, ridge=fit.ridge, grid_points=fit.grid_points,
-        train_points=pts, extra_kinks=kinks,
-    )
-
-
-def _report(full: FeedForwardNet, segment_layers: int, n: int,
+def _report(full: FeedForwardNet, n: int,
             d_prescribed: float, d_target: float, k0: float,
             fit_residual: float, op: CompositionOperator,
             dim_out: int, constraint_values=()) -> ConstrainedNetReport:
@@ -165,42 +127,28 @@ def _report(full: FeedForwardNet, segment_layers: int, n: int,
 
 
 def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
-                        delta: float, op: CompositionOperator, fit: FitConfig,
-                        *, terms: int = 20, grid: Optional[GridSpec] = None,
-                        blend_margin: float = 1.0,
-                        max_N: int = 10_000) -> ConstrainedNetReport:
+                        delta: float, op: CompositionOperator,
+                        fit: FitConfig) -> ConstrainedNetReport:
     """Deep net whose final segment stays delta-close to f_hat while the whole
-    net stays eps-close to f (both in the truncated compact-uniform metric)."""
-    _gate(op, f, f_hat, eps, delta)
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=301)
+    net stays eps-close to f (both in the truncated compact-uniform metric).
 
-    d0 = d_ucc(f, f_hat, terms, grid)
-    if d0 == 0.0:
-        result = _fit_segment(f_hat, op, fit, float(terms))
-        full = result.net
-        d_pres = d_ucc(f_hat, full.as_gridfunction(), terms, grid)
-        d_tgt = d_ucc(f, full.as_gridfunction(), terms, grid)
-        if not (d_pres < delta and d_tgt < eps):
-            raise FitBudgetError(result.sup_residual, min(eps, delta))
-        return _report(full, len(full.layers), 0, d_pres, d_tgt, 0.0,
-                       result.sup_residual, op, f.dim_out)
-
-    k0 = _min_tail_cutoff(min(eps, delta) / 2.0)
-    n = escape_time(op, k0, k0 + blend_margin, max_N)
-    box_lo, box_hi = _escape_box(op, k0, n)
-    h = _blend(f_hat, f, op, n, box_lo, box_hi, blend_margin)
-
-    reach = float(max(np.max(np.abs(box_lo)), np.max(np.abs(box_hi)), k0))
-    result = _fit_segment(h, op, fit, reach + blend_margin,
-                          zones=(float(k0), box_lo, box_hi),
-                          kinks=_pullback_kinks(op, n, box_lo, box_hi,
-                                                blend_margin))
+    When f_hat and f agree on the grid no layer is frozen: the segment is a
+    direct fit of f_hat over a region reaching the metric's last cube."""
+    grid = _ucc_gate(op, f_hat, f, eps, delta)
+    if d_ucc(f, f_hat, TERMS, grid) == 0.0:
+        n, k0 = 0, 0.0
+        result = fit_shallow(
+            f_hat, fit.width, op.activation, max(fit.region, float(TERMS)),
+            seed=fit.seed, ridge=fit.ridge, grid_points=fit.grid_points,
+        )
+    else:
+        k0 = _min_tail_cutoff(min(eps, delta) / 2.0)
+        n, _, _, _, result = _escape_blend_fit(op, f_hat, f, k0, fit)
     segment = result.net
     full = _frozen_stack(segment, op, n)
 
-    d_pres = d_ucc(f_hat, segment.as_gridfunction(), terms, grid)
-    d_tgt = d_ucc(f, full.as_gridfunction(), terms, grid)
+    d_pres = d_ucc(f_hat, segment.as_gridfunction(), TERMS, grid)
+    d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, grid)
     if not (d_pres < delta and d_tgt < eps):
         raise FitBudgetError(
             result.sup_residual, min(eps, delta),
@@ -208,28 +156,23 @@ def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
             f"exceed (delta={delta}, eps={eps}); fit residual "
             f"{result.sup_residual:.4g}",
         )
-    return _report(full, len(segment.layers), n, d_pres, d_tgt, float(k0),
-                   result.sup_residual, op, f.dim_out)
+    return _report(full, n, d_pres, d_tgt, float(k0), result.sup_residual,
+                   op, f.dim_out)
 
 
 def assemble_constrained(constraints: Sequence[ConstraintFunctional],
                          f0: GridFunction, f: GridFunction, eps: float,
-                         op: CompositionOperator, fit: FitConfig,
-                         *, terms: int = 20, grid: Optional[GridSpec] = None,
-                         blend_margin: float = 1.0, max_N: int = 10_000,
-                         guard_band: float = 0.01,
-                         attempts: int = 3) -> ConstrainedNetReport:
+                         op: CompositionOperator,
+                         fit: FitConfig) -> ConstrainedNetReport:
     """Deep net f2 o f1 with every F_n(f2) strictly below its threshold.
 
     The witness f0 must already satisfy the constraints strictly; the fitted
-    final segment is re-checked with a relative guard band (1% below each
-    threshold by default) so fitting noise cannot cross the open boundary.
+    final segment is re-checked with a relative guard band (GUARD_BAND, 1%
+    below each threshold) so fitting noise cannot cross the open boundary.
     Retries push the perturbed region further out and widen the fit before
-    reporting failure.
+    reporting the last attempt's failure.
     """
-    _gate(op, f, f0, eps, eps)
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=301)
+    grid = _ucc_gate(op, f0, f, eps, eps)
     for c in constraints:
         v = c(f0)
         if not v < c.threshold:
@@ -240,36 +183,34 @@ def assemble_constrained(constraints: Sequence[ConstraintFunctional],
 
     k0_base = _min_tail_cutoff(eps / 2.0)
     last_error: Exception | None = None
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         k0 = k0_base + 2 * attempt
         width = fit.width * (2**attempt)
         cfg = FitConfig(width, fit.region, fit.grid_points, fit.seed, fit.ridge)
-        n = escape_time(op, k0, k0 + blend_margin, max_N)
-        box_lo, box_hi = _escape_box(op, k0, n)
-        h = _blend(f0, f, op, n, box_lo, box_hi, blend_margin)
-        reach = float(max(np.max(np.abs(box_lo)), np.max(np.abs(box_hi)), k0))
-        result = _fit_segment(h, op, cfg, reach + blend_margin,
-                              zones=(float(k0), box_lo, box_hi),
-                              kinks=_pullback_kinks(op, n, box_lo, box_hi,
-                                                    blend_margin))
+        n, _, _, _, result = _escape_blend_fit(op, f0, f, k0, cfg)
         segment = result.net
         seg_fn = segment.as_gridfunction()
 
         values = [(c.label, c(seg_fn), c.threshold) for c in constraints]
         violated = [
-            (l, v, t) for (l, v, t) in values if not v < (1.0 - guard_band) * t
+            (l, v, t) for (l, v, t) in values if not v < (1.0 - GUARD_BAND) * t
         ]
         if violated:
             l, v, t = violated[0]
             last_error = ConstraintViolationError(l, v, t, "post-fit re-check")
             continue
         full = _frozen_stack(segment, op, n)
-        d_tgt = d_ucc(f, full.as_gridfunction(), terms, grid)
+        d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, grid)
         if not d_tgt < eps:
-            last_error = FitBudgetError(result.sup_residual, eps)
+            last_error = FitBudgetError(
+                result.sup_residual, eps,
+                f"measured distance d_target={d_tgt:.4g} exceeds eps={eps} "
+                f"at width {width}, k0={k0}; fit residual "
+                f"{result.sup_residual:.4g}",
+            )
             continue
-        d_seed = d_ucc(f0, seg_fn, terms, grid)
-        return _report(full, len(segment.layers), n, d_seed, d_tgt, float(k0),
-                       result.sup_residual, op, f.dim_out, values)
+        d_seed = d_ucc(f0, seg_fn, TERMS, grid)
+        return _report(full, n, d_seed, d_tgt, float(k0), result.sup_residual,
+                       op, f.dim_out, values)
     assert last_error is not None
     raise last_error

@@ -9,6 +9,8 @@ through the inverse iterate, blended linearly back into g across a margin
 shell.  The N-th iterate of the perturbed seed then reproduces f exactly on
 the cube, and every remaining series term is dominated by its 2^-k weight,
 so both measured distances are certified by construction and re-measured.
+The two certificates here and the two assemblies in constrained_approx all
+run this escape -> blend (-> shallow fit) sequence as _escape_blend_fit.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ __all__ = [
     "construct_transitive_approximant",
     "l1_transitive_approximant",
 ]
+
+TERMS = 20             # series terms of the truncated d_ucc metric
+UCC_POINTS = 301       # grid points per axis for each d_ucc supremum
+QUAD_NODES = 20_000    # quadrature nodes of the L1(mu) distances
+BLEND_MARGIN = 1.0     # width of the shell blending the target back into g
+MAX_N = 10_000         # escape steps before NoEscapeError
 
 
 @dataclass(frozen=True)
@@ -141,20 +149,6 @@ def apply(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
     )
 
 
-def _escape_gate(op: CompositionOperator) -> None:
-    verdict = classify(op.activation)
-    if not verdict.injective:
-        raise PreconditionError(
-            f"{op.activation.name} is not injective (witness near "
-            f"{verdict.witness}); escape analysis needs an injective activation"
-        )
-    if verdict.kind == "NotTransitive":
-        raise PreconditionError(
-            f"{op.activation.name} has fixed points with sign changes "
-            f"(witness {verdict.witness}); the iterated cube need not escape"
-        )
-
-
 def _box_step(op: CompositionOperator, lo: np.ndarray, hi: np.ndarray):
     """Propagate the box [lo, hi] through one step (coordinatewise monotone)."""
     if op.A is None:
@@ -170,22 +164,25 @@ def _box_step(op: CompositionOperator, lo: np.ndarray, hi: np.ndarray):
     )
 
 
-def escape_time(op: CompositionOperator, K_radius: float,
-                guard_radius: Optional[float] = None,
-                max_N: int = 10_000) -> int:
-    """Smallest N with S^N([-K, K]^m) disjoint from the guard cube.
-
-    For A=identity and a monotone activation the cube image is exactly the
-    box spanned by the two corner iterates; for general full-rank A the box
-    is propagated by interval arithmetic, a sound over-approximation that may
-    overestimate N.  Raises NoEscapeError after max_N steps.
-    """
+def _escape(op: CompositionOperator, K_radius: float, guard: float,
+            max_N: int):
+    """The escape loop: (N, lo, hi) with [lo, hi] the box S^N([-K, K]^m),
+    the first one disjoint from the guard cube."""
     if not K_radius > 0:
         raise ValueError("K_radius must be positive")
-    guard = K_radius if guard_radius is None else float(guard_radius)
     if guard < K_radius:
         raise ValueError("guard_radius must be >= K_radius")
-    _escape_gate(op)
+    verdict = classify(op.activation)
+    if not verdict.injective:
+        raise PreconditionError(
+            f"{op.activation.name} is not injective (witness near "
+            f"{verdict.witness}); escape analysis needs an injective activation"
+        )
+    if verdict.kind == "NotTransitive":
+        raise PreconditionError(
+            f"{op.activation.name} has fixed points with sign changes "
+            f"(witness {verdict.witness}); the iterated cube need not escape"
+        )
     if op.A is not None:
         if np.linalg.matrix_rank(op.A) < op.dim:
             raise PreconditionError("A must be of full rank")
@@ -195,17 +192,22 @@ def escape_time(op: CompositionOperator, K_radius: float,
     for n in range(1, int(max_N) + 1):
         lo, hi = _box_step(op, lo, hi)
         if np.any(lo > guard) or np.any(hi < -guard):
-            return n
+            return n, lo, hi
     raise NoEscapeError(int(max_N))
 
 
-def _escape_box(op: CompositionOperator, K_radius: float, n: int):
-    m = op.dim
-    lo = np.full(m, -float(K_radius))
-    hi = np.full(m, float(K_radius))
-    for _ in range(n):
-        lo, hi = _box_step(op, lo, hi)
-    return lo, hi
+def escape_time(op: CompositionOperator, K_radius: float,
+                guard_radius: Optional[float] = None,
+                max_N: int = MAX_N) -> int:
+    """Smallest N with S^N([-K, K]^m) disjoint from the guard cube.
+
+    For A=identity and a monotone activation the cube image is exactly the
+    box spanned by the two corner iterates; for general full-rank A the box
+    is propagated by interval arithmetic, a sound over-approximation that may
+    overestimate N.  Raises NoEscapeError after max_N steps.
+    """
+    guard = K_radius if guard_radius is None else float(guard_radius)
+    return _escape(op, K_radius, guard, max_N)[0]
 
 
 def _pullback_kinks(op: CompositionOperator, n: int, box_lo: np.ndarray,
@@ -321,6 +323,56 @@ def _min_tail_cutoff(tol: float) -> int:
     return k
 
 
+def _ucc_gate(op: CompositionOperator, g: GridFunction, f: GridFunction,
+              eps: float, delta: float,
+              grid: Optional[GridSpec] = None) -> GridSpec:
+    """Preconditions of the d_ucc constructions; returns ``grid``, or the
+    default grid when it is None."""
+    if eps <= 0 or delta <= 0:
+        raise PreconditionError("tolerances must be positive")
+    if op.A is not None:
+        raise PreconditionError("the blend construction needs A=identity")
+    verdict = classify(op.activation)
+    if verdict.kind != "Transitive":
+        raise PreconditionError(
+            f"{op.activation.name} classified {verdict.kind}; the blend "
+            f"construction needs a Transitive activation (witness "
+            f"{verdict.witness})"
+        )
+    if f.dim_in != op.dim or g.dim_in != op.dim or f.dim_out != g.dim_out:
+        raise DimensionMismatchError("operator/function dimensions do not agree")
+    if grid is None:
+        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out,
+                        points_per_axis=UCC_POINTS)
+    return grid
+
+
+def _escape_blend_fit(op: CompositionOperator, g: GridFunction,
+                      f: GridFunction, radius: float,
+                      fit: Optional[FitConfig] = None):
+    """Escape [-radius, radius]^m, blend f into g there, optionally fit.
+
+    Returns (N, box_lo, box_hi, blend, fit) where [box_lo, box_hi] is the
+    escaped box S^N([-radius, radius]^m), first clear of the guard cube of
+    radius + BLEND_MARGIN, and blend is g with f o S^{-N} on that box.  With
+    a fit config the blend is fitted as a shallow net on the cube and the box
+    (over a region reaching past both) and fit is the FitResult, else None.
+    """
+    n, box_lo, box_hi = _escape(op, radius, radius + BLEND_MARGIN, MAX_N)
+    blend = _blend(g, f, op, n, box_lo, box_hi, BLEND_MARGIN)
+    if fit is None:
+        return n, box_lo, box_hi, blend, None
+    reach = float(max(np.max(np.abs(box_lo)), np.max(np.abs(box_hi)), radius))
+    result = fit_shallow(
+        blend, fit.width, op.activation, max(fit.region, reach + BLEND_MARGIN),
+        seed=fit.seed, ridge=fit.ridge, grid_points=fit.grid_points,
+        train_points=_two_zone_points(float(radius), box_lo, box_hi,
+                                      fit.grid_points, op.dim),
+        extra_kinks=_pullback_kinks(op, n, box_lo, box_hi, BLEND_MARGIN),
+    )
+    return n, box_lo, box_hi, blend, result
+
+
 def construct_transitive_approximant(
     op: CompositionOperator,
     g: GridFunction,
@@ -329,10 +381,7 @@ def construct_transitive_approximant(
     delta: float,
     fitter: Optional[FitConfig] = None,
     *,
-    terms: int = 20,
     grid: Optional[GridSpec] = None,
-    blend_margin: float = 1.0,
-    max_N: int = 10_000,
 ) -> TransitivityCertificate:
     """Build g_tilde with d(g, g_tilde) < delta and d(f, Phi^N(g_tilde)) < eps.
 
@@ -341,58 +390,30 @@ def construct_transitive_approximant(
     one-hidden-layer net over a region covering both the cube and the escaped
     box, and the measured distances are those of the fitted seed.
     """
-    if eps <= 0 or delta <= 0:
-        raise PreconditionError("eps and delta must be positive")
-    if op.A is not None:
-        raise PreconditionError("the blend construction needs A=identity")
-    verdict = classify(op.activation)
-    if verdict.kind != "Transitive":
-        raise PreconditionError(
-            f"{op.activation.name} classified {verdict.kind}; the uniform "
-            f"construction needs a Transitive activation (witness "
-            f"{verdict.witness})"
-        )
-    if f.dim_in != op.dim or g.dim_in != op.dim or f.dim_out != g.dim_out:
-        raise DimensionMismatchError("operator/function dimensions do not agree")
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=301)
-
-    d0 = d_ucc(f, g, terms, grid)
+    grid = _ucc_gate(op, g, f, eps, delta, grid)
+    d0 = d_ucc(f, g, TERMS, grid)
     if d0 == 0.0:
         return TransitivityCertificate(
-            0, g, 0.0, 0.0, 0, blend_margin, "d_ucc",
+            0, g, 0.0, 0.0, 0, BLEND_MARGIN, "d_ucc",
             (), (), op.activation.name, tuple(op.b),
         )
 
     k0 = _min_tail_cutoff(min(eps, delta) / 2.0)
-    n = escape_time(op, k0, k0 + blend_margin, max_N)
-    box_lo, box_hi = _escape_box(op, k0, n)
-    g_tilde = _blend(g, f, op, n, box_lo, box_hi, blend_margin)
-
+    n, box_lo, box_hi, g_tilde, fitted = _escape_blend_fit(op, g, f, k0, fitter)
     fit_residual = None
-    if fitter is not None:
-        reach = float(max(np.max(np.abs(box_lo)), np.max(np.abs(box_hi)), k0))
-        region = max(fitter.region, reach + blend_margin)
-        pts = _two_zone_points(float(k0), box_lo, box_hi,
-                               fitter.grid_points, op.dim)
-        result = fit_shallow(
-            g_tilde, fitter.width, op.activation, region,
-            seed=fitter.seed, ridge=fitter.ridge,
-            grid_points=fitter.grid_points, train_points=pts,
-            extra_kinks=_pullback_kinks(op, n, box_lo, box_hi, blend_margin),
-        )
-        fit_residual = result.sup_residual
-        g_tilde = result.net.as_gridfunction(name="blend-refit")
+    if fitted is not None:
+        fit_residual = fitted.sup_residual
+        g_tilde = fitted.net.as_gridfunction(name="blend-refit")
 
-    d_seed = d_ucc(g, g_tilde, terms, grid)
-    d_target = d_ucc(f, apply(op, g_tilde, n), terms, grid)
+    d_seed = d_ucc(g, g_tilde, TERMS, grid)
+    d_target = d_ucc(f, apply(op, g_tilde, n), TERMS, grid)
     if not (d_seed < delta and d_target < eps):
         raise VerificationError(
             "certificate verification failed",
             {"d_seed": d_seed, "delta": delta, "d_target": d_target, "eps": eps},
         )
     return TransitivityCertificate(
-        n, g_tilde, d_seed, d_target, k0, blend_margin, "d_ucc",
+        n, g_tilde, d_seed, d_target, k0, BLEND_MARGIN, "d_ucc",
         tuple(box_lo), tuple(box_hi), op.activation.name, tuple(op.b),
         fit_residual,
     )
@@ -406,9 +427,6 @@ def l1_transitive_approximant(
     eps: float,
     delta: float,
     *,
-    quad_nodes: int = 20_000,
-    blend_margin: float = 1.0,
-    max_N: int = 10_000,
     max_radius: float = 64.0,
 ) -> TransitivityCertificate:
     """Integrable-variant certificate: distances measured in the L1(mu) norm.
@@ -437,10 +455,10 @@ def l1_transitive_approximant(
             "pushforward density is unbounded (flat stretch in the activation)"
         )
 
-    diff0 = lp_norm(f - g, mu, 1.0, quad_nodes)
+    diff0 = lp_norm(f - g, mu, 1.0, QUAD_NODES)
     if diff0 == 0.0:
         return TransitivityCertificate(
-            0, g, 0.0, 0.0, 0.0, blend_margin, "l1",
+            0, g, 0.0, 0.0, 0.0, BLEND_MARGIN, "l1",
             (), (), op.activation.name, tuple(op.b),
         )
 
@@ -465,17 +483,15 @@ def l1_transitive_approximant(
             f"radius {max_radius}"
         )
 
-    n = escape_time(op, radius, radius + blend_margin, max_N)
-    box_lo, box_hi = _escape_box(op, radius, n)
-    g_tilde = _blend(g, f, op, n, box_lo, box_hi, blend_margin)
-    d_seed = lp_norm(g_tilde - g, mu, 1.0, quad_nodes)
-    d_target = lp_norm(f - apply(op, g_tilde, n), mu, 1.0, quad_nodes)
+    n, box_lo, box_hi, g_tilde, _ = _escape_blend_fit(op, g, f, radius)
+    d_seed = lp_norm(g_tilde - g, mu, 1.0, QUAD_NODES)
+    d_target = lp_norm(f - apply(op, g_tilde, n), mu, 1.0, QUAD_NODES)
     if not (d_seed < delta and d_target < eps):
         raise VerificationError(
             "L1 certificate verification failed",
             {"d_seed": d_seed, "delta": delta, "d_target": d_target, "eps": eps},
         )
     return TransitivityCertificate(
-        n, g_tilde, d_seed, d_target, float(radius), blend_margin, "l1",
+        n, g_tilde, d_seed, d_target, float(radius), BLEND_MARGIN, "l1",
         tuple(box_lo), tuple(box_hi), op.activation.name, tuple(op.b),
     )

@@ -103,10 +103,6 @@ class VerificationError(UaplabError):
         super().__init__(message)
 
 
-class DivergenceError(UaplabError):
-    """A running supremum kept growing without stabilizing."""
-
-
 class NoControllingWeightError(UaplabError):
     """No weight in the family controls the function's growth."""
 

@@ -10,8 +10,6 @@ best-so-far, which is what the recorded history contains.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -19,7 +17,6 @@ import numpy as np
 
 from .activations import ActivationSpec
 from .errors import (
-    ConfigError,
     DimensionMismatchError,
     PreconditionError,
     VerificationError,
@@ -227,7 +224,8 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     honest Lipschitz propagation norm^N * (1 + sqrt(2*mass))/sqrt(n) (used as
     bound_reference), the displayed norm^{N/2} variant, and the final-chain
     variant with the operator-norm factor dropped; at N=0 all three agree.
-    Worker fan-out is capped by UAPLAB_THREADS; results merge in n order.
+    The n values run in the given order, each fit warm-started from the
+    previous one's coefficients while n increases.
     """
     from .depth_dynamics import apply  # local import to avoid a cycle
 
@@ -260,26 +258,15 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
         }
         return row, fit.coefficients
 
-    threads = os.environ.get("UAPLAB_THREADS", "1")
-    try:
-        workers = max(1, int(threads))
-    except ValueError:
-        raise ConfigError(
-            [f"UAPLAB_THREADS: expected an integer, got {threads!r}"]
-        ) from None
+    # warm-start each fit from the previous coefficients when n increases
+    # (prefix-nested draws make the earlier optimum feasible for every later n)
     ns = [int(n) for n in n_values]
     nested = all(a < b for a, b in zip(ns, ns[1:]))
-    if workers > 1 and not nested:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = [row for row, _ in pool.map(one, ns)]
-    else:
-        # warm-start each fit from the previous coefficients (prefix-nested
-        # draws make the earlier optimum feasible for every later n)
-        rows = []
-        coeffs = None
-        for n in ns:
-            row, coeffs = one(n, init=coeffs if nested else None)
-            rows.append(row)
+    rows = []
+    coeffs = None
+    for n in ns:
+        row, coeffs = one(n, init=coeffs if nested else None)
+        rows.append(row)
     log_n = np.log([row["n"] for row in rows])
     log_r = np.log([max(row["residual"], 1e-300) for row in rows])
     slope = float(np.polyfit(log_n, log_r, 1)[0]) if len(rows) > 1 else 0.0

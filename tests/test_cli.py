@@ -1,7 +1,6 @@
 """End-to-end CLI runs: every subcommand, reproducibility, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -189,50 +188,6 @@ def test_transitivity_demo_l1_metric(tmp_path):
     doc = json.loads((out / "result.json").read_text())
     assert doc["outputs"]["metric"] == "l1"
     assert doc["outputs"]["d_target"] < 0.1
-
-
-def test_rate_sweep_thread_env_deterministic(tmp_path):
-    # unsorted n-values take the fan-out path; results stay byte-identical
-    # across worker counts because fits are independent and merged in order
-    params = {
-        "target": {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]},
-        "n_values": [8, 4], "N": 0, "quad_nodes": 301, "max_iter": 60,
-        "restarts": 1,
-    }
-    cfg = write_config(tmp_path, "rs-threads", params)
-    # inherit the caller's environment (PYTHONPATH among it) but no
-    # UAPLAB_* setting, so only UAPLAB_THREADS differs between the runs
-    base_env = {k: v for k, v in os.environ.items()
-                if not k.startswith("UAPLAB_")}
-    docs = []
-    for threads, name in (("1", "a"), ("4", "b")):
-        outdir = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "uaplab", "rate-sweep",
-             "--config", str(cfg), "--out", str(outdir)],
-            capture_output=True, text=True,
-            env={**base_env, "UAPLAB_THREADS": threads},
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        docs.append(stripped_result(outdir))
-    assert docs[0] == docs[1]
-
-
-def test_rate_sweep_bad_thread_env_exits_2(tmp_path):
-    cfg = write_config(tmp_path, "rs", SMALL_CONFIGS["rate-sweep"])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("UAPLAB_")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "uaplab", "rate-sweep",
-         "--config", str(cfg), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
-        env={**env, "UAPLAB_THREADS": "notanumber"},
-    )
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["error"] == "ConfigError"
-    assert payload["violations"] == [
-        "UAPLAB_THREADS: expected an integer, got 'notanumber'"
-    ]
 
 
 def test_cli_import_loads_no_scipy():

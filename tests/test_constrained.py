@@ -1,11 +1,13 @@
 """Prescribed-final-segment and constrained-final-segment assemblies."""
 
+import re
+
 import numpy as np
 import pytest
 
 from uaplab import constrained_approx as ca
 from uaplab import depth_dynamics as dd
-from uaplab.errors import PreconditionError
+from uaplab.errors import FitBudgetError, PreconditionError
 from uaplab.function_space import GridFunction, GridSpec, sup_norm_on_ball
 from uaplab.network import FeedForwardNet, FitConfig, net_from_config, net_to_config
 
@@ -108,6 +110,40 @@ class TestAssembleConstrained:
         )
         re_eval = con(segment.as_gridfunction())
         assert re_eval == pytest.approx(rep.constraint_values[0][1], abs=1e-9)
+
+
+class TestConstrainedRetries:
+    """The retry ladder of assemble_constrained: attempt a (0-based) escapes
+    the cube of radius k0 + 2a and fits at width fit.width * 2^a."""
+
+    def assemble(self, op, cos_fn, width, seed):
+        grid = GridSpec(points_per_axis=801)
+        con = ca.ConstraintFunctional(
+            lambda h: sup_norm_on_ball(h, 1.0, grid), 0.5, "sup_on_ball[1]"
+        )
+        fit = FitConfig(width=width, grid_points=2001, seed=seed)
+        return ca.assemble_constrained(
+            [con], GridFunction.zero(), cos_fn, 0.1, op, fit
+        )
+
+    def test_second_attempt_succeeds(self, op, cos_fn):
+        rep = self.assemble(op, cos_fn, width=128, seed=2)
+        # the first attempt would use k0 = 5 and width 128
+        assert rep.k0 == 7.0
+        hidden = rep.full_net.layers[rep.split_index].dim_out
+        assert hidden == 261  # 256 random units + 5 kink units
+        assert rep.d_target < 0.1
+        assert rep.constraint_values[0][1] < 0.99 * 0.5
+
+    def test_exhausted_attempts_report_measured_state(self, op, cos_fn):
+        with pytest.raises(FitBudgetError) as err:
+            self.assemble(op, cos_fn, width=16, seed=0)
+        message = str(err.value)
+        assert "eps=0.1" in message
+        assert "width 64, k0=9" in message  # the third attempt's
+        d_target = float(re.search(r"d_target=(\S+) ", message).group(1))
+        assert d_target >= 0.1
+        assert err.value.budget == 0.1
 
 
 class TestReportSerialization:
