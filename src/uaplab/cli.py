@@ -249,8 +249,6 @@ def _run_rate_sweep(params: dict, seed: int):
     table = rb.rate_sweep(
         family, target, mu, n_values, depth, op, seed=seed,
         quad_nodes=int(params.get("quad_nodes", 2001)),
-        max_iter=int(params.get("max_iter", 1500)),
-        restarts=int(params.get("restarts", 4)),
     )
     rows = [
         [r["n"], r["N"], r["residual"], r["bound_reference"], table.slope_estimate]
@@ -260,6 +258,7 @@ def _run_rate_sweep(params: dict, seed: int):
         "rows": table.to_rows(),
         "slope_estimate": table.slope_estimate,
         "pushforward_norm": table.pushforward_norm,
+        "degenerate": table.degenerate,
     }
     header = ["n", "N", "residual", "bound_reference", "slope_estimate"]
     return outputs, [("rate-sweep", header, rows)]

@@ -133,3 +133,17 @@ class ConfigError(UaplabError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+class LPSolveError(UaplabError):
+    """An interior-point solve stopped short of an optimal point."""
+
+    def __init__(self, status: str, gap: float, iterations: int, cells: int):
+        self.status = status
+        self.gap = gap
+        self.iterations = iterations
+        self.cells = cells
+        super().__init__(
+            f"LP stopped with status {status!r} after {iterations} iterations "
+            f"on {cells} cells (duality gap {gap:.3e})"
+        )

@@ -1,11 +1,13 @@
 """Convex-hull approximation rates for iterated-composition bases.
 
-Simplex-constrained L1 fitting is done with Frank-Wolfe: the linear
-subproblem over the simplex is solved at a vertex, every iterate is an exact
-convex combination, and the nonsmooth objective uses the sign subgradient
-(ties resolved as 0).  Plain Frank-Wolfe is not per-iterate monotone on a
-nonsmooth objective, so the reported coefficients and residual are
-best-so-far, which is what the recorded history contains.
+Simplex-constrained L1 fitting is exact: the basis and target are sampled
+at the measure's equal-mass quadrature nodes, runs of equal rows (the
+piecewise-constant trees make many) merge into weighted cells, and the
+linear program min sum w|B a - t| over the simplex is solved by a numpy
+Mehrotra predictor-corrector whose Newton steps reduce to an n x n Cholesky
+solve in the coefficient dimension (the Frisch-Newton reduction of Portnoy
+and Koenker, Statistical Science 1997).  A solve that stops short of
+optimal raises ``LPSolveError`` with its status, gap, iterations and cells.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import numpy as np
 from .activations import ActivationSpec
 from .errors import (
     DimensionMismatchError,
+    LPSolveError,
     PreconditionError,
     VerificationError,
 )
 from .function_space import GridFunction, GridSpec, Measure1D
-from .network import TreeFunction
+from .network import TreeFunction, _cholesky_solve
 
 __all__ = [
     "PushforwardReport",
@@ -92,7 +95,11 @@ def pushforward_density_norm(sigma: ActivationSpec, b: float, mu: Measure1D,
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe over the simplex
+# exact L1 fits over the simplex
+
+_LP_TOL = 1e-12  # relative duality gap and infeasibility accepted as optimal
+_LP_MAX_ITER = 100
+_LP_STEP = 0.99995  # fraction of the step to the boundary that is taken
 
 
 @dataclass(frozen=True)
@@ -101,24 +108,123 @@ class SimplexFit:
     basis_ids: tuple
     residual: float
     iterations: int
-    history: tuple  # best-so-far residual per iteration
+    status: str  # always "optimal": any other outcome raises LPSolveError
+    gap: float  # duality gap of the final interior point, in residual units
+    cells: int  # quadrature rows left after merging equal ones
+
+
+def _merge_rows(B: np.ndarray, t: np.ndarray, w: float):
+    """Merge runs of equal rows of [B | t] into cells, summing their
+    weights: equal rows have equal residuals, so the L1 objective is kept
+    exactly."""
+    new = (t[1:] != t[:-1]) | np.any(B[1:] != B[:-1], axis=1)
+    starts = np.flatnonzero(np.r_[True, new])
+    return B[starts], t[starts], w * np.diff(np.r_[starts, len(t)])
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {a >= 0, sum(a) = 1}."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    k = np.flatnonzero(u > css / np.arange(1, len(u) + 1))[-1]
+    return np.maximum(v - css[k] / (k + 1), 0.0)
+
+
+def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):
+    """min sum w|B a - t| over the simplex, by Mehrotra predictor-corrector.
+
+    Primal (a, p, q) >= 0 with B a - p + q = t and sum(a) = 1; dual (y, y0)
+    with slacks s = -(B^T y + y0) >= 0, zp = w + y >= 0 and zq = w - y >= 0.
+    The start is feasible on both sides.  Each Newton step reduces to the
+    n x n matrix B^T diag(1/theta) B + diag(s/a), bordered by the simplex
+    row; the border is folded in as rho * 1 1^T, which keeps the matrix
+    definite along the one direction only the simplex row fixes, and the
+    matrix is factored by Cholesky after a diagonal scaling.  Returns
+    (a, status, gap, iterations); status is "optimal", "iteration_limit" or
+    "numerical_failure".
+    """
+    m, n = B.shape
+    mass = float(np.sum(w))
+    w = w / mass
+    a = np.full(n, 1.0 / n)
+    r = B @ a - t
+    p, q = np.maximum(r, 0.0) + 1.0, np.maximum(-r, 0.0) + 1.0
+    y, y0 = np.zeros(m), -1.0
+    s, zp, zq = np.ones(n), w.copy(), w.copy()
+    t_scale = 1.0 + float(np.max(np.abs(t)))
+
+    def longest(x, dx):
+        neg = dx < 0
+        return float(np.min(-x[neg] / dx[neg])) if np.any(neg) else np.inf
+
+    def steps(d):
+        da, dp, dq, _, _, ds, dzp, dzq = d
+        return (min(1.0, longest(a, da), longest(p, dp), longest(q, dq)),
+                min(1.0, longest(s, ds), longest(zp, dzp), longest(zq, dzq)))
+
+    for it in range(_LP_MAX_ITER + 1):
+        rb = t - B @ a + p - q
+        r0 = 1.0 - np.sum(a)
+        ra = -(B.T @ y + y0 + s)
+        rp = w + y - zp
+        rq = w - y - zq
+        primal = float(w @ (p + q))
+        gap = primal - float(t @ y + y0)
+        infeas = max(float(np.max(np.abs(rb))) / t_scale, abs(r0),
+                     *(float(np.max(np.abs(v))) for v in (ra, rp, rq)))
+        if abs(gap) <= _LP_TOL * (1.0 + primal) and infeas <= _LP_TOL:
+            return a, "optimal", gap * mass, it
+        if it == _LP_MAX_ITER:
+            return a, "iteration_limit", gap * mass, it
+        theta = p / zp + q / zq
+        M = B.T @ (B / theta[:, None])
+        M[np.diag_indices(n)] += s / a
+        rho = 1.0 / np.sum(1.0 / np.diag(M))
+        M += rho
+        d = 1.0 / np.sqrt(np.diag(M))
+        try:
+            chol = np.linalg.cholesky(M * d[:, None] * d)
+        except np.linalg.LinAlgError:
+            return a, "numerical_failure", gap * mass, it
+
+        def newton(rca, rcp, rcq):
+            g = rb + (rcp - p * rp) / zp - (rcq - q * rq) / zq
+            rhs = B.T @ (g / theta) + rca / a - ra + rho * r0
+            u, v = (d[:, None] * _cholesky_solve(
+                chol, d[:, None] * np.column_stack([rhs, np.ones(n)]))).T
+            dy0 = (r0 - np.sum(u)) / np.sum(v)
+            da = u + dy0 * v
+            dy = (g - B @ da) / theta
+            dzp, dzq = rp + dy, rq - dy
+            return (da, (rcp - p * dzp) / zp, (rcq - q * dzq) / zq,
+                    dy, dy0, (rca - s * da) / a, dzp, dzq)
+
+        mu = (a @ s + p @ zp + q @ zq) / (n + 2 * m)
+        aff = newton(-a * s, -p * zp, -q * zq)
+        ap, ad = steps(aff)
+        da, dp, dq, _, _, ds, dzp, dzq = aff
+        mu_aff = ((a + ap * da) @ (s + ad * ds) + (p + ap * dp) @ (zp + ad * dzp)
+                  + (q + ap * dq) @ (zq + ad * dzq)) / (n + 2 * m)
+        target_mu = (mu_aff / mu) ** 3 * mu
+        step = newton(target_mu - a * s - da * ds, target_mu - p * zp - dp * dzp,
+                      target_mu - q * zq - dq * dzq)
+        ap, ad = (min(1.0, _LP_STEP * x) for x in steps(step))
+        a, p, q = (x + ap * dx for x, dx in zip((a, p, q), step[:3]))
+        y, y0, s, zp, zq = (x + ad * dx for x, dx in zip((y, y0, s, zp, zq), step[3:]))
 
 
 def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
-                mu: Measure1D, max_iter: int = 2000,
-                quad_nodes: int = 2001,
-                init: Optional[np.ndarray] = None,
-                restarts: int = 1) -> SimplexFit:
-    """Best convex combination of the basis in L1(mu), by Frank-Wolfe.
+                mu: Measure1D, *, quad_nodes: int = 2001) -> SimplexFit:
+    """Best convex combination of the basis in L1(mu), solved exactly.
 
-    Each pass does vertex steps with the diminishing 2/(k+2) schedule on the
-    sign-subgradient linearization; since that scheme can stall on the
-    nonsmooth objective, the fit runs ``restarts`` deterministic passes (from
-    the best single elements, plus one from ``init`` when given) and returns
-    the best iterate seen.  ``init`` warm-starts the coefficients (padded
-    with zeros if shorter than the basis), which makes sweeps over nested
-    bases monotone by construction.  The recorded history is the running
-    best, which is also what the returned residual reports.
+    The basis and target are sampled at the equal-mass quadrature nodes of
+    mu; runs of equal rows (piecewise-constant functions on sorted nodes)
+    merge into weighted cells, and the linear program
+    min sum w|B a - t| over the simplex is solved by a primal-dual interior
+    point (``_l1_simplex_lp``).  The returned coefficients are the final
+    interior point projected onto the simplex, and the residual is
+    evaluated from them on every node.  A solve that does not reach
+    status "optimal" raises ``LPSolveError``.
     """
     if len(basis) == 0:
         raise PreconditionError("basis must be nonempty")
@@ -128,48 +234,14 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
     pts = nodes[:, None]
     B = np.column_stack([f.sample(pts)[:, 0] for f in basis])
     t = target.sample(pts)[:, 0]
-    nb = len(basis)
-
-    def residual_of(vec: np.ndarray) -> float:
-        return float(w * np.sum(np.abs(B @ vec - t)))
-
-    singles = np.array([float(w * np.sum(np.abs(B[:, i] - t))) for i in range(nb)])
-    starts: list[tuple[np.ndarray, int]] = []
-    if init is not None and len(init) <= nb and np.sum(init) > 0:
-        padded = np.zeros(nb)
-        padded[: len(init)] = np.maximum(np.asarray(init, dtype=np.float64), 0.0)
-        # a warm start is a mature iterate: resume the schedule further in
-        starts.append((padded / padded.sum(), 16))
-    for idx in np.argsort(singles)[: max(1, int(restarts))]:
-        vertex = np.zeros(nb)
-        vertex[int(idx)] = 1.0
-        starts.append((vertex, 0))
-
-    best: Optional[np.ndarray] = None
-    best_res = float("inf")
-    history: list[float] = []
-    total_iters = 0
-    for alpha, k_offset in starts:
-        alpha = alpha.copy()
-        res = residual_of(alpha)
-        if res < best_res:
-            best_res, best = res, alpha.copy()
-        history.append(best_res)
-        for k in range(int(max_iter)):
-            r = B @ alpha - t
-            grad = w * (np.sign(r) @ B)
-            s = int(np.argmin(grad))
-            gamma = 2.0 / (k + k_offset + 2.0)
-            alpha = (1.0 - gamma) * alpha + gamma * np.eye(1, nb, s)[0]
-            alpha = alpha / alpha.sum()
-            res = residual_of(alpha)
-            if res < best_res:
-                best_res = res
-                best = alpha.copy()
-            history.append(best_res)
-            total_iters += 1
-    assert best is not None
-    return SimplexFit(best, tuple(range(nb)), best_res, total_iters, tuple(history))
+    Bc, tc, wc = _merge_rows(B, t, w)
+    a, status, gap, iterations = _l1_simplex_lp(Bc, tc, wc)
+    if status != "optimal":
+        raise LPSolveError(status, gap, iterations, len(tc))
+    a = _project_simplex(a)
+    residual = float(w * np.sum(np.abs(B @ a - t)))
+    return SimplexFit(a, tuple(range(len(basis))), residual, iterations,
+                      status, gap, len(tc))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +273,10 @@ def trees_basis_family(amp_range=(0.25, 2.0), left_range=(-1.5, 1.0),
 
 @dataclass(frozen=True)
 class RateSweepTable:
-    rows: tuple  # dicts: n, N, residual, bound_reference, bound_displayed, bound_proof_final
+    rows: tuple  # dicts: n, N, residual, the three bounds, LP diagnostics
     slope_estimate: float
     pushforward_norm: float
+    degenerate: bool  # every row no better than predicting 0
 
     def to_rows(self) -> list:
         out = []
@@ -224,8 +297,18 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     honest Lipschitz propagation norm^N * (1 + sqrt(2*mass))/sqrt(n) (used as
     bound_reference), the displayed norm^{N/2} variant, and the final-chain
     variant with the operator-norm factor dropped; at N=0 all three agree.
-    The n values run in the given order, each fit warm-started from the
-    previous one's coefficients while n increases.
+
+    The family and its N-fold compositions are built once, at the largest
+    n, and each row fits a prefix of them exactly (``simplex_fit``: equal
+    quadrature rows merged into cells, then an interior-point LP).  Rows run
+    in the given order; while n increases the previous row's coefficients,
+    padded with zeros, are feasible, and a row reports the smaller of the
+    two residuals, so that tolerance-level differences between equal optima
+    cannot make the table rise.  Each row carries the LP's status, gap,
+    iterations and cell count, and ``degenerate`` when its residual is no
+    better than predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
+    ``max_iter`` and ``restarts`` are accepted for old configurations and
+    ignored.
     """
     from .depth_dynamics import apply  # local import to avoid a cycle
 
@@ -241,36 +324,39 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     else:
         norm = 1.0
 
-    def one(n: int, init=None) -> tuple[dict, np.ndarray]:
-        basis = basis_family(seed, int(n))
-        if N > 0:
-            basis = [apply(op, f, N) for f in basis]
-        fit = simplex_fit(basis, target, mu, max_iter=max_iter,
-                          quad_nodes=quad_nodes, init=init, restarts=restarts)
+    ns = [int(n) for n in n_values]
+    if not ns or min(ns) < 1:
+        raise PreconditionError(f"n values must be positive, got {ns}")
+    basis = basis_family(seed, max(ns))
+    if N > 0:
+        basis = [apply(op, f, N) for f in basis]
+    nodes, w = mu.nodes(quad_nodes)
+    target_norm = float(w * np.sum(np.abs(target.sample(nodes[:, None])[:, 0])))
+    rows = []
+    for n in ns:
+        fit = simplex_fit(basis[:n], target, mu, quad_nodes=quad_nodes)
+        residual = fit.residual
+        if rows and rows[-1]["n"] < n:
+            residual = min(residual, rows[-1]["residual"])
         root = float(np.sqrt(n))
-        row = {
-            "n": int(n),
+        rows.append({
+            "n": n,
             "N": int(N),
-            "residual": fit.residual,
+            "residual": residual,
             "bound_reference": norm**N * (1.0 + np.sqrt(2.0 * mass)) / root,
             "bound_displayed": norm ** (N / 2.0) * (1.0 + np.sqrt(2.0 * mass)) / root,
             "bound_proof_final": (1.0 + np.sqrt(2.0 * mass)) / root,
-        }
-        return row, fit.coefficients
-
-    # warm-start each fit from the previous coefficients when n increases
-    # (prefix-nested draws make the earlier optimum feasible for every later n)
-    ns = [int(n) for n in n_values]
-    nested = all(a < b for a, b in zip(ns, ns[1:]))
-    rows = []
-    coeffs = None
-    for n in ns:
-        row, coeffs = one(n, init=coeffs if nested else None)
-        rows.append(row)
+            "status": fit.status,
+            "gap": fit.gap,
+            "iterations": fit.iterations,
+            "cells": fit.cells,
+            "degenerate": residual >= (1.0 - 1e-9) * target_norm,
+        })
     log_n = np.log([row["n"] for row in rows])
     log_r = np.log([max(row["residual"], 1e-300) for row in rows])
     slope = float(np.polyfit(log_n, log_r, 1)[0]) if len(rows) > 1 else 0.0
-    return RateSweepTable(tuple(rows), slope, norm)
+    return RateSweepTable(tuple(rows), slope, norm,
+                          all(row["degenerate"] for row in rows))
 
 
 def kappa_growth_check(sigma: ActivationSpec, b: float, mu: Measure1D,
