@@ -15,12 +15,26 @@ KIND_AFFINE = 0
 KIND_POWER = 1
 
 
+def _branch_index(interior, flat):
+    """Number of interior boundaries <= each point, i.e. the index of the
+    branch covering it.  This equals ``searchsorted(interior, flat,
+    side="right")`` for every non-NaN point (NaN lands on branch 0); one
+    vectorized comparison per boundary beats a per-element binary search
+    at the few branches a table has."""
+    idx = np.zeros(flat.shape, dtype=np.intp)
+    for e in interior:
+        idx += flat >= e
+    return idx
+
+
 def act_eval(edges, kinds, par, x):
     """Apply the tabulated piecewise map elementwise."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
-    idx = np.searchsorted(edges[1:-1], flat, side="right")
-    out = par[idx, 0] * flat + par[idx, 1]
+    idx = _branch_index(edges[1:-1], flat)
+    out = np.take(par[:, 0], idx)
+    out *= flat
+    out += np.take(par[:, 1], idx)
     for j in np.flatnonzero(kinds == KIND_POWER):
         m = idx == j
         s, p, a, b = par[j]
@@ -33,8 +47,8 @@ def act_deriv(edges, kinds, par, x):
     """Elementwise derivative of the tabulated map (one-sided at breakpoints)."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
-    idx = np.searchsorted(edges[1:-1], flat, side="right")
-    out = par[idx, 0]
+    idx = _branch_index(edges[1:-1], flat)
+    out = np.take(par[:, 0], idx)
     for j in np.flatnonzero(kinds == KIND_POWER):
         m = idx == j
         s, p, a, _ = par[j]
@@ -46,17 +60,21 @@ def act_invert(edges, kinds, par, vedges, y, tol=1e-14):
     """Invert a strictly increasing tabulated map elementwise.
 
     ``vedges`` holds the map's values at the interior breakpoints.  On a
-    power branch x is found to a relative step of ``tol``.
+    power branch x is found to a relative step of ``tol``.  The map is
+    taken to be onto the real line, so NaN and +-inf map to themselves.
     """
     y = np.asarray(y, dtype=np.float64)
     flat = y.ravel()
-    idx = np.searchsorted(vedges, flat, side="right")
+    idx = _branch_index(vedges, flat)
     # on power-branch points this is meaningless; the loop replaces it
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (flat - par[idx, 1]) / par[idx, 0]
+        out = flat - np.take(par[:, 1], idx)
+        out /= np.take(par[:, 0], idx)
+    finite = np.isfinite(flat)
     for j in np.flatnonzero(kinds == KIND_POWER):
-        m = idx == j
+        m = (idx == j) & finite
         out[m] = _invert_power(par[j], edges[j], edges[j + 1], flat[m], tol)
+    out[~finite] = flat[~finite]
     return out.reshape(y.shape)
 
 

@@ -113,7 +113,8 @@ class FeedForwardNet:
                 f"net expects dim_in={self.dim_in}, got {x.shape[1]}"
             )
         for layer in self.layers:
-            x = x @ layer.matrix.T + layer.bias
+            x = x @ layer.matrix.T
+            x += layer.bias
             if layer.activation_after:
                 x = self.activation(x)
         return x

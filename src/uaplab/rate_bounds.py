@@ -226,6 +226,12 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
     evaluated from them on every node.  A solve that does not reach
     status "optimal" raises ``LPSolveError``.
     """
+    return _fit_columns(*_sample_columns(basis, target, mu, quad_nodes))
+
+
+def _sample_columns(basis, target, mu, quad_nodes):
+    """The basis as node-by-function columns B, the target t, and the
+    uniform node weight w, at the equal-mass quadrature nodes of mu."""
     if len(basis) == 0:
         raise PreconditionError("basis must be nonempty")
     if target.dim_out != 1 or any(f.dim_out != 1 for f in basis):
@@ -233,14 +239,18 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
     nodes, w = mu.nodes(quad_nodes)
     pts = nodes[:, None]
     B = np.column_stack([f.sample(pts)[:, 0] for f in basis])
-    t = target.sample(pts)[:, 0]
+    return B, target.sample(pts)[:, 0], w
+
+
+def _fit_columns(B: np.ndarray, t: np.ndarray, w: float) -> SimplexFit:
+    """``simplex_fit`` on sampled columns (``_sample_columns``)."""
     Bc, tc, wc = _merge_rows(B, t, w)
     a, status, gap, iterations = _l1_simplex_lp(Bc, tc, wc)
     if status != "optimal":
         raise LPSolveError(status, gap, iterations, len(tc))
     a = _project_simplex(a)
     residual = float(w * np.sum(np.abs(B @ a - t)))
-    return SimplexFit(a, tuple(range(len(basis))), residual, iterations,
+    return SimplexFit(a, tuple(range(B.shape[1])), residual, iterations,
                       status, gap, len(tc))
 
 
@@ -298,15 +308,16 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     bound_reference), the displayed norm^{N/2} variant, and the final-chain
     variant with the operator-norm factor dropped; at N=0 all three agree.
 
-    The family and its N-fold compositions are built once, at the largest
-    n, and each row fits a prefix of them exactly (``simplex_fit``: equal
-    quadrature rows merged into cells, then an interior-point LP).  Rows run
-    in the given order; while n increases the previous row's coefficients,
-    padded with zeros, are feasible, and a row reports the smaller of the
-    two residuals, so that tolerance-level differences between equal optima
-    cannot make the table rise.  Each row carries the LP's status, gap,
-    iterations and cell count, and ``degenerate`` when its residual is no
-    better than predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
+    The family and its N-fold compositions are built and sampled once, at
+    the largest n, and each row fits a prefix of the sampled columns
+    exactly (as ``simplex_fit``: equal quadrature rows merged into cells,
+    then an interior-point LP).  Rows run in the given order; while n
+    increases the previous row's coefficients, padded with zeros, are
+    feasible, and a row reports the smaller of the two residuals, so that
+    tolerance-level differences between equal optima cannot make the table
+    rise.  Each row carries the LP's status, gap, iterations and cell
+    count, and ``degenerate`` when its residual is no better than
+    predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
     ``max_iter`` and ``restarts`` are accepted for old configurations and
     ignored.
     """
@@ -330,11 +341,11 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     basis = basis_family(seed, max(ns))
     if N > 0:
         basis = [apply(op, f, N) for f in basis]
-    nodes, w = mu.nodes(quad_nodes)
-    target_norm = float(w * np.sum(np.abs(target.sample(nodes[:, None])[:, 0])))
+    B, t, w = _sample_columns(basis, target, mu, quad_nodes)
+    target_norm = float(w * np.sum(np.abs(t)))
     rows = []
     for n in ns:
-        fit = simplex_fit(basis[:n], target, mu, quad_nodes=quad_nodes)
+        fit = _fit_columns(B[:, :n], t, w)
         residual = fit.residual
         if rows and rows[-1]["n"] < n:
             residual = min(residual, rows[-1]["residual"])

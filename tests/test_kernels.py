@@ -148,3 +148,128 @@ def test_tree_eval_empty_and_degenerate():
     ends = np.array([0.0, 0.5])
     out = K.tree_eval(np.array([1.0, 2.0]), ends, ends, np.array([0.0, 0.5, 0.7]))
     assert out.tolist() == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# branch index and the searchsorted formulas it replaced
+
+
+def searchsorted_eval(edges, kinds, par, x):
+    """act_eval by binary search and 2-D gathers, the formulas the branch
+    index replaced."""
+    idx = np.searchsorted(edges[1:-1], x, side="right")
+    out = par[idx, 0] * x + par[idx, 1]
+    for j in np.flatnonzero(kinds == K.KIND_POWER):
+        m = idx == j
+        s, p, a, b = par[j]
+        out[m] = s * np.sign(x[m]) * np.abs(x[m]) ** p + a * x[m] + b
+    return out
+
+
+def searchsorted_deriv(edges, kinds, par, x):
+    idx = np.searchsorted(edges[1:-1], x, side="right")
+    out = par[idx, 0]
+    for j in np.flatnonzero(kinds == K.KIND_POWER):
+        m = idx == j
+        s, p, a, _ = par[j]
+        out[m] = s * p * np.abs(x[m]) ** (p - 1.0) + a
+    return out
+
+
+def searchsorted_invert(edges, kinds, par, vedges, y):
+    idx = np.searchsorted(vedges, y, side="right")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (y - par[idx, 1]) / par[idx, 0]
+    for j in np.flatnonzero(kinds == K.KIND_POWER):
+        m = idx == j
+        out[m] = K._invert_power(par[j], edges[j], edges[j + 1], y[m], 1e-14)
+    return out
+
+
+@pytest.mark.parametrize("branches", [2, 3, 8, 32])
+def test_branch_index_matches_searchsorted(branches):
+    rng = np.random.default_rng(branches)
+    interior = np.sort(np.r_[rng.uniform(-10, 10, branches - 2), 0.0])
+    x = np.concatenate([rng.uniform(-12, 12, 2000), interior,
+                        np.nextafter(interior, -INF), np.nextafter(interior, INF),
+                        [-0.0, 0.0, -INF, INF]])
+    want = np.searchsorted(interior, x, side="right")
+    assert np.array_equal(K._branch_index(interior, x), want)
+
+
+def table_specs():
+    return [act.by_name(n) for n in ("relu", "leaky_shifted_paper", "leaky_rescaled_paper")] + [
+        cube()]
+
+
+@pytest.mark.parametrize("spec", table_specs(), ids=lambda s: s.name)
+def test_kernels_equal_searchsorted_formulas(spec):
+    edges, kinds, par, vedges = spec._table
+    rng = np.random.default_rng(4)
+    x = np.concatenate([sample_points(spec, rng), np.nextafter(spec.breakpoints, -INF),
+                        [-0.0, -INF, INF]])
+    with np.errstate(invalid="ignore"):  # relu's 0 * inf
+        assert np.array_equal(K.act_eval(edges, kinds, par, x),
+                              searchsorted_eval(edges, kinds, par, x), equal_nan=True)
+    assert np.array_equal(K.act_deriv(edges, kinds, par, x),
+                          searchsorted_deriv(edges, kinds, par, x))
+    y = np.concatenate([rng.uniform(-500, 500, 400), vedges, np.nextafter(vedges, INF),
+                        [-0.0, -1e9, 1e9]])
+    assert np.array_equal(K.act_invert(edges, kinds, par, vedges, y),
+                          searchsorted_invert(edges, kinds, par, vedges, y), equal_nan=True)
+
+
+@pytest.mark.parametrize("spec", specs(), ids=lambda s: s.name)
+def test_eval_keeps_nan(spec):
+    edges, kinds, par, _ = spec._table
+    got = K.act_eval(edges, kinds, par, np.array([np.nan, 1.0]))
+    assert np.isnan(got[0]) and got[1] == ref_value(spec, 1.0)
+
+
+def sagging():
+    """x below 1, then -0.5*sqrt(x) + 2x - 0.5: increasing, with a negative
+    power coefficient on the branch that reaches +inf."""
+    return act.ActivationSpec("sagging", [
+        act.Branch(-INF, 1.0, "affine", (1.0, 0.0)),
+        act.Branch(1.0, INF, "power", (-0.5, 0.5, 2.0, -0.5))])
+
+
+@pytest.mark.parametrize("spec", specs()[1:] + [sagging()], ids=lambda s: s.name)
+def test_invert_maps_nonfinite_to_itself(spec):
+    """NaN and +-inf keep their value whichever branch they land on: the
+    affine branch below 0 or the power branch above it for the cube table,
+    a power branch on both sides for root, one with a negative power
+    coefficient for sagging."""
+    edges, kinds, par, vedges = spec._table
+    y = np.array([np.nan, INF, -INF, 0.5])
+    with np.errstate(all="raise"):
+        got = K.act_invert(edges, kinds, par, vedges, y)
+    assert np.isnan(got[0]) and got[1] == INF and got[2] == -INF
+    assert got[3] == K.act_invert(edges, kinds, par, vedges, y[3:])[0]
+
+
+def test_invert_cube_table_nonfinite():
+    edges, kinds, par, vedges = cube()._table
+    got = K.act_invert(edges, kinds, par, vedges, np.array([np.nan, 1.0, INF, -INF, 0.5]))
+    assert np.array_equal(got, [np.nan, 0.0, INF, -INF, -1.0], equal_nan=True)
+
+
+def test_net_sample_leaves_points_unchanged():
+    from uaplab.network import AffineLayer, FeedForwardNet, identity_layer
+
+    sigma = act.by_name("leaky_shifted_paper")
+    net = FeedForwardNet((identity_layer(2, 0.5),
+                          AffineLayer(np.array([[1.3, -0.2], [-0.4, 0.9]]),
+                                      np.array([0.2, 0.7]), True),
+                          AffineLayer(np.array([[1.0, -2.0]]), np.array([0.1]), False)),
+                         sigma)
+    pts = np.random.default_rng(5).uniform(-3, 3, (50, 2))
+    before = pts.copy()
+    out = net.sample(pts)
+    assert np.array_equal(pts, before)
+    want = pts
+    for layer in net.layers:
+        want = want @ layer.matrix.T + layer.bias
+        if layer.activation_after:
+            want = sigma(want)
+    assert np.array_equal(out, want)
