@@ -44,7 +44,8 @@ def act_eval(edges, kinds, par, x):
 
 
 def act_deriv(edges, kinds, par, x):
-    """Elementwise derivative of the tabulated map (one-sided at breakpoints)."""
+    """Elementwise derivative of the tabulated map (one-sided at breakpoints).
+    NaN maps to NaN, whichever branch the index puts it on."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     idx = _branch_index(edges[1:-1], flat)
@@ -53,6 +54,7 @@ def act_deriv(edges, kinds, par, x):
         m = idx == j
         s, p, a, _ = par[j]
         out[m] = s * p * np.abs(flat[m]) ** (p - 1.0) + a
+    out[np.isnan(flat)] = np.nan
     return out.reshape(x.shape)
 
 

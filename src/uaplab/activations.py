@@ -1,11 +1,10 @@
 """Piecewise-analytic activation functions and their transitivity analysis.
 
-Activations are stored as explicit branch descriptions (affine, signed
-power, linear-interpolation table, or opaque callable) so that injectivity,
-fixed points, inversion, and derivatives are decidable instead of sampled
-guesses.  Opaque callables are accepted in a numeric-only mode with weaker
-guarantees: their sign analysis is sampled up to the search radius and not
-certified beyond it.
+Activations are stored as explicit branch descriptions, affine or signed
+power, so that injectivity, fixed points, inversion, and derivatives are
+decidable instead of sampled guesses.  Every activation is evaluated,
+differentiated and inverted by the numpy kernels in ``_kernels`` from one
+tabulated form.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .errors import (
     RangeError,
     VerificationError,
 )
-from .function_space import GridSpec
 
 __all__ = [
     "Branch",
@@ -44,17 +42,16 @@ __all__ = [
 _CONT_TOL = 1e-9  # continuity tolerance at breakpoints
 _ROOT_TOL = 1e-12  # |sigma(x)-x| below this counts as an exact zero
 _NEAR_TOL = 1e-9  # values in (_ROOT_TOL, _NEAR_TOL) are unresolved
+CLASSIFY_SAMPLES = 2048  # linear sample points per non-affine branch in classify
 
 
 @dataclass(frozen=True)
 class Branch:
     """One piece of a piecewise map on [lo, hi).
 
-    kinds and params:
+    kinds and params (no other kind is accepted):
       affine: (a, b)                 value = a*x + b
       power:  (scale, p, a, b)       value = scale*sign(x)*|x|**p + a*x + b
-      table:  (xs_tuple, ys_tuple)   linear interpolation, bounded interval
-      opaque: (fn,) or (fn, dfn)     numeric-only closures
     """
 
     lo: float
@@ -62,37 +59,26 @@ class Branch:
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        if self.kind not in ("affine", "power"):
+            raise ValueError(
+                f"unknown branch kind {self.kind!r}; known: 'affine', 'power'"
+            )
+
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "affine":
             a, b = self.params
             return a * x + b
-        if self.kind == "power":
-            s, p, a, b = self.params
-            return s * np.sign(x) * np.abs(x) ** p + a * x + b
-        if self.kind == "table":
-            xs, ys = self.params
-            return np.interp(x, xs, ys)
-        fn = self.params[0]
-        return np.asarray(fn(x), dtype=np.float64)
+        s, p, a, b = self.params
+        return s * np.sign(x) * np.abs(x) ** p + a * x + b
 
     def derivative(self, x):
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "affine":
             return np.full_like(x, self.params[0])
-        if self.kind == "power":
-            s, p, a, _ = self.params
-            return s * p * np.abs(x) ** (p - 1.0) + a
-        if self.kind == "table":
-            xs, ys = self.params
-            xs = np.asarray(xs)
-            ys = np.asarray(ys)
-            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-            return (ys[idx + 1] - ys[idx]) / (xs[idx + 1] - xs[idx])
-        if len(self.params) > 1 and self.params[1] is not None:
-            return np.asarray(self.params[1](x), dtype=np.float64)
-        h = 1e-6 * (1.0 + np.abs(x))
-        return (self.value(x + h) - self.value(x - h)) / (2 * h)
+        s, p, a, _ = self.params
+        return s * p * np.abs(x) ** (p - 1.0) + a
 
 
 class ActivationSpec:
@@ -144,13 +130,8 @@ class ActivationSpec:
         return tuple(b.hi for b in self.branches[:-1])
 
     @cached_property
-    def is_tabulated(self) -> bool:
-        """True when all branches are affine/power, so the vectorized numpy
-        kernels in ``_kernels`` evaluate and invert the map from ``_table``."""
-        return all(b.kind in ("affine", "power") for b in self.branches)
-
-    @cached_property
     def _table(self):
+        """(edges, kinds, par, vedges): the form ``_kernels`` evaluates."""
         edges = np.array(
             [self.branches[0].lo] + [b.hi for b in self.branches], dtype=np.float64
         )
@@ -175,33 +156,16 @@ class ActivationSpec:
     def __call__(self, x):
         scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
         arr = np.asarray(x, dtype=np.float64)
-        if self.is_tabulated:
-            edges, kinds, par, _ = self._table
-            out = K.act_eval(edges, kinds, par, arr)
-        else:
-            out = self._piecewise(arr, lambda b, xs: b.value(xs))
+        edges, kinds, par, _ = self._table
+        out = K.act_eval(edges, kinds, par, arr)
         return float(np.asarray(out).reshape(())) if scalar else out.reshape(arr.shape)
 
     def derivative(self, x):
         scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
         arr = np.asarray(x, dtype=np.float64)
-        if self.is_tabulated:
-            edges, kinds, par, _ = self._table
-            out = K.act_deriv(edges, kinds, par, arr)
-        else:
-            out = self._piecewise(arr, lambda b, xs: b.derivative(xs))
+        edges, kinds, par, _ = self._table
+        out = K.act_deriv(edges, kinds, par, arr)
         return float(np.asarray(out).reshape(())) if scalar else out.reshape(arr.shape)
-
-    def _piecewise(self, arr: np.ndarray, op) -> np.ndarray:
-        flat = arr.ravel()
-        interior = np.array([b.hi for b in self.branches[:-1]])
-        idx = np.searchsorted(interior, flat, side="right")
-        out = np.empty_like(flat)
-        for j, b in enumerate(self.branches):
-            m = idx == j
-            if np.any(m):
-                out[m] = np.asarray(op(b, flat[m]), dtype=np.float64)
-        return out.reshape(arr.shape)
 
     def derivative_two_sided(self, x0: float) -> tuple[float, float]:
         """(left, right) derivative at x0 from the adjacent branch formulas."""
@@ -278,12 +242,8 @@ def activation_to_config(spec: ActivationSpec) -> dict:
         entry: dict = {"lo": b.lo, "hi": b.hi, "kind": b.kind}
         if b.kind == "affine":
             entry["a"], entry["b"] = b.params
-        elif b.kind == "power":
-            entry["scale"], entry["p"], entry["a"], entry["b"] = b.params
-        elif b.kind == "table":
-            entry["xs"], entry["ys"] = list(b.params[0]), list(b.params[1])
         else:
-            raise ValueError("opaque branches are not serializable")
+            entry["scale"], entry["p"], entry["a"], entry["b"] = b.params
         branches.append(entry)
     return {"name": spec.name, "branches": branches}
 
@@ -307,8 +267,6 @@ def activation_from_config(cfg: dict) -> ActivationSpec:
                 float(e.get("a", 0.0)),
                 float(e.get("b", 0.0)),
             )
-        elif kind == "table":
-            params = (tuple(map(float, e["xs"])), tuple(map(float, e["ys"])))
         else:
             raise ValueError(f"unknown branch kind {kind!r}")
         branches.append(Branch(lo, hi, kind, params))
@@ -351,15 +309,7 @@ def _branch_direction(b: Branch, samples: int = 512) -> int:
             return -1
         if s == 0:
             return 0 if a == 0 else (1 if a > 0 else -1)
-    if b.kind == "table":
-        ys = np.asarray(b.params[1])
-        d = np.diff(ys)
-        if np.all(d > 0):
-            return 1
-        if np.all(d < 0):
-            return -1
-        return 0
-    # power with mixed-sign params, or opaque: sample
+    # power with mixed-sign params: sample
     lo = b.lo if math.isfinite(b.lo) else min(-1e3, b.hi - 1e3 if math.isfinite(b.hi) else -1e3)
     hi = b.hi if math.isfinite(b.hi) else max(1e3, b.lo + 1e3 if math.isfinite(b.lo) else 1e3)
     xs = np.linspace(lo, hi, samples)
@@ -415,14 +365,11 @@ def _branch_sample_points(b: Branch, search_radius: float, n_lin: int) -> np.nda
     return out[(out >= lo) & (out <= hi)]
 
 
-def _asymptotic_gap_sign(b: Branch, side: int,
-                         search_radius: float = 1e6) -> int:
-    """Eventual sign of sigma(x)-x on an unbounded branch.
+def _asymptotic_gap_sign(b: Branch, side: int) -> int:
+    """Eventual sign of sigma(x)-x on an unbounded branch, decided analytically.
 
     side=+1 means x -> +inf, side=-1 means x -> -inf.  Returns +1/-1, or 0
-    when the gap is eventually identically zero.  Affine/power branches are
-    decided analytically; opaque/table branches fall back to the sampled
-    sign at the search radius (numeric-only mode, uncertified beyond it).
+    when the gap is eventually identically zero.
     """
     if b.kind == "affine":
         a, c = b.params
@@ -430,41 +377,27 @@ def _asymptotic_gap_sign(b: Branch, side: int,
         if slope != 0.0:
             return int(math.copysign(1, slope)) * side
         return 0 if c == 0 else int(math.copysign(1, c))
-    if b.kind == "power":
-        s, p, a, c = b.params
-        lin = a - 1.0
-        if p > 1.0:
-            if s != 0.0:
-                return int(math.copysign(1, s)) * side
-            p, s = 1.0, 0.0  # degenerate: fall through to linear term
-        if p == 1.0:
-            slope = s + lin
-            if slope != 0.0:
-                return int(math.copysign(1, slope)) * side
-            return 0 if c == 0 else int(math.copysign(1, c))
-        # 0 < p < 1: linear term dominates, then the power term, then c
-        if lin != 0.0:
-            return int(math.copysign(1, lin)) * side
+    s, p, a, c = b.params
+    lin = a - 1.0
+    if p > 1.0:
         if s != 0.0:
             return int(math.copysign(1, s)) * side
+        p, s = 1.0, 0.0  # degenerate: fall through to linear term
+    if p == 1.0:
+        slope = s + lin
+        if slope != 0.0:
+            return int(math.copysign(1, slope)) * side
         return 0 if c == 0 else int(math.copysign(1, c))
-    # numeric-only fallback: sampled sign at the search radius
-    probe = side * search_radius
-    gap = float(np.asarray(b.value(probe))) - probe
-    if abs(gap) <= _ROOT_TOL:
-        return 0
-    if abs(gap) < _NEAR_TOL:
-        raise InconclusiveError(
-            (probe, probe),
-            "sampled asymptotic sign unresolved for a non-analytic branch",
-        )
-    return int(math.copysign(1, gap))
+    # 0 < p < 1: linear term dominates, then the power term, then c
+    if lin != 0.0:
+        return int(math.copysign(1, lin)) * side
+    if s != 0.0:
+        return int(math.copysign(1, s)) * side
+    return 0 if c == 0 else int(math.copysign(1, c))
 
 
 def _certified_radius(b: Branch, search_radius: float) -> float:
     """Radius past which sigma(x)-x is monotone on a power branch (no new roots)."""
-    if b.kind != "power":
-        return search_radius
     s, p, a, _ = b.params
     lin = a - 1.0
     if p == 1.0 or s == 0.0:
@@ -526,8 +459,8 @@ def _dedupe(xs: list, tol: float = 1e-9) -> list:
 
 
 @lru_cache(maxsize=256)
-def _classify_cached(sigma: ActivationSpec, search_radius: float,
-                     samples: int) -> TransitivityVerdict:
+def _classify_cached(sigma: ActivationSpec,
+                     search_radius: float) -> TransitivityVerdict:
     # --- injectivity via per-branch strict monotonicity + continuity
     directions = [_branch_direction(b) for b in sigma.branches]
     injective = all(d == directions[0] and d != 0 for d in directions)
@@ -542,12 +475,12 @@ def _classify_cached(sigma: ActivationSpec, search_radius: float,
             interval_roots += ivs
         else:
             radius = _certified_radius(b, search_radius)
-            point_roots += _sampled_gap_roots(sigma, b, radius, samples)
+            point_roots += _sampled_gap_roots(sigma, b, radius, CLASSIFY_SAMPLES)
     point_roots = _dedupe(point_roots)
 
     # asymptotic signs on the unbounded ends
-    sign_neg_inf = _asymptotic_gap_sign(sigma.branches[0], -1, search_radius)
-    sign_pos_inf = _asymptotic_gap_sign(sigma.branches[-1], +1, search_radius)
+    sign_neg_inf = _asymptotic_gap_sign(sigma.branches[0], -1)
+    sign_pos_inf = _asymptotic_gap_sign(sigma.branches[-1], +1)
     if sign_neg_inf == 0:
         interval_roots.append((sigma.branches[0].lo, sigma.branches[0].hi))
     if sign_pos_inf == 0:
@@ -632,8 +565,8 @@ def _classify_cached(sigma: ActivationSpec, search_radius: float,
     )
 
 
-def classify(sigma: ActivationSpec, search_radius: float = 1e6,
-             grid: Optional[GridSpec] = None) -> TransitivityVerdict:
+def classify(sigma: ActivationSpec,
+             search_radius: float = 1e6) -> TransitivityVerdict:
     """Decide Transitive / LpTransitiveOnly / NotTransitive.
 
     Injectivity is certified branchwise (strict monotonicity in one common
@@ -641,8 +574,7 @@ def classify(sigma: ActivationSpec, search_radius: float = 1e6,
     branches and by sign-change bisection elsewhere, with the asymptotic sign
     of sigma(x)-x determined analytically on the unbounded branches.
     """
-    samples = grid.points_per_axis if grid is not None else 2048
-    return _classify_cached(sigma, float(search_radius), int(samples))
+    return _classify_cached(sigma, float(search_radius))
 
 
 # ---------------------------------------------------------------------------
@@ -677,23 +609,10 @@ def _shifted_branches(base: ActivationSpec, add_slope: float,
         lo = max(b.lo, 0.0)
         if b.kind == "affine":
             a, c = b.params
-            nb = Branch(lo, b.hi, "affine", (a + add_slope, c + add_const))
-        elif b.kind == "power":
-            s, p, a, c = b.params
-            nb = Branch(lo, b.hi, "power", (s, p, a + add_slope, c + add_const))
-        elif b.kind == "table":
-            xs, ys = (np.asarray(b.params[0]), np.asarray(b.params[1]))
-            keep = xs >= lo
-            xs2 = np.concatenate([[lo], xs[keep]]) if xs[keep][0] > lo else xs[keep]
-            ys2 = np.interp(xs2, xs, ys) + add_slope * xs2 + add_const
-            nb = Branch(lo, b.hi, "table", (tuple(xs2), tuple(ys2)))
+            out.append(Branch(lo, b.hi, "affine", (a + add_slope, c + add_const)))
         else:
-            fn = b.params[0]
-            nb = Branch(
-                lo, b.hi, "opaque",
-                (lambda x, f=fn: np.asarray(f(x)) + add_slope * x + add_const,),
-            )
-        out.append(nb)
+            s, p, a, c = b.params
+            out.append(Branch(lo, b.hi, "power", (s, p, a + add_slope, c + add_const)))
     return out
 
 
@@ -750,11 +669,6 @@ def construct_lp_transitive(sigma_tilde: ActivationSpec,
     v0 = float(np.asarray(sigma_tilde(0.0)))
     if abs(v0) > 1e-12:
         raise PreconditionError(f"the base map must vanish at 0, got {v0!r}")
-    last = sigma_tilde.branches[-1]
-    if last.kind not in ("affine", "power"):
-        raise PreconditionError(
-            "surjectivity onto [0, inf) needs an affine/power last branch"
-        )
     branches = [Branch(-math.inf, 0.0, "affine", (alpha, 0.0))]
     branches += _shifted_branches(sigma_tilde, 1.0, 0.0)
     spec = ActivationSpec(
@@ -786,45 +700,8 @@ def invert_array(sigma: ActivationSpec, y: np.ndarray,
             f"{sigma.name} fails the transitivity requirements; inversion "
             "is only offered for (Lp-)transitive activations"
         )
-    y = np.asarray(y, dtype=np.float64)
-    if sigma.is_tabulated:
-        edges, kinds, par, vedges = sigma._table
-        return K.act_invert(edges, kinds, par, vedges, y, tol)
-    return _invert_generic(sigma, y, tol)
-
-
-def _invert_generic(sigma: ActivationSpec, y: np.ndarray,
-                    tol: float) -> np.ndarray:
-    flat = np.atleast_1d(y).ravel()
-    out = np.empty_like(flat)
-    for i, yv in enumerate(flat):
-        lo, hi = -1.0, 1.0
-        step = 1.0
-        for _ in range(200):
-            if float(np.asarray(sigma(lo))) <= yv:
-                break
-            lo -= step
-            step *= 2
-        else:
-            raise RangeError(f"value {yv!r} below the range of {sigma.name}")
-        step = 1.0
-        for _ in range(200):
-            if float(np.asarray(sigma(hi))) >= yv:
-                break
-            hi += step
-            step *= 2
-        else:
-            raise RangeError(f"value {yv!r} above the range of {sigma.name}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(np.asarray(sigma(mid))) < yv:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < tol * (1.0 + abs(lo)):
-                break
-        out[i] = 0.5 * (lo + hi)
-    return out.reshape(np.shape(y))
+    edges, kinds, par, vedges = sigma._table
+    return K.act_invert(edges, kinds, par, vedges, np.asarray(y, dtype=np.float64), tol)
 
 
 def invert(sigma: ActivationSpec, y: float) -> float:

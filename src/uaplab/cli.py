@@ -107,7 +107,10 @@ def _parse_measure(cfg):
 def _parse_activation(cfg) -> act.ActivationSpec:
     if cfg is None:
         raise ConfigError(["params.activation: required"])
-    return act.activation_from_config(cfg)
+    try:
+        return act.activation_from_config(cfg)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError([f"params.activation: {exc}"])
 
 
 # ---------------------------------------------------------------------------

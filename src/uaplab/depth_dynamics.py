@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as K
-from .activations import ActivationSpec, classify, invert_array
+from .activations import ActivationSpec, classify
 from .errors import (
     DimensionMismatchError,
     NoEscapeError,
@@ -98,13 +98,12 @@ class CompositionOperator:
             x = x[:, None]
         if n == 0:
             return x.copy()
-        if self.A is None and self.activation.is_tabulated:
+        if self.A is None:
             edges, kinds, par, _ = self.activation._table
             return K.s_iter(edges, kinds, par, x, self.b, int(n))
         out = x.copy()
         for _ in range(int(n)):
-            z = out if self.A is None else out @ self.A.T
-            out = self.activation(z + self.b)
+            out = self.activation(out @ self.A.T + self.b)
         return out
 
     def inverse_iterate(self, points: np.ndarray, n: int) -> np.ndarray:
@@ -121,13 +120,8 @@ class CompositionOperator:
             raise PreconditionError(
                 f"{self.activation.name} is not invertible for iteration"
             )
-        if self.activation.is_tabulated:
-            edges, kinds, par, vedges = self.activation._table
-            return K.s_inv_iter(edges, kinds, par, vedges, y, self.b, int(n))
-        out = y.copy()
-        for _ in range(int(n)):
-            out = invert_array(self.activation, out) - self.b[None, :]
-        return out
+        edges, kinds, par, vedges = self.activation._table
+        return K.s_inv_iter(edges, kinds, par, vedges, y, self.b, int(n))
 
 
 def apply(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:

@@ -591,15 +591,18 @@ class WeightedSupResult:
         return self.value
 
 
-def weighted_sup_norm(f: GridFunction, omega: Callable, grid: Optional[GridSpec] = None,
-                      stabilization_tol: float = 1e-3,
-                      max_radius: float = 1e6) -> WeightedSupResult:
+SUP_STABLE_TOL = 1e-3  # growth of the running sup that counts as stable
+SUP_MAX_RADIUS = 1e6   # ball radius past which a growing sup has diverged
+
+
+def weighted_sup_norm(f: GridFunction, omega: Callable,
+                      grid: Optional[GridSpec] = None) -> WeightedSupResult:
     """Running supremum of ||f(x)|| / (omega(||x||) + 1) over expanding balls.
 
     The ball radius doubles until the supremum stabilizes within
-    ``stabilization_tol`` over two consecutive doublings (convergence of the
+    ``SUP_STABLE_TOL`` over two consecutive doublings (convergence of the
     running sup alone can be deceptive when the maximizer migrates outward)
-    or ``max_radius`` is passed while the supremum still grows
+    or ``SUP_MAX_RADIUS`` is passed while the supremum still grows
     (``diverged=True``).  Non-finite ratios also flag divergence.
     """
     if grid is None:
@@ -608,7 +611,7 @@ def weighted_sup_norm(f: GridFunction, omega: Callable, grid: Optional[GridSpec]
     prev = None
     running = 0.0
     stable = 0
-    while radius <= max_radius:
+    while radius <= SUP_MAX_RADIUS:
         pts = grid.cube_points(radius)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.linalg.norm(f.sample(pts), axis=1)
@@ -617,7 +620,7 @@ def weighted_sup_norm(f: GridFunction, omega: Callable, grid: Optional[GridSpec]
         if not np.all(np.isfinite(ratio)):
             return WeightedSupResult(float("inf"), True, radius)
         running = max(running, float(np.max(ratio)))
-        if prev is not None and running - prev <= stabilization_tol:
+        if prev is not None and running - prev <= SUP_STABLE_TOL:
             stable += 1
             if stable >= 2:
                 return WeightedSupResult(running, False, radius)

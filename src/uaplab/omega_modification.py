@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .activations import ActivationSpec, by_name
+from .activations import by_name
 from .errors import (
     FitBudgetError,
     NoControllingWeightError,
@@ -47,6 +47,15 @@ __all__ = [
     "approximate_growth",
     "demonstrate_limitation",
 ]
+
+ACTIVATION = "relu"     # activation of the fitted shallow nets
+RHO = 0.9               # fitted ball radius as a fraction of sqrt(b)
+WIDE_FACTOR = 3.0       # verification grid radius in multiples of sqrt(b)
+GRID_POINTS = 2001      # grid points per axis of the shell and error checks
+ATTEMPTS = 3            # fits tried; each doubles the width of the last
+NORM_POINTS = 801       # grid points per axis of the weighted sup norms
+C_RANGE = (-2.0, 2.0)   # constants searched by demonstrate_limitation
+LIMIT_POINTS = 6001     # grid points of the limitation demo's sup distance
 
 
 @dataclass(frozen=True)
@@ -133,32 +142,25 @@ def approximate_vanishing(
     eps: float,
     fit: FitConfig,
     *,
-    activation: Optional[ActivationSpec] = None,
-    rho: float = 0.9,
     max_core_radius: float = 4096.0,
-    wide_factor: float = 3.0,
-    grid: Optional[GridSpec] = None,
-    attempts: int = 3,
     kink_hints: tuple = (),
 ) -> tuple[GridFunction, VanishingReport]:
     """Uniform eps-approximation of a function that decays at infinity.
 
     Finds a core radius R whose outer shell already sits below eps/2, fits a
     shallow net to (f - eps/2) e^{+b/(b - ||x||^2)} on the ball of radius
-    rho*sqrt(b) = R (the exact fitting target blows up at the ball boundary,
-    so the fit stops at rho < 1 and the envelope's vanishing bump factor
+    RHO*sqrt(b) = R (the exact fitting target blows up at the ball boundary,
+    so the fit stops at RHO < 1 and the envelope's vanishing bump factor
     crushes the remaining shell), assembles the envelope with offset eps/2,
-    and verifies the sup error end-to-end on a wide grid (wide_factor times
-    the ball radius), doubling the fit width if the measured error misses
-    eps.  ``kink_hints`` are input locations where the target is known to
-    change slope (hidden units are pinned there).
+    and verifies the sup error end-to-end on a wide grid (WIDE_FACTOR times
+    sqrt(b)), doubling the fit width if the measured error misses eps.
+    ``kink_hints`` are input locations where the target is known to change
+    slope (hidden units are pinned there).
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    if activation is None:
-        activation = by_name("relu")
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=2001)
+    activation = by_name(ACTIVATION)
+    grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=GRID_POINTS)
 
     radius = 1.0
     while _shell_sup(f, radius, grid) > eps / 2.0:
@@ -173,9 +175,9 @@ def approximate_vanishing(
     last_err = float("inf")
     last_resid = 0.0
     ones = np.ones(f.dim_out)
-    b_param = (radius / rho) ** 2
+    b_param = (radius / RHO) ** 2
     hints = tuple(t for t in kink_hints if abs(t) < radius)
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, ATTEMPTS + 1):
         width = fit.width * (2 ** (attempt - 1))
 
         def fit_target_sample(X: np.ndarray) -> np.ndarray:
@@ -206,7 +208,7 @@ def approximate_vanishing(
         candidate = bump_transform(
             g_eps, OmegaTransformParams(a=a, b=b_param)
         )
-        wide = wide_factor * np.sqrt(b_param)
+        wide = WIDE_FACTOR * np.sqrt(b_param)
         pts = grid.cube_points(wide)
         err = float(
             np.max(np.linalg.norm(f.sample(pts) - candidate.sample(pts), axis=1))
@@ -219,7 +221,7 @@ def approximate_vanishing(
     raise FitBudgetError(
         last_err, eps,
         f"vanishing-approximation error {last_err:.4g} still above eps={eps} "
-        f"after {attempts} attempts (last fit residual {last_resid:.4g})",
+        f"after {ATTEMPTS} attempts (last fit residual {last_resid:.4g})",
     )
 
 
@@ -273,10 +275,7 @@ def approximate_growth(
     eps: float,
     fit: FitConfig,
     *,
-    activation: Optional[ActivationSpec] = None,
     measure_radius: float = 30.0,
-    grid: Optional[GridSpec] = None,
-    norm_grid: Optional[GridSpec] = None,
 ) -> tuple[GridFunction, GrowthReport]:
     """Weighted-uniform eps-approximation of a function of controlled growth.
 
@@ -290,11 +289,9 @@ def approximate_growth(
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=2001)
-    if norm_grid is None:
-        norm_grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out,
-                             points_per_axis=801, radius=1.0)
+    grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=GRID_POINTS)
+    norm_grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out,
+                         points_per_axis=NORM_POINTS, radius=1.0)
 
     flags: dict = {}
     candidates = []
@@ -316,10 +313,7 @@ def approximate_growth(
         # (the input norm kinks there) and where a max-form weight switches
         hints = (0.0,) if w.kind in ("unit", "power", "exp_decay") else (-1.0, 0.0, 1.0)
         try:
-            f_eps, vanish = approximate_vanishing(
-                divided, eps, fit, activation=activation, grid=grid,
-                kink_hints=hints,
-            )
+            f_eps, vanish = approximate_vanishing(divided, eps, fit, kink_hints=hints)
         except (PreconditionError, FitBudgetError) as exc:
             flags[label] += f"; pipeline failed: {exc}"
             continue
@@ -380,10 +374,8 @@ class LimitationReport:
 def demonstrate_limitation(
     arch_sampler: Optional[Sequence[LimitationSample]] = None,
     *,
-    c_range: tuple = (-2.0, 2.0),
     c_step: float = 0.01,
     x_radius: float = 30.0,
-    grid: Optional[GridSpec] = None,
 ) -> LimitationReport:
     """Best-constant sup distance to x -> e^{-|x|}, by grid search over c.
 
@@ -392,16 +384,14 @@ def demonstrate_limitation(
     therefore stays at sup distance >= 1/2 from this bounded non-constant
     target.  Unbounded samples are reported with an infinite error flag.
     """
-    if grid is None:
-        grid = GridSpec(dim_in=1, dim_out=1, points_per_axis=6001)
-    pts = grid.cube_points(x_radius)
+    pts = GridSpec(dim_in=1, dim_out=1, points_per_axis=LIMIT_POINTS).cube_points(x_radius)
     target = np.exp(-np.linalg.norm(pts, axis=1))
 
     def const_error(c: float) -> float:
         return float(np.max(np.abs(target - c)))
 
-    n_steps = int(round((c_range[1] - c_range[0]) / c_step))
-    cs = c_range[0] + c_step * np.arange(n_steps + 1)
+    n_steps = int(round((C_RANGE[1] - C_RANGE[0]) / c_step))
+    cs = C_RANGE[0] + c_step * np.arange(n_steps + 1)
     errs = np.array([const_error(c) for c in cs])
     i = int(np.argmin(errs))
 

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .function_space import GridFunction, GridSpec, Measure1D
+from .function_space import GridFunction, Measure1D
 from .network import TreeFunction, _cholesky_solve
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # pushforward density
+
+PUSHFORWARD_POINTS = 200_001  # grid points of the density-over-slope maximum
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class PushforwardReport:
         }
 
 
-def pushforward_density_norm(sigma: ActivationSpec, b: float, mu: Measure1D,
-                             grid: Optional[GridSpec] = None) -> PushforwardReport:
+def pushforward_density_norm(sigma: ActivationSpec, b: float,
+                             mu: Measure1D) -> PushforwardReport:
     """Sup of the density of the pushforward of mu under x -> sigma(x + b).
 
     At y = S(x) the pushforward density is density(x) / S'(x), so the norm is
@@ -72,11 +74,10 @@ def pushforward_density_norm(sigma: ActivationSpec, b: float, mu: Measure1D,
     reported with its witness interval.
     """
     b = float(b)
-    n_pts = (grid.points_per_axis * 50) if grid is not None else 200_001
     q = mu.quantile(np.asarray([1e-9, 1.0 - 1e-9]))
     lo = float(q[0]) - abs(b) - 1.0
     hi = float(q[1]) + abs(b) + 1.0
-    xs = [np.linspace(lo, hi, n_pts)]
+    xs = [np.linspace(lo, hi, PUSHFORWARD_POINTS)]
     for bp in sigma.breakpoints:
         xs.append(np.asarray([bp - b - 1e-9, bp - b, bp - b + 1e-9]))
     x = np.unique(np.concatenate(xs))

@@ -83,24 +83,6 @@ class TestClassifyShippedActivations:
         v = act.classify(below)
         assert v.kind == "Transitive" and v.dominance == "below"
 
-    def test_opaque_closure_numeric_only_mode(self):
-        # smooth transitive map given only as a closure: weaker, sampled
-        # analysis still lands on the right verdict
-        opaque = act.ActivationSpec(
-            "smooth_shift",
-            [
-                act.Branch(
-                    -math.inf, math.inf, "opaque",
-                    (lambda x: x + 1.0 + 0.1 * np.tanh(x),
-                     lambda x: 1.0 + 0.1 / np.cosh(x) ** 2),
-                )
-            ],
-        )
-        v = act.classify(opaque)
-        assert v.kind == "Transitive" and v.dominance == "above"
-        # inversion via generic bracketing
-        assert act.invert(opaque, opaque(2.0)) == pytest.approx(2.0, abs=1e-9)
-
 
 class TestBisectGap:
     def test_root_to_xtol(self):
@@ -221,6 +203,24 @@ class TestInvert:
             assert np.max(np.abs(back - xs)) < 1e-10
 
 
+def power_specs():
+    mix = act.ActivationSpec(
+        "mix",
+        [
+            act.Branch(-math.inf, 0.0, "affine", (0.2, 1.0)),
+            act.Branch(0.0, math.inf, "power", (1.0, 2.0, 1.0, 1.0)),
+        ],
+    )
+    cube = act.ActivationSpec(
+        "cube", [act.Branch(-math.inf, math.inf, "power", (1.0, 3.0, 0.0, 0.0))]
+    )
+    sqrt3 = act.ActivationSpec(
+        "sqrt3", [act.Branch(-math.inf, math.inf, "power", (2.0, 1.5, 0.0, 0.0))]
+    )
+    return [mix, act.construct_transitive(cube, 0.5, 1.0),
+            act.construct_lp_transitive(sqrt3, 0.4)]
+
+
 class TestSerializationAndRegistry:
     def test_builtin_names_present(self):
         for name in ("relu", "leaky_shifted_paper", "leaky_rescaled_paper"):
@@ -236,16 +236,26 @@ class TestSerializationAndRegistry:
         assert back == leaky_shifted
 
     def test_power_round_trip(self):
-        spec = act.ActivationSpec(
-            "mix",
-            [
-                act.Branch(-math.inf, 0.0, "affine", (0.2, 1.0)),
-                act.Branch(0.0, math.inf, "power", (1.0, 2.0, 1.0, 1.0)),
-            ],
-        )
-        back = act.activation_from_config(act.activation_to_config(spec))
+        # a hand-built mix and the outputs of both construction recipes
         xs = np.linspace(-5, 5, 101)
-        assert np.allclose(np.asarray(spec(xs)), np.asarray(back(xs)))
+        for spec in power_specs():
+            back = act.activation_from_config(act.activation_to_config(spec))
+            assert back == spec
+            assert np.allclose(np.asarray(spec(xs)), np.asarray(back(xs)))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("table", ((0.0, 1.0), (0.0, 1.0))),
+        ("opaque", (lambda x: x + 1.0,)),
+    ])
+    def test_other_branch_kinds_rejected(self, kind, params):
+        with pytest.raises(ValueError, match=kind):
+            act.Branch(-math.inf, math.inf, kind, params)
+
+    def test_table_config_rejected(self):
+        cfg = {"branches": [{"lo": -math.inf, "hi": math.inf, "kind": "table",
+                             "xs": [0.0, 1.0], "ys": [0.0, 1.0]}]}
+        with pytest.raises(ValueError, match="table"):
+            act.activation_from_config(cfg)
 
     def test_discontinuous_rejected(self):
         with pytest.raises(ValueError):

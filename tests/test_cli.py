@@ -175,6 +175,22 @@ def test_command_mismatch_exits_2(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("activation", [
+    "swish",
+    {"branches": [{"lo": float("-inf"), "hi": float("inf"), "kind": "affine",
+                   "a": 1.1}]},
+    {"branches": [{"lo": float("-inf"), "hi": float("inf"), "kind": "table",
+                   "xs": [0.0, 1.0], "ys": [0.0, 1.0]}]},
+], ids=["unknown-name", "branch-without-b", "table-kind"])
+def test_bad_activation_config_exits_2(tmp_path, activation):
+    cfg = write_config(tmp_path, "bad", {"activation": activation})
+    r = run_cli("check-activation", cfg, tmp_path / "o")
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "ConfigError"
+    assert "params.activation" in json.dumps(payload)
+
+
 def test_transitivity_demo_l1_metric(tmp_path):
     cfg = write_config(tmp_path, "l1", {
         "activation": "leaky_rescaled_paper", "b": 1.0,

@@ -224,6 +224,8 @@ def test_eval_keeps_nan(spec):
     edges, kinds, par, _ = spec._table
     got = K.act_eval(edges, kinds, par, np.array([np.nan, 1.0]))
     assert np.isnan(got[0]) and got[1] == ref_value(spec, 1.0)
+    d = K.act_deriv(edges, kinds, par, np.array([np.nan, 1.0]))
+    assert np.isnan(d[0]) and d[1] == float(branch_at(spec, 1.0).derivative(1.0))
 
 
 def sagging():
