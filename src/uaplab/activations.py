@@ -2,7 +2,10 @@
 
 Activations are stored as explicit branch descriptions, affine or signed
 power, so that injectivity, fixed points, inversion, and derivatives are
-decidable instead of sampled guesses.  Every activation is evaluated,
+decidable instead of sampled guesses.  A power branch splits at finitely
+many cut points, found in closed form, into pieces on which the map and
+sigma(x) - x are both strictly monotone; classification reads signs at the
+piece ends and samples nothing.  Every activation is evaluated,
 differentiated and inverted by the numpy kernels in ``_kernels`` from one
 tabulated form.
 """
@@ -10,6 +13,7 @@ tabulated form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional
@@ -42,7 +46,7 @@ __all__ = [
 _CONT_TOL = 1e-9  # continuity tolerance at breakpoints
 _ROOT_TOL = 1e-12  # |sigma(x)-x| below this counts as an exact zero
 _NEAR_TOL = 1e-9  # values in (_ROOT_TOL, _NEAR_TOL) are unresolved
-CLASSIFY_SAMPLES = 2048  # linear sample points per non-affine branch in classify
+_FMAX = sys.float_info.max  # classification covers [-_FMAX, _FMAX]
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,8 @@ class Branch:
 
     kinds and params (no other kind is accepted):
       affine: (a, b)                 value = a*x + b
-      power:  (scale, p, a, b)       value = scale*sign(x)*|x|**p + a*x + b
+      power:  (scale, p, a, b)       value = scale*sign(x)*|x|**p + a*x + b,
+                                     with p > 0
     """
 
     lo: float
@@ -64,6 +69,8 @@ class Branch:
             raise ValueError(
                 f"unknown branch kind {self.kind!r}; known: 'affine', 'power'"
             )
+        if self.kind == "power" and not self.params[1] > 0.0:
+            raise ValueError(f"power exponent must be positive, got {self.params[1]!r}")
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -93,11 +100,13 @@ class ActivationSpec:
         br = self.branches
         if not br:
             raise ValueError("activation needs at least one branch")
-        if not math.isinf(br[0].lo) or br[0].lo > 0:
-            if br[0].lo != -math.inf:
-                raise ValueError("first branch must start at -inf")
+        if br[0].lo != -math.inf:
+            raise ValueError("first branch must start at -inf")
         if br[-1].hi != math.inf:
             raise ValueError("last branch must end at +inf")
+        for b in br:
+            if not b.lo < b.hi:
+                raise ValueError(f"empty branch [{b.lo}, {b.hi})")
         for left, right in zip(br, br[1:]):
             if left.hi != right.lo:
                 raise ValueError(
@@ -294,55 +303,110 @@ class TransitivityVerdict:
     infinite_fixed_set: bool = False
 
 
-def _branch_direction(b: Branch, samples: int = 512) -> int:
-    """+1 strictly increasing, -1 strictly decreasing, 0 flat or mixed."""
+def _affine_params(b: Branch) -> Optional[tuple]:
+    """(slope, intercept) of a branch that is affine, power branches with
+    scale 0 or exponent 1 included; None for a true power branch."""
     if b.kind == "affine":
-        a = b.params[0]
-        return 0 if a == 0 else (1 if a > 0 else -1)
-    if b.kind == "power":
-        s, p, a, _ = b.params
-        if p <= 0:
-            return 0
-        if s > 0 and a >= 0:
-            return 1
-        if s < 0 and a <= 0:
-            return -1
-        if s == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-    # power with mixed-sign params: sample
-    lo = b.lo if math.isfinite(b.lo) else min(-1e3, b.hi - 1e3 if math.isfinite(b.hi) else -1e3)
-    hi = b.hi if math.isfinite(b.hi) else max(1e3, b.lo + 1e3 if math.isfinite(b.lo) else 1e3)
-    xs = np.linspace(lo, hi, samples)
-    d = np.diff(np.asarray(b.value(xs), dtype=np.float64))
-    if np.all(d > 0):
-        return 1
-    if np.all(d < 0):
-        return -1
-    return 0
+        return b.params
+    s, p, a, c = b.params
+    if s == 0.0:
+        return (a, c)
+    if p == 1.0:
+        return (s + a, c)
+    return None
 
 
-def _flat_witness(b: Branch) -> float:
-    if math.isfinite(b.lo):
-        return b.lo + 1.0
-    if math.isfinite(b.hi):
-        return b.hi - 1.0
+def _zeros(b: Branch, k: float) -> list:
+    """Points of (lo, hi) where s*p*|x|**(p-1) + k vanishes on a true power
+    branch: +-t for the single t > 0 that solves it, if there is one."""
+    s, p = float(b.params[0]), float(b.params[1])  # ** raises on overflow
+    ratio = -float(k) / s / p  # s * p may underflow to 0
+    if not ratio > 0.0:
+        return []
+    try:
+        t = ratio ** (1.0 / (p - 1.0))
+    except OverflowError:
+        return []
+    return [x for x in (-t, t) if b.lo < x < b.hi]
+
+
+def _cuts(b: Branch) -> list:
+    """Sorted cut points of a branch: 0 and the zeros of sigma' (k = a) and
+    of the gap's derivative (k = a - 1) inside (lo, hi).  Between cuts both
+    sigma and sigma(x) - x are strictly monotone.  Affine branches have none."""
+    if _affine_params(b) is not None:
+        return []
+    a = b.params[2]
+    cuts = {0.0} if b.lo < 0.0 < b.hi else set()
+    cuts.update(_zeros(b, a), _zeros(b, a - 1.0))
+    return sorted(cuts)
+
+
+def _inside(lo: float, hi: float) -> float:
+    """A point strictly inside (lo, hi)."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return 0.5 * lo + 0.5 * hi
+    if math.isfinite(lo):  # lo + 1 rounds to lo once |lo| >= 2**53
+        return lo + 1.0 if lo + 1.0 > lo else min(lo + abs(lo), _FMAX)
+    if math.isfinite(hi):
+        return hi - 1.0 if hi - 1.0 < hi else max(hi - abs(hi), -_FMAX)
     return 0.0
 
 
-def _gap(sigma: ActivationSpec, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return np.asarray(sigma(x), dtype=np.float64) - x
+def _flat_witness(b: Branch) -> float:
+    """A point near which sigma is not injective on a flat or mixed branch:
+    a turning point (zero of sigma') of a power branch, else an inner point."""
+    turns = [] if _affine_params(b) is not None else _zeros(b, b.params[2])
+    return turns[0] if turns else _inside(b.lo, b.hi)
+
+
+def _branch_direction(b: Branch) -> int:
+    """+1 strictly increasing, -1 strictly decreasing, 0 flat or mixed: the
+    sign of sigma' inside each piece between cuts, if all pieces share it."""
+    aff = _affine_params(b)
+    if aff is not None:
+        return int(np.sign(aff[0]))
+    edges = [b.lo, *_cuts(b), b.hi]
+    signs = {float(np.sign(b.derivative(_inside(lo, hi))))
+             for lo, hi in zip(edges, edges[1:])}
+    return int(signs.pop()) if len(signs) == 1 else 0
+
+
+def _branch_gap(b: Branch, x: float) -> float:
+    """sigma(x) - x on branch b for x != 0, as x * (slope - 1) + c with slope
+    s*|x|**(p-1) + a: c is not rounded away at large |x| as in
+    sigma(x) - x, and an overflow goes to an infinity of the right sign."""
+    aff = _affine_params(b)
+    if aff is not None:
+        slope, c = map(float, aff)
+    else:
+        s, p, a, c = map(float, b.params)  # Python floats: no numpy warnings
+        try:
+            slope = s * abs(x) ** (p - 1.0) + a
+        except OverflowError:
+            slope = math.copysign(math.inf, s)
+    return float(x) * (slope - 1.0) + c
+
+
+def _gap(sigma: ActivationSpec, x: float) -> float:
+    """sigma(x) - x, from _branch_gap where the difference overflows."""
+    x = float(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = sigma(x) - x
+    if math.isfinite(v):
+        return v
+    return _branch_gap(next(b for b in sigma.branches if b.lo <= x < b.hi), x)
 
 
 def _bisect_gap(sigma: ActivationSpec, a: float, b: float, xtol: float) -> float:
     """A root of sigma(x) - x in [a, b], where the gap has opposite nonzero
     signs at the two ends, to within xtol (or to the float spacing)."""
-    fa = float(_gap(sigma, [a])[0])
+    fa = _gap(sigma, a)
     while True:
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b  # equals 0.5 * (a + b), which can overflow
         if b - a <= xtol or m in (a, b):
             return m
-        fm = float(_gap(sigma, [m])[0])
+        fm = _gap(sigma, m)
         if fm == 0.0:
             return m
         if (fm < 0.0) == (fa < 0.0):
@@ -351,195 +415,116 @@ def _bisect_gap(sigma: ActivationSpec, a: float, b: float, xtol: float) -> float
             b = m
 
 
-def _branch_sample_points(b: Branch, search_radius: float, n_lin: int) -> np.ndarray:
-    lo = max(b.lo, -search_radius)
-    hi = min(b.hi, search_radius)
-    if lo >= hi:
-        return np.empty(0)
-    pts = [np.linspace(max(lo, -16.0), min(hi, 16.0), n_lin)]
-    if hi > 16.0:
-        pts.append(np.geomspace(16.0, hi, 256))
-    if lo < -16.0:
-        pts.append(-np.geomspace(16.0, -lo, 256))
-    out = np.unique(np.concatenate(pts))
-    return out[(out >= lo) & (out <= hi)]
-
-
-def _asymptotic_gap_sign(b: Branch, side: int) -> int:
-    """Eventual sign of sigma(x)-x on an unbounded branch, decided analytically.
-
-    side=+1 means x -> +inf, side=-1 means x -> -inf.  Returns +1/-1, or 0
-    when the gap is eventually identically zero.
-    """
-    if b.kind == "affine":
-        a, c = b.params
-        slope = a - 1.0
-        if slope != 0.0:
-            return int(math.copysign(1, slope)) * side
-        return 0 if c == 0 else int(math.copysign(1, c))
-    s, p, a, c = b.params
-    lin = a - 1.0
-    if p > 1.0:
-        if s != 0.0:
-            return int(math.copysign(1, s)) * side
-        p, s = 1.0, 0.0  # degenerate: fall through to linear term
-    if p == 1.0:
-        slope = s + lin
-        if slope != 0.0:
-            return int(math.copysign(1, slope)) * side
-        return 0 if c == 0 else int(math.copysign(1, c))
-    # 0 < p < 1: linear term dominates, then the power term, then c
-    if lin != 0.0:
-        return int(math.copysign(1, lin)) * side
-    if s != 0.0:
-        return int(math.copysign(1, s)) * side
-    return 0 if c == 0 else int(math.copysign(1, c))
-
-
-def _certified_radius(b: Branch, search_radius: float) -> float:
-    """Radius past which sigma(x)-x is monotone on a power branch (no new roots)."""
-    s, p, a, _ = b.params
-    lin = a - 1.0
-    if p == 1.0 or s == 0.0:
-        return search_radius
-    # derivative of gap: s*p*|x|^(p-1) + lin; single sign change in |x|
-    try:
-        x_star = (abs(lin) / (abs(s) * p)) ** (1.0 / (p - 1.0))
-    except (ZeroDivisionError, OverflowError):
-        x_star = search_radius
-    return max(search_radius, 2.0 * x_star)
-
-
-def _affine_gap_roots(b: Branch) -> tuple[list, list]:
-    """Exact roots of sigma(x)-x on an affine branch: (points, intervals)."""
-    a, c = b.params
-    slope = a - 1.0
-    if slope == 0.0:
-        if c == 0.0:
-            return [], [(b.lo, b.hi)]
-        return [], []
-    root = -c / slope + 0.0  # normalizes -0.0
-    return ([root] if (b.lo <= root < b.hi) else []), []
-
-
-def _sampled_gap_roots(sigma: ActivationSpec, b: Branch, search_radius: float,
-                       n_lin: int) -> list:
-    pts = _branch_sample_points(b, search_radius, n_lin)
-    if len(pts) < 2:
+def _affine_gap_roots(b: Branch) -> list:
+    """The root of sigma(x)-x on an affine branch, unless the gap has none
+    or vanishes on the whole branch."""
+    a, c = _affine_params(b)
+    if a == 1.0:
         return []
-    vals = _gap(sigma, pts)
-    roots: list[float] = []
-    exact = np.abs(vals) <= _ROOT_TOL
-    for x in pts[exact]:
-        roots.append(float(x))
-    sign = np.sign(np.where(exact, 0.0, vals))
-    for i in range(len(pts) - 1):
-        s0, s1 = sign[i], sign[i + 1]
-        if s0 == 0 or s1 == 0 or s0 == s1:
-            continue
-        roots.append(_bisect_gap(sigma, float(pts[i]), float(pts[i + 1]), 1e-13))
-    # unresolved near-zeros: flagged only if not adjacent to a found root
-    near = (np.abs(vals) > _ROOT_TOL) & (np.abs(vals) < _NEAR_TOL)
-    for x in pts[near]:
-        if not any(abs(x - r) < 1e-6 * (1 + abs(r)) for r in roots):
+    root = -c / (a - 1.0) + 0.0  # normalizes -0.0
+    return [root] if b.lo <= root < b.hi else []
+
+
+def _outward(sigma: ActivationSpec, x: float, side: int, want: float) -> float:
+    """A point beyond x toward side*inf where the gap has sign ``want``,
+    found by stepping outward with a doubling step; side*_FMAX, where the
+    caller has read that sign, once the steps pass it."""
+    step = 1.0
+    end = x + side * step
+    while abs(end) < _FMAX and want * _gap(sigma, end) <= 0.0:
+        step *= 2.0
+        end = x + side * step
+    return end if abs(end) < _FMAX else side * _FMAX
+
+
+def _power_gap_roots(sigma: ActivationSpec, b: Branch) -> list:
+    """Roots of sigma(x)-x on a true power branch, piece by piece.
+
+    The gap is strictly monotone on each piece [l, r), so a piece holds a
+    root at l, a single root inside where the gap's signs at l and r differ,
+    or none.  An infinite end is read at +-_FMAX: a cut whose closed form
+    overflows lies beyond it, so the outer piece stays monotone up to there.
+    At a gap extremum, |gap| <= _ROOT_TOL counts as a touching root and a
+    value up to _NEAR_TOL is undecidable in floating point, both scaled by
+    max(1, |x|).
+    """
+    edges = [max(b.lo, -_FMAX), *_cuts(b), min(b.hi, _FMAX)]
+    extrema = set(_zeros(b, b.params[2] - 1.0))
+    signs = []
+    for x in edges:
+        v = _branch_gap(b, x) if abs(x) == _FMAX else _gap(sigma, x)
+        scale = max(1.0, abs(x))
+        if x in extrema and abs(v) <= _ROOT_TOL * scale:
+            v = 0.0
+        elif x in extrema and abs(v) < _NEAR_TOL * scale:
             raise InconclusiveError(
-                (float(x) - 1e-6, float(x) + 1e-6),
-                f"|sigma(x)-x| is {float(np.abs(_gap(sigma, [x]))[0]):.2e} near "
-                f"x={float(x):.6g}: zero of even multiplicity unresolvable at tolerance",
+                (x, x),
+                f"|sigma(x)-x| is {abs(v):.2e} at its extremum x={x:.6g}: a "
+                f"double root or none, unresolvable at tolerance",
             )
+        signs.append(np.sign(v))
+    roots = []
+    for lo, hi, s_lo, s_hi in zip(edges, edges[1:], signs, signs[1:]):
+        if s_lo == 0:
+            roots.append(lo)
+        elif s_lo * s_hi < 0:
+            if lo == -_FMAX:
+                lo = _outward(sigma, hi, -1, s_lo)
+            if hi == _FMAX:
+                hi = _outward(sigma, lo, 1, s_hi)
+            roots.append(_bisect_gap(sigma, lo, hi, 1e-13))
     return roots
 
 
-def _dedupe(xs: list, tol: float = 1e-9) -> list:
-    out: list[float] = []
-    for x in sorted(xs):
-        if not out or abs(x - out[-1]) > tol * (1.0 + abs(x)):
-            out.append(x)
-    return out
-
-
 @lru_cache(maxsize=256)
-def _classify_cached(sigma: ActivationSpec,
-                     search_radius: float) -> TransitivityVerdict:
+def classify(sigma: ActivationSpec) -> TransitivityVerdict:
+    """Decide Transitive / LpTransitiveOnly / NotTransitive.
+
+    Each power branch is cut at 0 and at the zeros of sigma' and of the
+    gap's derivative, into pieces on which sigma and sigma(x) - x are both
+    strictly monotone.  Injectivity is the sign of sigma' inside every piece
+    (one common direction, plus continuity).  Fixed points are solved
+    exactly on affine branches and, on a power piece, read off the gap's
+    signs at the piece's ends and bisected.  The gap's sign between
+    consecutive roots and at +-_FMAX tells crossing roots from touching
+    ones.  The verdict covers the floats: a fixed point beyond _FMAX is not
+    seen.  Raises InconclusiveError only where a gap extremum lies within
+    floating-point noise of zero.
+    """
     # --- injectivity via per-branch strict monotonicity + continuity
     directions = [_branch_direction(b) for b in sigma.branches]
     injective = all(d == directions[0] and d != 0 for d in directions)
 
-    # --- roots and sign structure of sigma(x) - x
-    point_roots: list[float] = []
-    interval_roots: list[tuple] = []
+    # --- roots of sigma(x) - x, in increasing order
+    roots: list[float] = []
     for b in sigma.branches:
-        if b.kind == "affine":
-            pts, ivs = _affine_gap_roots(b)
-            point_roots += pts
-            interval_roots += ivs
-        else:
-            radius = _certified_radius(b, search_radius)
-            point_roots += _sampled_gap_roots(sigma, b, radius, CLASSIFY_SAMPLES)
-    point_roots = _dedupe(point_roots)
+        affine = _affine_params(b) is not None
+        roots += _affine_gap_roots(b) if affine else _power_gap_roots(sigma, b)
 
-    # asymptotic signs on the unbounded ends
-    sign_neg_inf = _asymptotic_gap_sign(sigma.branches[0], -1)
-    sign_pos_inf = _asymptotic_gap_sign(sigma.branches[-1], +1)
-    if sign_neg_inf == 0:
-        interval_roots.append((sigma.branches[0].lo, sigma.branches[0].hi))
-    if sign_pos_inf == 0:
-        interval_roots.append((sigma.branches[-1].lo, sigma.branches[-1].hi))
-
-    # classify each point root as touching or crossing by probing both sides
-    crossing: list[float] = []
-    touching: list[float] = []
-    for r in point_roots:
-        d = 1e-6 * (1.0 + abs(r))
-        left = float(_gap(sigma, [r - d])[0])
-        right = float(_gap(sigma, [r + d])[0])
-        in_interval = any(lo - d <= r <= hi + d for lo, hi in interval_roots)
-        if in_interval:
-            continue
-        if left * right < 0:
-            crossing.append(r)
-        else:
-            touching.append(r)
-
-    # global off-root sign from asymptotics + midpoints between roots
-    probes = [-search_radius, search_radius]
-    marks = sorted(point_roots)
-    for a, b2 in zip(marks, marks[1:]):
-        probes.append(0.5 * (a + b2))
-    probe_signs = {int(np.sign(v)) for v in _gap(sigma, np.asarray(probes))
-                   if abs(v) > _ROOT_TOL}
-    probe_signs |= {s for s in (sign_neg_inf, sign_pos_inf) if s != 0}
-
-    if interval_roots:
-        witness = _flat_witness(
-            Branch(interval_roots[0][0], interval_roots[0][1], "affine", (1.0, 0.0))
-        )
+    fixed = [b for b in sigma.branches if _affine_params(b) == (1.0, 0.0)]
+    if fixed:  # sigma is the identity on a whole branch
         return TransitivityVerdict(
-            "NotTransitive", "mixed", witness, injective,
-            tuple(point_roots), True,
+            "NotTransitive", "mixed", _inside(fixed[0].lo, fixed[0].hi),
+            injective, tuple(roots), True,
         )
 
-    if crossing or probe_signs == {1, -1} or len(probe_signs) > 1:
-        witness = crossing[0] if crossing else (
-            touching[0] if touching else None
-        )
-        if witness is None:
-            # mixed signs without a located root: bracket one between probes
-            signed = [(p, float(_gap(sigma, [p])[0])) for p in sorted(probes)]
-            for (x0, v0), (x1, v1) in zip(signed, signed[1:]):
-                if v0 * v1 < 0:
-                    witness = _bisect_gap(sigma, x0, x1, 1e-10)
-                    break
-        if witness is None:
-            flat = next(
-                (b for b, d in zip(sigma.branches, directions) if d == 0), None
-            )
-            witness = _flat_witness(flat) if flat is not None else 0.0
+    # --- the gap's sign on each interval between consecutive roots
+    mids = [0.5 * l + 0.5 * h for l, h in zip(roots, roots[1:])]
+    signs = [_branch_gap(sigma.branches[0], -_FMAX),
+             *(_gap(sigma, x) for x in mids),
+             _branch_gap(sigma.branches[-1], _FMAX)]
+    signs = [int(np.sign(v)) for v in signs]
+    crossing = [r for r, l, h in zip(roots, signs, signs[1:]) if l * h < 0]
+    touching = [r for r, l, h in zip(roots, signs, signs[1:]) if l * h >= 0]
+    off_root = {s for s in signs if s != 0}
+
+    if crossing or len(off_root) > 1:
+        witness = (crossing + touching + [None])[0]
         return TransitivityVerdict(
-            "NotTransitive", "mixed", witness, injective, tuple(_dedupe(crossing + touching))
+            "NotTransitive", "mixed", witness, injective, tuple(roots)
         )
 
-    sign = probe_signs.pop() if probe_signs else 0
+    sign = off_root.pop() if off_root else 0
     dominance = "above" if sign > 0 else ("below" if sign < 0 else "mixed")
 
     if not injective:
@@ -563,18 +548,6 @@ def _classify_cached(sigma: ActivationSpec,
     return TransitivityVerdict(
         "NotTransitive", "below", touching[0], True, tuple(touching)
     )
-
-
-def classify(sigma: ActivationSpec,
-             search_radius: float = 1e6) -> TransitivityVerdict:
-    """Decide Transitive / LpTransitiveOnly / NotTransitive.
-
-    Injectivity is certified branchwise (strict monotonicity in one common
-    direction plus continuity); fixed points are solved exactly on affine
-    branches and by sign-change bisection elsewhere, with the asymptotic sign
-    of sigma(x)-x determined analytically on the unbounded branches.
-    """
-    return _classify_cached(sigma, float(search_radius))
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +660,7 @@ def construct_lp_transitive(sigma_tilde: ActivationSpec,
 # inversion
 
 
-def invert_array(sigma: ActivationSpec, y: np.ndarray,
-                 tol: float = 1e-14) -> np.ndarray:
+def invert_array(sigma: ActivationSpec, y: np.ndarray) -> np.ndarray:
     """Elementwise inverse of an injective, increasing activation."""
     verdict = classify(sigma)
     if verdict.kind == "NotTransitive" and not verdict.injective:
@@ -701,7 +673,7 @@ def invert_array(sigma: ActivationSpec, y: np.ndarray,
             "is only offered for (Lp-)transitive activations"
         )
     edges, kinds, par, vedges = sigma._table
-    return K.act_invert(edges, kinds, par, vedges, np.asarray(y, dtype=np.float64), tol)
+    return K.act_invert(edges, kinds, par, vedges, np.asarray(y, dtype=np.float64))
 
 
 def invert(sigma: ActivationSpec, y: float) -> float:

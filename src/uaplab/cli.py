@@ -59,6 +59,25 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config-described functions
 
+_REQUIRED = object()
+
+
+def _num(params: dict, key: str, default=_REQUIRED, cast=float,
+         where: str = "params"):
+    """params[key], or default, passed through cast; a missing or
+    unconvertible value is a ConfigError naming the field."""
+    if key not in params and default is _REQUIRED:
+        raise ConfigError([f"{where}.{key}: required"])
+    value = params.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError([f"{where}.{key}: not a valid number: {value!r}"])
+
+
+def _vector(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=np.float64))
+
 
 def _parse_function(cfg) -> GridFunction:
     if isinstance(cfg, str):
@@ -90,11 +109,11 @@ def _parse_function(cfg) -> GridFunction:
 def _parse_fit(cfg, seed: int) -> FitConfig:
     cfg = cfg or {}
     return FitConfig(
-        width=int(cfg.get("width", 256)),
-        region=float(cfg.get("region", 1.0)),
-        grid_points=int(cfg.get("grid_points", 2001)),
-        seed=int(cfg.get("seed", seed)),
-        ridge=float(cfg.get("ridge", 1e-9)),
+        width=_num(cfg, "width", 256, int, "params.fit"),
+        region=_num(cfg, "region", 1.0, float, "params.fit"),
+        grid_points=_num(cfg, "grid_points", 2001, int, "params.fit"),
+        seed=_num(cfg, "seed", seed, int, "params.fit"),
+        ridge=_num(cfg, "ridge", 1e-9, float, "params.fit"),
     )
 
 
@@ -119,7 +138,7 @@ def _parse_activation(cfg) -> act.ActivationSpec:
 
 def _run_check_activation(params: dict, seed: int):
     sigma = _parse_activation(params.get("activation") or params.get("name"))
-    verdict = act.classify(sigma, float(params.get("search_radius", 1e6)))
+    verdict = act.classify(sigma)
     return (
         {
             "activation": sigma.name,
@@ -136,11 +155,11 @@ def _run_check_activation(params: dict, seed: int):
 
 def _run_escape(params: dict, seed: int):
     sigma = _parse_activation(params.get("activation") or params.get("name"))
-    b = np.atleast_1d(np.asarray(params.get("b", 1.0), dtype=np.float64))
+    b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
-    k_radius = float(params["K_radius"])
-    guard = float(params.get("guard_radius", k_radius))
-    max_n = int(params.get("max_N", 10_000))
+    k_radius = _num(params, "K_radius")
+    guard = _num(params, "guard_radius", k_radius)
+    max_n = _num(params, "max_N", 10_000, int)
     try:
         n = dd.escape_time(op, k_radius, guard, max_n)
         return {"escaped": True, "N": n, "K_radius": k_radius, "guard": guard}, []
@@ -154,12 +173,12 @@ def _run_escape(params: dict, seed: int):
 
 def _run_transitivity_demo(params: dict, seed: int):
     sigma = _parse_activation(params.get("activation"))
-    b = np.atleast_1d(np.asarray(params.get("b", 1.0), dtype=np.float64))
+    b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
     g = _parse_function(params.get("g", "identity"))
     f = _parse_function(params.get("f", "sin"))
-    eps = float(params.get("eps", 0.1))
-    delta = float(params.get("delta", 0.1))
+    eps = _num(params, "eps", 0.1)
+    delta = _num(params, "delta", 0.1)
     metric = params.get("metric", "ducc")
     if metric == "l1":
         mu = _parse_measure(params.get("mu"))
@@ -177,9 +196,9 @@ def _parse_constraint(cfg) -> ca.ConstraintFunctional:
     from .function_space import GridSpec, sup_norm_on_ball
 
     kind = cfg["kind"]
-    threshold = float(cfg["threshold"])
+    threshold = _num(cfg, "threshold", where="params.constraints")
     if kind == "sup_on_ball":
-        radius = float(cfg.get("radius", 1.0))
+        radius = _num(cfg, "radius", 1.0, where="params.constraints")
         grid = GridSpec(points_per_axis=801)
         return ca.ConstraintFunctional(
             lambda h: sup_norm_on_ball(h, radius, grid),
@@ -187,7 +206,7 @@ def _parse_constraint(cfg) -> ca.ConstraintFunctional:
             cfg.get("label", f"sup_on_ball[{radius:g}]"),
         )
     if kind == "abs_value_at":
-        x0 = float(cfg.get("x", 0.0))
+        x0 = _num(cfg, "x", 0.0, where="params.constraints")
         return ca.ConstraintFunctional(
             lambda h: float(np.linalg.norm(np.atleast_1d(h(x0)))),
             threshold,
@@ -198,10 +217,10 @@ def _parse_constraint(cfg) -> ca.ConstraintFunctional:
 
 def _run_constrained_fit(params: dict, seed: int):
     sigma = _parse_activation(params.get("activation"))
-    b = np.atleast_1d(np.asarray(params.get("b", 1.0), dtype=np.float64))
+    b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
     f = _parse_function(params.get("f", "cos"))
-    eps = float(params.get("eps", 0.1))
+    eps = _num(params, "eps", 0.1)
     fit = _parse_fit(params.get("fit"), seed)
     if params.get("constraints"):
         constraints = [_parse_constraint(c) for c in params["constraints"]]
@@ -209,7 +228,7 @@ def _run_constrained_fit(params: dict, seed: int):
         report = ca.assemble_constrained(constraints, witness, f, eps, op, fit)
     else:
         f_hat = _parse_function(params.get("f_hat", "identity"))
-        delta = float(params.get("delta", eps))
+        delta = _num(params, "delta", eps)
         report = ca.assemble_prescribed(f_hat, f, eps, delta, op, fit)
     return report.to_config(), []
 
@@ -220,13 +239,13 @@ def _run_omega_approx(params: dict, seed: int):
         params.get("weights", [{"kind": "unit"}, {"kind": "power", "i": 1},
                                {"kind": "max_t_power", "i": 2}])
     )
-    eps = float(params.get("eps", 0.1))
+    eps = _num(params, "eps", 0.1)
     fit = _parse_fit(params.get("fit"), seed)
-    radius = float(params.get("measure_radius", 30.0))
+    radius = _num(params, "measure_radius", 30.0)
     result, report = om.approximate_growth(
         f, family, eps, fit, measure_radius=radius
     )
-    xs = np.linspace(-radius, radius, int(params.get("csv_points", 601)))
+    xs = np.linspace(-radius, radius, _num(params, "csv_points", 601, int))
     pts = xs[:, None]
     fv = f.sample(pts)[:, 0]
     gv = result.sample(pts)[:, 0]
@@ -238,10 +257,11 @@ def _run_rate_sweep(params: dict, seed: int):
     target = _parse_function(params.get("target", {"kind": "tree",
                                                    "terms": [[1.0, 0.0, 1.0]]}))
     mu = _parse_measure(params.get("mu"))
-    n_values = [int(n) for n in params.get("n_values", [4, 8, 16, 32, 64, 128, 256])]
-    depth = int(params.get("N", 0))
+    n_values = _num(params, "n_values", [4, 8, 16, 32, 64, 128, 256],
+                    lambda ns: [int(n) for n in ns])
+    depth = _num(params, "N", 0, int)
     sigma = _parse_activation(params.get("activation", "leaky_rescaled_paper"))
-    b = np.atleast_1d(np.asarray(params.get("b", 1.0), dtype=np.float64))
+    b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
     basis_cfg = params.get("basis", {})
     family = rb.trees_basis_family(
@@ -251,7 +271,7 @@ def _run_rate_sweep(params: dict, seed: int):
     )
     table = rb.rate_sweep(
         family, target, mu, n_values, depth, op, seed=seed,
-        quad_nodes=int(params.get("quad_nodes", 2001)),
+        quad_nodes=_num(params, "quad_nodes", 2001, int),
     )
     rows = [
         [r["n"], r["N"], r["residual"], r["bound_reference"], table.slope_estimate]
@@ -278,14 +298,14 @@ def _run_limitation_demo(params: dict, seed: int):
         )
     report = om.demonstrate_limitation(
         samples,
-        c_step=float(params.get("c_step", 0.01)),
-        x_radius=float(params.get("x_radius", 30.0)),
+        c_step=_num(params, "c_step", 0.01),
+        x_radius=_num(params, "x_radius", 30.0),
     )
     return report.to_config(), []
 
 
 def _run_free_space_tests(params: dict, seed: int):
-    pairs = int(params.get("pairs", 1000))
+    pairs = _num(params, "pairs", 1000, int)
     rng = np.random.default_rng(seed)
     rs = rng.uniform(-50.0, 50.0, size=(pairs, 2))
     defect = 0.0

@@ -6,12 +6,13 @@ substitution and against a pairwise brute-force injectivity oracle.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from uaplab import activations as act
-from uaplab.errors import PreconditionError
+from uaplab.errors import InconclusiveError, PreconditionError
 
 
 def brute_force_injective(sigma, lo=-50.0, hi=50.0, n=1000):
@@ -100,6 +101,124 @@ class TestBisectGap:
         )
         root = act._bisect_gap(far, 5e5, 3e6, 1e-13)
         assert abs(root - (1e6 + 0.3)) <= 2 * math.ulp(1e6)
+
+
+def square_spec(name, c, a=0.0):
+    """x**2 + a*x + c on x >= 0, 0.5*x + c below: continuous at 0."""
+    return act.ActivationSpec(name, [
+        act.Branch(-math.inf, 0.0, "affine", (0.5, c)),
+        act.Branch(0.0, math.inf, "power", (1.0, 2.0, a, c)),
+    ])
+
+
+class TestExactClassification:
+    def test_touching_fixed_point(self):
+        # oracle: the gap x**2 - x + 0.25 = (x - 0.5)**2 on x >= 0, and
+        # 0.25 - 0.5x > 0 below
+        v = act.classify(square_spec("sq", 0.25))
+        assert v.kind == "LpTransitiveOnly" and v.dominance == "above"
+        assert v.fixed_points == (0.5,)
+
+    def test_dip_not_injective(self):
+        # oracle: sigma(0) = sigma(0.5) = 1, and sigma' = 2x - 0.5 < 0 on [0, 0.25)
+        dip = square_spec("dip", 1.0, a=-0.5)
+        assert dip(0.0) == dip(0.5) == 1.0
+        v = act.classify(dip)
+        assert v.kind == "NotTransitive" and not v.injective
+        assert v.witness == pytest.approx(0.25)
+
+    def test_near_touch_inconclusive(self):
+        # the gap's minimum (x - 0.5)**2 + 1e-10 is below the noise floor
+        with pytest.raises(InconclusiveError):
+            act.classify(square_spec("sq+1e-10", 0.25 + 1e-10))
+        v = act.classify(square_spec("sq+1e-6", 0.25 + 1e-6))
+        assert v.kind == "Transitive" and v.dominance == "above"
+
+    def test_root_beyond_old_sampling_radius(self):
+        # oracle: the gap 2e-7*x*|x| - x + 0.25 crosses zero near -5e6, 0.25
+        # and 5e6, two of them far beyond any fixed sampling window
+        far = act.ActivationSpec(
+            "far", [act.Branch(-math.inf, math.inf, "power", (2e-7, 2.0, 0.0, 0.25))]
+        )
+        v = act.classify(far)
+        assert v.kind == "NotTransitive" and v.injective
+        assert v.fixed_points == pytest.approx((-5e6, 0.25, 5e6), rel=1e-6)
+
+    @pytest.mark.parametrize("params", [
+        (1e-200, 1e-200, -1.0, 0.0),     # s*p underflows to 0
+        (1.0, 1.0 + 1e-12, -1.0, 0.0),   # far roots beyond the float range
+    ])
+    def test_extreme_parameters_stay_finite(self, params):
+        # oracle: both gaps change sign at 0, from positive to negative
+        sigma = act.ActivationSpec(
+            "extreme", [act.Branch(-math.inf, math.inf, "power", params)]
+        )
+        v = act.classify(sigma)
+        assert v.kind == "NotTransitive" and v.witness == 0.0
+        assert all(math.isfinite(r) for r in v.fixed_points)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+    def test_nonpositive_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="exponent"):
+            act.Branch(-math.inf, math.inf, "power", (1.0, p, 0.0, 0.0))
+
+    def test_empty_branch_rejected(self):
+        with pytest.raises(ValueError, match="empty branch"):
+            act.ActivationSpec("inverted", [
+                act.Branch(-math.inf, 1.0, "affine", (1.0, 0.0)),
+                act.Branch(1.0, 0.0, "affine", (1.0, 0.0)),
+                act.Branch(0.0, math.inf, "affine", (1.0, 0.0)),
+            ])
+
+    @pytest.mark.parametrize("branches, roots", [
+        # 0.5*x**1.0005 + 1 on x >= 0: the gap's turning point (2/1.0005)**2000
+        # overflows, yet sigma(4) ~ 3.0014 < 4, so the gap crosses near 2
+        ([act.Branch(-math.inf, 0.0, "affine", (0.5, 1.0)),
+          act.Branch(0.0, math.inf, "power", (0.5, 1.0005, 0.0, 1.0))], (2.0007,)),
+        # 2*sign(x)*|x|**0.9995 + 1: the gap is 1 at 0 and -1 at x = -1
+        ([act.Branch(-math.inf, math.inf, "power", (2.0, 0.9995, 0.0, 1.0))],
+         (-1.0,)),
+        # 1e-300*x**3 - 1000*x: |x|**3 overflows from |x| ~ 5.6e102, well
+        # before the gap turns positive at sqrt(1.001e303)
+        ([act.Branch(-math.inf, math.inf, "power", (1e-300, 3.0, -1000.0, 0.0))],
+         (-math.sqrt(1.001e303), 0.0, math.sqrt(1.001e303))),
+    ])
+    def test_crossings_near_the_float_range_edge(self, branches, roots):
+        v = act.classify(act.ActivationSpec("edge", branches))
+        assert v.kind == "NotTransitive" and v.dominance == "mixed"
+        assert v.fixed_points == pytest.approx(roots, rel=1e-4)
+        assert v.witness == v.fixed_points[0]
+
+    def test_injective_matches_grid_oracle(self):
+        # single power branches with mixed-sign scale and slope, exponents
+        # near 1 included, where turning points spread over the whole float
+        # range or past it.  sigma' = s*p*|x|**(p-1) + a is monotone in |x|,
+        # so sigma is strictly monotone iff sigma' keeps one sign on a
+        # geometric grid spanning the floats; every sign change of the gap
+        # on that grid must bracket a reported fixed point.
+        rng = np.random.default_rng(7)
+        with np.errstate(over="ignore"):
+            g = np.geomspace(1e-300, sys.float_info.max, 10_000)
+        xs = np.concatenate([-g[::-1], [0.0], g])
+        for i in range(180):
+            s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            p = [rng.uniform(0.4, 0.7), rng.uniform(0.99, 1.01),
+                 rng.uniform(1.5, 3.0)][i % 3]
+            a = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            c = rng.uniform(-1.0, 1.0)
+            sigma = act.ActivationSpec(
+                f"rand{i}", [act.Branch(-math.inf, math.inf, "power", (s, p, a, c))]
+            )
+            v = act.classify(sigma)
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.sign(np.asarray(sigma.derivative(g)))
+                gap = np.sign(np.asarray(sigma(xs)) - xs)
+            assert v.injective == bool(np.all(d > 0) or np.all(d < 0)), (s, p, a, c)
+            for r in v.fixed_points:
+                assert abs(sigma(r) - r) <= 1e-9 * max(1.0, abs(r)), (s, p, a, c)
+            for lo, hi in zip(xs[:-1][gap[:-1] * gap[1:] < 0],
+                              xs[1:][gap[:-1] * gap[1:] < 0]):
+                assert any(lo <= r <= hi for r in v.fixed_points), (s, p, a, c)
 
 
 class TestConstructTransitive:

@@ -181,7 +181,13 @@ def test_command_mismatch_exits_2(tmp_path):
                    "a": 1.1}]},
     {"branches": [{"lo": float("-inf"), "hi": float("inf"), "kind": "table",
                    "xs": [0.0, 1.0], "ys": [0.0, 1.0]}]},
-], ids=["unknown-name", "branch-without-b", "table-kind"])
+    {"branches": [{"lo": float("-inf"), "hi": float("inf"), "kind": "power",
+                   "scale": 1.0, "p": -1.0}]},
+    {"branches": [{"lo": float("-inf"), "hi": 1.0, "kind": "affine", "a": 1.0, "b": 0.0},
+                  {"lo": 1.0, "hi": 0.0, "kind": "affine", "a": 1.0, "b": 0.0},
+                  {"lo": 0.0, "hi": float("inf"), "kind": "affine", "a": 1.0, "b": 0.0}]},
+], ids=["unknown-name", "branch-without-b", "table-kind", "negative-exponent",
+        "inverted-branch"])
 def test_bad_activation_config_exits_2(tmp_path, activation):
     cfg = write_config(tmp_path, "bad", {"activation": activation})
     r = run_cli("check-activation", cfg, tmp_path / "o")
@@ -189,6 +195,33 @@ def test_bad_activation_config_exits_2(tmp_path, activation):
     payload = json.loads(r.stdout)
     assert payload["error"] == "ConfigError"
     assert "params.activation" in json.dumps(payload)
+
+
+@pytest.mark.parametrize("command, params, field", [
+    ("escape", {"activation": "leaky_shifted_paper", "K_radius": "two"}, "K_radius"),
+    ("escape", {"activation": "leaky_shifted_paper"}, "K_radius"),
+    ("transitivity-demo", {"activation": "leaky_shifted_paper", "eps": "small"}, "eps"),
+], ids=["escape-K-not-number", "escape-K-missing", "demo-eps-not-number"])
+def test_bad_numeric_param_exits_2(tmp_path, command, params, field):
+    cfg = write_config(tmp_path, "bad", params)
+    r = run_cli(command, cfg, tmp_path / "o")
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "ConfigError"
+    assert f"params.{field}" in json.dumps(payload)
+
+
+def test_escape_refuses_non_injective(tmp_path):
+    # sigma(0) = sigma(0.5) = 1: x**2 - 0.5x + 1 turns at x = 0.25
+    dip = {"name": "dip", "branches": [
+        {"lo": float("-inf"), "hi": 0.0, "kind": "affine", "a": 0.5, "b": 1.0},
+        {"lo": 0.0, "hi": float("inf"), "kind": "power", "scale": 1.0, "p": 2.0,
+         "a": -0.5, "b": 1.0},
+    ]}
+    cfg = write_config(tmp_path, "dip", {"activation": dip, "K_radius": 2.0})
+    r = run_cli("escape", cfg, tmp_path / "o")
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert json.loads(r.stdout)["error"] == "PreconditionError"
 
 
 def test_transitivity_demo_l1_metric(tmp_path):
