@@ -1,4 +1,5 @@
-"""Numpy kernels for tabulated piecewise activations and indicator trees.
+"""Numpy kernels for tabulated piecewise activations, indicator trees and
+one-input shallow nets.
 
 * A piecewise activation is tabulated as ``edges`` (B+1 floats, first -inf,
   last +inf, strictly increasing), ``kinds`` (B int32 codes) and ``par``
@@ -7,6 +8,10 @@
   ``par = [s, p, a, b]``.  Branch j covers ``[edges[j], edges[j+1])``.
 * Inversion assumes the tabulated map is strictly increasing; callers gate
   on the classification verdict.
+* ``knot_table`` turns a one-input shallow net with an all-affine tabulated
+  activation into sorted knots with the slope and offset of every cell
+  between them; ``knot_eval`` evaluates it with one binary search per point,
+  in place of a points x width hidden matrix.
 """
 
 import numpy as np
@@ -154,3 +159,51 @@ def tree_eval(amp, lo, hi, x):
     order = np.argsort(ends)
     csum = np.concatenate(([0.0], np.cumsum(steps[order])))
     return csum[np.searchsorted(ends[order], x)]
+
+
+def knot_table(w, b, c, c0, edges, par):
+    """Sorted knots and cellwise slope and offset of the one-input shallow
+    net ``x -> c @ sigma(w*x + b) + c0``, for a tabulated sigma whose
+    branches are all affine.
+
+    ``w``, ``b`` are the hidden weights and biases (width,), ``c`` the output
+    matrix (n, width) and ``c0`` its bias (n,).  Unit j starts on the branch
+    it takes as x -> -inf (a unit with w_j = 0 stays on the branch holding
+    b_j) and crosses the interior breakpoint e at the knot (e - b_j)/w_j.
+    There its slope jumps by c_j*|w_j|*da and its offset by
+    sign(w_j)*c_j*(da*b_j + db), where da and db are the jumps of the
+    branch's a and b across e.  Returns (knots (K,), slope (K+1, n),
+    offset (K+1, n)): with i knots <= x, the net is slope[i]*x + offset[i].
+    """
+    # the cell sums cancel (units of either sign add to every cell's slope
+    # and offset), so the table is built in extended precision and rounded
+    # once at the end
+    ext = np.longdouble
+    w, b, c, c0 = (np.asarray(v, dtype=ext) for v in (w, b, c, c0))
+    interior = edges[1:-1].astype(ext)
+    a, o = par[:, 0].astype(ext), par[:, 1].astype(ext)
+    start = np.where(w > 0, 0, len(a) - 1)
+    start[w == 0] = np.searchsorted(interior, b[w == 0], side="right")
+    slope0 = c @ (a[start] * w)
+    offset0 = c @ (a[start] * b + o[start]) + c0
+    moving = w != 0
+    wm, bm, cm = w[moving, None], b[moving, None], c[:, moving].T
+    da, db = np.diff(a), np.diff(o)
+    # one row per (unit, breakpoint) pair, unit-major, scaled by the unit's c_j
+    knots = ((interior - bm) / wm).ravel()
+    order = np.argsort(knots, kind="stable")
+    n = c.shape[0]
+    dslope = ((np.abs(wm) * da)[:, :, None] * cm[:, None, :]).reshape(-1, n)
+    doffset = ((np.sign(wm) * (bm * da + db))[:, :, None]
+               * cm[:, None, :]).reshape(-1, n)
+    slope = np.cumsum(np.concatenate([slope0[None, :], dslope[order]]), axis=0)
+    offset = np.cumsum(np.concatenate([offset0[None, :], doffset[order]]), axis=0)
+    return tuple(v.astype(np.float64) for v in (knots[order], slope, offset))
+
+
+def knot_eval(knots, slope, offset, x):
+    """Evaluate a ``knot_table`` at the points x (N,); returns (N, n).  NaN
+    lands past the last knot and stays NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    i = np.searchsorted(knots, x, side="right")
+    return slope[i] * x[:, None] + offset[i]

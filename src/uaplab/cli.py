@@ -160,6 +160,12 @@ def _run_escape(params: dict, seed: int):
     k_radius = _num(params, "K_radius")
     guard = _num(params, "guard_radius", k_radius)
     max_n = _num(params, "max_N", 10_000, int)
+    if not k_radius > 0:
+        raise ConfigError([f"params.K_radius: must be positive, got {k_radius!r}"])
+    if not guard >= k_radius:
+        raise ConfigError([
+            f"params.guard_radius: must be >= K_radius ({k_radius!r}), got {guard!r}"
+        ])
     try:
         n = dd.escape_time(op, k_radius, guard, max_n)
         return {"escaped": True, "N": n, "K_radius": k_radius, "guard": guard}, []

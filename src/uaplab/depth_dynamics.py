@@ -388,11 +388,11 @@ def construct_transitive_approximant(
     d0 = d_ucc(f, g, TERMS, grid)
     if d0 == 0.0:
         return TransitivityCertificate(
-            0, g, 0.0, 0.0, 0, BLEND_MARGIN, "d_ucc",
+            0, g, 0.0, 0.0, 0.0, BLEND_MARGIN, "d_ucc",
             (), (), op.activation.name, tuple(op.b),
         )
 
-    k0 = _min_tail_cutoff(min(eps, delta) / 2.0)
+    k0 = float(_min_tail_cutoff(min(eps, delta) / 2.0))
     n, box_lo, box_hi, g_tilde, fitted = _escape_blend_fit(op, g, f, k0, fitter)
     fit_residual = None
     if fitted is not None:

@@ -1,5 +1,12 @@
 """Feed-forward nets, indicator trees, and the random-feature ridge fitter.
 
+A net whose last activation layer has one input and whose activation has
+only affine branches is piecewise affine in that layer's input, with one
+kink per unit and interior breakpoint.  Its last two layers are then
+evaluated from a sorted knot table (``_kernels.knot_table``, built once per
+net) by one binary search per point; earlier layers, power-branch
+activations and multi-input layers run as dense matrix products.
+
 Fitting freezes a sampled hidden layer and solves the outer layer by ridge
 least squares, so the result is exactly a one-hidden-layer net while staying
 deterministic for a given (seed, grid, ridge).  Hidden weights are sampled
@@ -10,6 +17,7 @@ making nested-width comparisons meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -112,12 +120,28 @@ class FeedForwardNet:
             raise DimensionMismatchError(
                 f"net expects dim_in={self.dim_in}, got {x.shape[1]}"
             )
-        for layer in self.layers:
+        table = self._knot_table
+        for layer in self.layers if table is None else self.layers[:-2]:
             x = x @ layer.matrix.T
             x += layer.bias
             if layer.activation_after:
                 x = self.activation(x)
-        return x
+        return x if table is None else K.knot_eval(*table, x[:, 0])
+
+    @cached_property
+    def _knot_table(self):
+        """``_kernels.knot_table`` of the last two layers when they form a
+        one-input shallow net and every activation branch is affine, else
+        None (the layers then run as dense matrix products)."""
+        if len(self.layers) < 2:
+            return None
+        hidden, out = self.layers[-2:]
+        edges, kinds, par, _ = self.activation._table
+        if (hidden.dim_in != 1 or not hidden.activation_after
+                or np.any(kinds != K.KIND_AFFINE)):
+            return None
+        return K.knot_table(hidden.matrix[:, 0], hidden.bias, out.matrix,
+                            out.bias, edges, par)
 
     def as_gridfunction(self, name: str = "") -> GridFunction:
         return GridFunction(

@@ -200,8 +200,12 @@ def test_bad_activation_config_exits_2(tmp_path, activation):
 @pytest.mark.parametrize("command, params, field", [
     ("escape", {"activation": "leaky_shifted_paper", "K_radius": "two"}, "K_radius"),
     ("escape", {"activation": "leaky_shifted_paper"}, "K_radius"),
+    ("escape", {"activation": "leaky_shifted_paper", "K_radius": -1.0}, "K_radius"),
+    ("escape", {"activation": "leaky_shifted_paper", "K_radius": 2.0,
+                "guard_radius": 1.0}, "guard_radius"),
     ("transitivity-demo", {"activation": "leaky_shifted_paper", "eps": "small"}, "eps"),
-], ids=["escape-K-not-number", "escape-K-missing", "demo-eps-not-number"])
+], ids=["escape-K-not-number", "escape-K-missing", "escape-K-negative",
+        "escape-guard-inside-K", "demo-eps-not-number"])
 def test_bad_numeric_param_exits_2(tmp_path, command, params, field):
     cfg = write_config(tmp_path, "bad", params)
     r = run_cli(command, cfg, tmp_path / "o")

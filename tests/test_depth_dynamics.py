@@ -137,11 +137,12 @@ class TestUniformCertificate:
         op = shifted_op(leaky_shifted)
         cert = dd.construct_transitive_approximant(op, sin_fn, sin_fn, 0.1, 0.1)
         assert cert.N == 0 and cert.d_seed == 0.0 and cert.d_target == 0.0
+        assert isinstance(cert.k0, float)
 
     def test_identity_to_sine(self, leaky_shifted, ident, sin_fn):
         op = shifted_op(leaky_shifted)
         cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
-        assert cert.k0 == 5
+        assert cert.k0 == 5 and isinstance(cert.k0, float)
         assert cert.N == 6  # escape of [-5,5] past guard 6
         assert cert.d_seed < 0.1 and cert.d_target < 0.1
 

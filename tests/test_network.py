@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from uaplab import _kernels as K
 from uaplab import activations as act
 from uaplab.errors import DimensionMismatchError, FitSingularError
-from uaplab.function_space import GridFunction
+from uaplab.function_space import GridFunction, d_ucc
 from uaplab.network import (
     AffineLayer,
     FeedForwardNet,
@@ -105,6 +106,87 @@ class TestStack:
         )
         with pytest.raises(DimensionMismatchError):
             stack(net, [identity_layer(2)])
+
+
+def three_branch_affine():
+    # slopes 0.2, 1 and 0.5, continuous at -1 and 2
+    return act.ActivationSpec("three_affine", [
+        act.Branch(-np.inf, -1.0, "affine", (0.2, -0.8)),
+        act.Branch(-1.0, 2.0, "affine", (1.0, 0.0)),
+        act.Branch(2.0, np.inf, "affine", (0.5, 1.0)),
+    ])
+
+
+def dense_hidden_and_output(net, x):
+    """(last hidden activations, output) of ``net`` by dense matrix products:
+    the reference for the knot table of its last two layers."""
+    h = x[:, None]
+    for layer in net.layers[:-1]:
+        h = net.activation(h @ layer.matrix.T + layer.bias)
+    out = net.layers[-1]
+    return h, h @ out.matrix.T + out.bias
+
+
+class TestKnotTable:
+    @pytest.mark.parametrize("width", [1, 7, 256, 1024])
+    @pytest.mark.parametrize("activation", ["relu", "leaky_shifted_paper",
+                                            "three_affine"])
+    @pytest.mark.parametrize("dim_out", [1, 2])
+    @pytest.mark.parametrize("frozen", [0, 2])
+    def test_matches_dense_path(self, width, activation, dim_out, frozen):
+        sigma = (three_branch_affine() if activation == "three_affine"
+                 else act.by_name(activation))
+        rng = np.random.default_rng(width + 10 * dim_out + frozen)
+        w = rng.uniform(-3.0, 3.0, width)
+        w[0] = 1.5 if dim_out == 1 else -1.5  # width 1: either sign
+        w[2::3] = 0.0  # constant units
+        net = FeedForwardNet(
+            (
+                AffineLayer(w[:, None], rng.uniform(-3.0, 3.0, width), True),
+                AffineLayer(rng.standard_normal((dim_out, width)),
+                            rng.standard_normal(dim_out), False),
+            ),
+            sigma,
+        )
+        if frozen:
+            net = stack(net, [identity_layer(1, 1.0) for _ in range(frozen)])
+        knots = net._knot_table[0]
+        assert len(knots) == np.count_nonzero(w) * len(sigma.breakpoints)
+        x = np.concatenate([
+            knots, np.linspace(-5.0, 5.0, 201), rng.uniform(-1e3, 1e3, 200),
+            [-1e3, 1e3],
+        ])
+        hidden, want = dense_hidden_and_output(net, x)
+        got = net.sample(x)
+        out = net.layers[-1]
+        scale = np.abs(hidden) @ np.abs(out.matrix.T) + np.abs(out.bias)
+        assert got.shape == want.shape == (len(x), dim_out)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert np.all(np.isnan(net.sample(np.array([np.nan]))))
+        assert np.all(np.isnan(dense_hidden_and_output(net, np.array([np.nan]))[1]))
+
+    def test_power_branch_and_two_inputs_stay_dense(self, leaky_shifted):
+        cube = act.ActivationSpec(
+            "cube", [act.Branch(-np.inf, np.inf, "power", (1.0, 3.0, 0.0, 0.0))]
+        )
+        one_in = (AffineLayer(np.ones((3, 1)), np.zeros(3), True),
+                  AffineLayer(np.ones((1, 3)), np.zeros(1), False))
+        two_in = (AffineLayer(np.ones((3, 2)), np.zeros(3), True),) + one_in[1:]
+        assert FeedForwardNet(one_in, leaky_shifted)._knot_table is not None
+        assert FeedForwardNet(one_in, cube)._knot_table is None
+        assert FeedForwardNet(two_in, leaky_shifted)._knot_table is None
+
+    def test_d_ucc_of_fitted_net_makes_no_act_eval_call(self, monkeypatch,
+                                                        leaky_shifted, sin_fn):
+        net = fit_shallow(sin_fn, 64, leaky_shifted, 3.0, seed=2).net
+        calls = []
+        act_eval = K.act_eval
+        monkeypatch.setattr(K, "act_eval",
+                            lambda *args: calls.append(1) or act_eval(*args))
+        assert d_ucc(sin_fn, net.as_gridfunction(), 20) > 0.0
+        assert calls == []
+        leaky_shifted(np.zeros(3))  # the counter sees the dense path
+        assert calls == [1]
 
 
 class TestFitShallow:
