@@ -426,15 +426,19 @@ def _affine_gap_roots(b: Branch) -> list:
 
 
 def _outward(sigma: ActivationSpec, x: float, side: int, want: float) -> float:
-    """A point beyond x toward side*inf where the gap has sign ``want``,
-    found by stepping outward with a doubling step; side*_FMAX, where the
-    caller has read that sign, once the steps pass it."""
-    step = 1.0
-    end = x + side * step
-    while abs(end) < _FMAX and want * _gap(sigma, end) <= 0.0:
-        step *= 2.0
-        end = x + side * step
-    return end if abs(end) < _FMAX else side * _FMAX
+    """The first point of the ladder x + side*2^j, j = 0, 1, ..., where the
+    gap has sign ``want``; side*_FMAX, where the caller has read that sign,
+    once the ladder passes it.  The whole ladder is evaluated at once, and
+    each candidate is confirmed by _gap, which also stands in where the
+    ladder's values overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ladder = x + side * np.ldexp(1.0, np.arange(1025))  # ends at +-inf
+        ladder = ladder[:np.argmax(np.abs(ladder) >= _FMAX)]
+        gaps = np.asarray(sigma(ladder)) - ladder
+    for i in np.flatnonzero(~np.isfinite(gaps) | (want * gaps > 0.0)):
+        if want * _gap(sigma, ladder[i]) > 0.0:
+            return float(ladder[i])
+    return side * _FMAX
 
 
 def _power_gap_roots(sigma: ActivationSpec, b: Branch) -> list:

@@ -79,6 +79,16 @@ def _vector(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value, dtype=np.float64))
 
 
+# bounds on |f''| off 0: gauss_linear's is about 1.952, expabs kinks at 0
+_SCALAR_FUNCTIONS = {
+    "sin": (np.sin, False, 1.0),
+    "cos": (np.cos, False, 1.0),
+    "gauss": (lambda x: np.exp(-(x**2)), False, 2.0),
+    "expabs": (lambda x: np.exp(-np.abs(x)), False, 1.0),
+    "gauss_linear": (lambda x: x * np.exp(-(x**2)) + x, True, 2.0),
+}
+
+
 def _parse_function(cfg) -> GridFunction:
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
@@ -87,18 +97,10 @@ def _parse_function(cfg) -> GridFunction:
         return GridFunction.zero()
     if kind == "identity":
         return GridFunction.identity()
-    if kind == "sin":
-        return GridFunction.from_scalar(np.sin, name="sin")
-    if kind == "cos":
-        return GridFunction.from_scalar(np.cos, name="cos")
-    if kind == "gauss":
-        return GridFunction.from_scalar(lambda x: np.exp(-(x**2)), name="gauss")
-    if kind == "expabs":
-        return GridFunction.from_scalar(lambda x: np.exp(-np.abs(x)), name="expabs")
-    if kind == "gauss_linear":
-        return GridFunction.from_scalar(
-            lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear", unbounded=True
-        )
+    if kind in _SCALAR_FUNCTIONS:
+        fn, unbounded, curvature = _SCALAR_FUNCTIONS[kind]
+        return GridFunction.from_scalar(fn, name=kind, unbounded=unbounded,
+                                        curvature=curvature)
     if kind == "const":
         return GridFunction.constant(cfg["value"])
     if kind == "tree":
@@ -106,14 +108,23 @@ def _parse_function(cfg) -> GridFunction:
     raise ConfigError([f"params: unknown function kind {kind!r}"])
 
 
-def _parse_fit(cfg, seed: int) -> FitConfig:
+def _check_keys(params: dict, read: str, ignored: str, where: str) -> None:
+    """A ConfigError naming each key of params that is not among the
+    space-separated names in read or ignored."""
+    unknown = sorted(set(params) - set(read.split()) - set(ignored.split()))
+    if unknown:
+        raise ConfigError([f"{where}.{key}: unknown key" for key in unknown])
+
+
+def _parse_fit(cfg) -> FitConfig:
     cfg = cfg or {}
+    if not isinstance(cfg, dict):
+        raise ConfigError(["params.fit: must be an object"])
+    # the interpolating fits need no training grid, seed or ridge
+    _check_keys(cfg, "width region", "grid_points seed ridge", "params.fit")
     return FitConfig(
         width=_num(cfg, "width", 256, int, "params.fit"),
         region=_num(cfg, "region", 1.0, float, "params.fit"),
-        grid_points=_num(cfg, "grid_points", 2001, int, "params.fit"),
-        seed=_num(cfg, "seed", seed, int, "params.fit"),
-        ridge=_num(cfg, "ridge", 1e-9, float, "params.fit"),
     )
 
 
@@ -190,7 +201,7 @@ def _run_transitivity_demo(params: dict, seed: int):
         mu = _parse_measure(params.get("mu"))
         cert = dd.l1_transitive_approximant(op, g, f, mu, eps, delta)
     else:
-        fitter = _parse_fit(params["fit"], seed) if params.get("fit") else None
+        fitter = _parse_fit(params["fit"]) if params.get("fit") else None
         cert = dd.construct_transitive_approximant(op, g, f, eps, delta, fitter)
     out = cert.to_config()
     out["eps"] = eps
@@ -227,7 +238,7 @@ def _run_constrained_fit(params: dict, seed: int):
     op = dd.CompositionOperator(sigma, b)
     f = _parse_function(params.get("f", "cos"))
     eps = _num(params, "eps", 0.1)
-    fit = _parse_fit(params.get("fit"), seed)
+    fit = _parse_fit(params.get("fit"))
     if params.get("constraints"):
         constraints = [_parse_constraint(c) for c in params["constraints"]]
         witness = _parse_function(params.get("witness", "zero"))
@@ -246,7 +257,7 @@ def _run_omega_approx(params: dict, seed: int):
                                {"kind": "max_t_power", "i": 2}])
     )
     eps = _num(params, "eps", 0.1)
-    fit = _parse_fit(params.get("fit"), seed)
+    fit = _parse_fit(params.get("fit"))
     radius = _num(params, "measure_radius", 30.0)
     result, report = om.approximate_growth(
         f, family, eps, fit, measure_radius=radius
@@ -303,9 +314,7 @@ def _run_limitation_demo(params: dict, seed: int):
             )
         )
     report = om.demonstrate_limitation(
-        samples,
-        c_step=_num(params, "c_step", 0.01),
-        x_radius=_num(params, "x_radius", 30.0),
+        samples, x_radius=_num(params, "x_radius", 30.0)
     )
     return report.to_config(), []
 
@@ -346,6 +355,22 @@ _HANDLERS = {
     "rate-sweep": _run_rate_sweep,
     "limitation-demo": _run_limitation_demo,
     "free-space-tests": _run_free_space_tests,
+}
+
+# Per command: the params keys its handler reads, then the keys it accepts
+# and ignores.  rate-sweep's max_iter and restarts tuned the Frank-Wolfe
+# solver the exact LP replaced; limitation-demo's c_step spaced the
+# constants of the search the closed form replaced.
+_PARAMS = {
+    "check-activation": ("activation name", ""),
+    "escape": ("activation name b K_radius guard_radius max_N", ""),
+    "transitivity-demo": ("activation b g f eps delta metric mu fit", ""),
+    "constrained-fit": ("activation b f eps fit constraints witness f_hat delta", ""),
+    "omega-approx": ("f weights eps fit measure_radius csv_points", ""),
+    "rate-sweep": ("target mu n_values N activation b basis quad_nodes",
+                   "max_iter restarts"),
+    "limitation-demo": ("samples x_radius", "c_step"),
+    "free-space-tests": ("pairs", ""),
 }
 
 
@@ -413,6 +438,7 @@ def run(config: ExperimentConfig) -> dict:
     """Execute one experiment; returns the result document (also written to
     <output_path>/result.json, with CSV tables beside it)."""
     handler = _HANDLERS[config.command]
+    _check_keys(config.params, *_PARAMS[config.command], "params")
     start = time.perf_counter()
     outputs, tables = handler(config.params, config.seed)
     wall = time.perf_counter() - start

@@ -2,12 +2,13 @@
 functional constraints, while the whole net approximates a target.
 
 Construction: blend the prescribed map (or the constraint witness) with the
-target pulled back through the inverse iterate, fit the blend as a shallow
-segment, and prepend N frozen identity+shift activation layers.  The frozen
-layers use the identity matrix, so each has sparsity m and width m; the
-fitted segment's hidden width is reported against the narrow-width bound
-m+n+2 but not forced to meet it (no constructive narrow fitting is
-available, so honest widths are reported instead).
+target pulled back through the inverse iterate, interpolate the blend by a
+shallow segment at knots chosen so that both distances have an a-priori
+bound (``depth_dynamics._escape_blend_fit``), and prepend N frozen
+identity+shift activation layers.  The frozen layers use the identity
+matrix, so each has sparsity m and width m; the segment's hidden width (one
+unit per knot) is reported against the narrow-width bound m+n+2 but not
+forced to meet it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .depth_dynamics import (
     TERMS,
     CompositionOperator,
     _escape_blend_fit,
+    _interpolate,
     _min_tail_cutoff,
     _ucc_gate,
 )
@@ -27,7 +29,7 @@ from .function_space import GridFunction, d_ucc
 from .network import (
     FeedForwardNet,
     FitConfig,
-    fit_shallow,
+    FitResult,
     identity_layer,
     sparsity,
     stack,
@@ -41,7 +43,6 @@ __all__ = [
 ]
 
 GUARD_BAND = 0.01  # a fitted segment must stay this fraction below thresholds
-ATTEMPTS = 3       # tries; each retry adds 2 to k0 and doubles the fit width
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class ConstrainedNetReport:
     sparsity_per_frozen_layer: tuple
     widths: tuple
     k0: float
-    fit_residual: float
+    fit: FitResult
     width_bound: int
     width_bound_satisfied: bool
     constraint_values: tuple = ()  # (label, value, threshold) triples
@@ -87,7 +88,8 @@ class ConstrainedNetReport:
             "sparsity_per_frozen_layer": list(self.sparsity_per_frozen_layer),
             "widths": list(self.widths),
             "k0": self.k0,
-            "fit_residual": self.fit_residual,
+            "fit_residual": self.fit.sup_residual,
+            **self.fit.outputs(),
             "width_bound": self.width_bound,
             "width_bound_satisfied": self.width_bound_satisfied,
             "constraints": [
@@ -105,7 +107,7 @@ def _frozen_stack(segment: FeedForwardNet, op: CompositionOperator,
 
 def _report(full: FeedForwardNet, n: int,
             d_prescribed: float, d_target: float, k0: float,
-            fit_residual: float, op: CompositionOperator,
+            fit: FitResult, op: CompositionOperator,
             dim_out: int, constraint_values=()) -> ConstrainedNetReport:
     frozen_layers = full.layers[:n]
     hidden_widths = [l.dim_out for l in full.layers[n:-1]]
@@ -119,7 +121,7 @@ def _report(full: FeedForwardNet, n: int,
         sparsity_per_frozen_layer=tuple(sparsity(l)[0] for l in frozen_layers),
         widths=full.widths,
         k0=k0,
-        fit_residual=fit_residual,
+        fit=fit,
         width_bound=bound,
         width_bound_satisfied=all(w <= bound for w in hidden_widths),
         constraint_values=tuple(constraint_values),
@@ -132,18 +134,19 @@ def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
     """Deep net whose final segment stays delta-close to f_hat while the whole
     net stays eps-close to f (both in the truncated compact-uniform metric).
 
-    When f_hat and f agree on the grid no layer is frozen: the segment is a
-    direct fit of f_hat over a region reaching the metric's last cube."""
+    When f_hat and f agree on the grid no layer is frozen: the segment
+    interpolates f_hat on the cube [-R, R], R = max(fit.region, TERMS), the
+    metric's last cube."""
     grid = _ucc_gate(op, f_hat, f, eps, delta)
+    tol = min(eps, delta)
     if d_ucc(f, f_hat, TERMS, grid) == 0.0:
         n, k0 = 0, 0.0
-        result = fit_shallow(
-            f_hat, fit.width, op.activation, max(fit.region, float(TERMS)),
-            seed=fit.seed, ridge=fit.ridge, grid_points=fit.grid_points,
-        )
+        result = _interpolate(f_hat, (f_hat, f), max(fit.region, float(TERMS)),
+                              tol, fit.width, lambda core: [], op.activation,
+                              fit.width)
     else:
-        k0 = _min_tail_cutoff(min(eps, delta) / 2.0)
-        n, _, _, _, result = _escape_blend_fit(op, f_hat, f, k0, fit)
+        k0 = _min_tail_cutoff(tol / 2.0)
+        n, _, _, _, result = _escape_blend_fit(op, f_hat, f, k0, fit, tol)
     segment = result.net
     full = _frozen_stack(segment, op, n)
 
@@ -151,13 +154,11 @@ def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
     d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, grid)
     if not (d_pres < delta and d_tgt < eps):
         raise FitBudgetError(
-            result.sup_residual, min(eps, delta),
+            max(d_pres, d_tgt), tol,
             f"measured distances d_prescribed={d_pres:.4g}, d_target={d_tgt:.4g} "
-            f"exceed (delta={delta}, eps={eps}); fit residual "
-            f"{result.sup_residual:.4g}",
+            f"exceed (delta={delta}, eps={eps}) with {result.knots} knots",
         )
-    return _report(full, n, d_pres, d_tgt, float(k0), result.sup_residual,
-                   op, f.dim_out)
+    return _report(full, n, d_pres, d_tgt, float(k0), result, op, f.dim_out)
 
 
 def assemble_constrained(constraints: Sequence[ConstraintFunctional],
@@ -168,9 +169,7 @@ def assemble_constrained(constraints: Sequence[ConstraintFunctional],
 
     The witness f0 must already satisfy the constraints strictly; the fitted
     final segment is re-checked with a relative guard band (GUARD_BAND, 1%
-    below each threshold) so fitting noise cannot cross the open boundary.
-    Retries push the perturbed region further out and widen the fit before
-    reporting the last attempt's failure.
+    below each threshold) so fitting error cannot cross the open boundary.
     """
     grid = _ucc_gate(op, f0, f, eps, eps)
     for c in constraints:
@@ -181,36 +180,23 @@ def assemble_constrained(constraints: Sequence[ConstraintFunctional],
                 f"{v:.6g} >= {c.threshold:.6g}"
             )
 
-    k0_base = _min_tail_cutoff(eps / 2.0)
-    last_error: Exception | None = None
-    for attempt in range(ATTEMPTS):
-        k0 = k0_base + 2 * attempt
-        width = fit.width * (2**attempt)
-        cfg = FitConfig(width, fit.region, fit.grid_points, fit.seed, fit.ridge)
-        n, _, _, _, result = _escape_blend_fit(op, f0, f, k0, cfg)
-        segment = result.net
-        seg_fn = segment.as_gridfunction()
-
-        values = [(c.label, c(seg_fn), c.threshold) for c in constraints]
-        violated = [
-            (l, v, t) for (l, v, t) in values if not v < (1.0 - GUARD_BAND) * t
-        ]
-        if violated:
-            l, v, t = violated[0]
-            last_error = ConstraintViolationError(l, v, t, "post-fit re-check")
-            continue
-        full = _frozen_stack(segment, op, n)
-        d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, grid)
-        if not d_tgt < eps:
-            last_error = FitBudgetError(
-                result.sup_residual, eps,
-                f"measured distance d_target={d_tgt:.4g} exceeds eps={eps} "
-                f"at width {width}, k0={k0}; fit residual "
-                f"{result.sup_residual:.4g}",
-            )
-            continue
-        d_seed = d_ucc(f0, seg_fn, TERMS, grid)
-        return _report(full, n, d_seed, d_tgt, float(k0), result.sup_residual,
-                       op, f.dim_out, values)
-    assert last_error is not None
-    raise last_error
+    k0 = _min_tail_cutoff(eps / 2.0)
+    n, _, _, _, result = _escape_blend_fit(op, f0, f, k0, fit, eps)
+    segment = result.net
+    seg_fn = segment.as_gridfunction()
+    values = [(c.label, c(seg_fn), c.threshold) for c in constraints]
+    for label, value, threshold in values:
+        if not value < (1.0 - GUARD_BAND) * threshold:
+            raise ConstraintViolationError(label, value, threshold,
+                                           "post-fit re-check")
+    full = _frozen_stack(segment, op, n)
+    d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, grid)
+    if not d_tgt < eps:
+        raise FitBudgetError(
+            d_tgt, eps,
+            f"measured distance d_target={d_tgt:.4g} exceeds eps={eps} "
+            f"with {result.knots} knots at width {fit.width}, k0={k0}",
+        )
+    d_seed = d_ucc(f0, seg_fn, TERMS, grid)
+    return _report(full, n, d_seed, d_tgt, float(k0), result, op, f.dim_out,
+                   values)

@@ -15,7 +15,8 @@ run this escape -> blend (-> shallow fit) sequence as _escape_blend_fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ from .function_space import (
     lp_norm,
     sup_norm_on_ball,
 )
-from .network import FitConfig, fit_shallow
+from .network import FitConfig, FitResult, fit_shallow
 
 __all__ = [
     "CompositionOperator",
@@ -231,28 +232,6 @@ def _pullback_kinks(op: CompositionOperator, n: int, box_lo: np.ndarray,
     return sorted(kinks)
 
 
-def _two_zone_points(core_radius: float, box_lo: np.ndarray, box_hi: np.ndarray,
-                     total_points: int, dim: int) -> np.ndarray:
-    """Training points covering the core cube and the escaped box.
-
-    The ramp shells between the zones are deliberately excluded: the metric
-    terms they influence are capped by their 2^-k weights, and including the
-    steep blend ramps would dominate the least-squares objective.
-    """
-    if dim != 1:
-        raise DimensionMismatchError("zoned training grids support dim 1")
-    core_len = 2.0 * core_radius
-    box_len = float(box_hi[0] - box_lo[0])
-    total_len = core_len + box_len
-    n_core = max(64, int(round(total_points * core_len / total_len)))
-    n_box = max(64, total_points - n_core)
-    pts = np.concatenate([
-        np.linspace(-core_radius, core_radius, n_core),
-        np.linspace(float(box_lo[0]), float(box_hi[0]), n_box),
-    ])
-    return np.unique(pts)[:, None]
-
-
 @dataclass(frozen=True)
 class TransitivityCertificate:
     """Measured witness that {Phi^N of a delta-perturbation of g} meets the
@@ -269,7 +248,11 @@ class TransitivityCertificate:
     escape_hi: tuple
     activation_name: str
     b: tuple
-    fit_residual: Optional[float] = None
+    fit: Optional[FitResult] = None
+
+    @property
+    def fit_residual(self) -> Optional[float]:
+        return None if self.fit is None else self.fit.sup_residual
 
     def to_config(self) -> dict:
         return {
@@ -284,6 +267,7 @@ class TransitivityCertificate:
             "activation": self.activation_name,
             "b": list(self.b),
             "fit_residual": self.fit_residual,
+            **(self.fit.outputs() if self.fit is not None else {}),
         }
 
 
@@ -341,28 +325,66 @@ def _ucc_gate(op: CompositionOperator, g: GridFunction, f: GridFunction,
     return grid
 
 
+def _interpolate(target: GridFunction, fns, radius: float, tol: float,
+                 cells_cap: int, extra, activation: ActivationSpec,
+                 width: int) -> FitResult:
+    """Interpolate ``target`` at core knots on [-radius, radius] and at the
+    knots ``extra(core)``.
+
+    The core knots are evenly spaced with 0 among them.  With M, the
+    largest curvature bound of ``fns``, known, the spacing h is the widest
+    that keeps the interpolation error M h^2 / 8 within tol / 4, and the
+    a-priori bound is M h^2 / 8 + 2^-radius (the metric's terms past the
+    core cube add less than 2^-radius).  Otherwise the cube gets
+    ``cells_cap`` cells (rounded down to even) and there is no bound.
+    """
+    bounds = [fn.curvature for fn in fns]
+    curvature = None if None in bounds else max(bounds)
+    if curvature is None:
+        cells = cells_cap - cells_cap % 2
+    elif curvature == 0.0:
+        cells = 2
+    else:
+        cells = math.ceil(2.0 * radius / math.sqrt(2.0 * tol / curvature))
+        cells += cells % 2
+    cells = max(cells, 2)
+    core = np.linspace(-radius, radius, cells + 1)
+    core[cells // 2] = 0.0
+    knots = np.concatenate([core, extra(core)])
+    result = fit_shallow(knots, target.sample(knots), activation, width)
+    h = 2.0 * radius / cells
+    bound = None if curvature is None else curvature * h * h / 8.0 + 2.0**-radius
+    return replace(result, h=h, curvature=curvature, bound=bound)
+
+
 def _escape_blend_fit(op: CompositionOperator, g: GridFunction,
                       f: GridFunction, radius: float,
-                      fit: Optional[FitConfig] = None):
+                      fit: Optional[FitConfig] = None, tol: float = 0.0):
     """Escape [-radius, radius]^m, blend f into g there, optionally fit.
 
     Returns (N, box_lo, box_hi, blend, fit) where [box_lo, box_hi] is the
     escaped box S^N([-radius, radius]^m), first clear of the guard cube of
     radius + BLEND_MARGIN, and blend is g with f o S^{-N} on that box.  With
-    a fit config the blend is fitted as a shallow net on the cube and the box
-    (over a region reaching past both) and fit is the FitResult, else None.
+    a fit config the blend is interpolated by a shallow net (fit is the
+    FitResult, else None).  Its knots are the core knots on the cube, their
+    images under S^N and the pullback kinks: S^{-N} is affine between
+    consecutive box knots, so the fit composed with S^N interpolates f on
+    the cube at knots no further apart than the core's, and both distances
+    obey the a-priori bound M h^2 / 8 + 2^-radius, with M the larger
+    curvature bound of g and f and h chosen for ``tol``.
     """
     n, box_lo, box_hi = _escape(op, radius, radius + BLEND_MARGIN, MAX_N)
     blend = _blend(g, f, op, n, box_lo, box_hi, BLEND_MARGIN)
     if fit is None:
         return n, box_lo, box_hi, blend, None
-    reach = float(max(np.max(np.abs(box_lo)), np.max(np.abs(box_hi)), radius))
-    result = fit_shallow(
-        blend, fit.width, op.activation, max(fit.region, reach + BLEND_MARGIN),
-        seed=fit.seed, ridge=fit.ridge, grid_points=fit.grid_points,
-        train_points=_two_zone_points(float(radius), box_lo, box_hi,
-                                      fit.grid_points, op.dim),
-        extra_kinks=_pullback_kinks(op, n, box_lo, box_hi, BLEND_MARGIN),
+    if op.dim != 1:
+        raise DimensionMismatchError("shallow fits take one input")
+    kinks = _pullback_kinks(op, n, box_lo, box_hi, BLEND_MARGIN)
+    # 2 (cells + 1) + kinks knots, one hidden unit fewer
+    result = _interpolate(
+        blend, (g, f), radius, tol, (fit.width - 1 - len(kinks)) // 2,
+        lambda core: np.concatenate([op.iterate(core, n)[:, 0], kinks]),
+        op.activation, fit.width,
     )
     return n, box_lo, box_hi, blend, result
 
@@ -393,10 +415,9 @@ def construct_transitive_approximant(
         )
 
     k0 = float(_min_tail_cutoff(min(eps, delta) / 2.0))
-    n, box_lo, box_hi, g_tilde, fitted = _escape_blend_fit(op, g, f, k0, fitter)
-    fit_residual = None
+    n, box_lo, box_hi, g_tilde, fitted = _escape_blend_fit(
+        op, g, f, k0, fitter, min(eps, delta))
     if fitted is not None:
-        fit_residual = fitted.sup_residual
         g_tilde = fitted.net.as_gridfunction(name="blend-refit")
 
     d_seed = d_ucc(g, g_tilde, TERMS, grid)
@@ -409,7 +430,7 @@ def construct_transitive_approximant(
     return TransitivityCertificate(
         n, g_tilde, d_seed, d_target, k0, BLEND_MARGIN, "d_ucc",
         tuple(box_lo), tuple(box_hi), op.activation.name, tuple(op.b),
-        fit_residual,
+        fitted,
     )
 
 

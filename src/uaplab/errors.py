@@ -71,12 +71,10 @@ class RangeError(UaplabError):
     """Requested value lies outside the range of an injective map."""
 
 
-class FitSingularError(UaplabError):
-    """Normal equations were singular; retry with ridge > 0."""
-
-
 class FitBudgetError(UaplabError):
-    """A fit could not reach the requested residual."""
+    """A fit could not meet its budget: a measured residual or distance
+    above its tolerance, or more hidden units needed than the width cap
+    allows (residual = units needed, budget = width)."""
 
     def __init__(self, residual: float, budget: float, message: str = ""):
         self.residual = residual

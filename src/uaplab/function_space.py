@@ -118,7 +118,9 @@ class GridFunction:
     ``fn`` maps an (N, m) float array to an (N, n) float array.  Functions
     that legitimately grow without bound (e.g. the identity) should set
     ``unbounded=True`` so the weighted-norm machinery reports divergence
-    instead of raising on overflow.
+    instead of raising on overflow.  ``curvature``, where known, bounds
+    |f''| off 0 (a kink of f may sit at 0): the interpolating fits choose
+    their knot spacing from it, and always place a knot at 0.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -126,6 +128,7 @@ class GridFunction:
     dim_out: int = 1
     name: str = ""
     unbounded: bool = False
+    curvature: Optional[float] = None
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -185,7 +188,8 @@ class GridFunction:
     # constructors ---------------------------------------------------------
     @staticmethod
     def from_scalar(fn: Callable[[np.ndarray], np.ndarray], name: str = "",
-                    unbounded: bool = False) -> "GridFunction":
+                    unbounded: bool = False,
+                    curvature: Optional[float] = None) -> "GridFunction":
         """Wrap a vectorized scalar map R -> R."""
         return GridFunction(
             lambda X: np.asarray(fn(X[:, 0]), dtype=np.float64)[:, None],
@@ -193,6 +197,7 @@ class GridFunction:
             1,
             name=name,
             unbounded=unbounded,
+            curvature=curvature,
         )
 
     @staticmethod
@@ -203,6 +208,7 @@ class GridFunction:
             dim_in,
             len(vec),
             name=f"const{tuple(vec)}",
+            curvature=0.0,
         )
 
     @staticmethod
@@ -212,11 +218,13 @@ class GridFunction:
             dim_in,
             dim_out,
             name="zero",
+            curvature=0.0,
         )
 
     @staticmethod
     def identity(dim: int = 1) -> "GridFunction":
-        return GridFunction(lambda X: X.copy(), dim, dim, name="id", unbounded=True)
+        return GridFunction(lambda X: X.copy(), dim, dim, name="id",
+                            unbounded=True, curvature=0.0)
 
 
 def _check_same_dims(f: GridFunction, g: GridFunction) -> None:

@@ -1,4 +1,4 @@
-"""Feed-forward nets, indicator trees, and the random-feature ridge fitter.
+"""Feed-forward nets, indicator trees, and the interpolating shallow fitter.
 
 A net whose last activation layer has one input and whose activation has
 only affine branches is piecewise affine in that layer's input, with one
@@ -7,11 +7,11 @@ evaluated from a sorted knot table (``_kernels.knot_table``, built once per
 net) by one binary search per point; earlier layers, power-branch
 activations and multi-input layers run as dense matrix products.
 
-Fitting freezes a sampled hidden layer and solves the outer layer by ridge
-least squares, so the result is exactly a one-hidden-layer net while staying
-deterministic for a given (seed, grid, ridge).  Hidden weights are sampled
-prefix-consistently: the first k features agree across widths for one seed,
-making nested-width comparisons meaningful.
+Fitting is the converse: the continuous piecewise-linear interpolant of a
+one-input target at given knots is exactly a one-hidden-layer net with one
+unit kinked at each interior knot (Arora, Basu, Mianjy & Mukherjee, ICLR
+2018).  It needs no training grid, ridge or seed, and on a cell of length h
+it is within M h^2 / 8 of a target whose second derivative is bounded by M.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels as K
 from .activations import ActivationSpec, activation_from_config, activation_to_config
-from .errors import DimensionMismatchError, FitSingularError
+from .errors import DimensionMismatchError, FitBudgetError, PreconditionError
 from .function_space import GridFunction
 
 __all__ = [
@@ -176,140 +176,105 @@ def stack(net: FeedForwardNet, front_layers: Sequence[AffineLayer]) -> FeedForwa
 
 
 # ---------------------------------------------------------------------------
-# shallow random-feature fitting
+# shallow interpolating fits
 
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Settings of the shallow fits.  ``width`` caps the hidden units;
+    ``region`` is the least half-width of a fit that has no escaped box.
+    ``grid_points``, ``seed`` and ``ridge`` are accepted so that older
+    configs still run; the fits ignore them."""
+
     width: int = 256
-    region: float = 1.0          # fit on the cube [-region, region]^m
-    grid_points: int = 2001      # training points per axis
+    region: float = 1.0
+    grid_points: int = 2001
     seed: int = 0
     ridge: float = 1e-9
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted shallow net with the data of its a-priori error bound.
+
+    ``sup_residual`` is the largest |net - value| over the knots and
+    ``knots`` their count.  ``h`` is the knot spacing the bound is stated
+    for (the largest gap unless the caller sets it), ``curvature`` a bound
+    M on the target's |f''| and ``bound`` the a-priori error bound built
+    from them; both are None where M is unknown.
+    """
+
     net: FeedForwardNet
     sup_residual: float
-    region: float
+    knots: int
+    h: float
+    curvature: Optional[float] = None
+    bound: Optional[float] = None
+
+    def outputs(self) -> dict:
+        """The fit's entries in result.json."""
+        return {"knots": self.knots, "h": self.h, "M": self.curvature,
+                "a_priori_bound": self.bound}
 
 
-def _hidden_sample(width: int, dim_in: int, region: float, seed: int):
-    # one uniform row per feature so widths share a prefix for a fixed seed
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(width, dim_in + 1))
-    scale = 3.0 / region
-    w = (2.0 * u[:, :dim_in] - 1.0) * scale
-    b = (2.0 * u[:, dim_in] - 1.0) * 3.0
-    return w, b
+KNOT_MERGE = 1e-9  # knots closer than this (relative) are merged
 
 
-def _train_grid(dim_in: int, region: float, grid_points: int) -> np.ndarray:
-    ax = np.linspace(-region, region, grid_points)
-    if dim_in == 1:
-        return ax[:, None]
-    if dim_in == 2:
-        g0, g1 = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([g0.ravel(), g1.ravel()], axis=1)
-    raise DimensionMismatchError("shallow fitting supports dim_in <= 2")
+def fit_shallow(knots, values, activation: ActivationSpec,
+                width: Optional[int] = None) -> FitResult:
+    """The one-hidden-layer net that interpolates ``values`` at ``knots``
+    linearly, exactly up to rounding.
 
-
-_SOLVE_BLOCK = 128
-
-
-def _cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs for the lower Cholesky factor L by blocked
-    forward then back substitution: the off-diagonal blocks are matrix
-    products, only the small diagonal blocks go through a dense solve."""
-    n = chol.shape[0]
-    x = np.array(rhs, dtype=np.float64)
-    starts = range(0, n, _SOLVE_BLOCK)
-    for s in starts:  # L y = rhs
-        e = min(s + _SOLVE_BLOCK, n)
-        x[s:e] = np.linalg.solve(chol[s:e, s:e], x[s:e] - chol[s:e, :s] @ x[:s])
-    for s in reversed(starts):  # L^T x = y
-        e = min(s + _SOLVE_BLOCK, n)
-        x[s:e] = np.linalg.solve(chol[s:e, s:e].T, x[s:e] - chol[e:, s:e].T @ x[e:])
-    return x
-
-
-def fit_shallow(target: GridFunction, width: int, activation: ActivationSpec,
-                fit_region: float, seed: int = 0, ridge: float = 1e-9,
-                grid_points: int = 2001,
-                train_points: Optional[np.ndarray] = None,
-                extra_kinks: Optional[Sequence[float]] = None,
-                sample_weights: Optional[np.ndarray] = None) -> FitResult:
-    """One-hidden-layer random-feature ridge fit of ``target``.
-
-    Hidden weights ~ U[-3/region, 3/region], biases ~ U[-3, 3], both from
-    ``seed`` with prefix-consistent draws; the outer layer solves the ridge
-    normal equations on a uniform training grid over the fit cube (or on
-    explicit ``train_points``, e.g. a union of zones when only parts of the
-    region matter).  ``extra_kinks`` appends deterministic units (weight
-    +3/region, bias placing the activation breakpoint at the given input)
-    after the random block, for targets with known kink locations that random
-    sampling cannot hit reliably.  ``sample_weights`` multiply per-point
-    residuals (weighted least squares); the reported sup residual is over the
-    training grid, weighted when weights are given.  Raises FitSingularError
-    when ridge=0 leaves the normal equations singular.
+    ``activation`` needs one breakpoint e between two affine branches of
+    slopes a_l and a_r, a_r != 0.  Hidden unit j computes sigma(x - t_j + e),
+    kinked at the interior knot t_j, and its outer weight is the slope jump
+    there divided by a_r - a_l; one more unit kinked one cell left of the
+    first knot sets the first cell's slope, and the output bias its value.
+    The net is the interpolant on [t_1, t_K]; it continues the last cell's
+    line past t_K and the first cell's line down to 2 t_1 - t_2.
+    Knots are sorted, and any within KNOT_MERGE (relative) of the previous
+    one is dropped.  Needing more than ``width`` hidden units (one per knot
+    but the last; None sets no cap) raises FitBudgetError with the units
+    needed as its residual and the width as its budget.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if not fit_region > 0:
-        raise ValueError("fit_region must be positive")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    m, n = target.dim_in, target.dim_out
-    w_in, b_in = _hidden_sample(width, m, fit_region, seed)
-    if extra_kinks is not None and len(extra_kinks):
-        if m != 1:
-            raise DimensionMismatchError("kink injection supports dim_in == 1")
-        scale = 3.0 / fit_region
-        kinks = np.asarray(sorted(extra_kinks), dtype=np.float64)
-        bp = float(activation.breakpoints[0]) if activation.breakpoints else 0.0
-        w_in = np.concatenate([w_in, np.full((len(kinks), 1), scale)])
-        b_in = np.concatenate([b_in, bp - scale * kinks])
-        width = w_in.shape[0]
-    if train_points is not None:
-        pts = np.asarray(train_points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-    else:
-        pts = _train_grid(m, fit_region, grid_points)
-    y = target.sample(pts)
-    feats = activation(pts @ w_in.T + b_in)
-    phi = np.concatenate([feats, np.ones((pts.shape[0], 1))], axis=1)
-    if sample_weights is not None:
-        wts = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
-        if wts.shape[0] != pts.shape[0]:
-            raise DimensionMismatchError("one sample weight per training point")
-        phi_w, y_w = phi * wts, y * wts
-    else:
-        phi_w, y_w = phi, y
-    gram = phi_w.T @ phi_w
-    if ridge > 0:
-        gram = gram + ridge * np.eye(width + 1)
-    rhs = phi_w.T @ y_w
-    try:
-        # Cholesky certifies nonsingularity; its factor then solves the system
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise FitSingularError(
-            f"normal equations singular at ridge={ridge}; retry with ridge > 0"
-        ) from exc
-    beta = _cholesky_solve(chol, rhs)
-    w_out = beta[:width].T  # (n, width)
-    b_out = beta[width]
-    net = FeedForwardNet(
-        (
-            AffineLayer(w_in, b_in, True),
-            AffineLayer(w_out, np.atleast_1d(b_out), False),
-        ),
-        activation,
+    edges, kinds, par, _ = activation._table
+    a_l, a_r = par[:, 0] if len(edges) == 3 else (0.0, 0.0)
+    if np.any(kinds != K.KIND_AFFINE) or a_r == 0.0 or a_r == a_l:
+        raise PreconditionError(
+            f"interpolating fits need one breakpoint between two affine "
+            f"branches of distinct slopes, the upper one nonzero: "
+            f"{activation.name} does not have them"
+        )
+    t = np.asarray(knots, dtype=np.float64)
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    y = np.asarray(values, dtype=np.float64).reshape(len(t), -1)[order]
+    keep = np.concatenate(
+        [[True], np.diff(t) > KNOT_MERGE * np.maximum(1.0, np.abs(t[1:]))]
     )
-    resid = float(np.max(np.linalg.norm(phi_w @ beta - y_w, axis=1)))
-    return FitResult(net, resid, float(fit_region))
+    t, y = t[keep], y[keep]
+    if len(t) < 2:
+        raise ValueError("an interpolating fit needs two distinct knots")
+    units = len(t) - 1
+    if width is not None and units > width:
+        raise FitBudgetError(
+            units, width,
+            f"the interpolant on {len(t)} knots needs {units} hidden units; "
+            f"the width cap is {width}",
+        )
+    slopes = np.diff(y, axis=0) / np.diff(t)[:, None]
+    jumps = np.diff(slopes, axis=0) / (a_r - a_l)
+    # on the first cell every interior unit is on its left branch
+    base = (slopes[0] - a_l * np.sum(jumps, axis=0)) / a_r
+    kinks = np.concatenate([[2.0 * t[0] - t[1]], t[1:-1]])
+    outer = np.concatenate([base[None, :], jumps]).T
+    hidden = AffineLayer(np.ones((units, 1)), edges[1] - kinks, True)
+    start = activation(t[0] * hidden.matrix[:, 0] + hidden.bias)
+    net = FeedForwardNet(
+        (hidden, AffineLayer(outer, y[0] - outer @ start, False)), activation
+    )
+    resid = float(np.max(np.abs(net.sample(t) - y)))
+    return FitResult(net, resid, len(t), float(np.max(np.diff(t))))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .function_space import (
     WeightFamily,
     weighted_sup_norm,
 )
-from .network import FitConfig, fit_shallow
+from .network import FitConfig, FitResult, fit_shallow
 
 __all__ = [
     "OmegaTransformParams",
@@ -52,9 +52,8 @@ ACTIVATION = "relu"     # activation of the fitted shallow nets
 RHO = 0.9               # fitted ball radius as a fraction of sqrt(b)
 WIDE_FACTOR = 3.0       # verification grid radius in multiples of sqrt(b)
 GRID_POINTS = 2001      # grid points per axis of the shell and error checks
-ATTEMPTS = 3            # fits tried; each doubles the width of the last
+KNOT_STEP = 0.1         # spacing of the uniform knots of the fitted core
 NORM_POINTS = 801       # grid points per axis of the weighted sup norms
-C_RANGE = (-2.0, 2.0)   # constants searched by demonstrate_limitation
 LIMIT_POINTS = 6001     # grid points of the limitation demo's sup distance
 
 
@@ -113,9 +112,8 @@ class VanishingReport:
     core_radius: float
     ball_param: float
     offset: float
-    fit_residual: float
+    fit: FitResult
     wide_radius: float
-    attempts: int
 
     def to_config(self) -> dict:
         return {
@@ -123,9 +121,9 @@ class VanishingReport:
             "core_radius": self.core_radius,
             "ball_param": self.ball_param,
             "offset": self.offset,
-            "fit_residual": self.fit_residual,
+            "fit_residual": self.fit.sup_residual,
+            **self.fit.outputs(),
             "wide_radius": self.wide_radius,
-            "attempts": self.attempts,
         }
 
 
@@ -145,21 +143,24 @@ def approximate_vanishing(
     max_core_radius: float = 4096.0,
     kink_hints: tuple = (),
 ) -> tuple[GridFunction, VanishingReport]:
-    """Uniform eps-approximation of a function that decays at infinity.
+    """Uniform eps-approximation of a one-input function that decays at
+    infinity.
 
-    Finds a core radius R whose outer shell already sits below eps/2, fits a
-    shallow net to (f - eps/2) e^{+b/(b - ||x||^2)} on the ball of radius
-    RHO*sqrt(b) = R (the exact fitting target blows up at the ball boundary,
-    so the fit stops at RHO < 1 and the envelope's vanishing bump factor
-    crushes the remaining shell), assembles the envelope with offset eps/2,
-    and verifies the sup error end-to-end on a wide grid (WIDE_FACTOR times
-    sqrt(b)), doubling the fit width if the measured error misses eps.
-    ``kink_hints`` are input locations where the target is known to change
-    slope (hidden units are pinned there).
+    Finds a core radius R whose outer shell already sits below eps/2,
+    interpolates (f - eps/2) e^{+b/(b - x^2)} on [-R, R] with R =
+    RHO*sqrt(b) (the exact target blows up at the ball boundary, so the fit
+    stops at RHO < 1 and the envelope's vanishing bump factor crushes the
+    remaining shell), assembles the envelope with offset eps/2, and
+    verifies the sup error end-to-end on a wide grid (WIDE_FACTOR times
+    sqrt(b)).  The knots are spaced KNOT_STEP apart, plus R sin(pi/2 s) for
+    ``fit.width`` points s evenly on [-1, 1], which crowd toward the ball's
+    edge where the target is steepest, plus ``kink_hints``: input
+    locations where the target is known to change slope.  So ``fit.width``
+    sets the graded knots here, not a cap: the net has one hidden unit per
+    knot but the last.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    activation = by_name(ACTIVATION)
     grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=GRID_POINTS)
 
     radius = 1.0
@@ -172,57 +173,32 @@ def approximate_vanishing(
             )
 
     a = eps / 2.0
-    last_err = float("inf")
-    last_resid = 0.0
-    ones = np.ones(f.dim_out)
     b_param = (radius / RHO) ** 2
-    hints = tuple(t for t in kink_hints if abs(t) < radius)
-    for attempt in range(1, ATTEMPTS + 1):
-        width = fit.width * (2 ** (attempt - 1))
 
-        def fit_target_sample(X: np.ndarray) -> np.ndarray:
-            X = np.asarray(X, dtype=np.float64)
-            r2 = np.sum(X * X, axis=1)
-            with np.errstate(over="ignore", under="ignore", divide="ignore"):
-                factor = np.exp(b_param / (b_param - r2))
-            return (f.sample(X) - a * ones) * factor[:, None]
-
-        fit_target = GridFunction(fit_target_sample, f.dim_in, f.dim_out,
-                                  name="pre-envelope")
-        # weight residuals by the bump factor: the envelope multiplies the
-        # fitted core by exactly this factor, so the weighted residual is the
-        # end-to-end error contribution inside the ball
-        train_pts = np.linspace(-radius, radius, fit.grid_points)[:, None] \
-            if f.dim_in == 1 else None
-        weights = None
-        if train_pts is not None:
-            r2 = np.sum(train_pts * train_pts, axis=1)
-            weights = np.exp(-b_param / (b_param - r2))
-        result = fit_shallow(
-            fit_target, width, activation, radius,
-            seed=fit.seed, ridge=fit.ridge, grid_points=fit.grid_points,
-            train_points=train_pts, sample_weights=weights,
-            extra_kinks=hints if f.dim_in == 1 else None,
-        )
-        g_eps = result.net.as_gridfunction(name="fitted-core")
-        candidate = bump_transform(
-            g_eps, OmegaTransformParams(a=a, b=b_param)
-        )
-        wide = WIDE_FACTOR * np.sqrt(b_param)
-        pts = grid.cube_points(wide)
-        err = float(
-            np.max(np.linalg.norm(f.sample(pts) - candidate.sample(pts), axis=1))
-        )
-        if err < eps:
-            return candidate, VanishingReport(
-                err, radius, b_param, a, result.sup_residual, wide, attempt
-            )
-        last_err, last_resid = err, result.sup_residual
-    raise FitBudgetError(
-        last_err, eps,
-        f"vanishing-approximation error {last_err:.4g} still above eps={eps} "
-        f"after {ATTEMPTS} attempts (last fit residual {last_resid:.4g})",
+    knots = np.concatenate([
+        np.linspace(-radius, radius, int(round(2.0 * radius / KNOT_STEP)) + 1),
+        radius * np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, fit.width)),
+        [t for t in kink_hints if abs(t) < radius],
+    ])
+    # the envelope multiplies the fitted core by e^{-b/(b - x^2)}
+    values = (f.sample(knots) - a) * np.exp(b_param / (b_param - knots**2))[:, None]
+    result = fit_shallow(knots, values, by_name(ACTIVATION))
+    candidate = bump_transform(
+        result.net.as_gridfunction(name="fitted-core"),
+        OmegaTransformParams(a=a, b=b_param),
     )
+    wide = WIDE_FACTOR * np.sqrt(b_param)
+    pts = grid.cube_points(wide)
+    err = float(
+        np.max(np.linalg.norm(f.sample(pts) - candidate.sample(pts), axis=1))
+    )
+    if not err < eps:
+        raise FitBudgetError(
+            err, eps,
+            f"vanishing-approximation error {err:.4g} is not below eps={eps} "
+            f"with {result.knots} knots",
+        )
+    return candidate, VanishingReport(err, radius, b_param, a, result, wide)
 
 
 def phi_omega(f: GridFunction, omega: Callable) -> GridFunction:
@@ -374,36 +350,32 @@ class LimitationReport:
 def demonstrate_limitation(
     arch_sampler: Optional[Sequence[LimitationSample]] = None,
     *,
-    c_step: float = 0.01,
     x_radius: float = 30.0,
 ) -> LimitationReport:
-    """Best-constant sup distance to x -> e^{-|x|}, by grid search over c.
+    """Best-constant sup distance to x -> e^{-|x|} on a grid of
+    [-x_radius, x_radius].
 
-    The target's range is (0, 1], so the minimax constant is 1/2 with error
-    exactly 1/2; any family producing only constants or unbounded functions
-    therefore stays at sup distance >= 1/2 from this bounded non-constant
-    target.  Unbounded samples are reported with an infinite error flag.
+    The constant minimizing max|target - c| over the grid is the midpoint
+    of the sampled range, (max + min)/2, and its error is (max - min)/2.
+    The target's range is (0, 1], so that is 1/2 with error 1/2 up to the
+    grid's e^{-x_radius}: any family producing only constants or unbounded
+    functions stays at sup distance >= 1/2 from this bounded non-constant
+    target.  Unbounded samples are reported with an infinite error.
     """
     pts = GridSpec(dim_in=1, dim_out=1, points_per_axis=LIMIT_POINTS).cube_points(x_radius)
     target = np.exp(-np.linalg.norm(pts, axis=1))
-
-    def const_error(c: float) -> float:
-        return float(np.max(np.abs(target - c)))
-
-    n_steps = int(round((C_RANGE[1] - C_RANGE[0]) / c_step))
-    cs = C_RANGE[0] + c_step * np.arange(n_steps + 1)
-    errs = np.array([const_error(c) for c in cs])
-    i = int(np.argmin(errs))
+    hi, lo = float(np.max(target)), float(np.min(target))
 
     samples = []
     for s in arch_sampler or ():
         if s.kind == "constant":
-            samples.append((s.label, s.kind, const_error(float(s.value))))
+            error = float(np.max(np.abs(target - float(s.value))))
         else:
-            samples.append((s.label, s.kind, float("inf")))
+            error = float("inf")
+        samples.append((s.label, s.kind, error))
     return LimitationReport(
-        best_constant=float(cs[i]),
-        best_error=float(errs[i]),
+        best_constant=0.5 * (hi + lo),
+        best_error=0.5 * (hi - lo),
         separation=0.5,
         sample_errors=tuple(samples),
     )

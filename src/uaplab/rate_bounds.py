@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .function_space import GridFunction, Measure1D
-from .network import TreeFunction, _cholesky_solve
+from .network import TreeFunction
 
 __all__ = [
     "PushforwardReport",
@@ -129,6 +129,25 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u) - 1.0
     k = np.flatnonzero(u > css / np.arange(1, len(u) + 1))[-1]
     return np.maximum(v - css[k] / (k + 1), 0.0)
+
+
+_SOLVE_BLOCK = 128
+
+
+def _cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs for the lower Cholesky factor L by blocked
+    forward then back substitution: the off-diagonal blocks are matrix
+    products, only the small diagonal blocks go through a dense solve."""
+    n = chol.shape[0]
+    x = np.array(rhs, dtype=np.float64)
+    starts = range(0, n, _SOLVE_BLOCK)
+    for s in starts:  # L y = rhs
+        e = min(s + _SOLVE_BLOCK, n)
+        x[s:e] = np.linalg.solve(chol[s:e, s:e], x[s:e] - chol[s:e, :s] @ x[:s])
+    for s in reversed(starts):  # L^T x = y
+        e = min(s + _SOLVE_BLOCK, n)
+        x[s:e] = np.linalg.solve(chol[s:e, s:e].T, x[s:e] - chol[e:, s:e].T @ x[e:])
+    return x
 
 
 def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):

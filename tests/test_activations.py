@@ -221,6 +221,44 @@ class TestExactClassification:
                 assert any(lo <= r <= hi for r in v.fixed_points), (s, p, a, c)
 
 
+def scalar_outward(sigma, x, side, want):
+    """The one-point-per-call doubling search that _outward vectorizes."""
+    step = 1.0
+    end = x + side * step
+    while abs(end) < act._FMAX and want * act._gap(sigma, end) <= 0.0:
+        step *= 2.0
+        end = x + side * step
+    return end if abs(end) < act._FMAX else side * act._FMAX
+
+
+def test_outward_matches_scalar_search():
+    # exponents near 1 put sign changes of the gap anywhere up to the float
+    # range's edge; p = 3 overflows sigma on most of the ladder, where the
+    # vectorized gap falls back to _gap
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        p = [rng.uniform(0.99, 1.01), rng.uniform(0.4, 0.7), 3.0][i % 3]
+        s, a = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 2.0, 2)
+        sigma = act.ActivationSpec(
+            f"o{i}", [act.Branch(-math.inf, math.inf, "power",
+                                 (s, p, a, rng.uniform(-1.0, 1.0)))]
+        )
+        x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 30.0)
+        for side in (-1, 1):
+            for want in (-1.0, 1.0):
+                got = act._outward(sigma, x, side, want)
+                assert got == scalar_outward(sigma, x, side, want), (i, side, want)
+    # sigma overflows from |x| ~ 1e154, but the gap x*(1e-300*|x| - 6) keeps
+    # its sign up to 6e300: found only through _gap's fallback
+    late = act.ActivationSpec(
+        "late", [act.Branch(-math.inf, math.inf, "power", (1e-300, 2.0, -5.0, 0.0))]
+    )
+    for side in (-1, 1):
+        got = act._outward(late, float(side), side, float(side))
+        assert got == scalar_outward(late, float(side), side, float(side))
+        assert 6e300 < abs(got) < act._FMAX
+
+
 class TestConstructTransitive:
     def cube(self):
         return act.ActivationSpec(

@@ -264,3 +264,64 @@ def test_computation_failure_exits_1(tmp_path):
     assert r.returncode == 1
     payload = json.loads(r.stdout)
     assert payload["error"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("command, params, field", [
+    ("escape", {"activation": "leaky_shifted_paper", "K_radius": 2.0,
+                "max_n": 32}, "params.max_n"),
+    ("check-activation", {"activation": "relu", "search_radius": 50.0},
+     "params.search_radius"),
+    ("constrained-fit", dict(SMALL_CONFIGS["constrained-fit"],
+                             fit={"width": 256, "widht": 512}), "params.fit.widht"),
+], ids=["escape-max_n", "check-activation-search_radius", "fit-typo"])
+def test_unknown_key_exits_2(tmp_path, command, params, field):
+    cfg = write_config(tmp_path, "bad", params)
+    r = run_cli(command, cfg, tmp_path / "o")
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "ConfigError"
+    assert payload["violations"] == [f"{field}: unknown key"]
+
+
+# transitivity-demo with a fit at the CLI's default width
+FITTED_DEMO = {"activation": "leaky_shifted_paper", "b": 1.0, "g": "identity",
+               "fit": {"width": 256}}
+
+
+def run_in_process(tmp_path, command, params, seed):
+    from uaplab import cli
+
+    config = cli.ExperimentConfig(command, params, seed, str(tmp_path / str(seed)))
+    return cli.run(config)["outputs"]
+
+
+@pytest.mark.parametrize("f", ["sin", "cos"])
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_fitted_demo_passes_at_cli_defaults(tmp_path, f, eps):
+    out = run_in_process(tmp_path, "transitivity-demo",
+                         dict(FITTED_DEMO, f=f, eps=eps, delta=eps), 0)
+    assert out["d_seed"] < eps and out["d_target"] < eps
+    # M = 1 for sin, cos and identity: the knots are spaced for eps/4
+    assert out["M"] == 1.0 and out["h"] ** 2 / 8.0 <= eps / 4.0
+    assert max(out["d_seed"], out["d_target"]) <= out["a_priori_bound"]
+    assert out["knots"] <= 256 + 1
+
+
+@pytest.mark.parametrize("command, params", [
+    ("transitivity-demo", dict(FITTED_DEMO, f="sin", eps=0.1, delta=0.1,
+                               fit={"width": 256, "seed": 5, "ridge": 0.0,
+                                    "grid_points": 11})),
+    ("constrained-fit", SMALL_CONFIGS["constrained-fit"]),
+], ids=["transitivity-demo", "constrained-fit"])
+def test_fitted_outputs_do_not_depend_on_seed(tmp_path, command, params):
+    runs = [run_in_process(tmp_path, command, params, seed) for seed in (0, 1)]
+    assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
+    assert {"knots", "h", "M", "a_priori_bound"} <= set(runs[0])
+
+
+def test_fit_seed_and_ridge_accepted(tmp_path):
+    params = dict(SMALL_CONFIGS["constrained-fit"],
+                  fit={"width": 256, "seed": 3, "ridge": 1e-6, "grid_points": 11})
+    cfg = write_config(tmp_path, "fit", params)
+    r = run_cli("constrained-fit", cfg, tmp_path / "o")
+    assert r.returncode == 0, r.stdout + r.stderr

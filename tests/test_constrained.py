@@ -112,37 +112,39 @@ class TestAssembleConstrained:
         assert re_eval == pytest.approx(rep.constraint_values[0][1], abs=1e-9)
 
 
-class TestConstrainedRetries:
-    """The retry ladder of assemble_constrained: attempt a (0-based) escapes
-    the cube of radius k0 + 2a and fits at width fit.width * 2^a."""
+class TestConstrainedWidth:
+    """assemble_constrained fits once, with knots spread over fit.width
+    hidden units where the target's curvature is unknown (cos_fn carries no
+    bound): enough width succeeds, too little reports what it measured."""
 
-    def assemble(self, op, cos_fn, width, seed):
+    def assemble(self, op, cos_fn, width):
         grid = GridSpec(points_per_axis=801)
         con = ca.ConstraintFunctional(
             lambda h: sup_norm_on_ball(h, 1.0, grid), 0.5, "sup_on_ball[1]"
         )
-        fit = FitConfig(width=width, grid_points=2001, seed=seed)
+        fit = FitConfig(width=width, grid_points=2001)
         return ca.assemble_constrained(
             [con], GridFunction.zero(), cos_fn, 0.1, op, fit
         )
 
-    def test_second_attempt_succeeds(self, op, cos_fn):
-        rep = self.assemble(op, cos_fn, width=128, seed=2)
-        # the first attempt would use k0 = 5 and width 128
-        assert rep.k0 == 7.0
+    def test_first_attempt_succeeds(self, op, cos_fn):
+        rep = self.assemble(op, cos_fn, width=128)
+        assert rep.k0 == 5.0  # the cube of the first (and only) attempt
         hidden = rep.full_net.layers[rep.split_index].dim_out
-        assert hidden == 261  # 256 random units + 5 kink units
+        assert hidden <= 128 and hidden == rep.fit.knots - 1
+        assert rep.fit.curvature is None and rep.fit.bound is None
         assert rep.d_target < 0.1
         assert rep.constraint_values[0][1] < 0.99 * 0.5
 
-    def test_exhausted_attempts_report_measured_state(self, op, cos_fn):
+    def test_width_cap_reports_measured_state(self, op, cos_fn):
         with pytest.raises(FitBudgetError) as err:
-            self.assemble(op, cos_fn, width=16, seed=0)
+            self.assemble(op, cos_fn, width=16)
         message = str(err.value)
         assert "eps=0.1" in message
-        assert "width 64, k0=9" in message  # the third attempt's
+        assert "at width 16, k0=5" in message
         d_target = float(re.search(r"d_target=(\S+) ", message).group(1))
         assert d_target >= 0.1
+        assert err.value.residual == pytest.approx(d_target, rel=1e-3)
         assert err.value.budget == 0.1
 
 

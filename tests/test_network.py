@@ -1,17 +1,17 @@
-"""Nets, trees, stacking, and the deterministic shallow fitter."""
+"""Nets, trees, stacking, and the interpolating shallow fitter."""
 
 import numpy as np
 import pytest
 
 from uaplab import _kernels as K
 from uaplab import activations as act
-from uaplab.errors import DimensionMismatchError, FitSingularError
-from uaplab.function_space import GridFunction, d_ucc
+from uaplab.errors import DimensionMismatchError, FitBudgetError, PreconditionError
+from uaplab.function_space import d_ucc
+from uaplab.rate_bounds import _cholesky_solve
 from uaplab.network import (
     AffineLayer,
     FeedForwardNet,
     TreeFunction,
-    _cholesky_solve,
     fit_shallow,
     identity_layer,
     net_eval,
@@ -178,7 +178,8 @@ class TestKnotTable:
 
     def test_d_ucc_of_fitted_net_makes_no_act_eval_call(self, monkeypatch,
                                                         leaky_shifted, sin_fn):
-        net = fit_shallow(sin_fn, 64, leaky_shifted, 3.0, seed=2).net
+        knots = np.linspace(-3.0, 3.0, 65)
+        net = fit_shallow(knots, np.sin(knots), leaky_shifted).net
         calls = []
         act_eval = K.act_eval
         monkeypatch.setattr(K, "act_eval",
@@ -189,50 +190,91 @@ class TestKnotTable:
         assert calls == [1]
 
 
+FIT_ACTIVATIONS = ("relu", "leaky_shifted_paper")
+
+
 class TestFitShallow:
-    def test_affine_target_easy(self, leaky_shifted):
-        target = GridFunction.from_scalar(lambda x: 2 * x + 1, unbounded=True)
-        res = fit_shallow(target, 8, leaky_shifted, 1.0, seed=3, ridge=1e-10,
-                          grid_points=501)
-        assert res.sup_residual < 1e-3
+    def test_affine_target_easy(self):
+        knots = np.array([-1.0, 0.0, 1.0])
+        xs = np.linspace(-2.0, 1.0, 1001)  # one cell left of the first knot
+        for name in FIT_ACTIVATIONS:
+            res = fit_shallow(knots, 2 * knots + 1, act.by_name(name), width=2)
+            assert res.net.layers[0].dim_out <= 2
+            got = res.net.sample(xs)[:, 0]
+            assert np.max(np.abs(got - (2 * xs + 1))) <= 1e-14
 
-    def test_zero_target_zero_net(self, leaky_shifted):
-        res = fit_shallow(GridFunction.zero(), 16, leaky_shifted, 1.0, seed=0,
-                          ridge=1e-9, grid_points=301)
-        assert res.sup_residual == 0.0
-        assert np.all(res.net.layers[1].matrix == 0.0)
-        assert np.all(res.net.layers[1].bias == 0.0)
+    def test_zero_target_zero_net(self):
+        knots = np.linspace(-2.0, 2.0, 17)
+        for name in FIT_ACTIVATIONS:
+            res = fit_shallow(knots, np.zeros_like(knots), act.by_name(name))
+            assert res.sup_residual == 0.0
+            assert np.all(res.net.layers[1].matrix == 0.0)
+            assert np.all(res.net.layers[1].bias == 0.0)
 
-    def test_nested_widths_improve(self, leaky_shifted, sin_fn):
-        r1 = fit_shallow(sin_fn, 1, leaky_shifted, 3.0, seed=5, grid_points=601)
-        r64 = fit_shallow(sin_fn, 64, leaky_shifted, 3.0, seed=5, grid_points=601)
-        assert r64.sup_residual <= r1.sup_residual
-        # prefix property: feature 0 identical across widths
-        assert np.array_equal(r1.net.layers[0].matrix[0], r64.net.layers[0].matrix[0])
-        assert r1.net.layers[0].bias[0] == r64.net.layers[0].bias[0]
+    @pytest.mark.parametrize("activation", FIT_ACTIVATIONS)
+    @pytest.mark.parametrize("dim_out", [1, 2])
+    def test_net_equals_target_at_every_knot(self, activation, dim_out):
+        rng = np.random.default_rng(dim_out)
+        knots = np.sort(rng.uniform(-40.0, 40.0, 300))
+        values = np.column_stack([np.sin(knots), 3.0 * np.cos(2.0 * knots)])
+        values = values[:, :dim_out]
+        res = fit_shallow(knots, values, act.by_name(activation))
+        got = res.net.sample(knots)
+        assert got.shape == values.shape
+        assert np.all(np.abs(got - values) <= 1e-12 * np.max(np.abs(values)))
+        assert res.sup_residual <= 1e-12 * np.max(np.abs(values))
+        assert res.knots == len(knots) and res.net.layers[0].dim_out == len(knots) - 1
 
-    def test_deterministic_bit_identical(self, leaky_shifted, cos_fn):
-        a = fit_shallow(cos_fn, 32, leaky_shifted, 2.0, seed=11, grid_points=401)
-        b = fit_shallow(cos_fn, 32, leaky_shifted, 2.0, seed=11, grid_points=401)
+    @pytest.mark.parametrize("activation", FIT_ACTIVATIONS)
+    @pytest.mark.parametrize("target, curvature", [
+        (np.sin, 1.0), (np.cos, 1.0), (lambda x: np.exp(-(x**2)), 2.0),
+    ], ids=["sin", "cos", "gauss"])
+    def test_error_within_curvature_bound(self, activation, target, curvature):
+        knots = np.linspace(-5.0, 5.0, 41)
+        res = fit_shallow(knots, target(knots), act.by_name(activation))
+        assert res.h == pytest.approx(0.25)
+        xs = np.linspace(-5.0, 5.0, 100_001)
+        err = np.max(np.abs(res.net.sample(xs)[:, 0] - target(xs)))
+        assert 0.0 < err <= curvature * res.h**2 / 8.0
+
+    def test_deterministic_bit_identical(self, leaky_shifted):
+        knots = np.linspace(-2.0, 2.0, 33)
+        a = fit_shallow(knots, np.cos(knots), leaky_shifted)
+        b = fit_shallow(knots, np.cos(knots), leaky_shifted)
         for la, lb in zip(a.net.layers, b.net.layers):
             assert np.array_equal(la.matrix, lb.matrix)
             assert np.array_equal(la.bias, lb.bias)
 
-    def test_singular_without_ridge(self, leaky_shifted, sin_fn):
-        # more features than training points leaves the gram singular
-        with pytest.raises(FitSingularError):
-            fit_shallow(sin_fn, 64, leaky_shifted, 1.0, seed=0, ridge=0.0,
-                        grid_points=5)
+    def test_kink_injection_places_breakpoints(self):
+        # a knot at the target's kink puts a unit's kink exactly there, so
+        # a piecewise-linear target is reproduced exactly
+        knots = np.array([-2.0, -0.5, 0.7, 1.3, 2.0])
+        xs = np.linspace(-2.0, 2.0, 4001)
+        for name in FIT_ACTIVATIONS:
+            sigma = act.by_name(name)
+            res = fit_shallow(knots, np.abs(knots - 0.7), sigma)
+            hidden = res.net.layers[0]
+            kinks = (sigma.breakpoints[0] - hidden.bias) / hidden.matrix[:, 0]
+            assert 0.7 in kinks
+            got = res.net.sample(xs)[:, 0]
+            assert np.max(np.abs(got - np.abs(xs - 0.7))) <= 1e-14
 
-    def test_kink_injection_places_breakpoints(self, leaky_shifted):
-        target = GridFunction.from_scalar(lambda x: np.abs(x - 0.7), unbounded=True)
-        res = fit_shallow(target, 4, leaky_shifted, 2.0, seed=0,
-                          grid_points=801, extra_kinks=[0.7])
-        w = res.net.layers[0].matrix[-1, 0]
-        b = res.net.layers[0].bias[-1]
-        # the injected unit kinks exactly at x = 0.7
-        assert (0.0 - b) / w == pytest.approx(0.7, abs=1e-12)
-        assert res.sup_residual < 1e-2
+    def test_width_cap_names_needed_units(self, leaky_shifted):
+        knots = np.linspace(-1.0, 1.0, 65)
+        assert fit_shallow(knots, knots**2, leaky_shifted, width=64).knots == 65
+        with pytest.raises(FitBudgetError) as err:
+            fit_shallow(knots, knots**2, leaky_shifted, width=63)
+        assert "needs 64 hidden units" in str(err.value)
+        assert (err.value.residual, err.value.budget) == (64, 63)
+
+    def test_close_knots_merge(self, leaky_shifted):
+        knots = np.array([0.0, 1.0, 1.0 + 1e-13, 2.0, 1.0])
+        res = fit_shallow(knots, knots**2, leaky_shifted)
+        assert res.knots == 3 and res.sup_residual <= 1e-12
+
+    def test_activation_without_one_kink_rejected(self):
+        with pytest.raises(PreconditionError):
+            fit_shallow([0.0, 1.0], [0.0, 1.0], three_branch_affine())
 
     @pytest.mark.parametrize("size", [1, 127, 128, 129, 1025])
     @pytest.mark.parametrize("columns", [None, 3])
