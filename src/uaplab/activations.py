@@ -398,21 +398,42 @@ def _gap(sigma: ActivationSpec, x: float) -> float:
     return _branch_gap(next(b for b in sigma.branches if b.lo <= x < b.hi), x)
 
 
+_BISECT_LEVELS = 8  # halvings read from one vectorized gap evaluation
+
+
 def _bisect_gap(sigma: ActivationSpec, a: float, b: float, xtol: float) -> float:
     """A root of sigma(x) - x in [a, b], where the gap has opposite nonzero
-    signs at the two ends, to within xtol (or to the float spacing)."""
+    signs at the two ends, to within xtol (or to the float spacing).
+
+    The gap is evaluated in one call at every point the next _BISECT_LEVELS
+    halvings could reach, and the bisection walks down them.  Each midpoint
+    is 0.5*a + 0.5*b of its own interval, so the root equals that of a
+    bisection that evaluates one point per step."""
+    n = 1 << _BISECT_LEVELS
     fa = _gap(sigma, a)
     while True:
-        m = 0.5 * a + 0.5 * b  # equals 0.5 * (a + b), which can overflow
-        if b - a <= xtol or m in (a, b):
-            return m
-        fm = _gap(sigma, m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
+        xs = np.empty(n + 1)
+        xs[0], xs[n] = a, b
+        for step in (n >> j for j in range(_BISECT_LEVELS)):
+            # 0.5 * (lo + hi) can overflow
+            xs[step // 2::step] = 0.5 * xs[:n:step] + 0.5 * xs[step::step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = (np.asarray(sigma(xs)) - xs).tolist()
+        xs = xs.tolist()
+        lo, hi = 0, n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            m = xs[mid]
+            if b - a <= xtol or m in (a, b):
+                return m
+            # _gap stands in where sigma overflows
+            fm = gaps[mid] if math.isfinite(gaps[mid]) else _gap(sigma, m)
+            if fm == 0.0:
+                return m
+            if (fm < 0.0) == (fa < 0.0):
+                a, fa, lo = m, fm, mid
+            else:
+                b, hi = m, mid
 
 
 def _affine_gap_roots(b: Branch) -> list:

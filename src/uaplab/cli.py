@@ -201,7 +201,8 @@ def _run_transitivity_demo(params: dict, seed: int):
         mu = _parse_measure(params.get("mu"))
         cert = dd.l1_transitive_approximant(op, g, f, mu, eps, delta)
     else:
-        fitter = _parse_fit(params["fit"]) if params.get("fit") else None
+        # "fit": {} asks for the default fit, as in the other commands
+        fitter = None if params.get("fit") is None else _parse_fit(params["fit"])
         cert = dd.construct_transitive_approximant(op, g, f, eps, delta, fitter)
     out = cert.to_config()
     out["eps"] = eps

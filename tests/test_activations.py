@@ -259,6 +259,59 @@ def test_outward_matches_scalar_search():
         assert 6e300 < abs(got) < act._FMAX
 
 
+def scalar_bisect(sigma, a, b, xtol):
+    """The one-point-per-step bisection that _bisect_gap vectorizes."""
+    fa = act._gap(sigma, a)
+    while True:
+        m = 0.5 * a + 0.5 * b
+        if b - a <= xtol or m in (a, b):
+            return m
+        fm = act._gap(sigma, m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+
+
+def test_bisect_matches_scalar_search(monkeypatch):
+    # the seeded draws of the grid-oracle test, then exponents near 1, whose
+    # pieces reach far beyond 1e200 and take ~1000 halvings
+    calls = []
+    bisect = act._bisect_gap
+
+    def record(sigma, a, b, xtol):
+        calls.append((sigma, a, b, xtol, bisect(sigma, a, b, xtol)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(act, "_bisect_gap", record)
+    rng = np.random.default_rng(7)
+    near = np.random.default_rng(2026)
+    for i in range(240):
+        s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        p = [rng.uniform(0.4, 0.7), rng.uniform(0.99, 1.01),
+             rng.uniform(1.5, 3.0)][i % 3]
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        c = rng.uniform(-1.0, 1.0)
+        if i >= 180:
+            p = near.uniform(0.99, 1.01)
+        act.classify(act.ActivationSpec(
+            f"bisect{i}", [act.Branch(-math.inf, math.inf, "power", (s, p, a, c))]))
+    # sigma overflows from |x| ~ 1e154, but the gap x*(1e-300*|x| - 6) is
+    # finite up to its roots at +-6e300: each step there falls back to _gap
+    act.classify(act.ActivationSpec(
+        "bisect-late", [act.Branch(-math.inf, math.inf, "power", (1e-300, 2.0, -5.0, 0.0))]))
+    # roots at +-1.5e308, bracketed by 2^1023 and _FMAX, whose sum overflows
+    act.classify(act.ActivationSpec(
+        "bisect-edge", [act.Branch(-math.inf, math.inf, "power", (4e-308, 2.0, -5.0, 0.0))]))
+    assert len(calls) > 200
+    assert max(b - a for _, a, b, _, _ in calls) > 1e200
+    assert sum(abs(root) > 5e300 for *_, root in calls) == 4
+    for sigma, a, b, xtol, root in calls:
+        assert root == scalar_bisect(sigma, a, b, xtol), (sigma.branches, a, b)
+
+
 class TestConstructTransitive:
     def cube(self):
         return act.ActivationSpec(

@@ -325,3 +325,13 @@ def test_fit_seed_and_ridge_accepted(tmp_path):
     cfg = write_config(tmp_path, "fit", params)
     r = run_cli("constrained-fit", cfg, tmp_path / "o")
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+@pytest.mark.parametrize("fit, fitted", [({}, True), (None, False)],
+                         ids=["empty-object", "null"])
+def test_empty_fit_object_runs_the_default_fit(tmp_path, fit, fitted):
+    # as in constrained-fit and omega-approx, {} is the fit at its defaults
+    params = dict(FITTED_DEMO, f="sin", eps=0.1, delta=0.1, fit=fit)
+    run_in_process(tmp_path, "transitivity-demo", params, 0)
+    written = json.loads((tmp_path / "0" / "result.json").read_text())["outputs"]
+    assert ({"knots", "h", "M", "a_priori_bound"} <= set(written)) == fitted

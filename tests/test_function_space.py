@@ -7,9 +7,13 @@ geometric-series sums, and calculus, recomputed in-line where cheap.
 import numpy as np
 import pytest
 
+from uaplab import activations as act
+from uaplab.depth_dynamics import CompositionOperator, apply
 from uaplab.errors import DimensionMismatchError, NonFiniteValueError, QuadratureError
 from uaplab.function_space import (
+    DUCC_BATCH_POINTS,
     GridFunction,
+    _ensure_finite,
     _ndtr,
     _ndtri,
     GridSpec,
@@ -108,6 +112,84 @@ class TestDucc:
         with pytest.raises(NonFiniteValueError) as err:
             d_ucc(bad, ZERO, 5, grid_1d)
         assert err.value.point is not None
+
+
+def ducc_term_by_term(f, g, terms, grid):
+    """The reference d_ucc: one pair of sample calls per cube [-k, k]^m."""
+    total = 0.0
+    for k in range(1, terms + 1):
+        pts = grid.cube_points(float(k))
+        diff = f.sample(pts) - g.sample(pts)
+        _ensure_finite(diff, pts, f"computing d_ucc term k={k}")
+        s = float(np.max(np.linalg.norm(diff, axis=1)))
+        total += s / (2.0**k * (1.0 + s))
+    return total
+
+
+def counted(f, sizes):
+    """f, recording the number of points of every sample call in sizes."""
+    def fn(X):
+        sizes.append(len(X))
+        return f.sample(X)
+    return GridFunction(fn, f.dim_in, f.dim_out, name=f.name)
+
+
+def ducc_cases():
+    leaky = act.by_name("leaky_shifted_paper")
+    wave = GridFunction(  # grows with the cube, so every term differs
+        lambda X: np.sin(3.0 * X.sum(axis=1, keepdims=True)) + 0.05 * X**2,
+        2, 2, name="wave")
+    tilt = GridFunction(lambda X: np.cos(X[:, ::-1]) * X[:, :1], 2, 2, name="tilt")
+    return {
+        # the escape iterate of the blend constructions: s_iter on the stack
+        "1d": (apply(CompositionOperator(leaky, 1.0), GridFunction.from_scalar(
+            np.sin, name="sin"), 2), GridFunction.identity(),
+            GridSpec(points_per_axis=301)),
+        "2d": (GridFunction(lambda X: np.sin(X[:, :1] * X[:, 1:]), 2, 1),
+               GridFunction(lambda X: 0.01 * (X**2).sum(axis=1), 2, 1),
+               GridSpec(dim_in=2, points_per_axis=151)),
+        "dim_out_2": (wave, tilt, GridSpec(dim_in=2, dim_out=2, points_per_axis=151)),
+    }
+
+
+class TestDuccBatches:
+    @pytest.mark.parametrize("terms", [1, 3, 20])
+    @pytest.mark.parametrize("case", ["1d", "2d", "dim_out_2"])
+    def test_equals_term_by_term(self, case, terms):
+        f, g, grid = ducc_cases()[case]
+        want = ducc_term_by_term(f, g, terms, grid)
+        assert want > 0.0
+        assert d_ucc(f, g, terms, grid) == want
+        assert d_ucc(g, f, terms, grid) == ducc_term_by_term(g, f, terms, grid)
+
+    def test_first_non_finite_term_raises_as_the_loop(self, grid_1d):
+        # NaN only on [-5, 5] minus [-4, 4]: terms 1-4 are finite, k = 5 is not
+        holed = GridFunction.from_scalar(
+            lambda x: np.where((np.abs(x) > 4.0) & (np.abs(x) <= 5.0), np.nan, x))
+        with pytest.raises(NonFiniteValueError) as want:
+            ducc_term_by_term(holed, ZERO, 20, grid_1d)
+        with pytest.raises(NonFiniteValueError) as got:
+            d_ucc(holed, ZERO, 20, grid_1d)
+        assert "computing d_ucc term k=5" in str(got.value)
+        assert str(got.value) == str(want.value)
+        assert got.value.point == want.value.point
+        assert 4.0 < abs(got.value.point[0]) <= 5.0
+        assert np.isnan(got.value.value[0]) and np.isnan(want.value.value[0])
+
+    def test_one_sample_call_per_function_on_one_input(self, sin_fn, cos_fn):
+        f_sizes, g_sizes = [], []
+        grid = GridSpec(points_per_axis=301)
+        d_ucc(counted(sin_fn, f_sizes), counted(cos_fn, g_sizes), 20, grid)
+        assert f_sizes == g_sizes == [20 * 301]
+
+    def test_two_input_calls_stay_within_the_batch(self):
+        sizes = []
+        grid = GridSpec(dim_in=2, points_per_axis=151)
+        f = GridFunction(lambda X: X[:, :1] * X[:, 1:], 2, 1)
+        d_ucc(counted(f, sizes), GridFunction.zero(dim_in=2), 20, grid)
+        assert max(sizes) <= DUCC_BATCH_POINTS
+        assert len(sizes) == -(-20 // (DUCC_BATCH_POINTS // 151**2))
+        assert sum(sizes) == 20 * 151**2
 
 
 class TestLpNorm:
