@@ -81,11 +81,11 @@ def _vector(value) -> np.ndarray:
 
 # bounds on |f''| off 0: gauss_linear's is about 1.952, expabs kinks at 0
 _SCALAR_FUNCTIONS = {
-    "sin": (np.sin, False, 1.0),
-    "cos": (np.cos, False, 1.0),
-    "gauss": (lambda x: np.exp(-(x**2)), False, 2.0),
-    "expabs": (lambda x: np.exp(-np.abs(x)), False, 1.0),
-    "gauss_linear": (lambda x: x * np.exp(-(x**2)) + x, True, 2.0),
+    "sin": (np.sin, 1.0),
+    "cos": (np.cos, 1.0),
+    "gauss": (lambda x: np.exp(-(x**2)), 2.0),
+    "expabs": (lambda x: np.exp(-np.abs(x)), 1.0),
+    "gauss_linear": (lambda x: x * np.exp(-(x**2)) + x, 2.0),
 }
 
 
@@ -98,9 +98,8 @@ def _parse_function(cfg) -> GridFunction:
     if kind == "identity":
         return GridFunction.identity()
     if kind in _SCALAR_FUNCTIONS:
-        fn, unbounded, curvature = _SCALAR_FUNCTIONS[kind]
-        return GridFunction.from_scalar(fn, name=kind, unbounded=unbounded,
-                                        curvature=curvature)
+        fn, curvature = _SCALAR_FUNCTIONS[kind]
+        return GridFunction.from_scalar(fn, name=kind, curvature=curvature)
     if kind == "const":
         return GridFunction.constant(cfg["value"])
     if kind == "tree":
@@ -148,7 +147,7 @@ def _parse_activation(cfg) -> act.ActivationSpec:
 
 
 def _run_check_activation(params: dict, seed: int):
-    sigma = _parse_activation(params.get("activation") or params.get("name"))
+    sigma = _parse_activation(params.get("activation"))
     verdict = act.classify(sigma)
     return (
         {
@@ -165,7 +164,7 @@ def _run_check_activation(params: dict, seed: int):
 
 
 def _run_escape(params: dict, seed: int):
-    sigma = _parse_activation(params.get("activation") or params.get("name"))
+    sigma = _parse_activation(params.get("activation"))
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
     k_radius = _num(params, "K_radius")
@@ -363,8 +362,8 @@ _HANDLERS = {
 # solver the exact LP replaced; limitation-demo's c_step spaced the
 # constants of the search the closed form replaced.
 _PARAMS = {
-    "check-activation": ("activation name", ""),
-    "escape": ("activation name b K_radius guard_radius max_N", ""),
+    "check-activation": ("activation", ""),
+    "escape": ("activation b K_radius guard_radius max_N", ""),
     "transitivity-demo": ("activation b g f eps delta metric mu fit", ""),
     "constrained-fit": ("activation b f eps fit constraints witness f_hat delta", ""),
     "omega-approx": ("f weights eps fit measure_radius csv_points", ""),

@@ -1,5 +1,6 @@
-"""Iterated composition with a frozen activation layer, and the constructive
-transitivity certificates built on the escape of compact cubes.
+"""Iterated composition with a frozen identity+shift activation layer,
+x -> sigma•(x + b), and the constructive transitivity certificates built on
+the escape of compact cubes.
 
 The certificate algorithm: pick the cube [-k0, k0]^m large enough that the
 truncated-series tail is below half the requested tolerances, find the first
@@ -58,39 +59,22 @@ MAX_N = 10_000         # escape steps before NoEscapeError
 
 @dataclass(frozen=True)
 class CompositionOperator:
-    """f -> f o sigma•(A x + b); A=None means the identity matrix.
-
-    With A=None every shift component must be strictly positive (that is the
-    regime in which injective fixed-point-free activations make the iterated
-    cube escape every compact).
-    """
+    """f -> f o sigma•(x + b), with every shift component strictly positive
+    (the regime in which injective fixed-point-free activations make the
+    iterated cube escape every compact)."""
 
     activation: ActivationSpec
     b: np.ndarray
-    A: Optional[np.ndarray] = None
 
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
         object.__setattr__(self, "b", b)
-        if self.A is None:
-            if not np.all(b > 0):
-                raise PreconditionError(
-                    "identity-matrix operators need strictly positive shifts"
-                )
-        else:
-            A = np.asarray(self.A, dtype=np.float64)
-            if A.shape != (b.size, b.size):
-                raise DimensionMismatchError(
-                    f"A must be {b.size}x{b.size}, got {A.shape}"
-                )
-            object.__setattr__(self, "A", A)
+        if not np.all(b > 0):
+            raise PreconditionError("operators need strictly positive shifts")
 
     @property
     def dim(self) -> int:
         return self.b.size
-
-    def step(self, points: np.ndarray) -> np.ndarray:
-        return self.iterate(points, 1)
 
     def iterate(self, points: np.ndarray, n: int) -> np.ndarray:
         """S^n(points) for points of shape (N, m)."""
@@ -99,18 +83,11 @@ class CompositionOperator:
             x = x[:, None]
         if n == 0:
             return x.copy()
-        if self.A is None:
-            edges, kinds, par, _ = self.activation._table
-            return K.s_iter(edges, kinds, par, x, self.b, int(n))
-        out = x.copy()
-        for _ in range(int(n)):
-            out = self.activation(out @ self.A.T + self.b)
-        return out
+        edges, kinds, par, _ = self.activation._table
+        return K.s_iter(edges, kinds, par, x, self.b, int(n))
 
     def inverse_iterate(self, points: np.ndarray, n: int) -> np.ndarray:
-        """S^{-n}(points); requires A=None and an (Lp-)transitive activation."""
-        if self.A is not None:
-            raise PreconditionError("inverse iteration is offered for A=identity")
+        """S^{-n}(points); requires an (Lp-)transitive activation."""
         y = np.asarray(points, dtype=np.float64)
         if y.ndim == 1:
             y = y[:, None]
@@ -140,22 +117,6 @@ def apply(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
         f.dim_in,
         f.dim_out,
         name=f"{f.name}∘S^{n}",
-        unbounded=f.unbounded,
-    )
-
-
-def _box_step(op: CompositionOperator, lo: np.ndarray, hi: np.ndarray):
-    """Propagate the box [lo, hi] through one step (coordinatewise monotone)."""
-    if op.A is None:
-        pair = op.iterate(np.stack([lo, hi]), 1)
-        return pair[0], pair[1]
-    a_pos = np.maximum(op.A, 0.0)
-    a_neg = np.minimum(op.A, 0.0)
-    z_lo = a_pos @ lo + a_neg @ hi + op.b
-    z_hi = a_pos @ hi + a_neg @ lo + op.b
-    return (
-        np.asarray(op.activation(z_lo), dtype=np.float64),
-        np.asarray(op.activation(z_hi), dtype=np.float64),
     )
 
 
@@ -178,14 +139,11 @@ def _escape(op: CompositionOperator, K_radius: float, guard: float,
             f"{op.activation.name} has fixed points with sign changes "
             f"(witness {verdict.witness}); the iterated cube need not escape"
         )
-    if op.A is not None:
-        if np.linalg.matrix_rank(op.A) < op.dim:
-            raise PreconditionError("A must be of full rank")
     m = op.dim
     lo = np.full(m, -float(K_radius))
     hi = np.full(m, float(K_radius))
     for n in range(1, int(max_N) + 1):
-        lo, hi = _box_step(op, lo, hi)
+        lo, hi = op.iterate(np.stack([lo, hi]), 1)
         if np.any(lo > guard) or np.any(hi < -guard):
             return n, lo, hi
     raise NoEscapeError(int(max_N))
@@ -196,10 +154,11 @@ def escape_time(op: CompositionOperator, K_radius: float,
                 max_N: int = MAX_N) -> int:
     """Smallest N with S^N([-K, K]^m) disjoint from the guard cube.
 
-    For A=identity and a monotone activation the cube image is exactly the
-    box spanned by the two corner iterates; for general full-rank A the box
-    is propagated by interval arithmetic, a sound over-approximation that may
-    overestimate N.  Raises NoEscapeError after max_N steps.
+    The activation must be injective with no sign-changing fixed point, so
+    it is increasing (a decreasing map has a fixed point) and each step
+    maps the box [lo, hi] exactly onto the box between the images of its
+    two corners: N is exact, not an over-approximation.  Raises
+    NoEscapeError after max_N steps.
     """
     guard = K_radius if guard_radius is None else float(guard_radius)
     return _escape(op, K_radius, guard, max_N)[0]
@@ -289,7 +248,6 @@ def _blend(g: GridFunction, f: GridFunction, op: CompositionOperator, n: int,
 
     return GridFunction(
         sample, g.dim_in, g.dim_out, name=f"blend[{g.name}->{f.name}]",
-        unbounded=g.unbounded or f.unbounded,
     )
 
 
@@ -308,8 +266,6 @@ def _ucc_gate(op: CompositionOperator, g: GridFunction, f: GridFunction,
     default grid when it is None."""
     if eps <= 0 or delta <= 0:
         raise PreconditionError("tolerances must be positive")
-    if op.A is not None:
-        raise PreconditionError("the blend construction needs A=identity")
     verdict = classify(op.activation)
     if verdict.kind != "Transitive":
         raise PreconditionError(
@@ -320,8 +276,7 @@ def _ucc_gate(op: CompositionOperator, g: GridFunction, f: GridFunction,
     if f.dim_in != op.dim or g.dim_in != op.dim or f.dim_out != g.dim_out:
         raise DimensionMismatchError("operator/function dimensions do not agree")
     if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out,
-                        points_per_axis=UCC_POINTS)
+        grid = GridSpec(dim_in=f.dim_in, points_per_axis=UCC_POINTS)
     return grid
 
 
@@ -453,8 +408,8 @@ def l1_transitive_approximant(
     """
     if eps <= 0 or delta <= 0:
         raise PreconditionError("eps and delta must be positive")
-    if op.A is not None or op.dim != 1:
-        raise PreconditionError("the L1 construction is offered for m=1, A=identity")
+    if op.dim != 1:
+        raise PreconditionError("the L1 construction is offered for m=1")
     verdict = classify(op.activation)
     if verdict.kind not in ("Transitive", "LpTransitiveOnly"):
         raise PreconditionError(
@@ -477,7 +432,7 @@ def l1_transitive_approximant(
             (), (), op.activation.name, tuple(op.b),
         )
 
-    probe = GridSpec(dim_in=1, dim_out=f.dim_out, points_per_axis=4001)
+    probe = GridSpec(dim_in=1, points_per_axis=4001)
     bound = max(
         sup_norm_on_ball(f, max_radius, probe),
         sup_norm_on_ball(g, max_radius, probe),

@@ -49,31 +49,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform evaluation grid: [-radius, radius]^dim_in, points_per_axis each way.
+    """Uniform evaluation grid: points_per_axis each way over the cubes
+    [-h, h]^dim_in.
 
     When ``points_per_axis`` is odd the grid contains the origin.
     """
 
     dim_in: int = 1
-    dim_out: int = 1
     points_per_axis: int = 401
-    radius: float = 1.0
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
+        if self.dim_in < 1:
             raise ValueError("dimensions must be positive")
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be >= 2")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
 
-    def axis(self, half_width: Optional[float] = None) -> np.ndarray:
-        r = self.radius if half_width is None else float(half_width)
-        return np.linspace(-r, r, self.points_per_axis)
-
-    def cube_points(self, half_width: Optional[float] = None) -> np.ndarray:
+    def cube_points(self, half_width: float) -> np.ndarray:
         """All grid points of the cube [-h, h]^m as an (n_points, m) array."""
-        ax = self.axis(half_width)
+        ax = np.linspace(-float(half_width), float(half_width), self.points_per_axis)
         m = self.dim_in
         if m == 1:
             return ax[:, None]
@@ -81,32 +74,6 @@ class GridSpec:
             raise ValueError("grids beyond 3 axes are not supported at desk scale")
         grids = np.meshgrid(*([ax] * m), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
-
-    def refined(self, factor: int = 2) -> "GridSpec":
-        """Same cube, ``factor`` times as many intervals per axis."""
-        return GridSpec(
-            self.dim_in,
-            self.dim_out,
-            (self.points_per_axis - 1) * factor + 1,
-            self.radius,
-        )
-
-    def to_config(self) -> dict:
-        return {
-            "dim_in": self.dim_in,
-            "dim_out": self.dim_out,
-            "points_per_axis": self.points_per_axis,
-            "radius": self.radius,
-        }
-
-    @staticmethod
-    def from_config(cfg: dict) -> "GridSpec":
-        return GridSpec(
-            int(cfg["dim_in"]),
-            int(cfg["dim_out"]),
-            int(cfg["points_per_axis"]),
-            float(cfg["radius"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +84,8 @@ class GridSpec:
 class GridFunction:
     """A total map R^m -> R^n backed by a vectorized closure.
 
-    ``fn`` maps an (N, m) float array to an (N, n) float array.  Functions
-    that legitimately grow without bound (e.g. the identity) should set
-    ``unbounded=True`` so the weighted-norm machinery reports divergence
-    instead of raising on overflow.  ``curvature``, where known, bounds
-    |f''| off 0 (a kink of f may sit at 0): the interpolating fits choose
+    ``fn`` maps an (N, m) float array to an (N, n) float array.
+    ``curvature``, where known, bounds |f''| off 0 (a kink of f may sit at 0): the interpolating fits choose
     their knot spacing from it, and always place a knot at 0.
     """
 
@@ -129,7 +93,6 @@ class GridFunction:
     dim_in: int = 1
     dim_out: int = 1
     name: str = ""
-    unbounded: bool = False
     curvature: Optional[float] = None
 
     def sample(self, points: np.ndarray) -> np.ndarray:
@@ -164,7 +127,6 @@ class GridFunction:
             self.dim_in,
             self.dim_out,
             name=f"({self.name}+{other.name})",
-            unbounded=self.unbounded or other.unbounded,
         )
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
@@ -174,7 +136,6 @@ class GridFunction:
             self.dim_in,
             self.dim_out,
             name=f"({self.name}-{other.name})",
-            unbounded=self.unbounded or other.unbounded,
         )
 
     def __rmul__(self, c: float) -> "GridFunction":
@@ -184,13 +145,11 @@ class GridFunction:
             self.dim_in,
             self.dim_out,
             name=f"({c}*{self.name})",
-            unbounded=self.unbounded,
         )
 
     # constructors ---------------------------------------------------------
     @staticmethod
     def from_scalar(fn: Callable[[np.ndarray], np.ndarray], name: str = "",
-                    unbounded: bool = False,
                     curvature: Optional[float] = None) -> "GridFunction":
         """Wrap a vectorized scalar map R -> R."""
         return GridFunction(
@@ -198,7 +157,6 @@ class GridFunction:
             1,
             1,
             name=name,
-            unbounded=unbounded,
             curvature=curvature,
         )
 
@@ -226,7 +184,7 @@ class GridFunction:
     @staticmethod
     def identity(dim: int = 1) -> "GridFunction":
         return GridFunction(lambda X: X.copy(), dim, dim, name="id",
-                            unbounded=True, curvature=0.0)
+                            curvature=0.0)
 
 
 def _check_same_dims(f: GridFunction, g: GridFunction) -> None:
@@ -542,7 +500,7 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out)
+        grid = GridSpec(dim_in=f.dim_in)
     size = grid.points_per_axis ** grid.dim_in
     per_call = max(1, DUCC_BATCH_POINTS // size)
     total = 0.0
@@ -602,7 +560,7 @@ def sup_norm_on_ball(f: GridFunction, radius: float,
     if not radius > 0:
         raise ValueError("radius must be positive")
     if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out)
+        grid = GridSpec(dim_in=f.dim_in)
     pts = grid.cube_points(radius)
     if f.dim_in > 1:
         pts = pts[np.linalg.norm(pts, axis=1) <= radius]
@@ -617,27 +575,26 @@ class WeightedSupResult:
     diverged: bool
     radius_reached: float
 
-    def __float__(self):
-        return self.value
 
-
-SUP_STABLE_TOL = 1e-3  # growth of the running sup that counts as stable
-SUP_MAX_RADIUS = 1e6   # ball radius past which a growing sup has diverged
+SUP_STABLE_TOL = 1e-3   # growth of the running sup that counts as stable
+SUP_START_RADIUS = 1.0  # radius of the first ball
+SUP_MAX_RADIUS = 1e6    # ball radius past which a growing sup has diverged
 
 
 def weighted_sup_norm(f: GridFunction, omega: Callable,
                       grid: Optional[GridSpec] = None) -> WeightedSupResult:
-    """Running supremum of ||f(x)|| / (omega(||x||) + 1) over expanding balls.
+    """Running supremum of ||f(x)|| / (omega(||x||) + 1) over expanding cubes.
 
-    The ball radius doubles until the supremum stabilizes within
+    Each cube [-r, r]^m is sampled on ``grid``'s points per axis.  The
+    radius r starts at ``SUP_START_RADIUS`` and doubles until the supremum stabilizes within
     ``SUP_STABLE_TOL`` over two consecutive doublings (convergence of the
     running sup alone can be deceptive when the maximizer migrates outward)
     or ``SUP_MAX_RADIUS`` is passed while the supremum still grows
     (``diverged=True``).  Non-finite ratios also flag divergence.
     """
     if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out)
-    radius = max(grid.radius, 1.0)
+        grid = GridSpec(dim_in=f.dim_in)
+    radius = SUP_START_RADIUS
     prev = None
     running = 0.0
     stable = 0

@@ -145,8 +145,7 @@ class FeedForwardNet:
 
     def as_gridfunction(self, name: str = "") -> GridFunction:
         return GridFunction(
-            self.sample, self.dim_in, self.dim_out,
-            name=name or "net", unbounded=True,
+            self.sample, self.dim_in, self.dim_out, name=name or "net",
         )
 
 
@@ -182,15 +181,10 @@ def stack(net: FeedForwardNet, front_layers: Sequence[AffineLayer]) -> FeedForwa
 @dataclass(frozen=True)
 class FitConfig:
     """Settings of the shallow fits.  ``width`` caps the hidden units;
-    ``region`` is the least half-width of a fit that has no escaped box.
-    ``grid_points``, ``seed`` and ``ridge`` are accepted so that older
-    configs still run; the fits ignore them."""
+    ``region`` is the least half-width of a fit that has no escaped box."""
 
     width: int = 256
     region: float = 1.0
-    grid_points: int = 2001
-    seed: int = 0
-    ridge: float = 1e-9
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,10 @@ LIMIT_POINTS = 6001     # grid points of the limitation demo's sup distance
 @dataclass(frozen=True)
 class OmegaTransformParams:
     """Envelope parameters: offset level a > 0 and ball parameter b > 0
-    (inside region ||x||^2 < b).  ``omega=None`` means the unit weight."""
+    (inside region ||x||^2 < b)."""
 
     a: float
     b: float
-    omega: Optional[Callable] = None
 
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
@@ -76,8 +75,7 @@ def bump_transform(g: GridFunction, params: OmegaTransformParams) -> GridFunctio
     a e^{-|g(x)|(||x||-sqrt(b))} outside (|.| componentwise).
 
     Both sides tend to the constant a at the boundary, so the result is
-    continuous.  With a non-unit weight in ``params`` the result is scaled by
-    (omega(||x||)+1).
+    continuous.
     """
     a, b = params.a, params.b
     sqrt_b = float(np.sqrt(b))
@@ -97,8 +95,6 @@ def bump_transform(g: GridFunction, params: OmegaTransformParams) -> GridFunctio
                 -np.abs(vals[~inside]) * (r[~inside] - sqrt_b)[:, None]
             )
             out[~inside] = a * decay
-        if params.omega is not None:
-            out = out * (np.asarray(params.omega(r)) + 1.0)[:, None]
         return out
 
     return GridFunction(
@@ -161,7 +157,7 @@ def approximate_vanishing(
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=GRID_POINTS)
+    grid = GridSpec(dim_in=f.dim_in, points_per_axis=GRID_POINTS)
 
     radius = 1.0
     while _shell_sup(f, radius, grid) > eps / 2.0:
@@ -209,7 +205,7 @@ def phi_omega(f: GridFunction, omega: Callable) -> GridFunction:
         return f.sample(X) * (np.asarray(omega(r)) + 1.0)[:, None]
 
     return GridFunction(sample, f.dim_in, f.dim_out,
-                        name=f"weighted[{f.name}]", unbounded=True)
+                        name=f"weighted[{f.name}]")
 
 
 def psi_omega(f: GridFunction, omega: Callable) -> GridFunction:
@@ -220,7 +216,7 @@ def psi_omega(f: GridFunction, omega: Callable) -> GridFunction:
         return f.sample(X) / (np.asarray(omega(r)) + 1.0)[:, None]
 
     return GridFunction(sample, f.dim_in, f.dim_out,
-                        name=f"deweighted[{f.name}]", unbounded=f.unbounded)
+                        name=f"deweighted[{f.name}]")
 
 
 @dataclass(frozen=True)
@@ -265,9 +261,8 @@ def approximate_growth(
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out, points_per_axis=GRID_POINTS)
-    norm_grid = GridSpec(dim_in=f.dim_in, dim_out=f.dim_out,
-                         points_per_axis=NORM_POINTS, radius=1.0)
+    grid = GridSpec(dim_in=f.dim_in, points_per_axis=GRID_POINTS)
+    norm_grid = GridSpec(dim_in=f.dim_in, points_per_axis=NORM_POINTS)
 
     flags: dict = {}
     candidates = []
@@ -362,7 +357,7 @@ def demonstrate_limitation(
     functions stays at sup distance >= 1/2 from this bounded non-constant
     target.  Unbounded samples are reported with an infinite error.
     """
-    pts = GridSpec(dim_in=1, dim_out=1, points_per_axis=LIMIT_POINTS).cube_points(x_radius)
+    pts = GridSpec(points_per_axis=LIMIT_POINTS).cube_points(x_radius)
     target = np.exp(-np.linalg.norm(pts, axis=1))
     hi, lo = float(np.max(target)), float(np.min(target))
 

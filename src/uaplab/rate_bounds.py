@@ -52,16 +52,6 @@ class PushforwardReport:
     kappa_check: bool
     witness_interval: Optional[tuple] = None
 
-    def to_config(self) -> dict:
-        return {
-            "norm_value": self.norm_value,
-            "well_defined": self.well_defined,
-            "kappa_check": self.kappa_check,
-            "witness_interval": list(self.witness_interval)
-            if self.witness_interval
-            else None,
-        }
-
 
 def pushforward_density_norm(sigma: ActivationSpec, b: float,
                              mu: Measure1D) -> PushforwardReport:
@@ -319,8 +309,7 @@ class RateSweepTable:
 
 def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
                n_values: Sequence[int], N: int, op, seed: int = 0,
-               quad_nodes: int = 2001, max_iter: int = 1500,
-               restarts: int = 4) -> RateSweepTable:
+               quad_nodes: int = 2001) -> RateSweepTable:
     """Residual of the best simplex combination of n iterated basis draws.
 
     Emits, next to each residual, three reference curves at depth N: the
@@ -338,8 +327,6 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     rise.  Each row carries the LP's status, gap, iterations and cell
     count, and ``degenerate`` when its residual is no better than
     predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
-    ``max_iter`` and ``restarts`` are accepted for old configurations and
-    ignored.
     """
     from .depth_dynamics import apply  # local import to avoid a cycle
 

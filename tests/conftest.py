@@ -22,7 +22,7 @@ def leaky_rescaled():
 
 @pytest.fixture
 def grid_1d():
-    return GridSpec(dim_in=1, dim_out=1, points_per_axis=201)
+    return GridSpec(dim_in=1, points_per_axis=201)
 
 
 @pytest.fixture

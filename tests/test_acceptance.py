@@ -25,6 +25,7 @@ from uaplab import free_space as fs
 from uaplab import omega_modification as om
 from uaplab import rate_bounds as rb
 from uaplab.function_space import (
+    SUP_START_RADIUS,
     GridFunction,
     GridSpec,
     Weight,
@@ -142,7 +143,7 @@ def test_criterion_05_constrained_assembly():
     op = dd.CompositionOperator(act.by_name("leaky_shifted_paper"), np.array([1.0]))
     ident = GridFunction.identity()
     cosine = GridFunction.from_scalar(np.cos, name="cos")
-    fit = FitConfig(width=512, region=1.0, grid_points=4001, seed=0, ridge=1e-9)
+    fit = FitConfig(width=512, region=1.0)
     rep = ca.assemble_prescribed(ident, cosine, 0.1, 0.1, op, fit)
     frozen = rep.full_net.layers[: rep.split_index]
     identity_frozen = all(np.array_equal(l.matrix, np.eye(1)) for l in frozen)
@@ -170,10 +171,10 @@ def test_criterion_05_constrained_assembly():
 def test_criterion_06_weighted_approximation():
     start = time.perf_counter()
     f = GridFunction.from_scalar(
-        lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear", unbounded=True
+        lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
     )
     family = WeightFamily((Weight.unit(), Weight.power(1), Weight.max_t_power(2)))
-    fit = FitConfig(width=512, region=1.0, grid_points=4001, seed=0, ridge=1e-9)
+    fit = FitConfig(width=512, region=1.0)
     result, rep = om.approximate_growth(f, family, 0.1, fit, measure_radius=30.0)
     pts = np.linspace(-30.0, 30.0, 6001)[:, None]
     w = [w for w in family.weights if w.kind == rep.weight_kind][0]
@@ -224,7 +225,7 @@ def test_criterion_09_rate_sweep():
     table = rb.rate_sweep(
         rb.trees_basis_family(), target, mu,
         [4, 8, 16, 32, 64, 128, 256], 0, op,
-        seed=0, quad_nodes=2001, max_iter=1500,
+        seed=0, quad_nodes=2001,
     )
     res = [row["residual"] for row in table.rows]
     reference = [(1.0 + math.sqrt(2.0)) / math.sqrt(row["n"]) for row in table.rows]
@@ -261,7 +262,7 @@ def test_criterion_10_isometry_suites():
             lifted = om.phi_omega(f, w) - om.phi_omega(g, w)
             res = weighted_sup_norm(lifted, w, grid)
             radii = []
-            r = max(grid.radius, 1.0)
+            r = SUP_START_RADIUS
             while r <= res.radius_reached:
                 radii.append(r)
                 r *= 2.0

@@ -273,7 +273,12 @@ def test_computation_failure_exits_1(tmp_path):
      "params.search_radius"),
     ("constrained-fit", dict(SMALL_CONFIGS["constrained-fit"],
                              fit={"width": 256, "widht": 512}), "params.fit.widht"),
-], ids=["escape-max_n", "check-activation-search_radius", "fit-typo"])
+    # "name" is no alias of "activation"
+    ("check-activation", {"activation": "relu", "name": "relu"}, "params.name"),
+    ("escape", {"activation": "leaky_shifted_paper", "K_radius": 2.0,
+                "name": "relu"}, "params.name"),
+], ids=["escape-max_n", "check-activation-search_radius", "fit-typo",
+        "check-activation-name", "escape-name"])
 def test_unknown_key_exits_2(tmp_path, command, params, field):
     cfg = write_config(tmp_path, "bad", params)
     r = run_cli(command, cfg, tmp_path / "o")
@@ -335,3 +340,74 @@ def test_empty_fit_object_runs_the_default_fit(tmp_path, fit, fitted):
     run_in_process(tmp_path, "transitivity-demo", params, 0)
     written = json.loads((tmp_path / "0" / "result.json").read_text())["outputs"]
     assert ({"knots", "h", "M", "a_priori_bound"} <= set(written)) == fitted
+
+
+RATE_SWEEP = {k: v for k, v in SMALL_CONFIGS["rate-sweep"].items()
+              if k not in ("max_iter", "restarts")}
+
+
+@pytest.mark.parametrize("command, params, ignored", [
+    ("rate-sweep", RATE_SWEEP, [{"max_iter": 1, "restarts": 1},
+                                {"max_iter": 5000, "restarts": 9}]),
+    ("limitation-demo", {"x_radius": 20.0}, [{"c_step": 0.05}, {"c_step": 1.0}]),
+], ids=["rate-sweep", "limitation-demo"])
+def test_ignored_keys_leave_outputs_unchanged(tmp_path, command, params, ignored):
+    want = run_in_process(tmp_path / "absent", command, params, 11)
+    for i, extra in enumerate(ignored):
+        got = run_in_process(tmp_path / str(i), command, dict(params, **extra), 11)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+class RecordingParams(dict):
+    """params that records every key a handler looks up."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.seen = set()
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def test_key_table_matches_the_keys_handlers_read():
+    from test_acceptance import CLI_CONFIGS
+    from uaplab import cli
+    from uaplab.errors import UaplabError
+
+    extra = [
+        ("transitivity-demo", {
+            "activation": "leaky_rescaled_paper", "b": 1.0, "g": "zero",
+            "f": {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]},
+            "eps": 0.1, "delta": 0.1, "metric": "l1",
+            "mu": {"density_kind": "gaussian", "params": {}},
+        }),
+        ("constrained-fit", {
+            "activation": "leaky_shifted_paper", "b": 1.0, "f": "cos",
+            "witness": "zero", "eps": 0.1, "fit": {"width": 256},
+            "constraints": [{"kind": "sup_on_ball", "radius": 1.0,
+                             "threshold": 0.5}],
+        }),
+    ]
+    runs = (list(CLI_CONFIGS.items()) + [(c, {}) for c in cli.COMMANDS]
+            + extra)
+    seen = {command: set() for command in cli.COMMANDS}
+    for command, params in runs:
+        recorder = RecordingParams(params)
+        try:
+            cli._HANDLERS[command](recorder, 0)
+        except UaplabError:  # a default config may lack a required key
+            pass
+        seen[command] |= recorder.seen
+    for command in cli.COMMANDS:
+        read = set(cli._PARAMS[command][0].split())
+        assert seen[command] <= read, (command, "read but not in the table")
+        assert read <= seen[command], (command, "in the table but never read")

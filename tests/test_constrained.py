@@ -11,7 +11,7 @@ from uaplab.errors import FitBudgetError, PreconditionError
 from uaplab.function_space import GridFunction, GridSpec, sup_norm_on_ball
 from uaplab.network import FeedForwardNet, FitConfig, net_from_config, net_to_config
 
-FIT = FitConfig(width=512, region=1.0, grid_points=4001, seed=0, ridge=1e-9)
+FIT = FitConfig(width=512, region=1.0)
 
 
 @pytest.fixture
@@ -122,7 +122,7 @@ class TestConstrainedWidth:
         con = ca.ConstraintFunctional(
             lambda h: sup_norm_on_ball(h, 1.0, grid), 0.5, "sup_on_ball[1]"
         )
-        fit = FitConfig(width=width, grid_points=2001)
+        fit = FitConfig(width=width)
         return ca.assemble_constrained(
             [con], GridFunction.zero(), cos_fn, 0.1, op, fit
         )

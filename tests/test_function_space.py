@@ -12,6 +12,7 @@ from uaplab.depth_dynamics import CompositionOperator, apply
 from uaplab.errors import DimensionMismatchError, NonFiniteValueError, QuadratureError
 from uaplab.function_space import (
     DUCC_BATCH_POINTS,
+    SUP_START_RADIUS,
     GridFunction,
     _ensure_finite,
     _ndtr,
@@ -43,16 +44,6 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(points_per_axis=1)
-        with pytest.raises(ValueError):
-            GridSpec(radius=0.0)
-
-    def test_round_trip_config(self):
-        g = GridSpec(2, 3, 65, 4.0)
-        assert GridSpec.from_config(g.to_config()) == g
-
-    def test_refined_doubles_resolution(self):
-        g = GridSpec(points_per_axis=101)
-        assert g.refined(2).points_per_axis == 201
 
 
 class TestDucc:
@@ -91,7 +82,6 @@ class TestDucc:
             f, g, h = (
                 GridFunction.from_scalar(
                     lambda x, ci=ci: ci[0] + ci[1] * x + ci[2] * x**2,
-                    unbounded=True,
                 )
                 for ci in c
             )
@@ -148,7 +138,7 @@ def ducc_cases():
         "2d": (GridFunction(lambda X: np.sin(X[:, :1] * X[:, 1:]), 2, 1),
                GridFunction(lambda X: 0.01 * (X**2).sum(axis=1), 2, 1),
                GridSpec(dim_in=2, points_per_axis=151)),
-        "dim_out_2": (wave, tilt, GridSpec(dim_in=2, dim_out=2, points_per_axis=151)),
+        "dim_out_2": (wave, tilt, GridSpec(dim_in=2, points_per_axis=151)),
     }
 
 
@@ -216,7 +206,7 @@ class TestLpNorm:
             with np.errstate(divide="ignore"):
                 return 1.0 / np.abs(x) ** 8
 
-        pole = GridFunction.from_scalar(pole_fn, unbounded=True)
+        pole = GridFunction.from_scalar(pole_fn)
         with pytest.raises(QuadratureError):
             lp_norm(pole, mu, 2.0, quad_nodes=1001)
 
@@ -241,9 +231,9 @@ class TestLpNorm:
 
     def test_sup_norm_two_axes_ball_mask(self):
         f = GridFunction(
-            lambda X: np.linalg.norm(X, axis=1)[:, None], 2, 1, unbounded=True
+            lambda X: np.linalg.norm(X, axis=1)[:, None], 2, 1
         )
-        grid = GridSpec(dim_in=2, dim_out=1, points_per_axis=151)
+        grid = GridSpec(dim_in=2, points_per_axis=151)
         # the cube corners are masked out: sup over the ball is the radius
         assert sup_norm_on_ball(f, 2.0, grid) <= 2.0 + 1e-12
         assert sup_norm_on_ball(f, 2.0, grid) >= 1.99
@@ -275,7 +265,7 @@ class TestWeightedSup:
         assert 0.99 <= res.value < 1.0  # approaches 1 from below
 
     def test_square_over_t_diverges(self):
-        sq = GridFunction.from_scalar(lambda x: x**2, unbounded=True)
+        sq = GridFunction.from_scalar(lambda x: x**2)
         assert weighted_sup_norm(sq, Weight.power(1)).diverged
 
     def test_unit_weight_is_half_sup(self, sin_fn):
@@ -284,7 +274,7 @@ class TestWeightedSup:
         grid = GridSpec(points_per_axis=301)
         res = weighted_sup_norm(sin_fn, Weight.unit(), grid)
         radii = []
-        r = max(grid.radius, 1.0)
+        r = SUP_START_RADIUS
         while r <= res.radius_reached:
             radii.append(r)
             r *= 2.0

@@ -7,6 +7,7 @@ import pytest
 from uaplab import omega_modification as om
 from uaplab.errors import NoControllingWeightError, PreconditionError
 from uaplab.function_space import (
+    SUP_START_RADIUS,
     GridFunction,
     GridSpec,
     Weight,
@@ -16,12 +17,12 @@ from uaplab.function_space import (
 )
 from uaplab.network import FitConfig
 
-FIT = FitConfig(width=256, region=1.0, grid_points=2001, seed=0, ridge=1e-9)
+FIT = FitConfig(width=256, region=1.0)
 
 
-def _doubling_radii(grid, reached):
+def _doubling_radii(reached):
     radii = []
-    r = max(grid.radius, 1.0)
+    r = SUP_START_RADIUS
     while r <= reached:
         radii.append(r)
         r *= 2.0
@@ -56,12 +57,6 @@ class TestBumpTransform:
             assert abs(inner - 0.25) < 0.05 * d / 1e-6 + 1e-2
         assert abs(out(boundary - 1e-8) - 0.25) < 1e-6
         assert abs(out(boundary + 1e-8) - 0.25) < 1e-6
-
-    def test_weight_scaling_applied(self):
-        params = om.OmegaTransformParams(a=1.0, b=1.0, omega=Weight.power(1))
-        out = om.bump_transform(GridFunction.zero(), params)
-        # outside: a * e^0 * (|x|+1)
-        assert out(3.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -146,7 +141,7 @@ class TestWeightMaps:
                 res = weighted_sup_norm(lifted, w, grid)
                 plain = max(
                     sup_norm_on_ball(f - g, r, grid)
-                    for r in _doubling_radii(grid, res.radius_reached)
+                    for r in _doubling_radii(res.radius_reached)
                 )
                 assert res.value == pytest.approx(plain, abs=1e-9)
 
@@ -164,9 +159,9 @@ class TestApproximateGrowth:
 
     def test_linear_growth_target(self):
         f = GridFunction.from_scalar(
-            lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear", unbounded=True
+            lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
         )
-        fit = FitConfig(width=512, region=1.0, grid_points=4001, seed=0)
+        fit = FitConfig(width=512, region=1.0)
         result, rep = om.approximate_growth(f, self.family(), 0.1, fit,
                                             measure_radius=30.0)
         assert rep.weighted_error < 0.1
@@ -174,7 +169,7 @@ class TestApproximateGrowth:
 
     def test_uncontrolled_growth_rejected(self):
         boom = GridFunction.from_scalar(
-            lambda x: np.exp(x**2), name="boom", unbounded=True
+            lambda x: np.exp(x**2), name="boom"
         )
         with pytest.raises(NoControllingWeightError) as err:
             om.approximate_growth(boom, self.family(), 0.5, FIT)
