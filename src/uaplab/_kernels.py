@@ -87,10 +87,12 @@ def act_invert(edges, kinds, par, vedges, y, tol=1e-14):
 
 def _invert_power(p4, lo, hi, y, tol):
     """Solve ``s*sign(x)*|x|**p + a*x + b = y`` for x in ``[lo, hi]``,
-    pointwise, by Newton's method safeguarded with bisection."""
+    pointwise, by Newton's method safeguarded with bisection.  Each point
+    stops on its own converged step, so its inverse does not depend on the
+    other points of the call."""
     s, p, a, b = p4
 
-    def resid(x):
+    def resid(x, y):
         return s * np.sign(x) * np.abs(x) ** p + a * x + b - y
 
     # finite brackets: an infinite branch end steps outward, doubling the
@@ -100,27 +102,32 @@ def _invert_power(p4, lo, hi, y, tol):
     xhi = np.full_like(y, hi if np.isfinite(hi) else anchor + 1.0)
     for end, sign, bound in ((xlo, -1.0, lo), (xhi, 1.0, hi)):
         step = 1.0
-        need = np.isinf(bound) & (sign * resid(end) < 0)
+        need = np.isinf(bound) & (sign * resid(end, y) < 0)
         while need.any():
             end[need] += sign * step
             step *= 2.0
-            need &= sign * resid(end) < 0
+            need &= sign * resid(end, y) < 0
     # start from the inverse of the dominant term s*sign(x)*|x|**p.  p < 1
     # makes the derivative infinite at 0, and s <= 0 makes the start NaN;
     # such points take a bisection step instead
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.clip(np.sign(y - b) * (np.abs(y - b) / s) ** (1.0 / p), xlo, xhi)
+        # the iteration runs on the points not yet converged: live indexes
+        # them in x, and xl, yl, xlo, xhi hold their values
+        live, xl, yl = np.arange(y.size), x, y
         for _ in range(200):
-            r = resid(x)
-            xlo = np.where(r <= 0, x, xlo)
-            xhi = np.where(r >= 0, x, xhi)
-            d = s * p * np.abs(x) ** (p - 1.0) + a
-            nx = x - r / d
+            r = resid(xl, yl)
+            xlo = np.where(r <= 0, xl, xlo)
+            xhi = np.where(r >= 0, xl, xhi)
+            d = s * p * np.abs(xl) ** (p - 1.0) + a
+            nx = xl - r / d
             newton = np.isfinite(d) & (d > 0) & (nx >= xlo) & (nx <= xhi)
             nx = np.where(newton, nx, 0.5 * (xlo + xhi))
-            done = np.abs(nx - x) <= tol * np.abs(nx)
-            x = nx
-            if done.all():
+            going = ~(np.abs(nx - xl) <= tol * np.abs(nx))  # NaN goes on
+            x[live] = nx
+            live, xl, yl = live[going], nx[going], yl[going]
+            xlo, xhi = xlo[going], xhi[going]
+            if not live.size:
                 break
     return x
 

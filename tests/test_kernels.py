@@ -105,6 +105,21 @@ def test_inversion_near_infinite_derivative():
     assert np.all(np.abs(back - y) <= 1e-14 * np.abs(y) + 1e-30)
 
 
+@pytest.mark.parametrize("spec, span", [
+    (act.ActivationSpec("sqrt", [act.Branch(-INF, INF, "power", (1.0, 0.5, 1.0, 0.0))]),
+     10.0),
+    (cube(), 1e3),
+], ids=["p=0.5", "cube"])
+def test_inversion_is_elementwise(spec, span):
+    # a point's inverse must not depend on the points inverted with it
+    edges, kinds, par, vedges = spec._table
+    y = np.random.default_rng(0).uniform(-span, span, 3000)
+    together = K.act_invert(edges, kinds, par, vedges, y)
+    alone = np.array([K.act_invert(edges, kinds, par, vedges, y[i:i + 1])[0]
+                      for i in range(len(y))])
+    np.testing.assert_array_equal(together, alone)
+
+
 @pytest.mark.parametrize("spec", [act.by_name("leaky_shifted_paper"), cube()],
                          ids=lambda s: s.name)
 def test_iterated_map_round_trip(spec):
