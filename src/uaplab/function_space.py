@@ -85,8 +85,9 @@ class GridFunction:
     """A total map R^m -> R^n backed by a vectorized closure.
 
     ``fn`` maps an (N, m) float array to an (N, n) float array.
-    ``curvature``, where known, bounds |f''| off 0 (a kink of f may sit at 0): the interpolating fits choose
-    their knot spacing from it, and always place a knot at 0.
+    ``curvature``, where known, bounds |f''| off 0 (a kink of f may sit at
+    0): the interpolating fits choose their knot spacing from it, and
+    always place a knot at 0.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -577,8 +578,8 @@ class WeightedSupResult:
 
 
 SUP_STABLE_TOL = 1e-3   # growth of the running sup that counts as stable
-SUP_START_RADIUS = 1.0  # radius of the first ball
-SUP_MAX_RADIUS = 1e6    # ball radius past which a growing sup has diverged
+SUP_START_RADIUS = 1.0  # half-width of the first cube
+SUP_MAX_RADIUS = 1e6    # half-width past which a growing sup has diverged
 
 
 def weighted_sup_norm(f: GridFunction, omega: Callable,
@@ -586,11 +587,12 @@ def weighted_sup_norm(f: GridFunction, omega: Callable,
     """Running supremum of ||f(x)|| / (omega(||x||) + 1) over expanding cubes.
 
     Each cube [-r, r]^m is sampled on ``grid``'s points per axis.  The
-    radius r starts at ``SUP_START_RADIUS`` and doubles until the supremum stabilizes within
-    ``SUP_STABLE_TOL`` over two consecutive doublings (convergence of the
-    running sup alone can be deceptive when the maximizer migrates outward)
-    or ``SUP_MAX_RADIUS`` is passed while the supremum still grows
-    (``diverged=True``).  Non-finite ratios also flag divergence.
+    half-width r starts at ``SUP_START_RADIUS`` and doubles until the
+    supremum stabilizes within ``SUP_STABLE_TOL`` over two consecutive
+    doublings (convergence of the running sup alone can be deceptive when
+    the maximizer migrates outward) or ``SUP_MAX_RADIUS`` is passed while
+    the supremum still grows (``diverged=True``).  Non-finite ratios also
+    flag divergence.
     """
     if grid is None:
         grid = GridSpec(dim_in=f.dim_in)
