@@ -1,9 +1,12 @@
 """Signed-indicator embedding of the reals into integrable step functions,
 and the barycenter of formal convex combinations.
 
-Step functions are kept in exact form (breakpoints + cell values) so the L1
-computations here are closed-form sums, not quadrature: that is what lets
-the isometry property be asserted to 1e-9 over random pairs.
+Step functions are indicator trees (``network.TreeFunction``: sums of
+amplitudes over open intervals), so the L1 computations here are
+closed-form sums over the tree's cells, not quadrature: that is what lets
+the isometry property be asserted to 1e-9 over random pairs.  A tree's
+value at an interval's end is that of neither side; this does not change
+the L1 element.
 
 The barycenter is the plain linear extension sum(alpha_i * f_i): a 1/n
 prefactor would break representation independence (splitting an atom in two
@@ -14,112 +17,39 @@ atoms, so it is not applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .errors import PreconditionError
 from .function_space import GridFunction
+from .network import TreeFunction, TreeGridFunction
 
 __all__ = [
-    "StepFunction1D",
-    "StepGridFunction",
     "FormalCombination",
     "eta",
     "rho",
     "l1_distance",
-    "l1_norm",
 ]
 
 
-@dataclass(frozen=True)
-class StepFunction1D:
-    """Compactly supported step function: values[i] on [edges[i], edges[i+1]),
-    zero outside [edges[0], edges[-1])."""
-
-    edges: tuple
-    values: tuple
-
-    def __post_init__(self):
-        edges = tuple(float(e) for e in self.edges)
-        values = tuple(float(v) for v in self.values)
-        if len(edges) != len(values) + 1:
-            raise ValueError("need one more edge than cell values")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("edges must strictly increase")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "values", values)
-
-    @staticmethod
-    def zero() -> "StepFunction1D":
-        return StepFunction1D((0.0, 1.0), (0.0,))
-
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        edges = np.asarray(self.edges)
-        vals = np.asarray(self.values)
-        idx = np.searchsorted(edges, x, side="right") - 1
-        ok = (idx >= 0) & (idx < len(vals))
-        out = np.zeros_like(x)
-        out[ok] = vals[idx[ok]]
-        return out
-
-    def _cells(self):
-        return np.asarray(self.edges), np.asarray(self.values)
-
-
-def _combine(steps: Sequence[StepFunction1D], weights: Sequence[float]) -> StepFunction1D:
-    edges = np.unique(np.concatenate([np.asarray(s.edges) for s in steps]))
-    if len(edges) < 2:
-        return StepFunction1D.zero()
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    total = np.zeros_like(mids)
-    for w, s in zip(weights, steps):
-        total += w * s.eval(mids)
-    return StepFunction1D(tuple(edges), tuple(total))
-
-
-def l1_norm(step: StepFunction1D) -> float:
-    edges, vals = step._cells()
-    return float(np.sum(np.abs(vals) * np.diff(edges)))
-
-
-def l1_distance(f: "StepGridFunction", g: "StepGridFunction") -> float:
-    """Exact L1 distance between two step-backed functions."""
+def l1_distance(f: TreeGridFunction, g: TreeGridFunction) -> float:
+    """Exact L1 distance between two tree-backed functions."""
     for h in (f, g):
-        if not isinstance(h, StepGridFunction):
-            raise PreconditionError("exact L1 distance needs step-backed functions")
-    return l1_norm(_combine([f.step, g.step], [1.0, -1.0]))
+        if not isinstance(h, TreeGridFunction):
+            raise PreconditionError("exact L1 distance needs tree-backed functions")
+    negated = tuple((-a, b, c) for a, b, c in g.tree.terms)
+    return TreeFunction(f.tree.terms + negated).l1_norm()
 
 
-@dataclass(frozen=True)
-class StepGridFunction(GridFunction):
-    """GridFunction carrying its exact step representation."""
-
-    step: StepFunction1D = StepFunction1D.zero()
-
-    @staticmethod
-    def from_step(step: StepFunction1D, name: str = "") -> "StepGridFunction":
-        return StepGridFunction(
-            fn=lambda X, s=step: s.eval(X[:, 0])[:, None],
-            dim_in=1,
-            dim_out=1,
-            name=name,
-            step=step,
-        )
-
-
-def eta(r: float) -> StepGridFunction:
-    """Signed indicator embedding: I_[0,r) for r > 0, -I_[r,0) for r < 0,
-    zero at r = 0.  An isometry into L1: ||eta(r)-eta(s)||_1 = |r-s|."""
+def eta(r: float) -> TreeGridFunction:
+    """Signed indicator embedding: sign(r) on the open interval between 0
+    and r, so I_(0,r) for r > 0, -I_(r,0) for r < 0 and zero at r = 0.
+    An isometry into L1: ||eta(r)-eta(s)||_1 = |r-s|."""
     r = float(r)
-    if r == 0.0:
-        return StepGridFunction.from_step(StepFunction1D.zero(), name="eta(0)")
-    if r > 0:
-        step = StepFunction1D((0.0, r), (1.0,))
-    else:
-        step = StepFunction1D((r, 0.0), (-1.0,))
-    return StepGridFunction.from_step(step, name=f"eta({r:g})")
+    term = (float(np.sign(r)), min(0.0, r), max(0.0, r))
+    return TreeFunction((term,)).as_gridfunction(name=f"eta({r:g})")
 
 
 @dataclass(frozen=True)
@@ -145,22 +75,14 @@ class FormalCombination:
 
 
 def rho(combination: FormalCombination) -> GridFunction:
-    """Barycenter: the pointwise weighted sum of the atoms (no prefactor)."""
+    """Barycenter: the pointwise weighted sum of the atoms (no prefactor).
+
+    Over tree-backed atoms (and the empty combination) it is the tree of
+    every atom's terms scaled by its weight; otherwise the GridFunction sum,
+    which raises DimensionMismatchError for atoms of different dimensions.
+    """
     atoms = combination.atoms
-    if not atoms:
-        return StepGridFunction.from_step(StepFunction1D.zero(), name="rho(0)")
-    dims = {(f.dim_in, f.dim_out) for _, f in atoms}
-    if len(dims) != 1:
-        raise PreconditionError("all atoms must share dimensions")
-    dim_in, dim_out = dims.pop()
-    if all(isinstance(f, StepGridFunction) for _, f in atoms):
-        step = _combine([f.step for _, f in atoms], [w for w, _ in atoms])
-        return StepGridFunction.from_step(step, name="rho")
-
-    def sample(X: np.ndarray) -> np.ndarray:
-        out = np.zeros((np.asarray(X).shape[0], dim_out))
-        for w, f in atoms:
-            out += w * f.sample(X)
-        return out
-
-    return GridFunction(sample, dim_in, dim_out, name="rho")
+    if all(isinstance(f, TreeGridFunction) for _, f in atoms):
+        terms = tuple((w * a, b, c) for w, f in atoms for a, b, c in f.tree.terms)
+        return TreeFunction(terms).as_gridfunction(name="rho")
+    return reduce(add, (w * f for w, f in atoms))

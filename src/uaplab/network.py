@@ -31,6 +31,7 @@ __all__ = [
     "AffineLayer",
     "FeedForwardNet",
     "TreeFunction",
+    "TreeGridFunction",
     "FitConfig",
     "FitResult",
     "identity_layer",
@@ -302,8 +303,8 @@ class TreeFunction:
         amp, lo, hi = self._arrays()
         return K.tree_eval(amp, lo, hi, x)[:, None]
 
-    def as_gridfunction(self, name: str = "tree") -> GridFunction:
-        return GridFunction(self.sample, 1, 1, name=name)
+    def as_gridfunction(self, name: str = "tree") -> "TreeGridFunction":
+        return TreeGridFunction(self.sample, 1, 1, name=name, tree=self)
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -311,6 +312,21 @@ class TreeFunction:
             return np.empty(0)
         arr = np.asarray(self.terms)
         return np.unique(np.concatenate([arr[:, 1], arr[:, 2]]))
+
+    def l1_norm(self) -> float:
+        """Exact L1 norm: the tree is constant between consecutive
+        breakpoints, so each cell adds |value at its midpoint| times its
+        length."""
+        edges = self.breakpoints
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return float(np.sum(np.abs(self.sample(mids)[:, 0]) * np.diff(edges)))
+
+
+@dataclass(frozen=True)
+class TreeGridFunction(GridFunction):
+    """GridFunction carrying the indicator tree it samples."""
+
+    tree: TreeFunction = TreeFunction()
 
 
 def tree_eval(tree: TreeFunction, x: float) -> float:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from uaplab import free_space as fs
-from uaplab.errors import PreconditionError
+from uaplab.errors import DimensionMismatchError, PreconditionError
 from uaplab.function_space import GridFunction
+from uaplab.network import TreeGridFunction
 
 
 class TestEta:
@@ -13,20 +14,20 @@ class TestEta:
         f = fs.eta(0.0)
         xs = np.linspace(-5, 5, 101)[:, None]
         assert np.all(f.sample(xs) == 0.0)
-        assert fs.l1_norm(f.step) == 0.0
+        assert f.tree.l1_norm() == 0.0
 
     def test_positive_indicator(self):
         f = fs.eta(2.0)
         assert f(1.0) == 1.0
         assert f(-0.5) == 0.0
-        assert f(2.0) == 0.0  # half-open interval
-        assert fs.l1_norm(f.step) == pytest.approx(2.0, abs=1e-15)
+        assert f(2.0) == 0.0  # open interval
+        assert f.tree.l1_norm() == pytest.approx(2.0, abs=1e-15)
 
     def test_negative_indicator(self):
         f = fs.eta(-1.5)
         assert f(-1.0) == -1.0
         assert f(0.0) == 0.0
-        assert fs.l1_norm(f.step) == pytest.approx(1.5, abs=1e-15)
+        assert f.tree.l1_norm() == pytest.approx(1.5, abs=1e-15)
 
     def test_distance_example(self):
         assert fs.l1_distance(fs.eta(3.0), fs.eta(1.0)) == pytest.approx(2.0)
@@ -71,6 +72,14 @@ class TestRho:
         want = a * fs.rho(c1).sample(xs) + b * fs.rho(c2).sample(xs)
         assert np.max(np.abs(merged.sample(xs) - want)) < 1e-12
 
+    def test_tree_atoms_give_a_tree(self):
+        atoms = ((0.7, fs.eta(1.0)), (-1.3, fs.eta(-2.0)), (2.0, fs.eta(0.5)))
+        out = fs.rho(fs.FormalCombination(atoms))
+        assert isinstance(out, TreeGridFunction)
+        xs = np.linspace(-3, 3, 601)[:, None]
+        want = sum(w * f.sample(xs) for w, f in atoms)
+        assert np.max(np.abs(out.sample(xs) - want)) < 1e-12
+
     def test_mixed_closure_atoms(self):
         f = fs.eta(1.0)
         g = GridFunction.from_scalar(np.sin, name="sin")
@@ -78,6 +87,11 @@ class TestRho:
         xs = np.linspace(-2, 2, 101)[:, None]
         want = 2.0 * f.sample(xs) + g.sample(xs)
         assert np.max(np.abs(out.sample(xs) - want)) < 1e-12
+
+    def test_atoms_of_different_dimensions_rejected(self):
+        atoms = ((1.0, fs.eta(1.0)), (1.0, GridFunction.identity(2)))
+        with pytest.raises(DimensionMismatchError):
+            fs.rho(fs.FormalCombination(atoms))
 
     def test_empty_combination_is_zero(self):
         out = fs.rho(fs.FormalCombination(()))

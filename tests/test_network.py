@@ -321,6 +321,35 @@ class TestTrees:
         with pytest.raises(ValueError):
             TreeFunction(((1.0, 2.0, 1.0),))
 
+    @staticmethod
+    def l1_oracle(terms):
+        """Sum over the cells between sorted unique ends of |the amplitudes
+        of the terms covering the cell| times the cell's length."""
+        ends = sorted({e for _, b, c in terms for e in (b, c)})
+        total = 0.0
+        for lo, hi in zip(ends, ends[1:]):
+            value = sum(a for a, b, c in terms if b <= lo and hi <= c)
+            total += abs(value) * (hi - lo)
+        return total
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_l1_norm_matches_cell_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        terms = []
+        for _ in range(12):  # overlapping terms of either sign
+            b = rng.uniform(-3, 3)
+            terms.append((rng.uniform(-2, 2), b, b + rng.uniform(0.0, 3)))
+        b = rng.uniform(-3, 3)
+        terms.append((rng.uniform(-2, 2), b, b))  # zero length
+        got = TreeFunction(tuple(terms)).l1_norm()
+        assert got == pytest.approx(self.l1_oracle(terms), rel=1e-12)
+
+    def test_l1_norm_of_empty_and_degenerate_trees(self):
+        assert TreeFunction(()).l1_norm() == 0.0
+        assert TreeFunction(((5.0, 1.0, 1.0),)).l1_norm() == 0.0
+        # cancelling terms leave nothing
+        assert TreeFunction(((1.0, 0.0, 2.0), (-1.0, 0.0, 2.0))).l1_norm() == 0.0
+
 
 class TestSerialization:
     def test_round_trip_builtin_activation(self, leaky_shifted):
