@@ -89,7 +89,23 @@ _SCALAR_FUNCTIONS = {
 }
 
 
-def _parse_function(cfg) -> GridFunction:
+def _nested(field: str, parse, *args):
+    """parse(*args), for the nested value params.<field>.  A missing key, a
+    value of the wrong type (a list where an object is expected raises
+    AttributeError) or a bad value is a ConfigError naming the field."""
+    try:
+        return parse(*args)
+    except KeyError as exc:
+        raise ConfigError([f"params.{field}: missing key {exc}"])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError([f"params.{field}: {exc}"])
+
+
+def _parse_function(params: dict, field: str, default) -> GridFunction:
+    return _nested(field, _function_from_config, params.get(field, default))
+
+
+def _function_from_config(cfg) -> GridFunction:
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     kind = cfg["kind"]
@@ -104,7 +120,7 @@ def _parse_function(cfg) -> GridFunction:
         return GridFunction.constant(cfg["value"])
     if kind == "tree":
         return TreeFunction(tuple(map(tuple, cfg["terms"]))).as_gridfunction()
-    raise ConfigError([f"params: unknown function kind {kind!r}"])
+    raise ValueError(f"unknown function kind {kind!r}")
 
 
 def _check_keys(params: dict, read: str, ignored: str, where: str) -> None:
@@ -116,30 +132,27 @@ def _check_keys(params: dict, read: str, ignored: str, where: str) -> None:
 
 
 def _parse_fit(cfg) -> FitConfig:
-    cfg = cfg or {}
+    """None is the fit at its defaults; any other non-object is an error."""
+    cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise ConfigError(["params.fit: must be an object"])
-    # the interpolating fits need no training grid, seed or ridge
-    _check_keys(cfg, "width region", "grid_points seed ridge", "params.fit")
-    return FitConfig(
-        width=_num(cfg, "width", 256, int, "params.fit"),
-        region=_num(cfg, "region", 1.0, float, "params.fit"),
-    )
+    # the interpolating fits need no training grid, seed or ridge; a fit
+    # with no escaped box covers [-20, 20], the metric's last cube, whatever
+    # the region
+    _check_keys(cfg, "width", "region grid_points seed ridge", "params.fit")
+    return FitConfig(width=_num(cfg, "width", 256, int, "params.fit"))
 
 
 def _parse_measure(cfg):
     if cfg is None:
         return gaussian_measure()
-    return measure_from_config(cfg)
+    return _nested("mu", measure_from_config, cfg)
 
 
 def _parse_activation(cfg) -> act.ActivationSpec:
     if cfg is None:
         raise ConfigError(["params.activation: required"])
-    try:
-        return act.activation_from_config(cfg)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError([f"params.activation: {exc}"])
+    return _nested("activation", act.activation_from_config, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +204,8 @@ def _run_transitivity_demo(params: dict, seed: int):
     sigma = _parse_activation(params.get("activation"))
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
-    g = _parse_function(params.get("g", "identity"))
-    f = _parse_function(params.get("f", "sin"))
+    g = _parse_function(params, "g", "identity")
+    f = _parse_function(params, "f", "sin")
     eps = _num(params, "eps", 0.1)
     delta = _num(params, "delta", 0.1)
     metric = params.get("metric", "ducc")
@@ -229,33 +242,33 @@ def _parse_constraint(cfg) -> ca.ConstraintFunctional:
             threshold,
             cfg.get("label", f"abs_value_at[{x0:g}]"),
         )
-    raise ConfigError([f"params.constraints: unknown kind {kind!r}"])
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _run_constrained_fit(params: dict, seed: int):
     sigma = _parse_activation(params.get("activation"))
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
-    f = _parse_function(params.get("f", "cos"))
+    f = _parse_function(params, "f", "cos")
     eps = _num(params, "eps", 0.1)
     fit = _parse_fit(params.get("fit"))
     if params.get("constraints"):
-        constraints = [_parse_constraint(c) for c in params["constraints"]]
-        witness = _parse_function(params.get("witness", "zero"))
+        constraints = _nested("constraints", lambda cs: [
+            _parse_constraint(c) for c in cs], params["constraints"])
+        witness = _parse_function(params, "witness", "zero")
         report = ca.assemble_constrained(constraints, witness, f, eps, op, fit)
     else:
-        f_hat = _parse_function(params.get("f_hat", "identity"))
+        f_hat = _parse_function(params, "f_hat", "identity")
         delta = _num(params, "delta", eps)
         report = ca.assemble_prescribed(f_hat, f, eps, delta, op, fit)
     return report.to_config(), []
 
 
 def _run_omega_approx(params: dict, seed: int):
-    f = _parse_function(params.get("f", "gauss_linear"))
-    family = WeightFamily.from_config(
-        params.get("weights", [{"kind": "unit"}, {"kind": "power", "i": 1},
-                               {"kind": "max_t_power", "i": 2}])
-    )
+    f = _parse_function(params, "f", "gauss_linear")
+    family = _nested("weights", WeightFamily.from_config, params.get(
+        "weights", [{"kind": "unit"}, {"kind": "power", "i": 1},
+                    {"kind": "max_t_power", "i": 2}]))
     eps = _num(params, "eps", 0.1)
     fit = _parse_fit(params.get("fit"))
     radius = _num(params, "measure_radius", 30.0)
@@ -271,8 +284,8 @@ def _run_omega_approx(params: dict, seed: int):
 
 
 def _run_rate_sweep(params: dict, seed: int):
-    target = _parse_function(params.get("target", {"kind": "tree",
-                                                   "terms": [[1.0, 0.0, 1.0]]}))
+    target = _parse_function(params, "target",
+                             {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]})
     mu = _parse_measure(params.get("mu"))
     n_values = _num(params, "n_values", [4, 8, 16, 32, 64, 128, 256],
                     lambda ns: [int(n) for n in ns])
@@ -280,12 +293,11 @@ def _run_rate_sweep(params: dict, seed: int):
     sigma = _parse_activation(params.get("activation", "leaky_rescaled_paper"))
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
-    basis_cfg = params.get("basis", {})
-    family = rb.trees_basis_family(
-        tuple(basis_cfg.get("amp_range", (0.25, 2.0))),
-        tuple(basis_cfg.get("left_range", (-1.5, 1.0))),
-        tuple(basis_cfg.get("len_range", (0.25, 2.5))),
-    )
+    family = _nested("basis", lambda cfg: rb.trees_basis_family(
+        tuple(cfg.get("amp_range", (0.25, 2.0))),
+        tuple(cfg.get("left_range", (-1.5, 1.0))),
+        tuple(cfg.get("len_range", (0.25, 2.5))),
+    ), params.get("basis", {}))
     table = rb.rate_sweep(
         family, target, mu, n_values, depth, op, seed=seed,
         quad_nodes=_num(params, "quad_nodes", 2001, int),
@@ -305,14 +317,10 @@ def _run_rate_sweep(params: dict, seed: int):
 
 
 def _run_limitation_demo(params: dict, seed: int):
-    samples = []
-    for s in params.get("samples", []):
-        samples.append(
-            om.LimitationSample(
-                kind=s["kind"], label=s.get("label", s["kind"]),
-                value=s.get("value"),
-            )
-        )
+    samples = _nested("samples", lambda cfg: [
+        om.LimitationSample(kind=s["kind"], label=s.get("label", s["kind"]),
+                            value=s.get("value"))
+        for s in cfg], params.get("samples", []))
     report = om.demonstrate_limitation(
         samples, x_radius=_num(params, "x_radius", 30.0)
     )
@@ -321,6 +329,8 @@ def _run_limitation_demo(params: dict, seed: int):
 
 def _run_free_space_tests(params: dict, seed: int):
     pairs = _num(params, "pairs", 1000, int)
+    if pairs < 0:
+        raise ConfigError([f"params.pairs: must be >= 0, got {pairs!r}"])
     rng = np.random.default_rng(seed)
     rs = rng.uniform(-50.0, 50.0, size=(pairs, 2))
     defect = 0.0

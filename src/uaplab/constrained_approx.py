@@ -135,15 +135,13 @@ def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
     net stays eps-close to f (both in the truncated compact-uniform metric).
 
     When f_hat and f agree on the grid no layer is frozen: the segment
-    interpolates f_hat on the cube [-R, R], R = max(fit.region, TERMS), the
-    metric's last cube."""
+    interpolates f_hat on [-TERMS, TERMS], the metric's last cube."""
     grid = _ucc_gate(op, f_hat, f, eps, delta)
     tol = min(eps, delta)
     if d_ucc(f, f_hat, TERMS, grid) == 0.0:
         n, k0 = 0, 0.0
-        result = _interpolate(f_hat, (f_hat, f), max(fit.region, float(TERMS)),
-                              tol, fit.width, lambda core: [], op.activation,
-                              fit.width)
+        result = _interpolate(f_hat, (f_hat, f), float(TERMS), tol, fit.width,
+                              lambda core: [], op.activation, fit.width)
     else:
         k0 = _min_tail_cutoff(tol / 2.0)
         n, _, _, _, result = _escape_blend_fit(op, f_hat, f, k0, fit, tol)

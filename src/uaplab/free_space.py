@@ -4,9 +4,9 @@ and the barycenter of formal convex combinations.
 Step functions are indicator trees (``network.TreeFunction``: sums of
 amplitudes over open intervals), so the L1 computations here are
 closed-form sums over the tree's cells, not quadrature: that is what lets
-the isometry property be asserted to 1e-9 over random pairs.  A tree's
-value at an interval's end is that of neither side; this does not change
-the L1 element.
+the isometry property be asserted to 1e-9 over random pairs.  The cells
+are open, so a term adds nothing at its interval's ends: eta(2) is 0 at 0
+and at 2.  That changes no L1 element.
 
 The barycenter is the plain linear extension sum(alpha_i * f_i): a 1/n
 prefactor would break representation independence (splitting an atom in two

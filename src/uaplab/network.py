@@ -181,11 +181,9 @@ def stack(net: FeedForwardNet, front_layers: Sequence[AffineLayer]) -> FeedForwa
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings of the shallow fits.  ``width`` caps the hidden units;
-    ``region`` is the least half-width of a fit that has no escaped box."""
+    """Settings of the shallow fits: ``width`` caps the hidden units."""
 
     width: int = 256
-    region: float = 1.0
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,7 @@ def test_criterion_05_constrained_assembly():
     op = dd.CompositionOperator(act.by_name("leaky_shifted_paper"), np.array([1.0]))
     ident = GridFunction.identity()
     cosine = GridFunction.from_scalar(np.cos, name="cos")
-    fit = FitConfig(width=512, region=1.0)
+    fit = FitConfig(width=512)
     rep = ca.assemble_prescribed(ident, cosine, 0.1, 0.1, op, fit)
     frozen = rep.full_net.layers[: rep.split_index]
     identity_frozen = all(np.array_equal(l.matrix, np.eye(1)) for l in frozen)
@@ -174,7 +174,7 @@ def test_criterion_06_weighted_approximation():
         lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
     )
     family = WeightFamily((Weight.unit(), Weight.power(1), Weight.max_t_power(2)))
-    fit = FitConfig(width=512, region=1.0)
+    fit = FitConfig(width=512)
     result, rep = om.approximate_growth(f, family, 0.1, fit, measure_radius=30.0)
     pts = np.linspace(-30.0, 30.0, 6001)[:, None]
     w = [w for w in family.weights if w.kind == rep.weight_kind][0]

@@ -215,6 +215,44 @@ def test_bad_numeric_param_exits_2(tmp_path, command, params, field):
     assert f"params.{field}" in json.dumps(payload)
 
 
+def main_in_process(tmp_path, capsys, command, params):
+    """uaplab.cli.main in this process: (exit code, printed JSON)."""
+    from uaplab import cli
+
+    cfg = write_config(tmp_path, "cfg", params)
+    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    return code, json.loads(capsys.readouterr().out)
+
+
+SHIFTED = {"activation": "leaky_shifted_paper"}
+
+
+@pytest.mark.parametrize("command, params, field", [
+    ("rate-sweep", {"mu": {"density_kind": "nope"}}, "mu"),
+    ("omega-approx", {"weights": [{"kind": "power"}]}, "weights"),
+    ("omega-approx", {"weights": []}, "weights"),
+    ("transitivity-demo", dict(SHIFTED, f={"kind": "const"}), "f"),
+    ("transitivity-demo", dict(SHIFTED, f={}), "f"),
+    ("rate-sweep", {"target": {"kind": "tree", "terms": [[1, 2]]}}, "target"),
+    ("constrained-fit", dict(SHIFTED, constraints=[{"threshold": 1}]),
+     "constraints"),
+    ("constrained-fit", dict(SHIFTED, constraints=[
+        {"kind": "sup_on_ball", "threshold": -1}]), "constraints"),
+    ("rate-sweep", {"basis": {"amp_range": 5}}, "basis"),
+    ("rate-sweep", {"basis": [1]}, "basis"),
+    ("limitation-demo", {"samples": [{"kind": "constant"}]}, "samples"),
+    ("free-space-tests", {"pairs": -1}, "pairs"),
+], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
+        "f-no-kind", "target-short-term", "constraint-no-kind",
+        "constraint-negative-threshold", "basis-range-number", "basis-list",
+        "samples-constant-no-value", "pairs-negative"])
+def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
+    code, payload = main_in_process(tmp_path, capsys, command, params)
+    assert code == 2, payload
+    assert payload["error"] == "ConfigError"
+    assert payload["violations"][0].startswith(f"params.{field}: "), payload
+
+
 def test_escape_refuses_non_injective(tmp_path):
     # sigma(0) = sigma(0.5) = 1: x**2 - 0.5x + 1 turns at x = 0.25
     dip = {"name": "dip", "branches": [
@@ -342,6 +380,20 @@ def test_empty_fit_object_runs_the_default_fit(tmp_path, fit, fitted):
     assert ({"knots", "h", "M", "a_priori_bound"} <= set(written)) == fitted
 
 
+@pytest.mark.parametrize("fit", [False, 0, [], ""],
+                         ids=["false", "zero", "empty-list", "empty-string"])
+@pytest.mark.parametrize("command, params", [
+    ("transitivity-demo", dict(FITTED_DEMO, f="sin", eps=0.1, delta=0.1)),
+    ("constrained-fit", SMALL_CONFIGS["constrained-fit"]),
+], ids=["transitivity-demo", "constrained-fit"])
+def test_falsy_non_object_fit_exits_2(tmp_path, capsys, command, params, fit):
+    # only null is the fit at its defaults
+    code, payload = main_in_process(tmp_path, capsys, command,
+                                    dict(params, fit=fit))
+    assert code == 2, payload
+    assert payload["violations"] == ["params.fit: must be an object"]
+
+
 RATE_SWEEP = {k: v for k, v in SMALL_CONFIGS["rate-sweep"].items()
               if k not in ("max_iter", "restarts")}
 
@@ -350,7 +402,10 @@ RATE_SWEEP = {k: v for k, v in SMALL_CONFIGS["rate-sweep"].items()
     ("rate-sweep", RATE_SWEEP, [{"max_iter": 1, "restarts": 1},
                                 {"max_iter": 5000, "restarts": 9}]),
     ("limitation-demo", {"x_radius": 20.0}, [{"c_step": 0.05}, {"c_step": 1.0}]),
-], ids=["rate-sweep", "limitation-demo"])
+    # f_hat = f: the no-escape fit, the one that read the region
+    ("constrained-fit", dict(SMALL_CONFIGS["constrained-fit"], f_hat="cos"),
+     [{"fit": {"width": 256, "region": r}} for r in (1.0, 50.0)]),
+], ids=["rate-sweep", "limitation-demo", "fit-region"])
 def test_ignored_keys_leave_outputs_unchanged(tmp_path, command, params, ignored):
     want = run_in_process(tmp_path / "absent", command, params, 11)
     for i, extra in enumerate(ignored):

@@ -11,7 +11,7 @@ from uaplab.errors import FitBudgetError, PreconditionError
 from uaplab.function_space import GridFunction, GridSpec, sup_norm_on_ball
 from uaplab.network import FeedForwardNet, FitConfig, net_from_config, net_to_config
 
-FIT = FitConfig(width=512, region=1.0)
+FIT = FitConfig(width=512)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from uaplab.function_space import (
 )
 from uaplab.network import FitConfig
 
-FIT = FitConfig(width=256, region=1.0)
+FIT = FitConfig(width=256)
 
 
 def _doubling_radii(reached):
@@ -161,7 +161,7 @@ class TestApproximateGrowth:
         f = GridFunction.from_scalar(
             lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
         )
-        fit = FitConfig(width=512, region=1.0)
+        fit = FitConfig(width=512)
         result, rep = om.approximate_growth(f, self.family(), 0.1, fit,
                                             measure_radius=30.0)
         assert rep.weighted_error < 0.1
