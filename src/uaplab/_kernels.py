@@ -8,6 +8,10 @@ one-input shallow nets.
   ``par = [s, p, a, b]``.  Branch j covers ``[edges[j], edges[j+1])``.
 * Inversion assumes the tabulated map is strictly increasing; callers gate
   on the classification verdict.
+* An indicator tree is the sum of ``amp_j * 1_(lo_j, hi_j)`` over its terms.
+  ``tree_eval`` evaluates one tree by a prefix sum over its sorted ends;
+  ``tree_columns`` evaluates many one-term trees at once, one column each,
+  with the same values as ``tree_eval`` on each of them.
 * ``knot_table`` turns a one-input shallow net with an all-affine tabulated
   activation into sorted knots with the slope and offset of every cell
   between them; ``knot_eval`` evaluates it with one binary search per point,
@@ -166,6 +170,18 @@ def tree_eval(amp, lo, hi, x):
     order = np.argsort(ends)
     csum = np.concatenate(([0.0], np.cumsum(steps[order])))
     return csum[np.searchsorted(ends[order], x)]
+
+
+def tree_columns(amp, lo, hi, x):
+    """The one-term trees amp_j * 1_(lo_j, hi_j) at the points x, as a
+    (len(x), k) matrix.
+
+    For a finite amp_j, column j equals ``tree_eval`` of that one term bit
+    for bit: inside the open interval the prefix sum is amp_j itself, past
+    hi_j it is amp_j - amp_j = 0.0, and NaN lands past both ends.
+    """
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    return np.where((lo < x) & (x < hi), amp, 0.0)
 
 
 def knot_table(w, b, c, c0, edges, par):

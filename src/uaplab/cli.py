@@ -283,12 +283,22 @@ def _run_omega_approx(params: dict, seed: int):
     return report.to_config(), [("omega-approx", ["x", "target", "approx"], rows)]
 
 
+def _positive_ints(values) -> list:
+    """values as ints, when it is a non-empty list of positive integers."""
+    if not (isinstance(values, list) and values and all(
+            type(v) is int or type(v) is float and v.is_integer()
+            for v in values) and min(values) >= 1):
+        raise ValueError(f"must be a non-empty list of positive integers, "
+                         f"got {values!r}")
+    return [int(v) for v in values]
+
+
 def _run_rate_sweep(params: dict, seed: int):
     target = _parse_function(params, "target",
                              {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]})
     mu = _parse_measure(params.get("mu"))
-    n_values = _num(params, "n_values", [4, 8, 16, 32, 64, 128, 256],
-                    lambda ns: [int(n) for n in ns])
+    n_values = _nested("n_values", _positive_ints, params.get(
+        "n_values", [4, 8, 16, 32, 64, 128, 256]))
     depth = _num(params, "N", 0, int)
     sigma = _parse_activation(params.get("activation", "leaky_rescaled_paper"))
     b = _num(params, "b", 1.0, _vector)

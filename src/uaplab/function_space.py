@@ -64,16 +64,18 @@ class GridSpec:
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be >= 2")
 
-    def cube_points(self, half_width: float) -> np.ndarray:
-        """All grid points of the cube [-h, h]^m as an (n_points, m) array."""
-        ax = np.linspace(-float(half_width), float(half_width), self.points_per_axis)
+    def cube_points(self, half_width) -> np.ndarray:
+        """All grid points of the cube [-h, h]^m as an (n_points, m) array,
+        the last axis varying fastest.  Several nonzero half-widths give
+        their cubes' points stacked in order, each cube equal to its own
+        call's; one ``np.linspace`` call with array ends builds every axis."""
         m = self.dim_in
-        if m == 1:
-            return ax[:, None]
         if m > 3:
             raise ValueError("grids beyond 3 axes are not supported at desk scale")
-        grids = np.meshgrid(*([ax] * m), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        h = np.atleast_1d(np.asarray(half_width, dtype=np.float64))
+        axes = np.linspace(-h, h, self.points_per_axis, axis=1)
+        idx = np.indices((self.points_per_axis,) * m).reshape(m, -1)
+        return axes[:, idx].transpose(0, 2, 1).reshape(-1, m)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +494,8 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
 
     The cubes' points are stacked, and each function is sampled once per
     batch of consecutive cubes holding at most ``DUCC_BATCH_POINTS`` points
-    (a larger cube goes alone): a one-input grid takes one batch.  Where a
+    (a larger cube goes alone): a one-input grid takes one batch, and one
+    ``GridSpec.cube_points`` call builds each batch's points.  Where a
     sample maps each point on its own, every s_k, and the sum taken in k
     order, equal those of a term-by-term evaluation bit for bit.  A
     non-finite value raises for the first term k that holds one.
@@ -507,7 +510,7 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
     total = 0.0
     for first in range(1, terms + 1, per_call):
         ks = range(first, min(first + per_call, terms + 1))
-        pts = np.concatenate([grid.cube_points(float(k)) for k in ks])
+        pts = grid.cube_points(ks)
         diff = f.sample(pts) - g.sample(pts)
         if not np.all(np.isfinite(diff)):
             for i, k in enumerate(ks):

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels as K
 from .activations import ActivationSpec
 from .errors import (
     DimensionMismatchError,
@@ -43,6 +44,7 @@ __all__ = [
 # pushforward density
 
 PUSHFORWARD_POINTS = 200_001  # grid points of the density-over-slope maximum
+PUSHFORWARD_BLOCK = 16_384  # points evaluated per block
 
 
 @dataclass(frozen=True)
@@ -67,21 +69,26 @@ def pushforward_density_norm(sigma: ActivationSpec, b: float,
     q = mu.quantile(np.asarray([1e-9, 1.0 - 1e-9]))
     lo = float(q[0]) - abs(b) - 1.0
     hi = float(q[1]) + abs(b) + 1.0
-    xs = [np.linspace(lo, hi, PUSHFORWARD_POINTS)]
-    for bp in sigma.breakpoints:
-        xs.append(np.asarray([bp - b - 1e-9, bp - b, bp - b + 1e-9]))
-    x = np.unique(np.concatenate(xs))
-    slope = np.asarray(sigma.derivative(x + b), dtype=np.float64)
-
-    flat = slope <= 1e-12
-    if np.any(flat):
-        i = int(np.argmax(flat))
-        j = len(flat) - 1 - int(np.argmax(flat[::-1]))
-        return PushforwardReport(
-            float("inf"), False, False, (float(x[i]), float(x[j]))
-        )
-    dens = np.asarray(mu.density(x), dtype=np.float64)
-    norm = float(np.max(dens / slope))
+    # the maximum and the flat stretch's ends do not depend on the order of
+    # the points, so the probes around each breakpoint follow the grid, and
+    # the points are taken in blocks that stay in cache
+    at = np.asarray(sigma.breakpoints, dtype=np.float64) - b
+    x = np.concatenate([np.linspace(lo, hi, PUSHFORWARD_POINTS),
+                        at - 1e-9, at, at + 1e-9])
+    flat_ends, peaks = [], []
+    for start in range(0, len(x), PUSHFORWARD_BLOCK):
+        xb = x[start:start + PUSHFORWARD_BLOCK]
+        slope = np.asarray(sigma.derivative(xb + b), dtype=np.float64)
+        flat = slope <= 1e-12
+        if np.any(flat):
+            flat_ends += [np.min(xb[flat]), np.max(xb[flat])]
+        elif not flat_ends:
+            peaks.append(np.max(np.asarray(mu.density(xb), dtype=np.float64)
+                                / slope))
+    if flat_ends:
+        return PushforwardReport(float("inf"), False, False,
+                                 (float(min(flat_ends)), float(max(flat_ends))))
+    norm = float(np.max(peaks))
     return PushforwardReport(norm, True, norm > 1.0)
 
 
@@ -236,12 +243,6 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
     evaluated from them on every node.  A solve that does not reach
     status "optimal" raises ``LPSolveError``.
     """
-    return _fit_columns(*_sample_columns(basis, target, mu, quad_nodes))
-
-
-def _sample_columns(basis, target, mu, quad_nodes):
-    """The basis as node-by-function columns B, the target t, and the
-    uniform node weight w, at the equal-mass quadrature nodes of mu."""
     if len(basis) == 0:
         raise PreconditionError("basis must be nonempty")
     if target.dim_out != 1 or any(f.dim_out != 1 for f in basis):
@@ -249,11 +250,12 @@ def _sample_columns(basis, target, mu, quad_nodes):
     nodes, w = mu.nodes(quad_nodes)
     pts = nodes[:, None]
     B = np.column_stack([f.sample(pts)[:, 0] for f in basis])
-    return B, target.sample(pts)[:, 0], w
+    return _fit_columns(B, target.sample(pts)[:, 0], w)
 
 
 def _fit_columns(B: np.ndarray, t: np.ndarray, w: float) -> SimplexFit:
-    """``simplex_fit`` on sampled columns (``_sample_columns``)."""
+    """``simplex_fit`` on the basis sampled as node-by-function columns B,
+    the target t and the uniform node weight w."""
     Bc, tc, wc = _merge_rows(B, t, w)
     a, status, gap, iterations = _l1_simplex_lp(Bc, tc, wc)
     if status != "optimal":
@@ -271,16 +273,31 @@ def _fit_columns(B: np.ndarray, t: np.ndarray, w: float) -> SimplexFit:
 def trees_basis_family(amp_range=(0.25, 2.0), left_range=(-1.5, 1.0),
                        len_range=(0.25, 2.5)) -> Callable:
     """Family of single-interval indicator trees with prefix-consistent draws:
-    for one seed, the first k members agree across counts."""
+    for one seed, the first k members agree across counts.
+
+    Each range is two finite numbers lo <= hi, and lengths are >= 0; any
+    other range raises ``ValueError`` here, before a member is drawn.
+    """
+    ranges = []
+    for name, r in (("amp_range", amp_range), ("left_range", left_range),
+                    ("len_range", len_range)):
+        ends = [float(v) for v in r]
+        if len(ends) != 2 or not np.all(np.isfinite(ends)) or ends[0] > ends[1]:
+            raise ValueError(f"{name} must be two finite numbers lo <= hi, "
+                             f"got {list(r)}")
+        if name == "len_range" and ends[0] < 0:
+            raise ValueError(f"len_range must be >= 0, got {list(r)}")
+        ranges.append(ends)
+    (a0, a1), (l0, l1), (n0, n1) = ranges
 
     def family(seed: int, count: int) -> list:
         rng = np.random.default_rng(seed)
         u = rng.uniform(size=(count, 3))
         out = []
         for i in range(count):
-            a = amp_range[0] + u[i, 0] * (amp_range[1] - amp_range[0])
-            left = left_range[0] + u[i, 1] * (left_range[1] - left_range[0])
-            length = len_range[0] + u[i, 2] * (len_range[1] - len_range[0])
+            a = a0 + u[i, 0] * (a1 - a0)
+            left = l0 + u[i, 1] * (l1 - l0)
+            length = n0 + u[i, 2] * (n1 - n0)
             out.append(
                 TreeFunction(((a, left, left + length),)).as_gridfunction(
                     name=f"tree{i}"
@@ -317,10 +334,14 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     bound_reference), the displayed norm^{N/2} variant, and the final-chain
     variant with the operator-norm factor dropped; at N=0 all three agree.
 
-    The family and its N-fold compositions are built and sampled once, at
-    the largest n, and each row fits a prefix of the sampled columns
-    exactly (as ``simplex_fit``: equal quadrature rows merged into cells,
-    then an interior-point LP).  Rows run in the given order; while n
+    The family is drawn once, at the largest n, and every element must
+    carry a one-term indicator tree (``TreeGridFunction.tree``); any other
+    element raises ``PreconditionError``.  The quadrature nodes are pushed
+    through S^N once, and one ``_kernels.tree_columns`` call samples every
+    tree at S^N(nodes): column j equals ``simplex_fit``'s sampling of
+    ``apply(op, f_j, N)`` bit for bit.  Each row fits a prefix of the
+    columns exactly (as ``simplex_fit``: equal quadrature rows merged into
+    cells, then an interior-point LP).  Rows run in the given order; while n
     increases the previous row's coefficients, padded with zeros, are
     feasible, and a row reports the smaller of the two residuals, so that
     tolerance-level differences between equal optima cannot make the table
@@ -328,8 +349,6 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     count, and ``degenerate`` when its residual is no better than
     predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
-    from .depth_dynamics import apply  # local import to avoid a cycle
-
     if N > 0 and op is None:
         raise PreconditionError("depth N > 0 needs a composition operator")
     mass = mu.total_mass
@@ -345,10 +364,21 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     ns = [int(n) for n in n_values]
     if not ns or min(ns) < 1:
         raise PreconditionError(f"n values must be positive, got {ns}")
-    basis = basis_family(seed, max(ns))
-    if N > 0:
-        basis = [apply(op, f, N) for f in basis]
-    B, t, w = _sample_columns(basis, target, mu, quad_nodes)
+    trees = [getattr(f, "tree", None) for f in basis_family(seed, max(ns))]
+    if not trees or not all(isinstance(tree, TreeFunction)
+                            and len(tree.terms) == 1 for tree in trees):
+        raise PreconditionError("rate sweeps need a basis of one-term "
+                                "indicator trees")
+    if target.dim_out != 1:
+        raise DimensionMismatchError("simplex fitting handles scalar outputs")
+    if N > 0 and op.dim != 1:
+        raise DimensionMismatchError(
+            f"operator dimension {op.dim} does not match the trees' dim_in 1")
+    nodes, w = mu.nodes(quad_nodes)
+    y = nodes if N == 0 else op.iterate(nodes, N)[:, 0]
+    amp, lo, hi = np.array([tree.terms[0] for tree in trees]).T
+    B = K.tree_columns(amp, lo, hi, y)
+    t = target.sample(nodes[:, None])[:, 0]
     target_norm = float(w * np.sum(np.abs(t)))
     rows = []
     for n in ns:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: every subcommand, reproducibility, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -240,11 +241,23 @@ SHIFTED = {"activation": "leaky_shifted_paper"}
         {"kind": "sup_on_ball", "threshold": -1}]), "constraints"),
     ("rate-sweep", {"basis": {"amp_range": 5}}, "basis"),
     ("rate-sweep", {"basis": [1]}, "basis"),
+    ("rate-sweep", {"basis": {"amp_range": [1]}}, "basis"),
+    ("rate-sweep", {"basis": {"left_range": [1.0, -1.0]}}, "basis"),
+    ("rate-sweep", {"basis": {"len_range": [-0.5, 1.0]}}, "basis"),
+    ("rate-sweep", {"basis": {"amp_range": [0.5, math.inf]}}, "basis"),
+    ("rate-sweep", {"n_values": []}, "n_values"),
+    ("rate-sweep", {"n_values": [0]}, "n_values"),
+    ("rate-sweep", {"n_values": [4, -1]}, "n_values"),
+    ("rate-sweep", {"n_values": [4, 8.5]}, "n_values"),
+    ("rate-sweep", {"n_values": 4}, "n_values"),
     ("limitation-demo", {"samples": [{"kind": "constant"}]}, "samples"),
     ("free-space-tests", {"pairs": -1}, "pairs"),
 ], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
         "f-no-kind", "target-short-term", "constraint-no-kind",
         "constraint-negative-threshold", "basis-range-number", "basis-list",
+        "basis-range-short", "basis-range-reversed", "basis-length-negative",
+        "basis-range-infinite", "n-values-empty", "n-values-zero",
+        "n-values-negative", "n-values-fraction", "n-values-number",
         "samples-constant-no-value", "pairs-negative"])
 def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
     code, payload = main_in_process(tmp_path, capsys, command, params)

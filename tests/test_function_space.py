@@ -45,6 +45,20 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(points_per_axis=1)
 
+    @pytest.mark.parametrize("dim, points", [(1, 401), (2, 31), (3, 5)])
+    def test_several_half_widths_stack_their_cubes(self, dim, points):
+        """One call for several cubes equals the cubes built one by one
+        from their own axis, bit for bit."""
+        widths = [1.0, 2.5, 7.0, 20.0]
+        want = []
+        for h in widths:
+            ax = np.linspace(-h, h, points)
+            grids = np.meshgrid(*([ax] * dim), indexing="ij")
+            want.append(np.stack([g.ravel() for g in grids], axis=1))
+        grid = GridSpec(dim_in=dim, points_per_axis=points)
+        assert grid.cube_points(widths).tobytes() == np.concatenate(want).tobytes()
+        assert grid.cube_points(widths[1]).tobytes() == want[1].tobytes()
+
 
 class TestDucc:
     def test_identity_is_zero(self, sin_fn, grid_1d):

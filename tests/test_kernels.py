@@ -156,6 +156,28 @@ def test_tree_eval_matches_loop():
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+def test_tree_columns_equal_tree_eval_bit_for_bit():
+    rng = np.random.default_rng(5)
+    amp = rng.uniform(-2, 2, 120)
+    lo = rng.uniform(-4, 2, 120)
+    hi = lo + rng.uniform(0.0, 3.0, 120)
+    hi[:15] = lo[:15]  # empty intervals
+    hi[15] = np.nextafter(lo[15], INF)  # the shortest interval there is
+    lo[16], hi[17] = -INF, INF
+    lo[18], hi[18] = -INF, INF
+    amp[19], amp[20] = 0.0, -0.0
+    ends = np.concatenate([lo, hi])
+    x = np.concatenate([rng.uniform(-5, 5, 300), ends,
+                        np.nextafter(ends, -INF), np.nextafter(ends, INF),
+                        [np.nan, INF, -INF, 0.0, -0.0]])
+    cols = K.tree_columns(amp, lo, hi, x)
+    assert cols.shape == (len(x), len(amp))
+    for j in range(len(amp)):
+        one = slice(j, j + 1)
+        want = K.tree_eval(amp[one], lo[one], hi[one], x)
+        assert cols[:, j].tobytes() == want.tobytes(), j
+
+
 def test_tree_eval_empty_and_degenerate():
     z = np.empty(0)
     x = np.linspace(-1, 1, 11)

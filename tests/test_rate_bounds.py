@@ -10,7 +10,11 @@ from uaplab import activations as act
 from uaplab import depth_dynamics as dd
 from uaplab import rate_bounds as rb
 from uaplab.errors import LPSolveError, PreconditionError, VerificationError
-from uaplab.function_space import GridFunction, gaussian_measure
+from uaplab.function_space import (
+    GridFunction,
+    gaussian_measure,
+    uniform_window_measure,
+)
 from uaplab.network import TreeFunction
 
 PHI_AT = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
@@ -47,6 +51,50 @@ class TestPushforward:
         assert rep.witness_interval is not None
         lo, hi = rep.witness_interval
         assert hi <= -1.0 + 1e-6  # the flat stretch maps from x + 1 < 0
+
+
+def unique_grid_pushforward(sigma, b, mu):
+    """Reference: the pushforward maximum over np.unique of the grid and
+    the breakpoint probes, read off the sorted points."""
+    q = mu.quantile(np.asarray([1e-9, 1.0 - 1e-9]))
+    lo = float(q[0]) - abs(b) - 1.0
+    hi = float(q[1]) + abs(b) + 1.0
+    xs = [np.linspace(lo, hi, rb.PUSHFORWARD_POINTS)]
+    for bp in sigma.breakpoints:
+        xs.append(np.asarray([bp - b - 1e-9, bp - b, bp - b + 1e-9]))
+    x = np.unique(np.concatenate(xs))
+    slope = sigma.derivative(x + b)
+    flat = slope <= 1e-12
+    if np.any(flat):
+        i = int(np.argmax(flat))
+        j = len(flat) - 1 - int(np.argmax(flat[::-1]))
+        return rb.PushforwardReport(math.inf, False, False,
+                                    (float(x[i]), float(x[j])))
+    norm = float(np.max(mu.density(x) / slope))
+    return rb.PushforwardReport(norm, True, norm > 1.0)
+
+
+def cube_transitive():
+    cube = act.ActivationSpec(
+        "cube", [act.Branch(-math.inf, math.inf, "power", (1.0, 3.0, 0.0, 0.0))]
+    )
+    return act.construct_transitive(cube, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("sigma, b, mu", [
+    (act.by_name("leaky_rescaled_paper"), 1.0, gaussian_measure()),
+    (act.by_name("leaky_rescaled_paper"), 0.3, gaussian_measure(0.5, 2.0)),
+    (act.by_name("relu"), 1.0, gaussian_measure()),
+    (cube_transitive(), 1.0, gaussian_measure()),
+    (cube_transitive(), 0.25, gaussian_measure()),
+    # every probe falls below the grid, then above it
+    (act.by_name("leaky_rescaled_paper"), 1.0, uniform_window_measure(10.0, 12.0)),
+    (act.by_name("relu"), 1.0, uniform_window_measure(-12.0, -10.0)),
+], ids=["leaky", "leaky-shifted-mu", "relu", "cube", "cube-small-b",
+        "probes-below-grid", "probes-above-grid"])
+def test_pushforward_matches_unique_grid(sigma, b, mu):
+    got = rb.pushforward_density_norm(sigma, b, mu)
+    assert repr(got) == repr(unique_grid_pushforward(sigma, b, mu))
 
 
 def highs_optimum(basis, target, mu, quad_nodes=2001):
@@ -280,16 +328,48 @@ class TestRateSweep:
             assert row["degenerate"] is False
         assert table.degenerate is False
 
-    def test_rows_never_rise_and_match_their_fits(self):
+    def assert_rows_match_their_fits(self, N):
+        """Each row is the exact fit of its prefix of f o S^N, or the row
+        before it when that is smaller."""
         mu = gaussian_measure()
         target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
-        table = self.setup_sweep(seed=1, ns=(4, 8, 16, 32))
-        basis = rb.trees_basis_family()(1, 32)
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        table = rb.rate_sweep(rb.trees_basis_family(), target, mu,
+                              [4, 8, 16, 32], N, op, seed=1, quad_nodes=1001)
+        basis = [dd.apply(op, f, N) for f in rb.trees_basis_family()(1, 32)]
         prev = math.inf
         for row in table.rows:
             fit = rb.simplex_fit(basis[: row["n"]], target, mu, quad_nodes=1001)
             assert row["residual"] == min(fit.residual, prev)
             prev = row["residual"]
+
+    def test_rows_never_rise_and_match_their_fits(self):
+        self.assert_rows_match_their_fits(0)
+
+    def test_depth_two_rows_never_rise_and_match_their_fits(self):
+        self.assert_rows_match_their_fits(2)
+
+    @pytest.mark.parametrize("element", ["scalar", "two_terms", "composed"])
+    def test_non_tree_basis_element_rejected(self, element):
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        odd = {
+            "scalar": GridFunction.from_scalar(np.sin),
+            "two_terms": TreeFunction(((1.0, 0.0, 1.0),
+                                       (0.5, 2.0, 3.0))).as_gridfunction(),
+            "composed": dd.apply(op, tree, 1),
+        }[element]
+
+        def family(seed, count):
+            return rb.trees_basis_family()(seed, count - 1) + [odd]
+
+        with pytest.raises(PreconditionError):
+            rb.rate_sweep(family, tree, gaussian_measure(), [4], 0, op,
+                          quad_nodes=101)
 
     @pytest.mark.parametrize("ns", [[], [0], [4, -1]])
     def test_nonpositive_n_rejected(self, ns):
