@@ -69,23 +69,27 @@ class Branch:
             raise ValueError(
                 f"unknown branch kind {self.kind!r}; known: 'affine', 'power'"
             )
+        if len(self.params) != (2 if self.kind == "affine" else 4):
+            raise ValueError(f"{self.kind} branch params have the wrong "
+                             f"length: {self.params!r}")
         if self.kind == "power" and not self.params[1] > 0.0:
             raise ValueError(f"power exponent must be positive, got {self.params[1]!r}")
 
+    @cached_property
+    def _table(self):
+        """(edges, kinds, par): this formula alone as a one-branch
+        ``_kernels`` table on the whole line."""
+        par = np.zeros((1, 4), dtype=np.float64)
+        par[0, :len(self.params)] = self.params
+        kind = K.KIND_AFFINE if self.kind == "affine" else K.KIND_POWER
+        return (np.array([-np.inf, np.inf]), np.array([kind], dtype=np.int32),
+                par)
+
     def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "affine":
-            a, b = self.params
-            return a * x + b
-        s, p, a, b = self.params
-        return s * np.sign(x) * np.abs(x) ** p + a * x + b
+        return K.act_eval(*self._table, x)
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "affine":
-            return np.full_like(x, self.params[0])
-        s, p, a, _ = self.params
-        return s * p * np.abs(x) ** (p - 1.0) + a
+        return K.act_deriv(*self._table, x)
 
 
 class ActivationSpec:
@@ -144,22 +148,11 @@ class ActivationSpec:
         edges = np.array(
             [self.branches[0].lo] + [b.hi for b in self.branches], dtype=np.float64
         )
-        kinds = np.array(
-            [K.KIND_AFFINE if b.kind == "affine" else K.KIND_POWER
-             for b in self.branches],
-            dtype=np.int32,
-        )
-        par = np.zeros((len(self.branches), 4), dtype=np.float64)
-        for i, b in enumerate(self.branches):
-            if b.kind == "affine":
-                par[i, 0], par[i, 1] = b.params
-            else:
-                par[i, :] = b.params
-        # values at interior breakpoints (continuity makes the side immaterial)
-        vedges = np.array(
-            [float(np.asarray(b.value(b.lo))) for b in self.branches[1:]],
-            dtype=np.float64,
-        )
+        kinds = np.concatenate([b._table[1] for b in self.branches])
+        par = np.concatenate([b._table[2] for b in self.branches])
+        # values at interior breakpoints, each from the branch starting there
+        # (continuity makes the side immaterial)
+        vedges = K.act_eval(edges, kinds, par, edges[1:-1])
         return edges, kinds, par, vedges
 
     def __call__(self, x):

@@ -30,11 +30,12 @@ from . import rate_bounds as rb
 from .errors import ConfigError, UaplabError
 from .function_space import (
     GridFunction,
-    WeightFamily,
     gaussian_measure,
     measure_from_config,
+    sup_norm_on_ball,
+    weights_from_config,
 )
-from .network import FitConfig, TreeFunction
+from .network import TreeFunction
 
 COMMANDS = (
     "check-activation",
@@ -73,6 +74,23 @@ def _num(params: dict, key: str, default=_REQUIRED, cast=float,
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError([f"{where}.{key}: not a valid number: {value!r}"])
+
+
+def _is_int(value) -> bool:
+    """True for an int or an integral float; False for a bool."""
+    return type(value) is int or type(value) is float and value.is_integer()
+
+
+def _int(params: dict, key: str, default: int, minimum: int,
+         where: str = "params") -> int:
+    """params[key], or default, when it is an integer >= minimum; a
+    fraction, boolean, string or smaller value is a ConfigError naming the
+    field."""
+    value = params.get(key, default)
+    if not (_is_int(value) and value >= minimum):
+        raise ConfigError([f"{where}.{key}: must be an integer >= {minimum}, "
+                           f"got {value!r}"])
+    return int(value)
 
 
 def _vector(value) -> np.ndarray:
@@ -131,8 +149,9 @@ def _check_keys(params: dict, read: str, ignored: str, where: str) -> None:
         raise ConfigError([f"{where}.{key}: unknown key" for key in unknown])
 
 
-def _parse_fit(cfg) -> FitConfig:
-    """None is the fit at its defaults; any other non-object is an error."""
+def _parse_fit(cfg) -> int:
+    """The fit's width; None is the fit at its defaults, and any other
+    non-object is an error."""
     cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise ConfigError(["params.fit: must be an object"])
@@ -140,7 +159,7 @@ def _parse_fit(cfg) -> FitConfig:
     # with no escaped box covers [-20, 20], the metric's last cube, whatever
     # the region
     _check_keys(cfg, "width", "region grid_points seed ridge", "params.fit")
-    return FitConfig(width=_num(cfg, "width", 256, int, "params.fit"))
+    return _int(cfg, "width", 256, 1, "params.fit")
 
 
 def _parse_measure(cfg):
@@ -182,7 +201,7 @@ def _run_escape(params: dict, seed: int):
     op = dd.CompositionOperator(sigma, b)
     k_radius = _num(params, "K_radius")
     guard = _num(params, "guard_radius", k_radius)
-    max_n = _num(params, "max_N", 10_000, int)
+    max_n = _int(params, "max_N", 10_000, 0)
     if not k_radius > 0:
         raise ConfigError([f"params.K_radius: must be positive, got {k_radius!r}"])
     if not guard >= k_radius:
@@ -209,13 +228,16 @@ def _run_transitivity_demo(params: dict, seed: int):
     eps = _num(params, "eps", 0.1)
     delta = _num(params, "delta", 0.1)
     metric = params.get("metric", "ducc")
+    if metric not in ("ducc", "l1"):
+        raise ConfigError([f'params.metric: must be "ducc" or "l1", '
+                           f'got {metric!r}'])
     if metric == "l1":
         mu = _parse_measure(params.get("mu"))
         cert = dd.l1_transitive_approximant(op, g, f, mu, eps, delta)
     else:
         # "fit": {} asks for the default fit, as in the other commands
-        fitter = None if params.get("fit") is None else _parse_fit(params["fit"])
-        cert = dd.construct_transitive_approximant(op, g, f, eps, delta, fitter)
+        width = None if params.get("fit") is None else _parse_fit(params["fit"])
+        cert = dd.construct_transitive_approximant(op, g, f, eps, delta, width)
     out = cert.to_config()
     out["eps"] = eps
     out["delta"] = delta
@@ -223,15 +245,12 @@ def _run_transitivity_demo(params: dict, seed: int):
 
 
 def _parse_constraint(cfg) -> ca.ConstraintFunctional:
-    from .function_space import GridSpec, sup_norm_on_ball
-
     kind = cfg["kind"]
     threshold = _num(cfg, "threshold", where="params.constraints")
     if kind == "sup_on_ball":
         radius = _num(cfg, "radius", 1.0, where="params.constraints")
-        grid = GridSpec(points_per_axis=801)
         return ca.ConstraintFunctional(
-            lambda h: sup_norm_on_ball(h, radius, grid),
+            lambda h: sup_norm_on_ball(h, radius, 801),
             threshold,
             cfg.get("label", f"sup_on_ball[{radius:g}]"),
         )
@@ -251,31 +270,32 @@ def _run_constrained_fit(params: dict, seed: int):
     op = dd.CompositionOperator(sigma, b)
     f = _parse_function(params, "f", "cos")
     eps = _num(params, "eps", 0.1)
-    fit = _parse_fit(params.get("fit"))
+    width = _parse_fit(params.get("fit"))
     if params.get("constraints"):
         constraints = _nested("constraints", lambda cs: [
             _parse_constraint(c) for c in cs], params["constraints"])
         witness = _parse_function(params, "witness", "zero")
-        report = ca.assemble_constrained(constraints, witness, f, eps, op, fit)
+        report = ca.assemble_constrained(constraints, witness, f, eps, op, width)
     else:
         f_hat = _parse_function(params, "f_hat", "identity")
         delta = _num(params, "delta", eps)
-        report = ca.assemble_prescribed(f_hat, f, eps, delta, op, fit)
+        report = ca.assemble_prescribed(f_hat, f, eps, delta, op, width)
     return report.to_config(), []
 
 
 def _run_omega_approx(params: dict, seed: int):
     f = _parse_function(params, "f", "gauss_linear")
-    family = _nested("weights", WeightFamily.from_config, params.get(
+    weights = _nested("weights", weights_from_config, params.get(
         "weights", [{"kind": "unit"}, {"kind": "power", "i": 1},
                     {"kind": "max_t_power", "i": 2}]))
     eps = _num(params, "eps", 0.1)
-    fit = _parse_fit(params.get("fit"))
+    width = _parse_fit(params.get("fit"))
     radius = _num(params, "measure_radius", 30.0)
+    csv_points = _int(params, "csv_points", 601, 0)
     result, report = om.approximate_growth(
-        f, family, eps, fit, measure_radius=radius
+        f, weights, eps, width, measure_radius=radius
     )
-    xs = np.linspace(-radius, radius, _num(params, "csv_points", 601, int))
+    xs = np.linspace(-radius, radius, csv_points)
     pts = xs[:, None]
     fv = f.sample(pts)[:, 0]
     gv = result.sample(pts)[:, 0]
@@ -285,9 +305,8 @@ def _run_omega_approx(params: dict, seed: int):
 
 def _positive_ints(values) -> list:
     """values as ints, when it is a non-empty list of positive integers."""
-    if not (isinstance(values, list) and values and all(
-            type(v) is int or type(v) is float and v.is_integer()
-            for v in values) and min(values) >= 1):
+    if not (isinstance(values, list) and values
+            and all(map(_is_int, values)) and min(values) >= 1):
         raise ValueError(f"must be a non-empty list of positive integers, "
                          f"got {values!r}")
     return [int(v) for v in values]
@@ -299,7 +318,7 @@ def _run_rate_sweep(params: dict, seed: int):
     mu = _parse_measure(params.get("mu"))
     n_values = _nested("n_values", _positive_ints, params.get(
         "n_values", [4, 8, 16, 32, 64, 128, 256]))
-    depth = _num(params, "N", 0, int)
+    depth = _int(params, "N", 0, 0)
     sigma = _parse_activation(params.get("activation", "leaky_rescaled_paper"))
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
@@ -310,7 +329,7 @@ def _run_rate_sweep(params: dict, seed: int):
     ), params.get("basis", {}))
     table = rb.rate_sweep(
         family, target, mu, n_values, depth, op, seed=seed,
-        quad_nodes=_num(params, "quad_nodes", 2001, int),
+        quad_nodes=_int(params, "quad_nodes", 2001, 1),
     )
     rows = [
         [r["n"], r["N"], r["residual"], r["bound_reference"], table.slope_estimate]
@@ -338,9 +357,7 @@ def _run_limitation_demo(params: dict, seed: int):
 
 
 def _run_free_space_tests(params: dict, seed: int):
-    pairs = _num(params, "pairs", 1000, int)
-    if pairs < 0:
-        raise ConfigError([f"params.pairs: must be >= 0, got {pairs!r}"])
+    pairs = _int(params, "pairs", 1000, 0)
     rng = np.random.default_rng(seed)
     rs = rng.uniform(-50.0, 50.0, size=(pairs, 2))
     defect = 0.0

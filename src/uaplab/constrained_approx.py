@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 from .depth_dynamics import (
     TERMS,
+    UCC_POINTS,
     CompositionOperator,
     _escape_blend_fit,
     _interpolate,
@@ -28,7 +29,6 @@ from .errors import ConstraintViolationError, FitBudgetError, PreconditionError
 from .function_space import GridFunction, d_ucc
 from .network import (
     FeedForwardNet,
-    FitConfig,
     FitResult,
     identity_layer,
     sparsity,
@@ -130,26 +130,27 @@ def _report(full: FeedForwardNet, n: int,
 
 def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
                         delta: float, op: CompositionOperator,
-                        fit: FitConfig) -> ConstrainedNetReport:
+                        width: int) -> ConstrainedNetReport:
     """Deep net whose final segment stays delta-close to f_hat while the whole
-    net stays eps-close to f (both in the truncated compact-uniform metric).
+    net stays eps-close to f (both in the truncated compact-uniform metric);
+    the segment has at most ``width`` hidden units.
 
     When f_hat and f agree on the grid no layer is frozen: the segment
     interpolates f_hat on [-TERMS, TERMS], the metric's last cube."""
-    grid = _ucc_gate(op, f_hat, f, eps, delta)
+    _ucc_gate(op, f_hat, f, eps, delta)
     tol = min(eps, delta)
-    if d_ucc(f, f_hat, TERMS, grid) == 0.0:
+    if d_ucc(f, f_hat, TERMS, UCC_POINTS) == 0.0:
         n, k0 = 0, 0.0
-        result = _interpolate(f_hat, (f_hat, f), float(TERMS), tol, fit.width,
-                              lambda core: [], op.activation, fit.width)
+        result = _interpolate(f_hat, (f_hat, f), float(TERMS), tol, width,
+                              lambda core: [], op.activation, width)
     else:
         k0 = _min_tail_cutoff(tol / 2.0)
-        n, _, _, _, result = _escape_blend_fit(op, f_hat, f, k0, fit, tol)
+        n, _, _, _, result = _escape_blend_fit(op, f_hat, f, k0, width, tol)
     segment = result.net
     full = _frozen_stack(segment, op, n)
 
-    d_pres = d_ucc(f_hat, segment.as_gridfunction(), TERMS, grid)
-    d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, grid)
+    d_pres = d_ucc(f_hat, segment.as_gridfunction(), TERMS, UCC_POINTS)
+    d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, UCC_POINTS)
     if not (d_pres < delta and d_tgt < eps):
         raise FitBudgetError(
             max(d_pres, d_tgt), tol,
@@ -162,14 +163,15 @@ def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
 def assemble_constrained(constraints: Sequence[ConstraintFunctional],
                          f0: GridFunction, f: GridFunction, eps: float,
                          op: CompositionOperator,
-                         fit: FitConfig) -> ConstrainedNetReport:
-    """Deep net f2 o f1 with every F_n(f2) strictly below its threshold.
+                         width: int) -> ConstrainedNetReport:
+    """Deep net f2 o f1 with every F_n(f2) strictly below its threshold; the
+    final segment f2 has at most ``width`` hidden units.
 
     The witness f0 must already satisfy the constraints strictly; the fitted
     final segment is re-checked with a relative guard band (GUARD_BAND, 1%
     below each threshold) so fitting error cannot cross the open boundary.
     """
-    grid = _ucc_gate(op, f0, f, eps, eps)
+    _ucc_gate(op, f0, f, eps, eps)
     for c in constraints:
         v = c(f0)
         if not v < c.threshold:
@@ -179,7 +181,7 @@ def assemble_constrained(constraints: Sequence[ConstraintFunctional],
             )
 
     k0 = _min_tail_cutoff(eps / 2.0)
-    n, _, _, _, result = _escape_blend_fit(op, f0, f, k0, fit, eps)
+    n, _, _, _, result = _escape_blend_fit(op, f0, f, k0, width, eps)
     segment = result.net
     seg_fn = segment.as_gridfunction()
     values = [(c.label, c(seg_fn), c.threshold) for c in constraints]
@@ -188,13 +190,13 @@ def assemble_constrained(constraints: Sequence[ConstraintFunctional],
             raise ConstraintViolationError(label, value, threshold,
                                            "post-fit re-check")
     full = _frozen_stack(segment, op, n)
-    d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, grid)
+    d_tgt = d_ucc(f, full.as_gridfunction(), TERMS, UCC_POINTS)
     if not d_tgt < eps:
         raise FitBudgetError(
             d_tgt, eps,
             f"measured distance d_target={d_tgt:.4g} exceeds eps={eps} "
-            f"with {result.knots} knots at width {fit.width}, k0={k0}",
+            f"with {result.knots} knots at width {width}, k0={k0}",
         )
-    d_seed = d_ucc(f0, seg_fn, TERMS, grid)
+    d_seed = d_ucc(f0, seg_fn, TERMS, UCC_POINTS)
     return _report(full, n, d_seed, d_tgt, float(k0), result, op, f.dim_out,
                    values)

@@ -33,13 +33,12 @@ from .errors import (
 )
 from .function_space import (
     GridFunction,
-    GridSpec,
     Measure1D,
     d_ucc,
     lp_norm,
     sup_norm_on_ball,
 )
-from .network import FitConfig, FitResult, fit_shallow
+from .network import FitResult, fit_shallow
 
 __all__ = [
     "CompositionOperator",
@@ -260,10 +259,8 @@ def _min_tail_cutoff(tol: float) -> int:
 
 
 def _ucc_gate(op: CompositionOperator, g: GridFunction, f: GridFunction,
-              eps: float, delta: float,
-              grid: Optional[GridSpec] = None) -> GridSpec:
-    """Preconditions of the d_ucc constructions; returns ``grid``, or the
-    default grid when it is None."""
+              eps: float, delta: float) -> None:
+    """Preconditions of the d_ucc constructions."""
     if eps <= 0 or delta <= 0:
         raise PreconditionError("tolerances must be positive")
     verdict = classify(op.activation)
@@ -275,9 +272,6 @@ def _ucc_gate(op: CompositionOperator, g: GridFunction, f: GridFunction,
         )
     if f.dim_in != op.dim or g.dim_in != op.dim or f.dim_out != g.dim_out:
         raise DimensionMismatchError("operator/function dimensions do not agree")
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in, points_per_axis=UCC_POINTS)
-    return grid
 
 
 def _interpolate(target: GridFunction, fns, radius: float, tol: float,
@@ -314,32 +308,33 @@ def _interpolate(target: GridFunction, fns, radius: float, tol: float,
 
 def _escape_blend_fit(op: CompositionOperator, g: GridFunction,
                       f: GridFunction, radius: float,
-                      fit: Optional[FitConfig] = None, tol: float = 0.0):
+                      width: Optional[int] = None, tol: float = 0.0):
     """Escape [-radius, radius]^m, blend f into g there, optionally fit.
 
     Returns (N, box_lo, box_hi, blend, fit) where [box_lo, box_hi] is the
     escaped box S^N([-radius, radius]^m), first clear of the guard cube of
     radius + BLEND_MARGIN, and blend is g with f o S^{-N} on that box.  With
-    a fit config the blend is interpolated by a shallow net (fit is the
-    FitResult, else None).  Its knots are the core knots on the cube, their
-    images under S^N and the pullback kinks: S^{-N} is affine between
-    consecutive box knots, so the fit composed with S^N interpolates f on
-    the cube at knots no further apart than the core's, and both distances
-    obey the a-priori bound M h^2 / 8 + 2^-radius, with M the larger
-    curvature bound of g and f and h chosen for ``tol``.
+    a ``width`` the blend is interpolated by a shallow net of at most that
+    many hidden units (fit is the FitResult, else None).  Its knots are the
+    core knots on the cube, their images under S^N and the pullback kinks:
+    S^{-N} is affine between consecutive box knots, so the fit composed
+    with S^N interpolates f on the cube at knots no further apart than the
+    core's, and both distances obey the a-priori bound M h^2 / 8 +
+    2^-radius, with M the larger curvature bound of g and f and h chosen
+    for ``tol``.
     """
     n, box_lo, box_hi = _escape(op, radius, radius + BLEND_MARGIN, MAX_N)
     blend = _blend(g, f, op, n, box_lo, box_hi, BLEND_MARGIN)
-    if fit is None:
+    if width is None:
         return n, box_lo, box_hi, blend, None
     if op.dim != 1:
         raise DimensionMismatchError("shallow fits take one input")
     kinks = _pullback_kinks(op, n, box_lo, box_hi, BLEND_MARGIN)
     # 2 (cells + 1) + kinks knots, one hidden unit fewer
     result = _interpolate(
-        blend, (g, f), radius, tol, (fit.width - 1 - len(kinks)) // 2,
+        blend, (g, f), radius, tol, (width - 1 - len(kinks)) // 2,
         lambda core: np.concatenate([op.iterate(core, n)[:, 0], kinks]),
-        op.activation, fit.width,
+        op.activation, width,
     )
     return n, box_lo, box_hi, blend, result
 
@@ -350,19 +345,21 @@ def construct_transitive_approximant(
     f: GridFunction,
     eps: float,
     delta: float,
-    fitter: Optional[FitConfig] = None,
+    width: Optional[int] = None,
     *,
-    grid: Optional[GridSpec] = None,
+    points: int = UCC_POINTS,
 ) -> TransitivityCertificate:
     """Build g_tilde with d(g, g_tilde) < delta and d(f, Phi^N(g_tilde)) < eps.
 
     Tolerances above 1 are accepted (the metric is bounded by 1, so such a
-    constraint is vacuous).  With a fitter config, g_tilde is refitted as a
-    one-hidden-layer net over a region covering both the cube and the escaped
-    box, and the measured distances are those of the fitted seed.
+    constraint is vacuous).  With a ``width``, g_tilde is refitted as a
+    one-hidden-layer net of at most that many hidden units over a region
+    covering both the cube and the escaped box, and the measured distances
+    are those of the fitted seed.  Each metric supremum is taken on
+    ``points`` per axis.
     """
-    grid = _ucc_gate(op, g, f, eps, delta, grid)
-    d0 = d_ucc(f, g, TERMS, grid)
+    _ucc_gate(op, g, f, eps, delta)
+    d0 = d_ucc(f, g, TERMS, points)
     if d0 == 0.0:
         return TransitivityCertificate(
             0, g, 0.0, 0.0, 0.0, BLEND_MARGIN, "d_ucc",
@@ -371,12 +368,12 @@ def construct_transitive_approximant(
 
     k0 = float(_min_tail_cutoff(min(eps, delta) / 2.0))
     n, box_lo, box_hi, g_tilde, fitted = _escape_blend_fit(
-        op, g, f, k0, fitter, min(eps, delta))
+        op, g, f, k0, width, min(eps, delta))
     if fitted is not None:
         g_tilde = fitted.net.as_gridfunction(name="blend-refit")
 
-    d_seed = d_ucc(g, g_tilde, TERMS, grid)
-    d_target = d_ucc(f, apply(op, g_tilde, n), TERMS, grid)
+    d_seed = d_ucc(g, g_tilde, TERMS, points)
+    d_target = d_ucc(f, apply(op, g_tilde, n), TERMS, points)
     if not (d_seed < delta and d_target < eps):
         raise VerificationError(
             "certificate verification failed",
@@ -432,10 +429,9 @@ def l1_transitive_approximant(
             (), (), op.activation.name, tuple(op.b),
         )
 
-    probe = GridSpec(dim_in=1, points_per_axis=4001)
     bound = max(
-        sup_norm_on_ball(f, max_radius, probe),
-        sup_norm_on_ball(g, max_radius, probe),
+        sup_norm_on_ball(f, max_radius, 4001),
+        sup_norm_on_ball(g, max_radius, 4001),
     )
     budget = min(eps, delta) / (4.0 * (bound + 1.0))
     radius = None

@@ -24,11 +24,11 @@ from .errors import (
 )
 
 __all__ = [
-    "GridSpec",
+    "cube_points",
     "GridFunction",
     "Measure1D",
     "Weight",
-    "WeightFamily",
+    "weights_from_config",
     "WeightedSupResult",
     "d_ucc",
     "d_ucc_tail_bound",
@@ -38,7 +38,6 @@ __all__ = [
     "gaussian_measure",
     "uniform_window_measure",
     "table_measure",
-    "measure_to_config",
     "measure_from_config",
 ]
 
@@ -47,35 +46,20 @@ __all__ = [
 # grids
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform evaluation grid: points_per_axis each way over the cubes
-    [-h, h]^dim_in.
-
-    When ``points_per_axis`` is odd the grid contains the origin.
-    """
-
-    dim_in: int = 1
-    points_per_axis: int = 401
-
-    def __post_init__(self):
-        if self.dim_in < 1:
-            raise ValueError("dimensions must be positive")
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be >= 2")
-
-    def cube_points(self, half_width) -> np.ndarray:
-        """All grid points of the cube [-h, h]^m as an (n_points, m) array,
-        the last axis varying fastest.  Several nonzero half-widths give
-        their cubes' points stacked in order, each cube equal to its own
-        call's; one ``np.linspace`` call with array ends builds every axis."""
-        m = self.dim_in
-        if m > 3:
-            raise ValueError("grids beyond 3 axes are not supported at desk scale")
-        h = np.atleast_1d(np.asarray(half_width, dtype=np.float64))
-        axes = np.linspace(-h, h, self.points_per_axis, axis=1)
-        idx = np.indices((self.points_per_axis,) * m).reshape(m, -1)
-        return axes[:, idx].transpose(0, 2, 1).reshape(-1, m)
+def cube_points(half_width, points: int, dim: int = 1) -> np.ndarray:
+    """The uniform grid of ``points`` per axis over the cube [-h, h]^dim,
+    as an (n_points, dim) array, the last axis varying fastest; with an odd
+    ``points`` it contains the origin.  Several nonzero half-widths give
+    their cubes' points stacked in order, each cube equal to its own call's;
+    one ``np.linspace`` call with array ends builds every axis."""
+    if points < 2:
+        raise ValueError("points must be >= 2")
+    if dim > 3:
+        raise ValueError("grids beyond 3 axes are not supported at desk scale")
+    h = np.atleast_1d(np.asarray(half_width, dtype=np.float64))
+    axes = np.linspace(-h, h, points, axis=1)
+    idx = np.indices((points,) * dim).reshape(dim, -1)
+    return axes[:, idx].transpose(0, 2, 1).reshape(-1, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +347,6 @@ def table_measure(xs: Sequence[float], densities: Sequence[float]) -> Measure1D:
     return meas
 
 
-def measure_to_config(mu: Measure1D) -> dict:
-    return {"density_kind": mu.kind, "params": dict(mu.params)}
-
-
 def measure_from_config(cfg: dict) -> Measure1D:
     kind = cfg["density_kind"]
     params = cfg.get("params", {})
@@ -398,17 +378,6 @@ class Weight:
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=np.float64))
 
-    def to_config(self) -> dict:
-        if self.kind == "unit":
-            return {"kind": "unit"}
-        if self.kind == "power":
-            return {"kind": "power", "i": self.param}
-        if self.kind == "max_t_power":
-            return {"kind": "max_t_power", "i": self.param}
-        if self.kind == "exp_decay":
-            return {"kind": "exp_decay", "k": self.param}
-        raise ValueError(f"weight kind {self.kind!r} is not serializable")
-
     @staticmethod
     def unit() -> "Weight":
         return Weight("unit", 0.0, lambda t: np.ones_like(t))
@@ -429,41 +398,24 @@ class Weight:
         return Weight("exp_decay", k, lambda t: np.exp(-k * t))
 
 
-@dataclass(frozen=True)
-class WeightFamily:
-    """Finite family of growth weights; must contain the unit weight to be
-    usable by the growth-approximation pipeline."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.weights) == 0:
-            raise ValueError("weight family must be nonempty")
-
-    @property
-    def contains_unit(self) -> bool:
-        t = np.linspace(0.0, 100.0, 101)
-        return any(np.allclose(w(t), 1.0) for w in self.weights)
-
-    def to_config(self) -> list:
-        return [w.to_config() for w in self.weights]
-
-    @staticmethod
-    def from_config(cfg: Sequence[dict]) -> "WeightFamily":
-        ws = []
-        for item in cfg:
-            kind = item["kind"]
-            if kind == "unit":
-                ws.append(Weight.unit())
-            elif kind == "power":
-                ws.append(Weight.power(item["i"]))
-            elif kind == "max_t_power":
-                ws.append(Weight.max_t_power(item["i"]))
-            elif kind == "exp_decay":
-                ws.append(Weight.exp_decay(item["k"]))
-            else:
-                raise ValueError(f"unknown weight kind {kind!r}")
-        return WeightFamily(tuple(ws))
+def weights_from_config(cfg: Sequence[dict]) -> tuple[Weight, ...]:
+    """The weights of a non-empty list of weight configs."""
+    if len(cfg) == 0:
+        raise ValueError("weight family must be nonempty")
+    ws = []
+    for item in cfg:
+        kind = item["kind"]
+        if kind == "unit":
+            ws.append(Weight.unit())
+        elif kind == "power":
+            ws.append(Weight.power(item["i"]))
+        elif kind == "max_t_power":
+            ws.append(Weight.max_t_power(item["i"]))
+        elif kind == "exp_decay":
+            ws.append(Weight.exp_decay(item["k"]))
+        else:
+            raise ValueError(f"unknown weight kind {kind!r}")
+    return tuple(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +433,21 @@ DUCC_BATCH_POINTS = 1 << 16
 
 
 def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
-          grid: Optional[GridSpec] = None) -> float:
+          points: int = 401) -> float:
     """Truncated metric of uniform convergence on compacts.
 
     Sum over k = 1..terms of s_k / (2**k * (1 + s_k)) where s_k is the grid
-    supremum of ||f-g|| over [-k, k]^m.  The omitted tail is below
-    ``d_ucc_tail_bound(terms)``; the grid supremum is a lower bound on the
-    true one, so the returned value is a lower bound as well.  On sampled
-    representatives this is a pseudometric: functions agreeing at every grid
-    point are indistinguishable, and no equality of the underlying functions
-    is certified.
+    supremum of ||f-g|| over [-k, k]^m, ``points`` per axis.  The omitted
+    tail is below ``d_ucc_tail_bound(terms)``; the grid supremum is a lower
+    bound on the true one, so the returned value is a lower bound as well.
+    On sampled representatives this is a pseudometric: functions agreeing
+    at every grid point are indistinguishable, and no equality of the
+    underlying functions is certified.
 
     The cubes' points are stacked, and each function is sampled once per
     batch of consecutive cubes holding at most ``DUCC_BATCH_POINTS`` points
     (a larger cube goes alone): a one-input grid takes one batch, and one
-    ``GridSpec.cube_points`` call builds each batch's points.  Where a
+    ``cube_points`` call builds each batch's points.  Where a
     sample maps each point on its own, every s_k, and the sum taken in k
     order, equal those of a term-by-term evaluation bit for bit.  A
     non-finite value raises for the first term k that holds one.
@@ -503,14 +455,12 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
     _check_same_dims(f, g)
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in)
-    size = grid.points_per_axis ** grid.dim_in
+    size = points ** f.dim_in
     per_call = max(1, DUCC_BATCH_POINTS // size)
     total = 0.0
     for first in range(1, terms + 1, per_call):
         ks = range(first, min(first + per_call, terms + 1))
-        pts = grid.cube_points(ks)
+        pts = cube_points(ks, points, f.dim_in)
         diff = f.sample(pts) - g.sample(pts)
         if not np.all(np.isfinite(diff)):
             for i, k in enumerate(ks):
@@ -559,13 +509,12 @@ def lp_norm(f: GridFunction, mu, p: float = 1.0, quad_nodes: int = 10_000) -> fl
 
 
 def sup_norm_on_ball(f: GridFunction, radius: float,
-                     grid: Optional[GridSpec] = None) -> float:
-    """Grid supremum of ||f|| over the closed euclidean ball (a lower bound)."""
+                     points: int = 401) -> float:
+    """Grid supremum of ||f|| over the closed euclidean ball, ``points`` per
+    axis of its bounding cube (a lower bound)."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in)
-    pts = grid.cube_points(radius)
+    pts = cube_points(radius, points, f.dim_in)
     if f.dim_in > 1:
         pts = pts[np.linalg.norm(pts, axis=1) <= radius]
     vals = f.sample(pts)
@@ -586,10 +535,10 @@ SUP_MAX_RADIUS = 1e6    # half-width past which a growing sup has diverged
 
 
 def weighted_sup_norm(f: GridFunction, omega: Callable,
-                      grid: Optional[GridSpec] = None) -> WeightedSupResult:
+                      points: int = 401) -> WeightedSupResult:
     """Running supremum of ||f(x)|| / (omega(||x||) + 1) over expanding cubes.
 
-    Each cube [-r, r]^m is sampled on ``grid``'s points per axis.  The
+    Each cube [-r, r]^m is sampled on ``points`` per axis.  The
     half-width r starts at ``SUP_START_RADIUS`` and doubles until the
     supremum stabilizes within ``SUP_STABLE_TOL`` over two consecutive
     doublings (convergence of the running sup alone can be deceptive when
@@ -597,14 +546,12 @@ def weighted_sup_norm(f: GridFunction, omega: Callable,
     the supremum still grows (``diverged=True``).  Non-finite ratios also
     flag divergence.
     """
-    if grid is None:
-        grid = GridSpec(dim_in=f.dim_in)
     radius = SUP_START_RADIUS
     prev = None
     running = 0.0
     stable = 0
     while radius <= SUP_MAX_RADIUS:
-        pts = grid.cube_points(radius)
+        pts = cube_points(radius, points, f.dim_in)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.linalg.norm(f.sample(pts), axis=1)
             denom = np.asarray(omega(np.linalg.norm(pts, axis=1))) + 1.0

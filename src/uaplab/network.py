@@ -32,14 +32,11 @@ __all__ = [
     "FeedForwardNet",
     "TreeFunction",
     "TreeGridFunction",
-    "FitConfig",
     "FitResult",
     "identity_layer",
-    "net_eval",
     "sparsity",
     "stack",
     "fit_shallow",
-    "tree_eval",
     "net_to_config",
     "net_from_config",
 ]
@@ -150,13 +147,6 @@ class FeedForwardNet:
         )
 
 
-def net_eval(net: FeedForwardNet, x):
-    """Evaluate at a single point (vector in, vector out)."""
-    pt = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = net.sample(pt[None, :])[0]
-    return float(out[0]) if net.dim_out == 1 else out
-
-
 def sparsity(layer: AffineLayer) -> tuple[int, int]:
     """Exact nonzero counts (matrix, bias)."""
     return int(np.count_nonzero(layer.matrix)), int(np.count_nonzero(layer.bias))
@@ -177,13 +167,6 @@ def stack(net: FeedForwardNet, front_layers: Sequence[AffineLayer]) -> FeedForwa
 
 # ---------------------------------------------------------------------------
 # shallow interpolating fits
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Settings of the shallow fits: ``width`` caps the hidden units."""
-
-    width: int = 256
 
 
 @dataclass(frozen=True)
@@ -325,12 +308,6 @@ class TreeGridFunction(GridFunction):
     """GridFunction carrying the indicator tree it samples."""
 
     tree: TreeFunction = TreeFunction()
-
-
-def tree_eval(tree: TreeFunction, x: float) -> float:
-    """Sum of a_j over the terms whose open interval contains x."""
-    amp, lo, hi = tree._arrays()
-    return float(K.tree_eval(amp, lo, hi, np.asarray([float(x)]))[0])
 
 
 # ---------------------------------------------------------------------------

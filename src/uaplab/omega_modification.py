@@ -28,14 +28,13 @@ from .errors import (
 )
 from .function_space import (
     GridFunction,
-    GridSpec,
-    WeightFamily,
+    Weight,
+    cube_points,
     weighted_sup_norm,
 )
-from .network import FitConfig, FitResult, fit_shallow
+from .network import FitResult, fit_shallow
 
 __all__ = [
-    "OmegaTransformParams",
     "VanishingReport",
     "GrowthReport",
     "LimitationSample",
@@ -57,27 +56,16 @@ NORM_POINTS = 801       # grid points per axis of the weighted sup norms
 LIMIT_POINTS = 6001     # grid points of the limitation demo's sup distance
 
 
-@dataclass(frozen=True)
-class OmegaTransformParams:
-    """Envelope parameters: offset level a > 0 and ball parameter b > 0
-    (inside region ||x||^2 < b)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("a and b must be positive")
-
-
-def bump_transform(g: GridFunction, params: OmegaTransformParams) -> GridFunction:
-    """Envelope map: (g(x) e^{-b/(b-||x||^2)} + a) inside ||x||^2 < b, and
+def bump_transform(g: GridFunction, a: float, b: float) -> GridFunction:
+    """Envelope map with offset level a > 0 and ball parameter b > 0:
+    (g(x) e^{-b/(b-||x||^2)} + a) inside ||x||^2 < b, and
     a e^{-|g(x)|(||x||-sqrt(b))} outside (|.| componentwise).
 
     Both sides tend to the constant a at the boundary, so the result is
     continuous.
     """
-    a, b = params.a, params.b
+    if not (a > 0 and b > 0):
+        raise ValueError("a and b must be positive")
     sqrt_b = float(np.sqrt(b))
 
     def sample(X: np.ndarray) -> np.ndarray:
@@ -123,8 +111,8 @@ class VanishingReport:
         }
 
 
-def _shell_sup(f: GridFunction, radius: float, grid: GridSpec) -> float:
-    pts = grid.cube_points(2.0 * radius)
+def _shell_sup(f: GridFunction, radius: float) -> float:
+    pts = cube_points(2.0 * radius, GRID_POINTS, f.dim_in)
     r = np.linalg.norm(pts, axis=1)
     keep = (r >= radius) & (r <= 2.0 * radius)
     vals = np.linalg.norm(f.sample(pts[keep]), axis=1)
@@ -134,7 +122,7 @@ def _shell_sup(f: GridFunction, radius: float, grid: GridSpec) -> float:
 def approximate_vanishing(
     f: GridFunction,
     eps: float,
-    fit: FitConfig,
+    width: int,
     *,
     max_core_radius: float = 4096.0,
     kink_hints: tuple = (),
@@ -149,18 +137,17 @@ def approximate_vanishing(
     remaining shell), assembles the envelope with offset eps/2, and
     verifies the sup error end-to-end on a wide grid (WIDE_FACTOR times
     sqrt(b)).  The knots are spaced KNOT_STEP apart, plus R sin(pi/2 s) for
-    ``fit.width`` points s evenly on [-1, 1], which crowd toward the ball's
+    ``width`` points s evenly on [-1, 1], which crowd toward the ball's
     edge where the target is steepest, plus ``kink_hints``: input
-    locations where the target is known to change slope.  So ``fit.width``
+    locations where the target is known to change slope.  So ``width``
     sets the graded knots here, not a cap: the net has one hidden unit per
     knot but the last.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    grid = GridSpec(dim_in=f.dim_in, points_per_axis=GRID_POINTS)
 
     radius = 1.0
-    while _shell_sup(f, radius, grid) > eps / 2.0:
+    while _shell_sup(f, radius) > eps / 2.0:
         radius *= 2.0
         if radius > max_core_radius:
             raise PreconditionError(
@@ -173,18 +160,16 @@ def approximate_vanishing(
 
     knots = np.concatenate([
         np.linspace(-radius, radius, int(round(2.0 * radius / KNOT_STEP)) + 1),
-        radius * np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, fit.width)),
+        radius * np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, width)),
         [t for t in kink_hints if abs(t) < radius],
     ])
     # the envelope multiplies the fitted core by e^{-b/(b - x^2)}
     values = (f.sample(knots) - a) * np.exp(b_param / (b_param - knots**2))[:, None]
     result = fit_shallow(knots, values, by_name(ACTIVATION))
     candidate = bump_transform(
-        result.net.as_gridfunction(name="fitted-core"),
-        OmegaTransformParams(a=a, b=b_param),
-    )
+        result.net.as_gridfunction(name="fitted-core"), a, b_param)
     wide = WIDE_FACTOR * np.sqrt(b_param)
-    pts = grid.cube_points(wide)
+    pts = cube_points(wide, GRID_POINTS, f.dim_in)
     err = float(
         np.max(np.linalg.norm(f.sample(pts) - candidate.sample(pts), axis=1))
     )
@@ -243,16 +228,16 @@ class GrowthReport:
 
 def approximate_growth(
     f: GridFunction,
-    family: WeightFamily,
+    weights: Sequence[Weight],
     eps: float,
-    fit: FitConfig,
+    width: int,
     *,
     measure_radius: float = 30.0,
 ) -> tuple[GridFunction, GrowthReport]:
     """Weighted-uniform eps-approximation of a function of controlled growth.
 
     Weights with a finite weighted sup norm of f are tried in ascending-norm
-    order (ties toward the earliest family member): the target is divided by
+    order (ties toward the earliest of ``weights``): the target is divided by
     the weight, the vanishing pipeline runs, and the weight is multiplied
     back.  A finite norm alone is not enough — the divided function must
     also decay — so candidates that fail the tail test fall through to the
@@ -261,14 +246,11 @@ def approximate_growth(
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    grid = GridSpec(dim_in=f.dim_in, points_per_axis=GRID_POINTS)
-    norm_grid = GridSpec(dim_in=f.dim_in, points_per_axis=NORM_POINTS)
-
     flags: dict = {}
     candidates = []
-    for idx, w in enumerate(family.weights):
+    for idx, w in enumerate(weights):
         label = f"{w.kind}[{w.param:g}]#{idx}"
-        res = weighted_sup_norm(f, w, norm_grid)
+        res = weighted_sup_norm(f, w, NORM_POINTS)
         if res.diverged:
             flags[label] = "diverged"
         else:
@@ -284,12 +266,13 @@ def approximate_growth(
         # (the input norm kinks there) and where a max-form weight switches
         hints = (0.0,) if w.kind in ("unit", "power", "exp_decay") else (-1.0, 0.0, 1.0)
         try:
-            f_eps, vanish = approximate_vanishing(divided, eps, fit, kink_hints=hints)
+            f_eps, vanish = approximate_vanishing(divided, eps, width,
+                                                  kink_hints=hints)
         except (PreconditionError, FitBudgetError) as exc:
             flags[label] += f"; pipeline failed: {exc}"
             continue
         result = phi_omega(f_eps, w)
-        pts = grid.cube_points(measure_radius)
+        pts = cube_points(measure_radius, GRID_POINTS, f.dim_in)
         r = np.linalg.norm(pts, axis=1)
         weighted_err = float(
             np.max(
@@ -314,7 +297,6 @@ class LimitationSample:
     kind: str  # "constant" | "unbounded"
     label: str
     value: Optional[float] = None
-    fn: Optional[GridFunction] = None
 
     def __post_init__(self):
         if self.kind not in ("constant", "unbounded"):
@@ -357,7 +339,7 @@ def demonstrate_limitation(
     functions stays at sup distance >= 1/2 from this bounded non-constant
     target.  Unbounded samples are reported with an infinite error.
     """
-    pts = GridSpec(points_per_axis=LIMIT_POINTS).cube_points(x_radius)
+    pts = cube_points(x_radius, LIMIT_POINTS)
     target = np.exp(-np.linalg.norm(pts, axis=1))
     hi, lo = float(np.max(target)), float(np.min(target))
 

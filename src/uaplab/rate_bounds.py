@@ -349,6 +349,8 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     count, and ``degenerate`` when its residual is no better than
     predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
+    if N < 0:
+        raise PreconditionError(f"depth N must be >= 0, got {N}")
     if N > 0 and op is None:
         raise PreconditionError("depth N > 0 needs a composition operator")
     mass = mu.total_mass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uaplab import activations as act
-from uaplab.function_space import GridFunction, GridSpec, gaussian_measure
+from uaplab.function_space import GridFunction, gaussian_measure
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def leaky_rescaled():
 
 @pytest.fixture
 def grid_1d():
-    return GridSpec(dim_in=1, points_per_axis=201)
+    return 201  # points per axis
 
 
 @pytest.fixture

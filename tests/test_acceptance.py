@@ -27,15 +27,13 @@ from uaplab import rate_bounds as rb
 from uaplab.function_space import (
     SUP_START_RADIUS,
     GridFunction,
-    GridSpec,
     Weight,
-    WeightFamily,
     d_ucc,
     gaussian_measure,
     sup_norm_on_ball,
     weighted_sup_norm,
 )
-from uaplab.network import FeedForwardNet, FitConfig, TreeFunction
+from uaplab.network import FeedForwardNet, TreeFunction
 
 
 def finish(num, name, limit, start, checks):
@@ -127,7 +125,7 @@ def test_criterion_04_transitivity_certificate():
     ident = GridFunction.identity()
     sine = GridFunction.from_scalar(np.sin, name="sin")
     cert = dd.construct_transitive_approximant(op, ident, sine, 0.1, 0.1)
-    fine = GridSpec(points_per_axis=601)  # twice the verification resolution
+    fine = 601  # points per axis: twice the verification resolution
     d_seed = d_ucc(ident, cert.g_tilde, 20, fine)
     d_target = d_ucc(sine, dd.apply(op, cert.g_tilde, cert.N), 20, fine)
     checks = [
@@ -143,8 +141,7 @@ def test_criterion_05_constrained_assembly():
     op = dd.CompositionOperator(act.by_name("leaky_shifted_paper"), np.array([1.0]))
     ident = GridFunction.identity()
     cosine = GridFunction.from_scalar(np.cos, name="cos")
-    fit = FitConfig(width=512)
-    rep = ca.assemble_prescribed(ident, cosine, 0.1, 0.1, op, fit)
+    rep = ca.assemble_prescribed(ident, cosine, 0.1, 0.1, op, 512)
     frozen = rep.full_net.layers[: rep.split_index]
     identity_frozen = all(np.array_equal(l.matrix, np.eye(1)) for l in frozen)
     sparsity_ok = all(s == 1 for s in rep.sparsity_per_frozen_layer)
@@ -173,11 +170,10 @@ def test_criterion_06_weighted_approximation():
     f = GridFunction.from_scalar(
         lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
     )
-    family = WeightFamily((Weight.unit(), Weight.power(1), Weight.max_t_power(2)))
-    fit = FitConfig(width=512)
-    result, rep = om.approximate_growth(f, family, 0.1, fit, measure_radius=30.0)
+    family = (Weight.unit(), Weight.power(1), Weight.max_t_power(2))
+    result, rep = om.approximate_growth(f, family, 0.1, 512, measure_radius=30.0)
     pts = np.linspace(-30.0, 30.0, 6001)[:, None]
-    w = [w for w in family.weights if w.kind == rep.weight_kind][0]
+    w = [w for w in family if w.kind == rep.weight_kind][0]
     denom = np.asarray(w(np.abs(pts[:, 0]))) + 1.0
     err = float(np.max(np.abs(f.sample(pts) - result.sample(pts))[:, 0] / denom))
     checks = [
@@ -248,7 +244,7 @@ def test_criterion_10_isometry_suites():
         d = fs.l1_distance(fs.eta(r), fs.eta(s))
         eta_defect = max(eta_defect, abs(d - abs(r - s)))
 
-    grid = GridSpec(points_per_axis=201)
+    grid = 201  # points per axis
     weight_defect = 0.0
     for w in (Weight.unit(), Weight.power(1), Weight.max_t_power(2)):
         for _ in range(100):

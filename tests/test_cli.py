@@ -252,13 +252,27 @@ SHIFTED = {"activation": "leaky_shifted_paper"}
     ("rate-sweep", {"n_values": 4}, "n_values"),
     ("limitation-demo", {"samples": [{"kind": "constant"}]}, "samples"),
     ("free-space-tests", {"pairs": -1}, "pairs"),
+    ("rate-sweep", {"quad_nodes": 0}, "quad_nodes"),
+    ("rate-sweep", {"quad_nodes": -5}, "quad_nodes"),
+    ("rate-sweep", {"N": -1}, "N"),
+    ("rate-sweep", {"N": 2.7}, "N"),
+    ("rate-sweep", {"N": "2"}, "N"),
+    ("rate-sweep", {"N": True}, "N"),
+    ("omega-approx", {"csv_points": -1}, "csv_points"),
+    ("escape", dict(SHIFTED, K_radius=2.0, max_N=2.5), "max_N"),
+    ("constrained-fit", dict(SHIFTED, fit={"width": 0}), "fit.width"),
+    ("transitivity-demo", dict(SHIFTED, metric="sup"), "metric"),
+    ("transitivity-demo", dict(SHIFTED, metric="L1"), "metric"),
 ], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
         "f-no-kind", "target-short-term", "constraint-no-kind",
         "constraint-negative-threshold", "basis-range-number", "basis-list",
         "basis-range-short", "basis-range-reversed", "basis-length-negative",
         "basis-range-infinite", "n-values-empty", "n-values-zero",
         "n-values-negative", "n-values-fraction", "n-values-number",
-        "samples-constant-no-value", "pairs-negative"])
+        "samples-constant-no-value", "pairs-negative", "quad-nodes-zero",
+        "quad-nodes-negative", "depth-negative", "depth-fraction",
+        "depth-string", "depth-boolean", "csv-points-negative",
+        "max-n-fraction", "fit-width-zero", "metric-sup", "metric-upper-l1"])
 def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
     code, payload = main_in_process(tmp_path, capsys, command, params)
     assert code == 2, payload
@@ -479,3 +493,27 @@ def test_key_table_matches_the_keys_handlers_read():
         read = set(cli._PARAMS[command][0].split())
         assert seen[command] <= read, (command, "read but not in the table")
         assert read <= seen[command], (command, "in the table but never read")
+
+
+def test_every_traced_function_resolves():
+    """The benchmark's tracer (uapbench/spans.py) wraps each function that
+    TRACED names; one missing from uaplab would drop its spans from traced
+    runs without an error."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "uapbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("uapbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        del sys.modules[spec.name]
+    traced = [(module, name) for module, functions in spans.TRACED.values()
+              for name, *_ in functions]
+    missing = [f"{module}.{name}" for module, name in traced
+               if not callable(getattr(importlib.import_module(module), name,
+                                       None))]
+    assert traced and not missing, missing

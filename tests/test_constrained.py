@@ -8,10 +8,10 @@ import pytest
 from uaplab import constrained_approx as ca
 from uaplab import depth_dynamics as dd
 from uaplab.errors import FitBudgetError, PreconditionError
-from uaplab.function_space import GridFunction, GridSpec, sup_norm_on_ball
-from uaplab.network import FeedForwardNet, FitConfig, net_from_config, net_to_config
+from uaplab.function_space import GridFunction, sup_norm_on_ball
+from uaplab.network import FeedForwardNet, net_from_config, net_to_config
 
-FIT = FitConfig(width=512)
+FIT = 512  # fit width
 
 
 @pytest.fixture
@@ -72,9 +72,8 @@ class TestAssemblePrescribed:
 
 class TestAssembleConstrained:
     def sup_constraint(self, threshold=1.0, radius=1.0):
-        grid = GridSpec(points_per_axis=401)
         return ca.ConstraintFunctional(
-            lambda h: sup_norm_on_ball(h, radius, grid), threshold,
+            lambda h: sup_norm_on_ball(h, radius, 401), threshold,
             f"sup_ball[{radius}]",
         )
 
@@ -118,13 +117,11 @@ class TestConstrainedWidth:
     bound): enough width succeeds, too little reports what it measured."""
 
     def assemble(self, op, cos_fn, width):
-        grid = GridSpec(points_per_axis=801)
         con = ca.ConstraintFunctional(
-            lambda h: sup_norm_on_ball(h, 1.0, grid), 0.5, "sup_on_ball[1]"
+            lambda h: sup_norm_on_ball(h, 1.0, 801), 0.5, "sup_on_ball[1]"
         )
-        fit = FitConfig(width=width)
         return ca.assemble_constrained(
-            [con], GridFunction.zero(), cos_fn, 0.1, op, fit
+            [con], GridFunction.zero(), cos_fn, 0.1, op, width
         )
 
     def test_first_attempt_succeeds(self, op, cos_fn):

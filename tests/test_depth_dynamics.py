@@ -10,11 +10,10 @@ from uaplab import depth_dynamics as dd
 from uaplab.errors import NoEscapeError, PreconditionError, QuadratureError
 from uaplab.function_space import (
     GridFunction,
-    GridSpec,
     d_ucc,
     lp_norm,
 )
-from uaplab.network import FitConfig, TreeFunction
+from uaplab.network import TreeFunction
 
 
 def shifted_op(leaky_shifted, b=1.0, m=1):
@@ -138,9 +137,8 @@ class TestUniformCertificate:
     def test_soundness_on_finer_grid(self, leaky_shifted, ident, sin_fn):
         op = shifted_op(leaky_shifted)
         cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
-        fine = GridSpec(points_per_axis=601)
-        d_seed = d_ucc(ident, cert.g_tilde, 20, fine)
-        d_target = d_ucc(sin_fn, dd.apply(op, cert.g_tilde, cert.N), 20, fine)
+        d_seed = d_ucc(ident, cert.g_tilde, 20, 601)
+        d_target = d_ucc(sin_fn, dd.apply(op, cert.g_tilde, cert.N), 20, 601)
         assert d_seed < 0.1 * 1.1 and d_target < 0.1 * 1.1
 
     def test_escape_box_clears_guard_cube(self, leaky_shifted, ident, sin_fn):
@@ -169,7 +167,7 @@ class TestUniformCertificate:
         op = shifted_op(leaky_shifted)
         cert = dd.construct_transitive_approximant(
             op, ident, sin_fn, 0.1, 0.1,
-            fitter=FitConfig(width=512),
+            width=512,
         )
         assert cert.fit_residual is not None
         assert cert.d_seed < 0.1 and cert.d_target < 0.1
@@ -187,9 +185,8 @@ class TestUniformCertificate:
         bump = GridFunction(
             lambda X: np.exp(-np.sum(X * X, axis=1))[:, None], 2, 1, name="bump"
         )
-        grid = GridSpec(dim_in=2, points_per_axis=41)
         cert = dd.construct_transitive_approximant(
-            op, zero, bump, 0.2, 0.2, grid=grid
+            op, zero, bump, 0.2, 0.2, points=41
         )
         assert cert.N > 0
         assert cert.d_seed < 0.2 and cert.d_target < 0.2

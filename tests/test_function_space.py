@@ -17,19 +17,18 @@ from uaplab.function_space import (
     _ensure_finite,
     _ndtr,
     _ndtri,
-    GridSpec,
     Weight,
-    WeightFamily,
+    cube_points,
     d_ucc,
     d_ucc_tail_bound,
     gaussian_measure,
     lp_norm,
     measure_from_config,
-    measure_to_config,
     sup_norm_on_ball,
     table_measure,
     uniform_window_measure,
     weighted_sup_norm,
+    weights_from_config,
 )
 from uaplab.network import TreeFunction
 
@@ -39,11 +38,15 @@ ONE = GridFunction.constant(1.0)
 
 class TestGridSpec:
     def test_contains_origin_when_odd(self):
-        assert 0.0 in GridSpec(points_per_axis=101).cube_points(3.0)[:, 0]
+        assert 0.0 in cube_points(3.0, 101)[:, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GridSpec(points_per_axis=1)
+            cube_points(3.0, 1)
+
+    def test_more_than_three_axes_rejected(self):
+        with pytest.raises(ValueError):
+            cube_points(3.0, 5, dim=4)
 
     @pytest.mark.parametrize("dim, points", [(1, 401), (2, 31), (3, 5)])
     def test_several_half_widths_stack_their_cubes(self, dim, points):
@@ -55,9 +58,9 @@ class TestGridSpec:
             ax = np.linspace(-h, h, points)
             grids = np.meshgrid(*([ax] * dim), indexing="ij")
             want.append(np.stack([g.ravel() for g in grids], axis=1))
-        grid = GridSpec(dim_in=dim, points_per_axis=points)
-        assert grid.cube_points(widths).tobytes() == np.concatenate(want).tobytes()
-        assert grid.cube_points(widths[1]).tobytes() == want[1].tobytes()
+        assert (cube_points(widths, points, dim).tobytes()
+                == np.concatenate(want).tobytes())
+        assert cube_points(widths[1], points, dim).tobytes() == want[1].tobytes()
 
 
 class TestDucc:
@@ -118,11 +121,11 @@ class TestDucc:
         assert err.value.point is not None
 
 
-def ducc_term_by_term(f, g, terms, grid):
+def ducc_term_by_term(f, g, terms, points):
     """The reference d_ucc: one pair of sample calls per cube [-k, k]^m."""
     total = 0.0
     for k in range(1, terms + 1):
-        pts = grid.cube_points(float(k))
+        pts = cube_points(float(k), points, f.dim_in)
         diff = f.sample(pts) - g.sample(pts)
         _ensure_finite(diff, pts, f"computing d_ucc term k={k}")
         s = float(np.max(np.linalg.norm(diff, axis=1)))
@@ -147,12 +150,10 @@ def ducc_cases():
     return {
         # the escape iterate of the blend constructions: s_iter on the stack
         "1d": (apply(CompositionOperator(leaky, 1.0), GridFunction.from_scalar(
-            np.sin, name="sin"), 2), GridFunction.identity(),
-            GridSpec(points_per_axis=301)),
+            np.sin, name="sin"), 2), GridFunction.identity(), 301),
         "2d": (GridFunction(lambda X: np.sin(X[:, :1] * X[:, 1:]), 2, 1),
-               GridFunction(lambda X: 0.01 * (X**2).sum(axis=1), 2, 1),
-               GridSpec(dim_in=2, points_per_axis=151)),
-        "dim_out_2": (wave, tilt, GridSpec(dim_in=2, points_per_axis=151)),
+               GridFunction(lambda X: 0.01 * (X**2).sum(axis=1), 2, 1), 151),
+        "dim_out_2": (wave, tilt, 151),
     }
 
 
@@ -160,11 +161,11 @@ class TestDuccBatches:
     @pytest.mark.parametrize("terms", [1, 3, 20])
     @pytest.mark.parametrize("case", ["1d", "2d", "dim_out_2"])
     def test_equals_term_by_term(self, case, terms):
-        f, g, grid = ducc_cases()[case]
-        want = ducc_term_by_term(f, g, terms, grid)
+        f, g, points = ducc_cases()[case]
+        want = ducc_term_by_term(f, g, terms, points)
         assert want > 0.0
-        assert d_ucc(f, g, terms, grid) == want
-        assert d_ucc(g, f, terms, grid) == ducc_term_by_term(g, f, terms, grid)
+        assert d_ucc(f, g, terms, points) == want
+        assert d_ucc(g, f, terms, points) == ducc_term_by_term(g, f, terms, points)
 
     def test_first_non_finite_term_raises_as_the_loop(self, grid_1d):
         # NaN only on [-5, 5] minus [-4, 4]: terms 1-4 are finite, k = 5 is not
@@ -182,15 +183,13 @@ class TestDuccBatches:
 
     def test_one_sample_call_per_function_on_one_input(self, sin_fn, cos_fn):
         f_sizes, g_sizes = [], []
-        grid = GridSpec(points_per_axis=301)
-        d_ucc(counted(sin_fn, f_sizes), counted(cos_fn, g_sizes), 20, grid)
+        d_ucc(counted(sin_fn, f_sizes), counted(cos_fn, g_sizes), 20, 301)
         assert f_sizes == g_sizes == [20 * 301]
 
     def test_two_input_calls_stay_within_the_batch(self):
         sizes = []
-        grid = GridSpec(dim_in=2, points_per_axis=151)
         f = GridFunction(lambda X: X[:, :1] * X[:, 1:], 2, 1)
-        d_ucc(counted(f, sizes), GridFunction.zero(dim_in=2), 20, grid)
+        d_ucc(counted(f, sizes), GridFunction.zero(dim_in=2), 20, 151)
         assert max(sizes) <= DUCC_BATCH_POINTS
         assert len(sizes) < 20  # consecutive cubes still share calls
         assert sum(sizes) == 20 * 151**2
@@ -247,10 +246,9 @@ class TestLpNorm:
         f = GridFunction(
             lambda X: np.linalg.norm(X, axis=1)[:, None], 2, 1
         )
-        grid = GridSpec(dim_in=2, points_per_axis=151)
         # the cube corners are masked out: sup over the ball is the radius
-        assert sup_norm_on_ball(f, 2.0, grid) <= 2.0 + 1e-12
-        assert sup_norm_on_ball(f, 2.0, grid) >= 1.99
+        assert sup_norm_on_ball(f, 2.0, 151) <= 2.0 + 1e-12
+        assert sup_norm_on_ball(f, 2.0, 151) >= 1.99
 
 
 class TestSupNorm:
@@ -258,14 +256,12 @@ class TestSupNorm:
         assert sup_norm_on_ball(ZERO, 1.0) == 0.0
 
     def test_identity_attains_radius(self, ident):
-        grid = GridSpec(points_per_axis=301)
-        assert sup_norm_on_ball(ident, 3.0, grid) == pytest.approx(3.0)
+        assert sup_norm_on_ball(ident, 3.0, 301) == pytest.approx(3.0)
 
     def test_exp_decay_peaks_at_origin(self):
         # oracle: calculus, max of e^{-|x|} at 0 is 1
         f = GridFunction.from_scalar(lambda x: np.exp(-np.abs(x)))
-        grid = GridSpec(points_per_axis=301)
-        assert sup_norm_on_ball(f, 5.0, grid) == pytest.approx(1.0)
+        assert sup_norm_on_ball(f, 5.0, 301) == pytest.approx(1.0)
 
 
 class TestWeightedSup:
@@ -274,7 +270,7 @@ class TestWeightedSup:
         assert res.value == 0.0 and not res.diverged
 
     def test_identity_over_t_approaches_one(self, ident):
-        res = weighted_sup_norm(ident, Weight.power(1), GridSpec(points_per_axis=301))
+        res = weighted_sup_norm(ident, Weight.power(1), 301)
         assert not res.diverged
         assert 0.99 <= res.value < 1.0  # approaches 1 from below
 
@@ -285,14 +281,13 @@ class TestWeightedSup:
     def test_unit_weight_is_half_sup(self, sin_fn):
         # the running sup visits the doubling-radius grids, so the matched
         # plain supremum is the max over the same family of ball grids
-        grid = GridSpec(points_per_axis=301)
-        res = weighted_sup_norm(sin_fn, Weight.unit(), grid)
+        res = weighted_sup_norm(sin_fn, Weight.unit(), 301)
         radii = []
         r = SUP_START_RADIUS
         while r <= res.radius_reached:
             radii.append(r)
             r *= 2.0
-        sup = max(sup_norm_on_ball(sin_fn, r, grid) for r in radii)
+        sup = max(sup_norm_on_ball(sin_fn, r, 301) for r in radii)
         assert res.value == pytest.approx(0.5 * sup, abs=1e-9)
 
 
@@ -307,13 +302,19 @@ class TestMeasures:
         assert gauss_mu.tail_mass(2.0) == pytest.approx(want, abs=1e-12)
 
     def test_config_round_trip(self):
-        for mu in (
-            gaussian_measure(0.5, 2.0),
-            uniform_window_measure(-3, 4, 0.5),
-            table_measure([-1, 0, 1], [0.5, 1.0, 0.5]),
+        for cfg, mu in (
+            ({"density_kind": "gaussian", "params": {"mean": 0.5, "std": 2.0}},
+             gaussian_measure(0.5, 2.0)),
+            ({"density_kind": "uniform_window",
+              "params": {"lo": -3, "hi": 4, "height": 0.5}},
+             uniform_window_measure(-3, 4, 0.5)),
+            ({"density_kind": "custom_table",
+              "params": {"xs": [-1, 0, 1], "densities": [0.5, 1.0, 0.5]}},
+             table_measure([-1, 0, 1], [0.5, 1.0, 0.5])),
         ):
-            back = measure_from_config(measure_to_config(mu))
+            back = measure_from_config(cfg)
             assert back.kind == mu.kind
+            assert back.params == mu.params
             assert back.total_mass == pytest.approx(mu.total_mass, rel=1e-12)
 
     def test_table_measure_rejects_bad_input(self):
@@ -360,17 +361,18 @@ class TestGaussianSpecialFunctions:
 
 
 class TestWeightFamily:
-    def test_contains_unit_detection(self):
-        fam = WeightFamily((Weight.unit(), Weight.power(2)))
-        assert fam.contains_unit
-        fam2 = WeightFamily((Weight.power(1),))
-        assert not fam2.contains_unit
-
     def test_config_round_trip(self):
-        fam = WeightFamily(
-            (Weight.unit(), Weight.power(1), Weight.max_t_power(2), Weight.exp_decay(3))
-        )
-        back = WeightFamily.from_config(fam.to_config())
+        want = (Weight.unit(), Weight.power(1), Weight.max_t_power(2),
+                Weight.exp_decay(3))
+        back = weights_from_config([
+            {"kind": "unit"}, {"kind": "power", "i": 1},
+            {"kind": "max_t_power", "i": 2}, {"kind": "exp_decay", "k": 3}])
         t = np.linspace(0, 10, 50)
-        for w1, w2 in zip(fam.weights, back.weights):
+        assert len(back) == len(want)
+        for w1, w2 in zip(want, back):
+            assert (w1.kind, w1.param) == (w2.kind, w2.param)
             assert np.allclose(w1(t), w2(t))
+
+    def test_empty_config_rejected(self):
+        with pytest.raises(ValueError):
+            weights_from_config([])

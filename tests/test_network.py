@@ -14,12 +14,10 @@ from uaplab.network import (
     TreeFunction,
     fit_shallow,
     identity_layer,
-    net_eval,
     net_from_config,
     net_to_config,
     sparsity,
     stack,
-    tree_eval,
 )
 
 
@@ -44,7 +42,7 @@ class TestEval:
             ),
             act.by_name("relu"),
         )
-        assert net_eval(net, 2.0) == pytest.approx(1.0)
+        assert net.as_gridfunction()(2.0) == pytest.approx(1.0)
 
     def test_dim_mismatch(self):
         net = single_layer_identity()
@@ -86,8 +84,8 @@ class TestStack:
         stacked = stack(net, [identity_layer(1, bias=1.0)])
         rng = np.random.default_rng(0)
         for x in rng.uniform(-10, 10, 100):
-            want = net_eval(net, float(leaky_shifted(x + 1.0)))
-            assert net_eval(stacked, x) == pytest.approx(want, abs=1e-12)
+            want = net.as_gridfunction()(float(leaky_shifted(x + 1.0)))
+            assert stacked.as_gridfunction()(x) == pytest.approx(want, abs=1e-12)
 
     def test_double_stack_equals_concatenation(self, leaky_shifted):
         net = FeedForwardNet(
@@ -293,16 +291,16 @@ class TestFitShallow:
 
 class TestTrees:
     def test_empty_tree(self):
-        assert tree_eval(TreeFunction(()), 0.3) == 0.0
+        assert TreeFunction(()).as_gridfunction()(0.3) == 0.0
 
     def test_membership(self):
         t = TreeFunction(((2.0, 0.0, 1.0),))
-        assert tree_eval(t, 0.5) == 2.0
+        assert t.as_gridfunction()(0.5) == 2.0
 
     def test_open_interval_endpoints(self):
         t = TreeFunction(((2.0, 0.0, 1.0),))
-        assert tree_eval(t, 1.0) == 0.0
-        assert tree_eval(t, 0.0) == 0.0
+        assert t.as_gridfunction()(1.0) == 0.0
+        assert t.as_gridfunction()(0.0) == 0.0
 
     def test_piecewise_constant_between_breakpoints(self):
         rng = np.random.default_rng(7)

@@ -9,15 +9,13 @@ from uaplab.errors import NoControllingWeightError, PreconditionError
 from uaplab.function_space import (
     SUP_START_RADIUS,
     GridFunction,
-    GridSpec,
     Weight,
-    WeightFamily,
+    cube_points,
     sup_norm_on_ball,
     weighted_sup_norm,
 )
-from uaplab.network import FitConfig
 
-FIT = FitConfig(width=256)
+FIT = 256  # fit width
 
 
 def _doubling_radii(reached):
@@ -31,25 +29,21 @@ def _doubling_radii(reached):
 
 class TestBumpTransform:
     def test_constant_outside_for_zero_inner(self):
-        params = om.OmegaTransformParams(a=0.5, b=1.0)
-        out = om.bump_transform(GridFunction.zero(), params)
+        out = om.bump_transform(GridFunction.zero(), 0.5, 1.0)
         xs = np.linspace(1.5, 30.0, 101)[:, None]  # outside ||x||^2 < 1
         assert np.allclose(out.sample(xs), 0.5)
 
     def test_center_value(self):
         # oracle: 0 * e^{-1/(1-0)} + 0.5 = 0.5
-        params = om.OmegaTransformParams(a=0.5, b=1.0)
-        out = om.bump_transform(GridFunction.zero(), params)
+        out = om.bump_transform(GridFunction.zero(), 0.5, 1.0)
         assert out(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_bump_factor_scales_inner_value(self):
-        params = om.OmegaTransformParams(a=0.5, b=1.0)
-        out = om.bump_transform(GridFunction.constant(2.0), params)
+        out = om.bump_transform(GridFunction.constant(2.0), 0.5, 1.0)
         assert out(0.0) == pytest.approx(2.0 * np.exp(-1.0) + 0.5, abs=1e-12)
 
     def test_continuity_across_boundary(self, sin_fn):
-        params = om.OmegaTransformParams(a=0.25, b=4.0)
-        out = om.bump_transform(sin_fn, params)
+        out = om.bump_transform(sin_fn, 0.25, 4.0)
         boundary = np.sqrt(4.0)
         for d in (1e-3, 1e-4, 1e-5, 1e-6):
             inner = out(boundary - d)
@@ -60,7 +54,11 @@ class TestBumpTransform:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            om.OmegaTransformParams(a=0.0, b=1.0)
+            om.bump_transform(GridFunction.zero(), 0.0, 1.0)
+
+    def test_non_positive_b_rejected(self):
+        with pytest.raises(ValueError):
+            om.bump_transform(GridFunction.zero(), 0.5, -1.0)
 
 
 class TestApproximateVanishing:
@@ -80,8 +78,7 @@ class TestApproximateVanishing:
     def test_soundness_on_wider_finer_grid(self):
         gauss = GridFunction.from_scalar(lambda x: np.exp(-(x**2)))
         f_eps, rep = om.approximate_vanishing(gauss, 0.2, FIT)
-        grid = GridSpec(points_per_axis=4001)
-        pts = grid.cube_points(2.0 * rep.wide_radius)
+        pts = cube_points(2.0 * rep.wide_radius, 4001)
         err = float(np.max(np.abs(gauss.sample(pts) - f_eps.sample(pts))))
         assert err < 0.2 * 1.1
 
@@ -127,7 +124,6 @@ class TestWeightMaps:
 
     def test_isometry_between_weighted_and_plain_norms(self):
         rng = np.random.default_rng(1)
-        grid = GridSpec(points_per_axis=301)
         for w in (Weight.unit(), Weight.power(1), Weight.max_t_power(2)):
             for _ in range(5):
                 c = rng.uniform(-1, 1, 4)
@@ -138,9 +134,9 @@ class TestWeightMaps:
                     lambda x, c=c: c[2] * np.cos(x) + c[3] * np.sin(3 * x)
                 )
                 lifted = om.phi_omega(f, w) - om.phi_omega(g, w)
-                res = weighted_sup_norm(lifted, w, grid)
+                res = weighted_sup_norm(lifted, w, 301)
                 plain = max(
-                    sup_norm_on_ball(f - g, r, grid)
+                    sup_norm_on_ball(f - g, r, 301)
                     for r in _doubling_radii(res.radius_reached)
                 )
                 assert res.value == pytest.approx(plain, abs=1e-9)
@@ -148,7 +144,7 @@ class TestWeightMaps:
 
 class TestApproximateGrowth:
     def family(self):
-        return WeightFamily((Weight.unit(), Weight.power(1), Weight.max_t_power(2)))
+        return (Weight.unit(), Weight.power(1), Weight.max_t_power(2))
 
     def test_zero_target(self):
         result, rep = om.approximate_growth(
@@ -161,8 +157,7 @@ class TestApproximateGrowth:
         f = GridFunction.from_scalar(
             lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
         )
-        fit = FitConfig(width=512)
-        result, rep = om.approximate_growth(f, self.family(), 0.1, fit,
+        result, rep = om.approximate_growth(f, self.family(), 0.1, 512,
                                             measure_radius=30.0)
         assert rep.weighted_error < 0.1
         assert rep.weight_kind in ("power", "max_t_power")
@@ -184,8 +179,7 @@ class TestLimitationDemo:
         assert rep.best_constant == pytest.approx(0.5, abs=0.01)
 
     def test_every_constant_at_least_half(self):
-        grid = GridSpec(points_per_axis=4001)
-        pts = grid.cube_points(30.0)
+        pts = cube_points(30.0, 4001)
         target = np.exp(-np.abs(pts[:, 0]))
         for c in np.linspace(-2, 2, 81):
             err = np.max(np.abs(target - c))

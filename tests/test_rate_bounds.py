@@ -376,6 +376,15 @@ class TestRateSweep:
         with pytest.raises(PreconditionError):
             self.setup_sweep(ns=ns)
 
+    def test_negative_depth_rejected(self):
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        with pytest.raises(PreconditionError, match="depth N"):
+            rb.rate_sweep(rb.trees_basis_family(), tree, gaussian_measure(),
+                          [4], -1, op, quad_nodes=101)
+
     def test_depth_two_sweep_is_degenerate(self):
         mu = gaussian_measure()
         target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
