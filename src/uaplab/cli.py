@@ -18,24 +18,18 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import activations as act
-from . import constrained_approx as ca
-from . import depth_dynamics as dd
-from . import free_space as fs
-from . import omega_modification as om
-from . import rate_bounds as rb
 from .errors import ConfigError, UaplabError
-from .function_space import (
-    GridFunction,
-    gaussian_measure,
-    measure_from_config,
-    sup_norm_on_ball,
-    weights_from_config,
-)
-from .network import TreeFunction
+
+# The library modules are imported inside the parsers and handlers that use
+# them, so a cold process loads only the modules of the command it runs.
+if TYPE_CHECKING:
+    from . import activations as act
+    from . import constrained_approx as ca
+    from .function_space import GridFunction
 
 COMMANDS = (
     "check-activation",
@@ -74,6 +68,16 @@ def _num(params: dict, key: str, default=_REQUIRED, cast=float,
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError([f"{where}.{key}: not a valid number: {value!r}"])
+
+
+def _positive(params: dict, key: str, default=_REQUIRED,
+              where: str = "params") -> float:
+    """_num(params, key, default), when it is > 0; a smaller value or NaN
+    is a ConfigError naming the field."""
+    value = _num(params, key, default, where=where)
+    if not value > 0:
+        raise ConfigError([f"{where}.{key}: must be positive, got {value!r}"])
+    return value
 
 
 def _is_int(value) -> bool:
@@ -124,6 +128,9 @@ def _parse_function(params: dict, field: str, default) -> GridFunction:
 
 
 def _function_from_config(cfg) -> GridFunction:
+    from .function_space import GridFunction
+    from .network import TreeFunction
+
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     kind = cfg["kind"]
@@ -163,12 +170,16 @@ def _parse_fit(cfg) -> int:
 
 
 def _parse_measure(cfg):
+    from .function_space import gaussian_measure, measure_from_config
+
     if cfg is None:
         return gaussian_measure()
     return _nested("mu", measure_from_config, cfg)
 
 
 def _parse_activation(cfg) -> act.ActivationSpec:
+    from . import activations as act
+
     if cfg is None:
         raise ConfigError(["params.activation: required"])
     return _nested("activation", act.activation_from_config, cfg)
@@ -179,6 +190,8 @@ def _parse_activation(cfg) -> act.ActivationSpec:
 
 
 def _run_check_activation(params: dict, seed: int):
+    from . import activations as act
+
     sigma = _parse_activation(params.get("activation"))
     verdict = act.classify(sigma)
     return (
@@ -196,14 +209,14 @@ def _run_check_activation(params: dict, seed: int):
 
 
 def _run_escape(params: dict, seed: int):
+    from . import depth_dynamics as dd
+
     sigma = _parse_activation(params.get("activation"))
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
-    k_radius = _num(params, "K_radius")
+    k_radius = _positive(params, "K_radius")
     guard = _num(params, "guard_radius", k_radius)
     max_n = _int(params, "max_N", 10_000, 0)
-    if not k_radius > 0:
-        raise ConfigError([f"params.K_radius: must be positive, got {k_radius!r}"])
     if not guard >= k_radius:
         raise ConfigError([
             f"params.guard_radius: must be >= K_radius ({k_radius!r}), got {guard!r}"
@@ -220,6 +233,8 @@ def _run_escape(params: dict, seed: int):
 
 
 def _run_transitivity_demo(params: dict, seed: int):
+    from . import depth_dynamics as dd
+
     sigma = _parse_activation(params.get("activation"))
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
@@ -245,10 +260,13 @@ def _run_transitivity_demo(params: dict, seed: int):
 
 
 def _parse_constraint(cfg) -> ca.ConstraintFunctional:
+    from . import constrained_approx as ca
+    from .function_space import sup_norm_on_ball
+
     kind = cfg["kind"]
     threshold = _num(cfg, "threshold", where="params.constraints")
     if kind == "sup_on_ball":
-        radius = _num(cfg, "radius", 1.0, where="params.constraints")
+        radius = _positive(cfg, "radius", 1.0, where="params.constraints")
         return ca.ConstraintFunctional(
             lambda h: sup_norm_on_ball(h, radius, 801),
             threshold,
@@ -265,6 +283,9 @@ def _parse_constraint(cfg) -> ca.ConstraintFunctional:
 
 
 def _run_constrained_fit(params: dict, seed: int):
+    from . import constrained_approx as ca
+    from . import depth_dynamics as dd
+
     sigma = _parse_activation(params.get("activation"))
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
@@ -284,13 +305,16 @@ def _run_constrained_fit(params: dict, seed: int):
 
 
 def _run_omega_approx(params: dict, seed: int):
+    from . import omega_modification as om
+    from .function_space import weights_from_config
+
     f = _parse_function(params, "f", "gauss_linear")
     weights = _nested("weights", weights_from_config, params.get(
         "weights", [{"kind": "unit"}, {"kind": "power", "i": 1},
                     {"kind": "max_t_power", "i": 2}]))
     eps = _num(params, "eps", 0.1)
     width = _parse_fit(params.get("fit"))
-    radius = _num(params, "measure_radius", 30.0)
+    radius = _positive(params, "measure_radius", 30.0)
     csv_points = _int(params, "csv_points", 601, 0)
     result, report = om.approximate_growth(
         f, weights, eps, width, measure_radius=radius
@@ -313,6 +337,9 @@ def _positive_ints(values) -> list:
 
 
 def _run_rate_sweep(params: dict, seed: int):
+    from . import depth_dynamics as dd
+    from . import rate_bounds as rb
+
     target = _parse_function(params, "target",
                              {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]})
     mu = _parse_measure(params.get("mu"))
@@ -346,17 +373,21 @@ def _run_rate_sweep(params: dict, seed: int):
 
 
 def _run_limitation_demo(params: dict, seed: int):
+    from . import omega_modification as om
+
     samples = _nested("samples", lambda cfg: [
         om.LimitationSample(kind=s["kind"], label=s.get("label", s["kind"]),
                             value=s.get("value"))
         for s in cfg], params.get("samples", []))
     report = om.demonstrate_limitation(
-        samples, x_radius=_num(params, "x_radius", 30.0)
+        samples, x_radius=_positive(params, "x_radius", 30.0)
     )
     return report.to_config(), []
 
 
 def _run_free_space_tests(params: dict, seed: int):
+    from . import free_space as fs
+
     pairs = _int(params, "pairs", 1000, 0)
     rng = np.random.default_rng(seed)
     rs = rng.uniform(-50.0, 50.0, size=(pairs, 2))

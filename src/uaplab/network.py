@@ -291,8 +291,13 @@ class TreeFunction:
     def breakpoints(self) -> np.ndarray:
         if not self.terms:
             return np.empty(0)
+        # np.unique's sort-and-compare, NaNs merged into one, without the
+        # numpy.ma import np.unique makes on its first call
         arr = np.asarray(self.terms)
-        return np.unique(np.concatenate([arr[:, 1], arr[:, 2]]))
+        ends = np.concatenate([arr[:, 1], arr[:, 2]])
+        ends.sort()
+        keep = (ends[1:] != ends[:-1]) & ~np.isnan(ends[:-1])
+        return np.concatenate([ends[:1], ends[1:][keep]])
 
     def l1_norm(self) -> float:
         """Exact L1 norm: the tree is constant between consecutive

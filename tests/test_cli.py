@@ -263,6 +263,18 @@ SHIFTED = {"activation": "leaky_shifted_paper"}
     ("constrained-fit", dict(SHIFTED, fit={"width": 0}), "fit.width"),
     ("transitivity-demo", dict(SHIFTED, metric="sup"), "metric"),
     ("transitivity-demo", dict(SHIFTED, metric="L1"), "metric"),
+    ("constrained-fit", dict(SHIFTED, constraints=[
+        {"kind": "sup_on_ball", "radius": 0.0, "threshold": 0.5}]),
+     "constraints.radius"),
+    ("constrained-fit", dict(SHIFTED, constraints=[
+        {"kind": "sup_on_ball", "radius": -1.0, "threshold": 0.5}]),
+     "constraints.radius"),
+    ("omega-approx", {"measure_radius": -5}, "measure_radius"),
+    ("omega-approx", {"measure_radius": 0}, "measure_radius"),
+    ("omega-approx", {"measure_radius": -1}, "measure_radius"),
+    ("limitation-demo", {"x_radius": -5}, "x_radius"),
+    ("limitation-demo", {"x_radius": 0}, "x_radius"),
+    ("limitation-demo", {"x_radius": -1}, "x_radius"),
 ], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
         "f-no-kind", "target-short-term", "constraint-no-kind",
         "constraint-negative-threshold", "basis-range-number", "basis-list",
@@ -272,7 +284,10 @@ SHIFTED = {"activation": "leaky_shifted_paper"}
         "samples-constant-no-value", "pairs-negative", "quad-nodes-zero",
         "quad-nodes-negative", "depth-negative", "depth-fraction",
         "depth-string", "depth-boolean", "csv-points-negative",
-        "max-n-fraction", "fit-width-zero", "metric-sup", "metric-upper-l1"])
+        "max-n-fraction", "fit-width-zero", "metric-sup", "metric-upper-l1",
+        "ball-radius-zero", "ball-radius-negative", "measure-radius--5",
+        "measure-radius-0", "measure-radius--1", "x-radius--5", "x-radius-0",
+        "x-radius--1"])
 def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
     code, payload = main_in_process(tmp_path, capsys, command, params)
     assert code == 2, payload
@@ -309,14 +324,72 @@ def test_transitivity_demo_l1_metric(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
+    # uaplab.cli imports no library module, so import every module but
+    # __main__ (which runs the CLI)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, uaplab.cli; "
-         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+         "import importlib, pkgutil, sys, uaplab\n"
+         "for m in pkgutil.iter_modules(uaplab.__path__):\n"
+         "    if m.name != '__main__':\n"
+         "        importlib.import_module('uaplab.' + m.name)\n"
+         "print(len([m for m in sys.modules if m.startswith('uaplab.')]),\n"
+         "      [m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    count, scipy = proc.stdout.split(" ", 1)
+    assert int(count) >= 11 and scipy.strip() == "[]", proc.stdout
+
+
+def loaded_modules(code: str) -> list:
+    """The uaplab modules, without their "uaplab." prefix, and numpy.ma
+    (which np.unique imports) in sys.modules after code runs in a fresh
+    process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted("
+         "m.removeprefix('uaplab.') for m in sys.modules "
+         "if m.startswith('uaplab') or m == 'numpy.ma')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_library_module():
+    assert loaded_modules("import uaplab.cli") == ["cli", "errors", "uaplab"]
+
+
+ACTIVATION_CHAIN = {"uaplab", "cli", "errors", "_kernels", "activations"}
+ESCAPE_CHAIN = ACTIVATION_CHAIN | {"function_space", "network", "depth_dynamics"}
+GROWTH_CHAIN = ACTIVATION_CHAIN | {"function_space", "network", "omega_modification"}
+L1_DEMO = {
+    "activation": "leaky_rescaled_paper", "b": 1.0, "g": "zero",
+    "f": {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]},
+    "eps": 0.1, "delta": 0.1, "metric": "l1",
+    "mu": {"density_kind": "gaussian", "params": {}},
+}
+
+
+@pytest.mark.parametrize("command, params, modules", [
+    ("check-activation", SMALL_CONFIGS["check-activation"], ACTIVATION_CHAIN),
+    ("escape", SMALL_CONFIGS["escape"], ESCAPE_CHAIN),
+    ("transitivity-demo", SMALL_CONFIGS["transitivity-demo"], ESCAPE_CHAIN),
+    ("transitivity-demo", L1_DEMO, ESCAPE_CHAIN | {"rate_bounds"}),
+    ("constrained-fit", SMALL_CONFIGS["constrained-fit"],
+     ESCAPE_CHAIN | {"constrained_approx"}),
+    ("rate-sweep", SMALL_CONFIGS["rate-sweep"], ESCAPE_CHAIN | {"rate_bounds"}),
+    ("omega-approx", SMALL_CONFIGS["omega-approx"], GROWTH_CHAIN),
+    ("limitation-demo", SMALL_CONFIGS["limitation-demo"], GROWTH_CHAIN),
+    ("free-space-tests", SMALL_CONFIGS["free-space-tests"],
+     ACTIVATION_CHAIN | {"function_space", "network", "free_space"}),
+], ids=["check-activation", "escape", "transitivity-demo", "transitivity-demo-l1",
+        "constrained-fit", "rate-sweep", "omega-approx", "limitation-demo",
+        "free-space-tests"])
+def test_command_loads_only_its_modules(tmp_path, command, params, modules):
+    cfg = write_config(tmp_path, command, params)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    loaded = loaded_modules(f"from uaplab.cli import main\nassert main({argv!r}) == 0")
+    assert loaded == sorted(modules)
 
 
 def test_computation_failure_exits_1(tmp_path):

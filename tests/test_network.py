@@ -315,6 +315,26 @@ class TestTrees:
             vals = t.sample(xs[:, None])[:, 0]
             assert np.max(np.abs(vals - vals[0])) == 0.0
 
+    @pytest.mark.parametrize("terms", [
+        ((1.0, 0.0, 1.0), (2.0, 0.0, 1.0), (-1.0, 1.0, 1.0)),
+        ((1.0, -0.0, 2.0), (1.0, 0.0, 3.0), (1.0, -1.0, -0.0)),
+        ((1.0, 0.0, 0.0), (1.0, -0.0, -0.0)),
+        ((1.0, -np.inf, 0.0), (1.0, 0.0, np.inf), (1.0, -np.inf, np.inf)),
+        ((1.0, np.nan, np.nan), (2.0, 0.0, 1.0), (1.0, np.nan, 2.0)),
+        ((1.0, np.nan, np.nan),),
+        tuple((1.0, float(b), float(b + d)) for b, d in zip(
+            np.random.default_rng(3).integers(-4, 4, 40),
+            np.random.default_rng(4).integers(0, 3, 40))),
+    ], ids=["shared", "signed-zeros", "only-zeros", "infinite", "nan",
+            "only-nan", "random-integers"])
+    def test_breakpoints_match_np_unique(self, terms):
+        t = TreeFunction(terms)
+        arr = np.asarray(t.terms)
+        want = np.unique(np.concatenate([arr[:, 1], arr[:, 2]]))
+        got = t.breakpoints
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            (got, want)
+
     def test_invalid_term(self):
         with pytest.raises(ValueError):
             TreeFunction(((1.0, 2.0, 1.0),))
