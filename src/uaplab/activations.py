@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -227,7 +227,9 @@ def builtin_names() -> tuple:
     return tuple(sorted(_BUILTINS))
 
 
+@cache
 def by_name(name: str) -> ActivationSpec:
+    """The built-in activation ``name``, built and validated once."""
     try:
         return _BUILTINS[name]()
     except KeyError:

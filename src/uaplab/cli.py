@@ -240,20 +240,19 @@ def _run_transitivity_demo(params: dict, seed: int):
     op = dd.CompositionOperator(sigma, b)
     g = _parse_function(params, "g", "identity")
     f = _parse_function(params, "f", "sin")
-    eps = _num(params, "eps", 0.1)
-    delta = _num(params, "delta", 0.1)
+    eps = _positive(params, "eps", 0.1)
+    delta = _positive(params, "delta", 0.1)
     metric = params.get("metric", "ducc")
     if metric not in ("ducc", "l1"):
         raise ConfigError([f'params.metric: must be "ducc" or "l1", '
                            f'got {metric!r}'])
     if metric == "l1":
         mu = _parse_measure(params.get("mu"))
-        cert = dd.l1_transitive_approximant(op, g, f, mu, eps, delta)
+        _, out = dd.l1_transitive_approximant(op, g, f, mu, eps, delta)
     else:
         # "fit": {} asks for the default fit, as in the other commands
         width = None if params.get("fit") is None else _parse_fit(params["fit"])
-        cert = dd.construct_transitive_approximant(op, g, f, eps, delta, width)
-    out = cert.to_config()
+        _, out = dd.construct_transitive_approximant(op, g, f, eps, delta, width)
     out["eps"] = eps
     out["delta"] = delta
     return out, []
@@ -290,18 +289,19 @@ def _run_constrained_fit(params: dict, seed: int):
     b = _num(params, "b", 1.0, _vector)
     op = dd.CompositionOperator(sigma, b)
     f = _parse_function(params, "f", "cos")
-    eps = _num(params, "eps", 0.1)
+    eps = _positive(params, "eps", 0.1)
     width = _parse_fit(params.get("fit"))
     if params.get("constraints"):
         constraints = _nested("constraints", lambda cs: [
             _parse_constraint(c) for c in cs], params["constraints"])
         witness = _parse_function(params, "witness", "zero")
-        report = ca.assemble_constrained(constraints, witness, f, eps, op, width)
+        _, outputs = ca.assemble_constrained(constraints, witness, f, eps, op,
+                                             width)
     else:
         f_hat = _parse_function(params, "f_hat", "identity")
-        delta = _num(params, "delta", eps)
-        report = ca.assemble_prescribed(f_hat, f, eps, delta, op, width)
-    return report.to_config(), []
+        delta = _positive(params, "delta", eps)
+        _, outputs = ca.assemble_prescribed(f_hat, f, eps, delta, op, width)
+    return outputs, []
 
 
 def _run_omega_approx(params: dict, seed: int):
@@ -312,11 +312,11 @@ def _run_omega_approx(params: dict, seed: int):
     weights = _nested("weights", weights_from_config, params.get(
         "weights", [{"kind": "unit"}, {"kind": "power", "i": 1},
                     {"kind": "max_t_power", "i": 2}]))
-    eps = _num(params, "eps", 0.1)
+    eps = _positive(params, "eps", 0.1)
     width = _parse_fit(params.get("fit"))
     radius = _positive(params, "measure_radius", 30.0)
     csv_points = _int(params, "csv_points", 601, 0)
-    result, report = om.approximate_growth(
+    result, outputs = om.approximate_growth(
         f, weights, eps, width, measure_radius=radius
     )
     xs = np.linspace(-radius, radius, csv_points)
@@ -324,7 +324,7 @@ def _run_omega_approx(params: dict, seed: int):
     fv = f.sample(pts)[:, 0]
     gv = result.sample(pts)[:, 0]
     rows = [[x, a, b2] for x, a, b2 in zip(xs, fv, gv)]
-    return report.to_config(), [("omega-approx", ["x", "target", "approx"], rows)]
+    return outputs, [("omega-approx", ["x", "target", "approx"], rows)]
 
 
 def _positive_ints(values) -> list:
@@ -354,21 +354,12 @@ def _run_rate_sweep(params: dict, seed: int):
         tuple(cfg.get("left_range", (-1.5, 1.0))),
         tuple(cfg.get("len_range", (0.25, 2.5))),
     ), params.get("basis", {}))
-    table = rb.rate_sweep(
+    outputs = rb.rate_sweep(
         family, target, mu, n_values, depth, op, seed=seed,
         quad_nodes=_int(params, "quad_nodes", 2001, 1),
     )
-    rows = [
-        [r["n"], r["N"], r["residual"], r["bound_reference"], table.slope_estimate]
-        for r in table.rows
-    ]
-    outputs = {
-        "rows": table.to_rows(),
-        "slope_estimate": table.slope_estimate,
-        "pushforward_norm": table.pushforward_norm,
-        "degenerate": table.degenerate,
-    }
     header = ["n", "N", "residual", "bound_reference", "slope_estimate"]
+    rows = [[r[key] for key in header] for r in outputs["rows"]]
     return outputs, [("rate-sweep", header, rows)]
 
 
@@ -379,10 +370,9 @@ def _run_limitation_demo(params: dict, seed: int):
         om.LimitationSample(kind=s["kind"], label=s.get("label", s["kind"]),
                             value=s.get("value"))
         for s in cfg], params.get("samples", []))
-    report = om.demonstrate_limitation(
+    return om.demonstrate_limitation(
         samples, x_radius=_positive(params, "x_radius", 30.0)
-    )
-    return report.to_config(), []
+    ), []
 
 
 def _run_free_space_tests(params: dict, seed: int):

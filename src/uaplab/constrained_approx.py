@@ -31,13 +31,13 @@ from .network import (
     FeedForwardNet,
     FitResult,
     identity_layer,
+    net_to_config,
     sparsity,
     stack,
 )
 
 __all__ = [
     "ConstraintFunctional",
-    "ConstrainedNetReport",
     "assemble_prescribed",
     "assemble_constrained",
 ]
@@ -61,79 +61,42 @@ class ConstraintFunctional:
         return float(self.eval(f))
 
 
-@dataclass(frozen=True)
-class ConstrainedNetReport:
-    full_net: FeedForwardNet
-    split_index: int
-    N_frozen: int
-    d_prescribed: float
-    d_target: float
-    sparsity_per_frozen_layer: tuple
-    widths: tuple
-    k0: float
-    fit: FitResult
-    width_bound: int
-    width_bound_satisfied: bool
-    constraint_values: tuple = ()  # (label, value, threshold) triples
-
-    def to_config(self) -> dict:
-        from .network import net_to_config
-
-        return {
-            "net": net_to_config(self.full_net),
-            "split_index": self.split_index,
-            "N_frozen": self.N_frozen,
-            "d_prescribed": self.d_prescribed,
-            "d_target": self.d_target,
-            "sparsity_per_frozen_layer": list(self.sparsity_per_frozen_layer),
-            "widths": list(self.widths),
-            "k0": self.k0,
-            "fit_residual": self.fit.sup_residual,
-            **self.fit.outputs(),
-            "width_bound": self.width_bound,
-            "width_bound_satisfied": self.width_bound_satisfied,
-            "constraints": [
-                {"label": l, "value": v, "threshold": c}
-                for (l, v, c) in self.constraint_values
-            ],
-        }
-
-
 def _frozen_stack(segment: FeedForwardNet, op: CompositionOperator,
                   n: int) -> FeedForwardNet:
     frozen = [identity_layer(op.dim, op.b, True) for _ in range(n)]
     return stack(segment, frozen) if n else segment
 
 
-def _report(full: FeedForwardNet, n: int,
-            d_prescribed: float, d_target: float, k0: float,
-            fit: FitResult, op: CompositionOperator,
-            dim_out: int, constraint_values=()) -> ConstrainedNetReport:
-    frozen_layers = full.layers[:n]
-    hidden_widths = [l.dim_out for l in full.layers[n:-1]]
-    bound = op.dim + dim_out + 2
-    return ConstrainedNetReport(
-        full_net=full,
-        split_index=n,
-        N_frozen=n,
-        d_prescribed=d_prescribed,
-        d_target=d_target,
-        sparsity_per_frozen_layer=tuple(sparsity(l)[0] for l in frozen_layers),
-        widths=full.widths,
-        k0=k0,
-        fit=fit,
-        width_bound=bound,
-        width_bound_satisfied=all(w <= bound for w in hidden_widths),
-        constraint_values=tuple(constraint_values),
-    )
+def _outputs(full: FeedForwardNet, n: int, d_prescribed: float,
+             d_target: float, k0: float, fit: FitResult,
+             op: CompositionOperator, constraint_values=()) -> dict:
+    """The result.json outputs of a net whose first n layers are frozen;
+    constraint_values holds (label, value, threshold) triples."""
+    bound = op.dim + full.dim_out + 2
+    return {
+        "net": net_to_config(full),
+        "split_index": n,
+        "N_frozen": n,
+        "d_prescribed": d_prescribed,
+        "d_target": d_target,
+        "sparsity_per_frozen_layer": [sparsity(l)[0] for l in full.layers[:n]],
+        "widths": list(full.widths),
+        "k0": k0,
+        **fit.outputs(),
+        "width_bound": bound,
+        "width_bound_satisfied": all(l.dim_out <= bound for l in full.layers[n:-1]),
+        "constraints": [{"label": l, "value": v, "threshold": c}
+                        for (l, v, c) in constraint_values],
+    }
 
 
 def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
                         delta: float, op: CompositionOperator,
-                        width: int) -> ConstrainedNetReport:
+                        width: int) -> tuple[FeedForwardNet, dict]:
     """Deep net whose final segment stays delta-close to f_hat while the whole
     net stays eps-close to f (both in the truncated compact-uniform metric);
-    the segment has at most ``width`` hidden units.
+    the segment has at most ``width`` hidden units.  Returns (net, outputs),
+    outputs being the result.json fields, with the net under "net".
 
     When f_hat and f agree on the grid no layer is frozen: the segment
     interpolates f_hat on [-TERMS, TERMS], the metric's last cube."""
@@ -157,15 +120,17 @@ def assemble_prescribed(f_hat: GridFunction, f: GridFunction, eps: float,
             f"measured distances d_prescribed={d_pres:.4g}, d_target={d_tgt:.4g} "
             f"exceed (delta={delta}, eps={eps}) with {result.knots} knots",
         )
-    return _report(full, n, d_pres, d_tgt, float(k0), result, op, f.dim_out)
+    return full, _outputs(full, n, d_pres, d_tgt, float(k0), result, op)
 
 
 def assemble_constrained(constraints: Sequence[ConstraintFunctional],
                          f0: GridFunction, f: GridFunction, eps: float,
                          op: CompositionOperator,
-                         width: int) -> ConstrainedNetReport:
+                         width: int) -> tuple[FeedForwardNet, dict]:
     """Deep net f2 o f1 with every F_n(f2) strictly below its threshold; the
-    final segment f2 has at most ``width`` hidden units.
+    final segment f2 has at most ``width`` hidden units.  Returns (net,
+    outputs) as ``assemble_prescribed``, the constraint values under
+    "constraints".
 
     The witness f0 must already satisfy the constraints strictly; the fitted
     final segment is re-checked with a relative guard band (GUARD_BAND, 1%
@@ -198,5 +163,4 @@ def assemble_constrained(constraints: Sequence[ConstraintFunctional],
             f"with {result.knots} knots at width {width}, k0={k0}",
         )
     d_seed = d_ucc(f0, seg_fn, TERMS, UCC_POINTS)
-    return _report(full, n, d_seed, d_tgt, float(k0), result, op, f.dim_out,
-                   values)
+    return full, _outputs(full, n, d_seed, d_tgt, float(k0), result, op, values)

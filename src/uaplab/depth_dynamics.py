@@ -42,7 +42,6 @@ from .network import FitResult, fit_shallow
 
 __all__ = [
     "CompositionOperator",
-    "TransitivityCertificate",
     "apply",
     "escape_time",
     "construct_transitive_approximant",
@@ -190,43 +189,24 @@ def _pullback_kinks(op: CompositionOperator, n: int, box_lo: np.ndarray,
     return sorted(kinks)
 
 
-@dataclass(frozen=True)
-class TransitivityCertificate:
-    """Measured witness that {Phi^N of a delta-perturbation of g} meets the
-    epsilon-ball around f."""
-
-    N: int
-    g_tilde: GridFunction
-    d_seed: float
-    d_target: float
-    k0: float
-    blend_margin: float
-    metric: str
-    escape_lo: tuple
-    escape_hi: tuple
-    activation_name: str
-    b: tuple
-    fit: Optional[FitResult] = None
-
-    @property
-    def fit_residual(self) -> Optional[float]:
-        return None if self.fit is None else self.fit.sup_residual
-
-    def to_config(self) -> dict:
-        return {
-            "N": self.N,
-            "k0": self.k0,
-            "d_seed": self.d_seed,
-            "d_target": self.d_target,
-            "blend_margin": self.blend_margin,
-            "metric": self.metric,
-            "escape_lo": list(self.escape_lo),
-            "escape_hi": list(self.escape_hi),
-            "activation": self.activation_name,
-            "b": list(self.b),
-            "fit_residual": self.fit_residual,
-            **(self.fit.outputs() if self.fit is not None else {}),
-        }
+def _certificate(n: int, d_seed: float, d_target: float, k0: float,
+                 metric: str, op: CompositionOperator, box_lo=(), box_hi=(),
+                 fit: Optional[FitResult] = None) -> dict:
+    """The result.json outputs of a measured witness that {Phi^N of a
+    delta-perturbation of g} meets the epsilon-ball around f."""
+    return {
+        "N": n,
+        "k0": k0,
+        "d_seed": d_seed,
+        "d_target": d_target,
+        "blend_margin": BLEND_MARGIN,
+        "metric": metric,
+        "escape_lo": [float(v) for v in box_lo],
+        "escape_hi": [float(v) for v in box_hi],
+        "activation": op.activation.name,
+        "b": op.b.tolist(),
+        **(fit.outputs() if fit is not None else {"fit_residual": None}),
+    }
 
 
 def _blend(g: GridFunction, f: GridFunction, op: CompositionOperator, n: int,
@@ -348,9 +328,11 @@ def construct_transitive_approximant(
     width: Optional[int] = None,
     *,
     points: int = UCC_POINTS,
-) -> TransitivityCertificate:
+) -> tuple[GridFunction, dict]:
     """Build g_tilde with d(g, g_tilde) < delta and d(f, Phi^N(g_tilde)) < eps.
 
+    Returns (g_tilde, outputs), outputs being the certificate's result.json
+    fields: N, the distances, the cube k0, the escaped box and the fit.
     Tolerances above 1 are accepted (the metric is bounded by 1, so such a
     constraint is vacuous).  With a ``width``, g_tilde is refitted as a
     one-hidden-layer net of at most that many hidden units over a region
@@ -361,10 +343,7 @@ def construct_transitive_approximant(
     _ucc_gate(op, g, f, eps, delta)
     d0 = d_ucc(f, g, TERMS, points)
     if d0 == 0.0:
-        return TransitivityCertificate(
-            0, g, 0.0, 0.0, 0.0, BLEND_MARGIN, "d_ucc",
-            (), (), op.activation.name, tuple(op.b),
-        )
+        return g, _certificate(0, 0.0, 0.0, 0.0, "d_ucc", op)
 
     k0 = float(_min_tail_cutoff(min(eps, delta) / 2.0))
     n, box_lo, box_hi, g_tilde, fitted = _escape_blend_fit(
@@ -379,11 +358,8 @@ def construct_transitive_approximant(
             "certificate verification failed",
             {"d_seed": d_seed, "delta": delta, "d_target": d_target, "eps": eps},
         )
-    return TransitivityCertificate(
-        n, g_tilde, d_seed, d_target, k0, BLEND_MARGIN, "d_ucc",
-        tuple(box_lo), tuple(box_hi), op.activation.name, tuple(op.b),
-        fitted,
-    )
+    return g_tilde, _certificate(n, d_seed, d_target, k0, "d_ucc", op,
+                                 box_lo, box_hi, fitted)
 
 
 def l1_transitive_approximant(
@@ -395,8 +371,9 @@ def l1_transitive_approximant(
     delta: float,
     *,
     max_radius: float = 64.0,
-) -> TransitivityCertificate:
+) -> tuple[GridFunction, dict]:
     """Integrable-variant certificate: distances measured in the L1(mu) norm.
+    Returns (g_tilde, outputs) as ``construct_transitive_approximant``.
 
     The perturbed region is pushed past a radius R holding all but a small
     fraction of the measure's mass (tail <= min(eps, delta)/(4*(M+1)) with M
@@ -424,10 +401,7 @@ def l1_transitive_approximant(
 
     diff0 = lp_norm(f - g, mu, 1.0, QUAD_NODES)
     if diff0 == 0.0:
-        return TransitivityCertificate(
-            0, g, 0.0, 0.0, 0.0, BLEND_MARGIN, "l1",
-            (), (), op.activation.name, tuple(op.b),
-        )
+        return g, _certificate(0, 0.0, 0.0, 0.0, "l1", op)
 
     bound = max(
         sup_norm_on_ball(f, max_radius, 4001),
@@ -457,7 +431,5 @@ def l1_transitive_approximant(
             "L1 certificate verification failed",
             {"d_seed": d_seed, "delta": delta, "d_target": d_target, "eps": eps},
         )
-    return TransitivityCertificate(
-        n, g_tilde, d_seed, d_target, float(radius), BLEND_MARGIN, "l1",
-        tuple(box_lo), tuple(box_hi), op.activation.name, tuple(op.b),
-    )
+    return g_tilde, _certificate(n, d_seed, d_target, float(radius), "l1", op,
+                                 box_lo, box_hi)

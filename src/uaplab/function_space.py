@@ -12,7 +12,7 @@ the values of a term-by-term evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -206,8 +206,6 @@ class Measure1D:
     total_mass: float
     quantile: Callable[[np.ndarray], np.ndarray]
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    kind: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def nodes(self, count: int) -> tuple[np.ndarray, float]:
         """Equal-mass quadrature nodes and the (constant) weight per node."""
@@ -299,14 +297,15 @@ def _ndtr(z) -> np.ndarray:
 
 def gaussian_measure(mean: float = 0.0, std: float = 1.0, mass: float = 1.0) -> Measure1D:
     mean, std, mass = float(mean), float(std), float(mass)
+    if not (math.isfinite(mean) and 0 < std < math.inf and 0 < mass < math.inf):
+        raise ValueError("gaussian needs a finite mean and positive finite std "
+                         f"and mass, got {mean!r}, {std!r}, {mass!r}")
     return Measure1D(
         density=lambda x: mass * np.exp(-0.5 * ((x - mean) / std) ** 2)
         / (std * np.sqrt(2 * np.pi)),
         total_mass=mass,
         quantile=lambda u: mean + std * _ndtri(u),
         cdf=lambda x: mass * _ndtr((x - mean) / std),
-        kind="gaussian",
-        params={"mean": mean, "std": std, "mass": mass},
     )
 
 
@@ -320,8 +319,6 @@ def uniform_window_measure(lo: float, hi: float, height: float = 1.0) -> Measure
         total_mass=mass,
         quantile=lambda u: lo + u * (hi - lo),
         cdf=lambda x: height * (np.clip(x, lo, hi) - lo),
-        kind="uniform_window",
-        params={"lo": lo, "hi": hi, "height": height},
     )
 
 
@@ -339,8 +336,6 @@ def table_measure(xs: Sequence[float], densities: Sequence[float]) -> Measure1D:
         total_mass=mass,
         quantile=lambda u: np.interp(np.asarray(u) * mass, cum, xs),
         cdf=lambda x: np.interp(x, xs, cum, left=0.0, right=mass),
-        kind="custom_table",
-        params={"xs": xs.tolist(), "densities": ds.tolist()},
     )
     if not meas.validate():
         raise QuadratureError("table density does not integrate to its mass")

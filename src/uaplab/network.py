@@ -23,7 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .activations import ActivationSpec, activation_from_config, activation_to_config
+from .activations import (
+    ActivationSpec,
+    activation_from_config,
+    activation_to_config,
+    builtin_names,
+    by_name,
+)
 from .errors import DimensionMismatchError, FitBudgetError, PreconditionError
 from .function_space import GridFunction
 
@@ -189,8 +195,8 @@ class FitResult:
 
     def outputs(self) -> dict:
         """The fit's entries in result.json."""
-        return {"knots": self.knots, "h": self.h, "M": self.curvature,
-                "a_priori_bound": self.bound}
+        return {"fit_residual": self.sup_residual, "knots": self.knots,
+                "h": self.h, "M": self.curvature, "a_priori_bound": self.bound}
 
 
 KNOT_MERGE = 1e-9  # knots closer than this (relative) are merged
@@ -320,15 +326,9 @@ class TreeGridFunction(GridFunction):
 
 
 def net_to_config(net: FeedForwardNet) -> dict:
-    act = net.activation.name
-    try:
-        from .activations import by_name
-
-        if by_name(act) != net.activation:
-            raise ValueError
-        act_cfg = act
-    except ValueError:
-        act_cfg = activation_to_config(net.activation)
+    """The net as a config; a built-in activation is written by its name."""
+    name = net.activation.name
+    builtin = name in builtin_names() and by_name(name) == net.activation
     return {
         "layers": [
             {
@@ -338,7 +338,7 @@ def net_to_config(net: FeedForwardNet) -> dict:
             }
             for l in net.layers
         ],
-        "activation": act_cfg,
+        "activation": name if builtin else activation_to_config(net.activation),
     }
 
 

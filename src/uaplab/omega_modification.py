@@ -32,13 +32,10 @@ from .function_space import (
     cube_points,
     weighted_sup_norm,
 )
-from .network import FitResult, fit_shallow
+from .network import fit_shallow
 
 __all__ = [
-    "VanishingReport",
-    "GrowthReport",
     "LimitationSample",
-    "LimitationReport",
     "bump_transform",
     "approximate_vanishing",
     "phi_omega",
@@ -90,27 +87,6 @@ def bump_transform(g: GridFunction, a: float, b: float) -> GridFunction:
     )
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    sup_error: float
-    core_radius: float
-    ball_param: float
-    offset: float
-    fit: FitResult
-    wide_radius: float
-
-    def to_config(self) -> dict:
-        return {
-            "sup_error": self.sup_error,
-            "core_radius": self.core_radius,
-            "ball_param": self.ball_param,
-            "offset": self.offset,
-            "fit_residual": self.fit.sup_residual,
-            **self.fit.outputs(),
-            "wide_radius": self.wide_radius,
-        }
-
-
 def _shell_sup(f: GridFunction, radius: float) -> float:
     pts = cube_points(2.0 * radius, GRID_POINTS, f.dim_in)
     r = np.linalg.norm(pts, axis=1)
@@ -126,9 +102,9 @@ def approximate_vanishing(
     *,
     max_core_radius: float = 4096.0,
     kink_hints: tuple = (),
-) -> tuple[GridFunction, VanishingReport]:
+) -> tuple[GridFunction, dict]:
     """Uniform eps-approximation of a one-input function that decays at
-    infinity.
+    infinity, with its result.json outputs.
 
     Finds a core radius R whose outer shell already sits below eps/2,
     interpolates (f - eps/2) e^{+b/(b - x^2)} on [-R, R] with R =
@@ -179,7 +155,14 @@ def approximate_vanishing(
             f"vanishing-approximation error {err:.4g} is not below eps={eps} "
             f"with {result.knots} knots",
         )
-    return candidate, VanishingReport(err, radius, b_param, a, result, wide)
+    return candidate, {
+        "sup_error": err,
+        "core_radius": radius,
+        "ball_param": b_param,
+        "offset": a,
+        **result.outputs(),
+        "wide_radius": float(wide),
+    }
 
 
 def phi_omega(f: GridFunction, omega: Callable) -> GridFunction:
@@ -204,28 +187,6 @@ def psi_omega(f: GridFunction, omega: Callable) -> GridFunction:
                         name=f"deweighted[{f.name}]")
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    weight_kind: str
-    weight_param: float
-    weight_index: int
-    weighted_error: float
-    measure_radius: float
-    vanishing: VanishingReport
-    flags: dict
-
-    def to_config(self) -> dict:
-        return {
-            "weight_kind": self.weight_kind,
-            "weight_param": self.weight_param,
-            "weight_index": self.weight_index,
-            "weighted_error": self.weighted_error,
-            "measure_radius": self.measure_radius,
-            "vanishing": self.vanishing.to_config(),
-            "flags": dict(self.flags),
-        }
-
-
 def approximate_growth(
     f: GridFunction,
     weights: Sequence[Weight],
@@ -233,8 +194,9 @@ def approximate_growth(
     width: int,
     *,
     measure_radius: float = 30.0,
-) -> tuple[GridFunction, GrowthReport]:
-    """Weighted-uniform eps-approximation of a function of controlled growth.
+) -> tuple[GridFunction, dict]:
+    """Weighted-uniform eps-approximation of a function of controlled growth,
+    with its result.json outputs.
 
     Weights with a finite weighted sup norm of f are tried in ascending-norm
     order (ties toward the earliest of ``weights``): the target is divided by
@@ -281,9 +243,15 @@ def approximate_growth(
             )
         )
         if weighted_err < eps:
-            return result, GrowthReport(
-                w.kind, w.param, idx, weighted_err, measure_radius, vanish, flags
-            )
+            return result, {
+                "weight_kind": w.kind,
+                "weight_param": w.param,
+                "weight_index": idx,
+                "weighted_error": weighted_err,
+                "measure_radius": measure_radius,
+                "vanishing": vanish,
+                "flags": flags,
+            }
         flags[label] += f"; weighted error {weighted_err:.4g} >= eps"
     raise NoControllingWeightError(flags)
 
@@ -301,36 +269,19 @@ class LimitationSample:
     def __post_init__(self):
         if self.kind not in ("constant", "unbounded"):
             raise ValueError("sample kind must be 'constant' or 'unbounded'")
-        if self.kind == "constant" and self.value is None:
-            raise ValueError("constant samples need a value")
-
-
-@dataclass(frozen=True)
-class LimitationReport:
-    best_constant: float
-    best_error: float
-    separation: float  # claimed lower bound on any constant's error
-    sample_errors: tuple  # (label, kind, error) with inf for unbounded
-
-    def to_config(self) -> dict:
-        return {
-            "best_constant": self.best_constant,
-            "best_error": self.best_error,
-            "separation": self.separation,
-            "sample_errors": [
-                {"label": l, "kind": k, "error": e}
-                for (l, k, e) in self.sample_errors
-            ],
-        }
+        if self.kind == "constant":
+            if self.value is None:
+                raise ValueError("constant samples need a value")
+            object.__setattr__(self, "value", float(self.value))
 
 
 def demonstrate_limitation(
     arch_sampler: Optional[Sequence[LimitationSample]] = None,
     *,
     x_radius: float = 30.0,
-) -> LimitationReport:
+) -> dict:
     """Best-constant sup distance to x -> e^{-|x|} on a grid of
-    [-x_radius, x_radius].
+    [-x_radius, x_radius], as result.json outputs.
 
     The constant minimizing max|target - c| over the grid is the midpoint
     of the sampled range, (max + min)/2, and its error is (max - min)/2.
@@ -346,13 +297,13 @@ def demonstrate_limitation(
     samples = []
     for s in arch_sampler or ():
         if s.kind == "constant":
-            error = float(np.max(np.abs(target - float(s.value))))
+            error = float(np.max(np.abs(target - s.value)))
         else:
             error = float("inf")
-        samples.append((s.label, s.kind, error))
-    return LimitationReport(
-        best_constant=0.5 * (hi + lo),
-        best_error=0.5 * (hi - lo),
-        separation=0.5,
-        sample_errors=tuple(samples),
-    )
+        samples.append({"label": s.label, "kind": s.kind, "error": error})
+    return {
+        "best_constant": 0.5 * (hi + lo),
+        "best_error": 0.5 * (hi - lo),
+        "separation": 0.5,  # claimed lower bound on any constant's error
+        "sample_errors": samples,  # inf for unbounded samples
+    }

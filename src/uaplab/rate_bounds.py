@@ -31,7 +31,6 @@ from .network import TreeFunction
 __all__ = [
     "PushforwardReport",
     "SimplexFit",
-    "RateSweepTable",
     "pushforward_density_norm",
     "simplex_fit",
     "rate_sweep",
@@ -308,26 +307,13 @@ def trees_basis_family(amp_range=(0.25, 2.0), left_range=(-1.5, 1.0),
     return family
 
 
-@dataclass(frozen=True)
-class RateSweepTable:
-    rows: tuple  # dicts: n, N, residual, the three bounds, LP diagnostics
-    slope_estimate: float
-    pushforward_norm: float
-    degenerate: bool  # every row no better than predicting 0
-
-    def to_rows(self) -> list:
-        out = []
-        for row in self.rows:
-            r = dict(row)
-            r["slope_estimate"] = self.slope_estimate
-            out.append(r)
-        return out
-
-
 def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
                n_values: Sequence[int], N: int, op, seed: int = 0,
-               quad_nodes: int = 2001) -> RateSweepTable:
-    """Residual of the best simplex combination of n iterated basis draws.
+               quad_nodes: int = 2001) -> dict:
+    """Residual of the best simplex combination of n iterated basis draws,
+    as result.json outputs: the rows, the log-log slope of residual against
+    n (repeated in each row), the pushforward norm and whether the sweep is
+    ``degenerate`` (every row is).
 
     Emits, next to each residual, three reference curves at depth N: the
     honest Lipschitz propagation norm^N * (1 + sqrt(2*mass))/sqrt(n) (used as
@@ -393,9 +379,10 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
             "n": n,
             "N": int(N),
             "residual": residual,
-            "bound_reference": norm**N * (1.0 + np.sqrt(2.0 * mass)) / root,
-            "bound_displayed": norm ** (N / 2.0) * (1.0 + np.sqrt(2.0 * mass)) / root,
-            "bound_proof_final": (1.0 + np.sqrt(2.0 * mass)) / root,
+            "bound_reference": float(norm**N * (1.0 + np.sqrt(2.0 * mass)) / root),
+            "bound_displayed": float(norm ** (N / 2.0) * (1.0 + np.sqrt(2.0 * mass))
+                                     / root),
+            "bound_proof_final": float((1.0 + np.sqrt(2.0 * mass)) / root),
             "status": fit.status,
             "gap": fit.gap,
             "iterations": fit.iterations,
@@ -405,8 +392,14 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     log_n = np.log([row["n"] for row in rows])
     log_r = np.log([max(row["residual"], 1e-300) for row in rows])
     slope = float(np.polyfit(log_n, log_r, 1)[0]) if len(rows) > 1 else 0.0
-    return RateSweepTable(tuple(rows), slope, norm,
-                          all(row["degenerate"] for row in rows))
+    for row in rows:
+        row["slope_estimate"] = slope
+    return {
+        "rows": rows,
+        "slope_estimate": slope,
+        "pushforward_norm": norm,
+        "degenerate": all(row["degenerate"] for row in rows),
+    }
 
 
 def kappa_growth_check(sigma: ActivationSpec, b: float, mu: Measure1D,

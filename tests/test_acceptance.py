@@ -124,12 +124,12 @@ def test_criterion_04_transitivity_certificate():
     op = dd.CompositionOperator(act.by_name("leaky_shifted_paper"), np.array([1.0]))
     ident = GridFunction.identity()
     sine = GridFunction.from_scalar(np.sin, name="sin")
-    cert = dd.construct_transitive_approximant(op, ident, sine, 0.1, 0.1)
+    g_tilde, cert = dd.construct_transitive_approximant(op, ident, sine, 0.1, 0.1)
     fine = 601  # points per axis: twice the verification resolution
-    d_seed = d_ucc(ident, cert.g_tilde, 20, fine)
-    d_target = d_ucc(sine, dd.apply(op, cert.g_tilde, cert.N), 20, fine)
+    d_seed = d_ucc(ident, g_tilde, 20, fine)
+    d_target = d_ucc(sine, dd.apply(op, g_tilde, cert["N"]), 20, fine)
     checks = [
-        ("certificate produced with positive depth", cert.N > 0),
+        ("certificate produced with positive depth", cert["N"] > 0),
         (f"re-measured d_target {d_target:.4f} < 0.1", d_target < 0.1),
         (f"re-measured d_seed {d_seed:.4f} < 0.1", d_seed < 0.1),
     ]
@@ -141,24 +141,22 @@ def test_criterion_05_constrained_assembly():
     op = dd.CompositionOperator(act.by_name("leaky_shifted_paper"), np.array([1.0]))
     ident = GridFunction.identity()
     cosine = GridFunction.from_scalar(np.cos, name="cos")
-    rep = ca.assemble_prescribed(ident, cosine, 0.1, 0.1, op, 512)
-    frozen = rep.full_net.layers[: rep.split_index]
+    net, rep = ca.assemble_prescribed(ident, cosine, 0.1, 0.1, op, 512)
+    frozen = net.layers[: rep["split_index"]]
     identity_frozen = all(np.array_equal(l.matrix, np.eye(1)) for l in frozen)
-    sparsity_ok = all(s == 1 for s in rep.sparsity_per_frozen_layer)
+    sparsity_ok = all(s == 1 for s in rep["sparsity_per_frozen_layer"])
     width_ok = all(l.dim_out == 1 for l in frozen)
-    segment = FeedForwardNet(
-        rep.full_net.layers[rep.split_index:], rep.full_net.activation
-    )
+    segment = FeedForwardNet(net.layers[rep["split_index"]:], net.activation)
     xs = np.random.default_rng(0).uniform(-5, 5, (1000, 1))
     decomposition = float(
-        np.max(np.abs(rep.full_net.sample(xs) - segment.sample(op.iterate(xs, rep.N_frozen))))
+        np.max(np.abs(net.sample(xs) - segment.sample(op.iterate(xs, rep["N_frozen"]))))
     )
     checks = [
         ("frozen layers carry the identity matrix", identity_frozen),
         ("frozen sparsity all 1", sparsity_ok),
         ("frozen width all 1", width_ok),
-        (f"d_prescribed {rep.d_prescribed:.4f} < 0.1", rep.d_prescribed < 0.1),
-        (f"d_target {rep.d_target:.4f} < 0.1", rep.d_target < 0.1),
+        (f"d_prescribed {rep['d_prescribed']:.4f} < 0.1", rep["d_prescribed"] < 0.1),
+        (f"d_target {rep['d_target']:.4f} < 0.1", rep["d_target"] < 0.1),
         (f"decomposition identity {decomposition:.2e} <= 1e-12",
          decomposition <= 1e-12),
     ]
@@ -173,7 +171,7 @@ def test_criterion_06_weighted_approximation():
     family = (Weight.unit(), Weight.power(1), Weight.max_t_power(2))
     result, rep = om.approximate_growth(f, family, 0.1, 512, measure_radius=30.0)
     pts = np.linspace(-30.0, 30.0, 6001)[:, None]
-    w = [w for w in family if w.kind == rep.weight_kind][0]
+    w = [w for w in family if w.kind == rep["weight_kind"]][0]
     denom = np.asarray(w(np.abs(pts[:, 0]))) + 1.0
     err = float(np.max(np.abs(f.sample(pts) - result.sample(pts))[:, 0] / denom))
     checks = [
@@ -186,8 +184,8 @@ def test_criterion_07_limitation_bound():
     start = time.perf_counter()
     rep = om.demonstrate_limitation()
     checks = [
-        (f"best constant error {rep.best_error:.4f} within 0.5 +- 0.01",
-         abs(rep.best_error - 0.5) <= 0.01),
+        (f"best constant error {rep['best_error']:.4f} within 0.5 +- 0.01",
+         abs(rep["best_error"] - 0.5) <= 0.01),
     ]
     finish(7, "best-constant separation", 5.0, start, checks)
 
@@ -223,14 +221,14 @@ def test_criterion_09_rate_sweep():
         [4, 8, 16, 32, 64, 128, 256], 0, op,
         seed=0, quad_nodes=2001,
     )
-    res = [row["residual"] for row in table.rows]
-    reference = [(1.0 + math.sqrt(2.0)) / math.sqrt(row["n"]) for row in table.rows]
+    res = [row["residual"] for row in table["rows"]]
+    reference = [(1.0 + math.sqrt(2.0)) / math.sqrt(row["n"]) for row in table["rows"]]
     monotone = all(b <= a * 1.05 for a, b in zip(res, res[1:]))
     below = all(r <= b for r, b in zip(res, reference))
     checks = [
         ("residuals non-increasing within 5%", monotone),
-        (f"log-log slope {table.slope_estimate:.3f} <= -0.3",
-         table.slope_estimate <= -0.3),
+        (f"log-log slope {table['slope_estimate']:.3f} <= -0.3",
+         table["slope_estimate"] <= -0.3),
         ("every residual below (1+sqrt(2))/sqrt(n)", below),
     ]
     finish(9, "convex-hull rate sweep", 300.0, start, checks)

@@ -440,6 +440,9 @@ class TestSerializationAndRegistry:
         with pytest.raises(ValueError):
             act.by_name("swish")
 
+    def test_builtins_built_once(self):
+        assert act.by_name("relu") is act.by_name("relu")
+
     def test_round_trip(self, leaky_shifted):
         cfg = act.activation_to_config(leaky_shifted)
         back = act.activation_from_config(cfg)

@@ -226,6 +226,7 @@ def main_in_process(tmp_path, capsys, command, params):
 
 
 SHIFTED = {"activation": "leaky_shifted_paper"}
+SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
 
 
 @pytest.mark.parametrize("command, params, field", [
@@ -275,6 +276,19 @@ SHIFTED = {"activation": "leaky_shifted_paper"}
     ("limitation-demo", {"x_radius": -5}, "x_radius"),
     ("limitation-demo", {"x_radius": 0}, "x_radius"),
     ("limitation-demo", {"x_radius": -1}, "x_radius"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "gaussian",
+                                   "params": {"std": -1}}), "mu"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "gaussian",
+                                   "params": {"std": 0}}), "mu"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "gaussian",
+                                   "params": {"mass": -1}}), "mu"),
+    ("limitation-demo", {"samples": [{"kind": "constant", "value": "abc"}]},
+     "samples"),
+    ("limitation-demo", {"samples": [{"kind": "constant", "value": [1, 2]}]},
+     "samples"),
+    ("transitivity-demo", dict(SHIFTED, eps=0), "eps"),
+    ("omega-approx", {"eps": -1}, "eps"),
+    ("constrained-fit", dict(SHIFTED, delta=0), "delta"),
 ], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
         "f-no-kind", "target-short-term", "constraint-no-kind",
         "constraint-negative-threshold", "basis-range-number", "basis-list",
@@ -287,12 +301,105 @@ SHIFTED = {"activation": "leaky_shifted_paper"}
         "max-n-fraction", "fit-width-zero", "metric-sup", "metric-upper-l1",
         "ball-radius-zero", "ball-radius-negative", "measure-radius--5",
         "measure-radius-0", "measure-radius--1", "x-radius--5", "x-radius-0",
-        "x-radius--1"])
+        "x-radius--1", "mu-std--1", "mu-std-0", "mu-mass--1",
+        "samples-value-string", "samples-value-list", "eps-0", "eps--1",
+        "delta-0"])
 def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
     code, payload = main_in_process(tmp_path, capsys, command, params)
     assert code == 2, payload
     assert payload["error"] == "ConfigError"
     assert payload["violations"][0].startswith(f"params.{field}: "), payload
+
+
+def test_constrained_fit_validates_one_activation(tmp_path, monkeypatch):
+    # by_name builds each built-in once, and net_to_config reuses it
+    from uaplab import activations as act
+    from uaplab import cli
+
+    act.by_name.cache_clear()
+    validated = []
+    validate = act.ActivationSpec._validate
+
+    def counting(spec):
+        validated.append(spec.name)
+        validate(spec)
+
+    monkeypatch.setattr(act.ActivationSpec, "_validate", counting)
+    params = dict(SMALL_CONFIGS["constrained-fit"], fit={"width": 512})
+    cli.run(cli.ExperimentConfig("constrained-fit", params, 0, str(tmp_path)))
+    assert validated == ["leaky_shifted_paper"]
+
+
+def _json_types_only(value) -> bool:
+    """True when value is built only of the Python types json.loads makes."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_types_only(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_json_types_only(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
+def _construction_outputs(name: str) -> dict:
+    """The outputs dict one library construction returns, at small sizes."""
+    import numpy as np
+
+    from uaplab import activations as act
+    from uaplab import constrained_approx as ca
+    from uaplab import depth_dynamics as dd
+    from uaplab import omega_modification as om
+    from uaplab import rate_bounds as rb
+    from uaplab.function_space import (
+        GridFunction,
+        Weight,
+        gaussian_measure,
+        sup_norm_on_ball,
+    )
+    from uaplab.network import TreeFunction
+
+    shifted = dd.CompositionOperator(act.by_name("leaky_shifted_paper"),
+                                     np.array([1.0]))
+    rescaled = dd.CompositionOperator(act.by_name("leaky_rescaled_paper"),
+                                      np.array([1.0]))
+    ident, sine = GridFunction.identity(), GridFunction.from_scalar(np.sin)
+    tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+    gauss = GridFunction.from_scalar(lambda x: np.exp(-(x**2)))
+    if name == "transitive":
+        return dd.construct_transitive_approximant(shifted, ident, sine, 0.2, 0.2)[1]
+    if name == "transitive-fit":
+        return dd.construct_transitive_approximant(shifted, ident, sine, 0.2, 0.2,
+                                                   256)[1]
+    if name == "l1-transitive":
+        return dd.l1_transitive_approximant(rescaled, GridFunction.zero(), tree,
+                                            gaussian_measure(), 0.1, 0.1)[1]
+    if name == "prescribed":
+        return ca.assemble_prescribed(ident, sine, 0.2, 0.2, shifted, 256)[1]
+    if name == "constrained":
+        ball = ca.ConstraintFunctional(lambda h: sup_norm_on_ball(h, 1.0, 401),
+                                       1.0, "sup_ball[1]")
+        return ca.assemble_constrained([ball], GridFunction.zero(), sine, 0.2,
+                                       shifted, 512)[1]
+    if name == "vanishing":
+        return om.approximate_vanishing(gauss, 0.2, 64)[1]
+    if name == "growth":
+        return om.approximate_growth(gauss, (Weight.unit(), Weight.power(1)), 0.2,
+                                     64)[1]
+    if name == "rate-sweep":
+        return rb.rate_sweep(rb.trees_basis_family(), tree, gaussian_measure(),
+                             [4, 8], 0, rescaled, quad_nodes=101)
+    return om.demonstrate_limitation(
+        [om.LimitationSample("constant", "half", 0.5),
+         om.LimitationSample("unbounded", "linear")], x_radius=5.0)
+
+
+@pytest.mark.parametrize("name", [
+    "transitive", "transitive-fit", "l1-transitive", "prescribed", "constrained",
+    "vanishing", "growth", "rate-sweep", "limitation"])
+def test_construction_outputs_are_plain_json(name):
+    # result.json holds exactly what the library returns: no tuples, numpy
+    # scalars or arrays
+    out = _construction_outputs(name)
+    assert json.loads(json.dumps(out)) == out
+    assert _json_types_only(out)
 
 
 def test_escape_refuses_non_injective(tmp_path):

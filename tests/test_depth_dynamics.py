@@ -123,34 +123,34 @@ class TestEscapeTime:
 class TestUniformCertificate:
     def test_trivial_equal_functions(self, leaky_shifted, sin_fn):
         op = shifted_op(leaky_shifted)
-        cert = dd.construct_transitive_approximant(op, sin_fn, sin_fn, 0.1, 0.1)
-        assert cert.N == 0 and cert.d_seed == 0.0 and cert.d_target == 0.0
-        assert isinstance(cert.k0, float)
+        _, cert = dd.construct_transitive_approximant(op, sin_fn, sin_fn, 0.1, 0.1)
+        assert cert["N"] == 0 and cert["d_seed"] == 0.0 and cert["d_target"] == 0.0
+        assert isinstance(cert["k0"], float)
 
     def test_identity_to_sine(self, leaky_shifted, ident, sin_fn):
         op = shifted_op(leaky_shifted)
-        cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
-        assert cert.k0 == 5 and isinstance(cert.k0, float)
-        assert cert.N == 6  # escape of [-5,5] past guard 6
-        assert cert.d_seed < 0.1 and cert.d_target < 0.1
+        _, cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
+        assert cert["k0"] == 5 and isinstance(cert["k0"], float)
+        assert cert["N"] == 6  # escape of [-5,5] past guard 6
+        assert cert["d_seed"] < 0.1 and cert["d_target"] < 0.1
 
     def test_soundness_on_finer_grid(self, leaky_shifted, ident, sin_fn):
         op = shifted_op(leaky_shifted)
-        cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
-        d_seed = d_ucc(ident, cert.g_tilde, 20, 601)
-        d_target = d_ucc(sin_fn, dd.apply(op, cert.g_tilde, cert.N), 20, 601)
+        g_tilde, cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
+        d_seed = d_ucc(ident, g_tilde, 20, 601)
+        d_target = d_ucc(sin_fn, dd.apply(op, g_tilde, cert["N"]), 20, 601)
         assert d_seed < 0.1 * 1.1 and d_target < 0.1 * 1.1
 
     def test_escape_box_clears_guard_cube(self, leaky_shifted, ident, sin_fn):
         op = shifted_op(leaky_shifted)
-        cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
-        guard = cert.k0 + cert.blend_margin
-        assert min(cert.escape_lo) > guard or max(cert.escape_hi) < -guard
+        _, cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
+        guard = cert["k0"] + cert["blend_margin"]
+        assert min(cert["escape_lo"]) > guard or max(cert["escape_hi"]) < -guard
 
     def test_large_delta_is_vacuous(self, leaky_shifted, ident, cos_fn):
         op = shifted_op(leaky_shifted)
-        cert = dd.construct_transitive_approximant(op, ident, cos_fn, 0.1, 2.0)
-        assert cert.d_seed < 1.0  # the metric itself is below 1
+        _, cert = dd.construct_transitive_approximant(op, ident, cos_fn, 0.1, 2.0)
+        assert cert["d_seed"] < 1.0  # the metric itself is below 1
 
     def test_rescaled_rejected_for_uniform_version(self, leaky_rescaled, ident, sin_fn):
         op = dd.CompositionOperator(leaky_rescaled, np.array([1.0]))
@@ -159,25 +159,27 @@ class TestUniformCertificate:
 
     def test_shrinking_tolerance_grows_depth(self, leaky_shifted, ident, sin_fn):
         op = shifted_op(leaky_shifted)
-        loose = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
-        tight = dd.construct_transitive_approximant(op, ident, sin_fn, 0.05, 0.05)
-        assert tight.k0 >= loose.k0 and tight.N >= loose.N
+        _, loose = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
+        _, tight = dd.construct_transitive_approximant(op, ident, sin_fn, 0.05, 0.05)
+        assert tight["k0"] >= loose["k0"] and tight["N"] >= loose["N"]
 
     def test_fitter_variant(self, leaky_shifted, ident, sin_fn):
         op = shifted_op(leaky_shifted)
-        cert = dd.construct_transitive_approximant(
+        _, cert = dd.construct_transitive_approximant(
             op, ident, sin_fn, 0.1, 0.1,
             width=512,
         )
-        assert cert.fit_residual is not None
-        assert cert.d_seed < 0.1 and cert.d_target < 0.1
+        assert cert["fit_residual"] is not None
+        assert cert["d_seed"] < 0.1 and cert["d_target"] < 0.1
 
     def test_serialization(self, leaky_shifted, ident, sin_fn):
         op = shifted_op(leaky_shifted)
-        cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.2, 0.2)
-        cfg = cert.to_config()
-        assert cfg["N"] == cert.N and cfg["metric"] == "d_ucc"
-        assert cfg["activation"] == "leaky_shifted_paper"
+        _, cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.2, 0.2)
+        guard = cert["k0"] + cert["blend_margin"]
+        assert cert["N"] == dd.escape_time(op, cert["k0"], guard)
+        assert cert["metric"] == "d_ucc"
+        assert cert["activation"] == "leaky_shifted_paper"
+        assert cert["b"] == [1.0] and cert["fit_residual"] is None
 
     def test_two_dimensional_certificate(self, leaky_shifted):
         op = dd.CompositionOperator(leaky_shifted, np.array([1.0, 1.0]))
@@ -185,29 +187,29 @@ class TestUniformCertificate:
         bump = GridFunction(
             lambda X: np.exp(-np.sum(X * X, axis=1))[:, None], 2, 1, name="bump"
         )
-        cert = dd.construct_transitive_approximant(
+        _, cert = dd.construct_transitive_approximant(
             op, zero, bump, 0.2, 0.2, points=41
         )
-        assert cert.N > 0
-        assert cert.d_seed < 0.2 and cert.d_target < 0.2
+        assert cert["N"] > 0
+        assert cert["d_seed"] < 0.2 and cert["d_target"] < 0.2
 
 
 class TestIntegrableCertificate:
     def test_trivial_equal_functions(self, leaky_rescaled, gauss_mu):
         op = dd.CompositionOperator(leaky_rescaled, np.array([1.0]))
         zero = GridFunction.zero()
-        cert = dd.l1_transitive_approximant(op, zero, zero, gauss_mu, 0.1, 0.1)
-        assert cert.N == 0 and cert.d_seed == 0.0
+        _, cert = dd.l1_transitive_approximant(op, zero, zero, gauss_mu, 0.1, 0.1)
+        assert cert["N"] == 0 and cert["d_seed"] == 0.0
 
     def test_indicator_target(self, leaky_rescaled, gauss_mu):
         op = dd.CompositionOperator(leaky_rescaled, np.array([1.0]))
         zero = GridFunction.zero()
         tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
-        cert = dd.l1_transitive_approximant(op, zero, tree, gauss_mu, 0.1, 0.1)
-        assert cert.N >= 1
-        assert cert.d_seed < 0.1 and cert.d_target < 0.1
+        g_tilde, cert = dd.l1_transitive_approximant(op, zero, tree, gauss_mu, 0.1, 0.1)
+        assert cert["N"] >= 1
+        assert cert["d_seed"] < 0.1 and cert["d_target"] < 0.1
         # quadrature re-measurement at doubled node count stays within bounds
-        d2 = lp_norm(tree - dd.apply(op, cert.g_tilde, cert.N), gauss_mu, 1.0, 40_000)
+        d2 = lp_norm(tree - dd.apply(op, g_tilde, cert["N"]), gauss_mu, 1.0, 40_000)
         assert d2 < 0.1 * 1.1
 
     def test_flat_activation_rejected(self, relu, gauss_mu):

@@ -4,6 +4,8 @@ Expected values are frozen from independent oracles: closed-form integrals,
 geometric-series sums, and calculus, recomputed in-line where cheap.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -313,9 +315,20 @@ class TestMeasures:
              table_measure([-1, 0, 1], [0.5, 1.0, 0.5])),
         ):
             back = measure_from_config(cfg)
-            assert back.kind == mu.kind
-            assert back.params == mu.params
-            assert back.total_mass == pytest.approx(mu.total_mass, rel=1e-12)
+            assert back.total_mass == mu.total_mass
+            xs = np.linspace(-5.0, 5.0, 41)
+            us = np.linspace(0.01, 0.99, 33)
+            for name, at in (("density", xs), ("cdf", xs), ("quantile", us)):
+                assert np.array_equal(getattr(back, name)(at),
+                                      getattr(mu, name)(at)), name
+
+    @pytest.mark.parametrize("mean, std, mass", [
+        (0.0, -1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0, -1.0), (0.0, 1.0, 0.0),
+        (math.inf, 1.0, 1.0), (0.0, math.nan, 1.0), (0.0, 1.0, math.inf),
+    ])
+    def test_gaussian_rejects_bad_input(self, mean, std, mass):
+        with pytest.raises(ValueError):
+            gaussian_measure(mean, std, mass)
 
     def test_table_measure_rejects_bad_input(self):
         with pytest.raises(ValueError):

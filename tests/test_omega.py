@@ -64,12 +64,12 @@ class TestBumpTransform:
 class TestApproximateVanishing:
     def test_zero_function(self):
         f_eps, rep = om.approximate_vanishing(GridFunction.zero(), 0.1, FIT)
-        assert rep.sup_error <= 0.05 + 1e-12  # offset level eps/2
+        assert rep["sup_error"] <= 0.05 + 1e-12  # offset level eps/2
 
     def test_gaussian_bump(self):
         gauss = GridFunction.from_scalar(lambda x: np.exp(-(x**2)), name="gauss")
         f_eps, rep = om.approximate_vanishing(gauss, 0.2, FIT)
-        assert rep.sup_error < 0.2
+        assert rep["sup_error"] < 0.2
         # criterion wording: measured on [-15, 15]
         xs = np.linspace(-15, 15, 4001)[:, None]
         err = np.max(np.abs(gauss.sample(xs) - f_eps.sample(xs)))
@@ -78,14 +78,14 @@ class TestApproximateVanishing:
     def test_soundness_on_wider_finer_grid(self):
         gauss = GridFunction.from_scalar(lambda x: np.exp(-(x**2)))
         f_eps, rep = om.approximate_vanishing(gauss, 0.2, FIT)
-        pts = cube_points(2.0 * rep.wide_radius, 4001)
+        pts = cube_points(2.0 * rep["wide_radius"], 4001)
         err = float(np.max(np.abs(gauss.sample(pts) - f_eps.sample(pts))))
         assert err < 0.2 * 1.1
 
     def test_trivial_tolerance(self):
         gauss = GridFunction.from_scalar(lambda x: np.exp(-(x**2)))
         f_eps, rep = om.approximate_vanishing(gauss, 2.0, FIT)
-        assert rep.sup_error < 2.0
+        assert rep["sup_error"] < 2.0
 
     def test_non_vanishing_rejected(self):
         one = GridFunction.constant(1.0)
@@ -159,8 +159,8 @@ class TestApproximateGrowth:
         )
         result, rep = om.approximate_growth(f, self.family(), 0.1, 512,
                                             measure_radius=30.0)
-        assert rep.weighted_error < 0.1
-        assert rep.weight_kind in ("power", "max_t_power")
+        assert rep["weighted_error"] < 0.1
+        assert rep["weight_kind"] in ("power", "max_t_power")
 
     def test_uncontrolled_growth_rejected(self):
         boom = GridFunction.from_scalar(
@@ -175,8 +175,8 @@ class TestLimitationDemo:
     def test_best_constant_is_half(self):
         rep = om.demonstrate_limitation()
         # oracle: range of e^{-|x|} is (0, 1], minimax constant is 1/2
-        assert rep.best_error == pytest.approx(0.5, abs=0.01)
-        assert rep.best_constant == pytest.approx(0.5, abs=0.01)
+        assert rep["best_error"] == pytest.approx(0.5, abs=0.01)
+        assert rep["best_constant"] == pytest.approx(0.5, abs=0.01)
 
     def test_every_constant_at_least_half(self):
         pts = cube_points(30.0, 4001)
@@ -192,7 +192,7 @@ class TestLimitationDemo:
                 om.LimitationSample("unbounded", "linear"),
             ]
         )
-        errors = dict((l, e) for l, _, e in rep.sample_errors)
+        errors = {e["label"]: e["error"] for e in rep["sample_errors"]}
         assert errors["half"] == pytest.approx(0.5, abs=0.01)
         assert np.isinf(errors["linear"])
 

@@ -282,20 +282,20 @@ class TestRateSweep:
                               quad_nodes=1001)
         basis = fam(3, 1)
         single = rb.simplex_fit(basis, target, mu, quad_nodes=1001)
-        assert table.rows[0]["residual"] == pytest.approx(single.residual, rel=1e-9)
+        assert table["rows"][0]["residual"] == pytest.approx(single.residual, rel=1e-9)
 
     def test_monotone_and_below_bounds(self):
         table = self.setup_sweep()
-        res = [r["residual"] for r in table.rows]
+        res = [r["residual"] for r in table["rows"]]
         assert all(b <= a * 1.05 for a, b in zip(res, res[1:]))
-        for r in table.rows:
+        for r in table["rows"]:
             assert r["residual"] <= r["bound_proof_final"]
             assert r["bound_reference"] == pytest.approx(r["bound_proof_final"])
 
     def test_bit_reproducible(self):
         t1 = self.setup_sweep(seed=5)
         t2 = self.setup_sweep(seed=5)
-        for a, b in zip(t1.rows, t2.rows):
+        for a, b in zip(t1["rows"], t2["rows"]):
             assert a["residual"] == b["residual"]
 
     def test_depth_scales_reference_bound(self):
@@ -307,8 +307,8 @@ class TestRateSweep:
         fam = rb.trees_basis_family()
         table = rb.rate_sweep(fam, target, mu, [4], 2, op, seed=0,
                               quad_nodes=1001)
-        row = table.rows[0]
-        norm = table.pushforward_norm
+        row = table["rows"][0]
+        norm = table["pushforward_norm"]
         assert row["bound_reference"] == pytest.approx(
             norm**2 * (1.0 + np.sqrt(2.0)) / 2.0
         )
@@ -320,13 +320,13 @@ class TestRateSweep:
 
     def test_rows_carry_lp_diagnostics(self):
         table = self.setup_sweep()
-        for row in table.rows:
+        for row in table["rows"]:
             assert row["status"] == "optimal"
             assert abs(row["gap"]) <= 1e-10
             assert isinstance(row["iterations"], int) and row["iterations"] > 0
             assert isinstance(row["cells"], int) and 1 <= row["cells"] <= 1001
             assert row["degenerate"] is False
-        assert table.degenerate is False
+        assert table["degenerate"] is False
 
     def assert_rows_match_their_fits(self, N):
         """Each row is the exact fit of its prefix of f o S^N, or the row
@@ -340,7 +340,7 @@ class TestRateSweep:
                               [4, 8, 16, 32], N, op, seed=1, quad_nodes=1001)
         basis = [dd.apply(op, f, N) for f in rb.trees_basis_family()(1, 32)]
         prev = math.inf
-        for row in table.rows:
+        for row in table["rows"]:
             fit = rb.simplex_fit(basis[: row["n"]], target, mu, quad_nodes=1001)
             assert row["residual"] == min(fit.residual, prev)
             prev = row["residual"]
@@ -395,10 +395,10 @@ class TestRateSweep:
                               2, op, seed=0, quad_nodes=1001)
         nodes, w = mu.nodes(1001)
         mass = w * np.sum(np.abs(target.sample(nodes[:, None])[:, 0]))
-        for row in table.rows:
+        for row in table["rows"]:
             assert row["degenerate"] is True
             assert row["residual"] == pytest.approx(mass, rel=1e-9)
-        assert table.degenerate is True
+        assert table["degenerate"] is True
 
 class TestKappaGrowth:
     def test_table_growth(self, leaky_rescaled, gauss_mu):
