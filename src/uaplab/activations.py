@@ -24,7 +24,6 @@ from . import _kernels as K
 from .errors import (
     InconclusiveError,
     PreconditionError,
-    RangeError,
     VerificationError,
 )
 
@@ -35,8 +34,6 @@ __all__ = [
     "classify",
     "construct_transitive",
     "construct_lp_transitive",
-    "invert",
-    "invert_array",
     "by_name",
     "builtin_names",
     "activation_to_config",
@@ -674,35 +671,3 @@ def construct_lp_transitive(sigma_tilde: ActivationSpec,
             {"witness": verdict.witness},
         )
     return spec
-
-
-# ---------------------------------------------------------------------------
-# inversion
-
-
-def invert_array(sigma: ActivationSpec, y: np.ndarray) -> np.ndarray:
-    """Elementwise inverse of an injective, increasing activation."""
-    verdict = classify(sigma)
-    if verdict.kind == "NotTransitive" and not verdict.injective:
-        raise PreconditionError(
-            f"{sigma.name} is not injective; witness near {verdict.witness}"
-        )
-    if verdict.kind == "NotTransitive":
-        raise PreconditionError(
-            f"{sigma.name} fails the transitivity requirements; inversion "
-            "is only offered for (Lp-)transitive activations"
-        )
-    edges, kinds, par, vedges = sigma._table
-    return K.act_invert(edges, kinds, par, vedges, np.asarray(y, dtype=np.float64))
-
-
-def invert(sigma: ActivationSpec, y: float) -> float:
-    """Solve sigma(x) = y for an injective activation (|sigma(x)-y| <= 1e-12)."""
-    x = float(invert_array(sigma, np.asarray([float(y)]))[0])
-    resid = abs(float(np.asarray(sigma(x))) - float(y))
-    if resid > 1e-10:
-        raise RangeError(
-            f"inversion residual {resid:.3e} for y={y!r}: value may be "
-            f"outside the range of {sigma.name}"
-        )
-    return x

@@ -29,6 +29,7 @@ from .errors import ConfigError, UaplabError
 if TYPE_CHECKING:
     from . import activations as act
     from . import constrained_approx as ca
+    from . import depth_dynamics as dd
     from .function_space import GridFunction
 
 COMMANDS = (
@@ -99,6 +100,18 @@ def _int(params: dict, key: str, default: int, minimum: int,
 
 def _vector(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value, dtype=np.float64))
+
+
+def _operator(params: dict, sigma: act.ActivationSpec) -> dd.CompositionOperator:
+    """The composition operator of sigma and the shift params.b (default 1),
+    when b is a number or a non-empty list with every entry finite and > 0."""
+    from . import depth_dynamics as dd
+
+    b = _num(params, "b", 1.0, _vector)
+    if not (b.size and np.all(np.isfinite(b) & (b > 0))):
+        raise ConfigError([f"params.b: must be a finite number > 0 or a "
+                           f"non-empty list of them, got {params['b']!r}"])
+    return dd.CompositionOperator(sigma, b)
 
 
 # bounds on |f''| off 0: gauss_linear's is about 1.952, expabs kinks at 0
@@ -212,8 +225,7 @@ def _run_escape(params: dict, seed: int):
     from . import depth_dynamics as dd
 
     sigma = _parse_activation(params.get("activation"))
-    b = _num(params, "b", 1.0, _vector)
-    op = dd.CompositionOperator(sigma, b)
+    op = _operator(params, sigma)
     k_radius = _positive(params, "K_radius")
     guard = _num(params, "guard_radius", k_radius)
     max_n = _int(params, "max_N", 10_000, 0)
@@ -236,8 +248,7 @@ def _run_transitivity_demo(params: dict, seed: int):
     from . import depth_dynamics as dd
 
     sigma = _parse_activation(params.get("activation"))
-    b = _num(params, "b", 1.0, _vector)
-    op = dd.CompositionOperator(sigma, b)
+    op = _operator(params, sigma)
     g = _parse_function(params, "g", "identity")
     f = _parse_function(params, "f", "sin")
     eps = _positive(params, "eps", 0.1)
@@ -283,11 +294,9 @@ def _parse_constraint(cfg) -> ca.ConstraintFunctional:
 
 def _run_constrained_fit(params: dict, seed: int):
     from . import constrained_approx as ca
-    from . import depth_dynamics as dd
 
     sigma = _parse_activation(params.get("activation"))
-    b = _num(params, "b", 1.0, _vector)
-    op = dd.CompositionOperator(sigma, b)
+    op = _operator(params, sigma)
     f = _parse_function(params, "f", "cos")
     eps = _positive(params, "eps", 0.1)
     width = _parse_fit(params.get("fit"))
@@ -314,11 +323,11 @@ def _run_omega_approx(params: dict, seed: int):
                     {"kind": "max_t_power", "i": 2}]))
     eps = _positive(params, "eps", 0.1)
     width = _parse_fit(params.get("fit"))
+    # measure_radius sets only the x-range of the CSV; the weighted error
+    # is measured on the pipeline's own wide grid
     radius = _positive(params, "measure_radius", 30.0)
     csv_points = _int(params, "csv_points", 601, 0)
-    result, outputs = om.approximate_growth(
-        f, weights, eps, width, measure_radius=radius
-    )
+    result, outputs = om.approximate_growth(f, weights, eps, width)
     xs = np.linspace(-radius, radius, csv_points)
     pts = xs[:, None]
     fv = f.sample(pts)[:, 0]
@@ -337,7 +346,6 @@ def _positive_ints(values) -> list:
 
 
 def _run_rate_sweep(params: dict, seed: int):
-    from . import depth_dynamics as dd
     from . import rate_bounds as rb
 
     target = _parse_function(params, "target",
@@ -347,8 +355,7 @@ def _run_rate_sweep(params: dict, seed: int):
         "n_values", [4, 8, 16, 32, 64, 128, 256]))
     depth = _int(params, "N", 0, 0)
     sigma = _parse_activation(params.get("activation", "leaky_rescaled_paper"))
-    b = _num(params, "b", 1.0, _vector)
-    op = dd.CompositionOperator(sigma, b)
+    op = _operator(params, sigma)
     family = _nested("basis", lambda cfg: rb.trees_basis_family(
         tuple(cfg.get("amp_range", (0.25, 2.0))),
         tuple(cfg.get("left_range", (-1.5, 1.0))),

@@ -57,7 +57,7 @@ MAX_N = 10_000         # escape steps before NoEscapeError
 
 @dataclass(frozen=True)
 class CompositionOperator:
-    """f -> f o sigma•(x + b), with every shift component strictly positive
+    """f -> f o sigma•(x + b), with every shift component finite and positive
     (the regime in which injective fixed-point-free activations make the
     iterated cube escape every compact)."""
 
@@ -67,8 +67,8 @@ class CompositionOperator:
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
         object.__setattr__(self, "b", b)
-        if not np.all(b > 0):
-            raise PreconditionError("operators need strictly positive shifts")
+        if not np.all(np.isfinite(b) & (b > 0)):
+            raise PreconditionError("operators need finite, strictly positive shifts")
 
     @property
     def dim(self) -> int:

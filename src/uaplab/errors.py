@@ -67,10 +67,6 @@ class InconclusiveError(UaplabError):
         )
 
 
-class RangeError(UaplabError):
-    """Requested value lies outside the range of an injective map."""
-
-
 class FitBudgetError(UaplabError):
     """A fit could not meet its budget: a measured residual or distance
     above its tolerance, or more hidden units needed than the width cap

@@ -311,9 +311,11 @@ def gaussian_measure(mean: float = 0.0, std: float = 1.0, mass: float = 1.0) -> 
 
 def uniform_window_measure(lo: float, hi: float, height: float = 1.0) -> Measure1D:
     lo, hi, height = float(lo), float(hi), float(height)
-    if not hi > lo or not height > 0:
-        raise ValueError("window needs hi > lo and height > 0")
     mass = (hi - lo) * height
+    if not (hi > lo and height > 0
+            and all(map(math.isfinite, (lo, hi, height, mass)))):
+        raise ValueError("window needs finite lo < hi, a finite height > 0 and "
+                         f"a finite mass, got {lo!r}, {hi!r}, {height!r}")
     return Measure1D(
         density=lambda x: np.where((x >= lo) & (x <= hi), height, 0.0),
         total_mass=mass,
@@ -327,10 +329,14 @@ def table_measure(xs: Sequence[float], densities: Sequence[float]) -> Measure1D:
     ds = np.asarray(densities, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ds.shape or len(xs) < 2:
         raise ValueError("table needs matching 1-d xs/densities with >= 2 entries")
-    if np.any(np.diff(xs) <= 0) or np.any(ds < 0) or not np.any(ds > 0):
+    if np.any(xs[1:] <= xs[:-1]) or np.any(ds < 0) or not np.any(ds > 0):
         raise ValueError("xs must increase; densities nonnegative, not all zero")
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * np.diff(xs))])
+    with np.errstate(over="ignore"):  # an infinite mass is rejected below
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * np.diff(xs))])
     mass = float(cum[-1])
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ds))
+            and math.isfinite(mass)):
+        raise ValueError("table needs finite xs, densities and mass")
     meas = Measure1D(
         density=lambda x: np.interp(x, xs, ds, left=0.0, right=0.0),
         total_mass=mass,

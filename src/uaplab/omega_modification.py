@@ -51,6 +51,7 @@ GRID_POINTS = 2001      # grid points per axis of the shell and error checks
 KNOT_STEP = 0.1         # spacing of the uniform knots of the fitted core
 NORM_POINTS = 801       # grid points per axis of the weighted sup norms
 LIMIT_POINTS = 6001     # grid points of the limitation demo's sup distance
+MAX_CORE_RADIUS = 4096.0  # largest core radius the shell search tries
 
 
 def bump_transform(g: GridFunction, a: float, b: float) -> GridFunction:
@@ -100,7 +101,6 @@ def approximate_vanishing(
     eps: float,
     width: int,
     *,
-    max_core_radius: float = 4096.0,
     kink_hints: tuple = (),
 ) -> tuple[GridFunction, dict]:
     """Uniform eps-approximation of a one-input function that decays at
@@ -125,10 +125,10 @@ def approximate_vanishing(
     radius = 1.0
     while _shell_sup(f, radius) > eps / 2.0:
         radius *= 2.0
-        if radius > max_core_radius:
+        if radius > MAX_CORE_RADIUS:
             raise PreconditionError(
                 f"target does not fall below eps/2 = {eps / 2:.3g} on any "
-                f"shell up to radius {max_core_radius}"
+                f"shell up to radius {MAX_CORE_RADIUS}"
             )
 
     a = eps / 2.0
@@ -192,8 +192,6 @@ def approximate_growth(
     weights: Sequence[Weight],
     eps: float,
     width: int,
-    *,
-    measure_radius: float = 30.0,
 ) -> tuple[GridFunction, dict]:
     """Weighted-uniform eps-approximation of a function of controlled growth,
     with its result.json outputs.
@@ -203,8 +201,8 @@ def approximate_growth(
     the weight, the vanishing pipeline runs, and the weight is multiplied
     back.  A finite norm alone is not enough — the divided function must
     also decay — so candidates that fail the tail test fall through to the
-    next one.  The reported error is the weighted sup distance measured on
-    [-measure_radius, measure_radius]^m.
+    next one.  The reported weighted error is the vanishing pipeline's sup
+    error, measured on [-wide_radius, wide_radius]^m.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -233,26 +231,16 @@ def approximate_growth(
         except (PreconditionError, FitBudgetError) as exc:
             flags[label] += f"; pipeline failed: {exc}"
             continue
-        result = phi_omega(f_eps, w)
-        pts = cube_points(measure_radius, GRID_POINTS, f.dim_in)
-        r = np.linalg.norm(pts, axis=1)
-        weighted_err = float(
-            np.max(
-                np.linalg.norm(f.sample(pts) - result.sample(pts), axis=1)
-                / (np.asarray(w(r)) + 1.0)
-            )
-        )
-        if weighted_err < eps:
-            return result, {
-                "weight_kind": w.kind,
-                "weight_param": w.param,
-                "weight_index": idx,
-                "weighted_error": weighted_err,
-                "measure_radius": measure_radius,
-                "vanishing": vanish,
-                "flags": flags,
-            }
-        flags[label] += f"; weighted error {weighted_err:.4g} >= eps"
+        # |f - phi(f_eps)|/(w+1) = |psi(f) - f_eps| at every point, so the
+        # weighted error of the result is the vanishing error already measured
+        return phi_omega(f_eps, w), {
+            "weight_kind": w.kind,
+            "weight_param": w.param,
+            "weight_index": idx,
+            "weighted_error": vanish["sup_error"],
+            "vanishing": vanish,
+            "flags": flags,
+        }
     raise NoControllingWeightError(flags)
 
 

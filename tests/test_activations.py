@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from uaplab import activations as act
+from uaplab.depth_dynamics import CompositionOperator
 from uaplab.errors import InconclusiveError, PreconditionError
 
 
@@ -391,14 +392,19 @@ class TestConstructLpTransitive:
 
 
 class TestInvert:
+    """Inversion through the composition operator's inverse iterate."""
+
     def test_shifted_leaky_values(self, leaky_shifted):
-        # oracle: 1.1*1 + 0.1 = 1.2 and sigma(0) = 0.1
-        assert act.invert(leaky_shifted, 1.2) == pytest.approx(1.0, abs=1e-12)
-        assert act.invert(leaky_shifted, 0.1) == pytest.approx(0.0, abs=1e-12)
+        # oracle: S(x) = sigma(x + 1), with sigma(1) = 1.1*1 + 0.1 = 1.2 and
+        # sigma(0) = 0.1, so S^{-1}(1.2) = 0 and S^{-1}(0.1) = -1
+        op = CompositionOperator(leaky_shifted, np.array([1.0]))
+        back = op.inverse_iterate(np.array([1.2, 0.1]), 1)[:, 0]
+        assert back == pytest.approx([0.0, -1.0], abs=1e-12)
 
     def test_relu_rejected(self, relu):
+        op = CompositionOperator(relu, np.array([1.0]))
         with pytest.raises(PreconditionError):
-            act.invert(relu, 0.5)
+            op.inverse_iterate(np.array([0.5]), 1)
 
     def test_roundtrip_many_points(self, leaky_shifted, leaky_rescaled):
         rng = np.random.default_rng(2)
@@ -407,9 +413,9 @@ class TestInvert:
         )
         built = act.construct_transitive(cube, 0.5, 1.0)
         for sigma in (leaky_shifted, leaky_rescaled, built):
-            xs = rng.uniform(-100, 100, 1000)
-            ys = np.asarray(sigma(xs))
-            back = act.invert_array(sigma, ys)
+            op = CompositionOperator(sigma, np.array([1.0]))
+            xs = rng.uniform(-100, 100, (1000, 1))
+            back = op.inverse_iterate(op.iterate(xs, 1), 1)
             assert np.max(np.abs(back - xs)) < 1e-10
 
 

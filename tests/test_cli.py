@@ -289,6 +289,26 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
     ("transitivity-demo", dict(SHIFTED, eps=0), "eps"),
     ("omega-approx", {"eps": -1}, "eps"),
     ("constrained-fit", dict(SHIFTED, delta=0), "delta"),
+    ("escape", dict(SHIFTED, K_radius=2.0, b=0), "b"),
+    ("escape", dict(SHIFTED, K_radius=2.0, b=-1), "b"),
+    ("escape", dict(SHIFTED, K_radius=2.0, b=math.inf), "b"),
+    ("escape", dict(SHIFTED, K_radius=2.0, b=[]), "b"),
+    ("rate-sweep", dict(SWEEP, b=0), "b"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "uniform_window",
+                                   "params": {"lo": 0, "hi": math.inf}}), "mu"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "uniform_window",
+                                   "params": {"lo": 0, "hi": 1,
+                                              "height": math.inf}}), "mu"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "uniform_window",
+                                   "params": {"lo": -1e308, "hi": 1e308}}),
+     "mu"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "custom_table",
+                                   "params": {"xs": [0, math.inf],
+                                              "densities": [1, 1]}}), "mu"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "custom_table",
+                                   "params": {"xs": [0, 1],
+                                              "densities": [1, math.inf]}}),
+     "mu"),
 ], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
         "f-no-kind", "target-short-term", "constraint-no-kind",
         "constraint-negative-threshold", "basis-range-number", "basis-list",
@@ -303,7 +323,10 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
         "measure-radius-0", "measure-radius--1", "x-radius--5", "x-radius-0",
         "x-radius--1", "mu-std--1", "mu-std-0", "mu-mass--1",
         "samples-value-string", "samples-value-list", "eps-0", "eps--1",
-        "delta-0"])
+        "delta-0", "b-0", "b--1", "b-inf", "b-empty",
+        "sweep-b-0", "window-hi-inf",
+        "window-height-inf", "window-mass-inf", "table-xs-inf",
+        "table-density-inf"])
 def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
     code, payload = main_in_process(tmp_path, capsys, command, params)
     assert code == 2, payload

@@ -34,5 +34,6 @@ def test_payload_keeps_structured_fields(exc, fields):
 
 
 def test_payload_without_fields():
-    exc = errors.RangeError("y outside the range")
-    assert exc.payload() == {"error": "RangeError", "message": "y outside the range"}
+    exc = errors.PreconditionError("eps must be positive")
+    assert exc.payload() == {"error": "PreconditionError",
+                             "message": "eps must be positive"}

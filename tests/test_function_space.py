@@ -330,9 +330,25 @@ class TestMeasures:
         with pytest.raises(ValueError):
             gaussian_measure(mean, std, mass)
 
+    @pytest.mark.parametrize("lo, hi, height", [
+        (0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf),
+        (-1e308, 1e308, 1.0),
+    ])
+    def test_window_rejects_non_finite(self, lo, hi, height):
+        with pytest.raises(ValueError):
+            uniform_window_measure(lo, hi, height)
+
     def test_table_measure_rejects_bad_input(self):
         with pytest.raises(ValueError):
             table_measure([0, 1], [-1.0, 1.0])
+
+    @pytest.mark.parametrize("xs, densities", [
+        ([0.0, math.inf], [1.0, 1.0]), ([0.0, math.nan], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, math.inf]), ([-1e308, 1e308], [1.0, 1.0]),
+    ])
+    def test_table_measure_rejects_non_finite(self, xs, densities):
+        with pytest.raises(ValueError):
+            table_measure(xs, densities)
 
 
 class TestGaussianSpecialFunctions:

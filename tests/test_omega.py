@@ -90,7 +90,7 @@ class TestApproximateVanishing:
     def test_non_vanishing_rejected(self):
         one = GridFunction.constant(1.0)
         with pytest.raises(PreconditionError):
-            om.approximate_vanishing(one, 0.1, FIT, max_core_radius=64.0)
+            om.approximate_vanishing(one, 0.1, FIT)
 
     def test_growth_condition_of_fitted_core(self):
         # piecewise-affine nets grow at most linearly, so sup |g| e^{-|x|}
@@ -157,10 +157,24 @@ class TestApproximateGrowth:
         f = GridFunction.from_scalar(
             lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
         )
-        result, rep = om.approximate_growth(f, self.family(), 0.1, 512,
-                                            measure_radius=30.0)
+        result, rep = om.approximate_growth(f, self.family(), 0.1, 512)
         assert rep["weighted_error"] < 0.1
         assert rep["weight_kind"] in ("power", "max_t_power")
+
+    def test_weighted_error_covers_the_line(self):
+        # the CLI default: the weighted error is the vanishing sup error (the
+        # phi/psi isometry), and no point of a wider grid exceeds it
+        f = GridFunction.from_scalar(
+            lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
+        )
+        family = self.family()
+        result, rep = om.approximate_growth(f, family, 0.1, 256)
+        assert rep["weighted_error"] == rep["vanishing"]["sup_error"]
+        w = family[rep["weight_index"]]
+        pts = cube_points(1000.0, 200_001)
+        denom = np.asarray(w(np.abs(pts[:, 0]))) + 1.0
+        wide = float(np.max(np.abs(f.sample(pts) - result.sample(pts))[:, 0] / denom))
+        assert rep["weighted_error"] >= (1.0 - 1e-5) * wide
 
     def test_uncontrolled_growth_rejected(self):
         boom = GridFunction.from_scalar(
