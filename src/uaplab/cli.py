@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, UaplabError
+from .errors import ConfigError, PreconditionError, UaplabError
 
 # The library modules are imported inside the parsers and handlers that use
 # them, so a cold process loads only the modules of the command it runs.
@@ -103,15 +103,14 @@ def _vector(value) -> np.ndarray:
 
 
 def _operator(params: dict, sigma: act.ActivationSpec) -> dd.CompositionOperator:
-    """The composition operator of sigma and the shift params.b (default 1),
-    when b is a number or a non-empty list with every entry finite and > 0."""
+    """The composition operator of sigma and the shift params.b (default 1);
+    a shift the operator rejects is a ConfigError naming params.b."""
     from . import depth_dynamics as dd
 
-    b = _num(params, "b", 1.0, _vector)
-    if not (b.size and np.all(np.isfinite(b) & (b > 0))):
-        raise ConfigError([f"params.b: must be a finite number > 0 or a "
-                           f"non-empty list of them, got {params['b']!r}"])
-    return dd.CompositionOperator(sigma, b)
+    try:
+        return dd.CompositionOperator(sigma, _num(params, "b", 1.0, _vector))
+    except PreconditionError as exc:
+        raise ConfigError([f"params.b: {exc}, got {params['b']!r}"])
 
 
 # bounds on |f''| off 0: gauss_linear's is about 1.952, expabs kinks at 0

@@ -57,9 +57,9 @@ MAX_N = 10_000         # escape steps before NoEscapeError
 
 @dataclass(frozen=True)
 class CompositionOperator:
-    """f -> f o sigma•(x + b), with every shift component finite and positive
-    (the regime in which injective fixed-point-free activations make the
-    iterated cube escape every compact)."""
+    """f -> f o sigma•(x + b), with at least one shift component and every
+    one finite and positive (the regime in which injective fixed-point-free
+    activations make the iterated cube escape every compact)."""
 
     activation: ActivationSpec
     b: np.ndarray
@@ -67,8 +67,9 @@ class CompositionOperator:
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
         object.__setattr__(self, "b", b)
-        if not np.all(np.isfinite(b) & (b > 0)):
-            raise PreconditionError("operators need finite, strictly positive shifts")
+        if not (b.size and np.all(np.isfinite(b) & (b > 0))):
+            raise PreconditionError(
+                "operators need a non-empty shift with every entry finite and > 0")
 
     @property
     def dim(self) -> int:

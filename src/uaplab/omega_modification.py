@@ -47,6 +47,7 @@ __all__ = [
 ACTIVATION = "relu"     # activation of the fitted shallow nets
 RHO = 0.9               # fitted ball radius as a fraction of sqrt(b)
 WIDE_FACTOR = 3.0       # verification grid radius in multiples of sqrt(b)
+MIN_WIDE_RADIUS = 30.0  # smallest radius of the verification grid
 GRID_POINTS = 2001      # grid points per axis of the shell and error checks
 KNOT_STEP = 0.1         # spacing of the uniform knots of the fitted core
 NORM_POINTS = 801       # grid points per axis of the weighted sup norms
@@ -112,12 +113,12 @@ def approximate_vanishing(
     stops at RHO < 1 and the envelope's vanishing bump factor crushes the
     remaining shell), assembles the envelope with offset eps/2, and
     verifies the sup error end-to-end on a wide grid (WIDE_FACTOR times
-    sqrt(b)).  The knots are spaced KNOT_STEP apart, plus R sin(pi/2 s) for
-    ``width`` points s evenly on [-1, 1], which crowd toward the ball's
-    edge where the target is steepest, plus ``kink_hints``: input
-    locations where the target is known to change slope.  So ``width``
-    sets the graded knots here, not a cap: the net has one hidden unit per
-    knot but the last.
+    sqrt(b), and at least MIN_WIDE_RADIUS).  The knots are spaced KNOT_STEP
+    apart, plus R sin(pi/2 s) for ``width`` points s evenly on [-1, 1],
+    which crowd toward the ball's edge where the target is steepest, plus
+    ``kink_hints``: input locations where the target is known to change
+    slope.  So ``width`` sets the graded knots here, not a cap: the net has
+    one hidden unit per knot but the last.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -144,8 +145,14 @@ def approximate_vanishing(
     result = fit_shallow(knots, values, by_name(ACTIVATION))
     candidate = bump_transform(
         result.net.as_gridfunction(name="fitted-core"), a, b_param)
+    # the shell search looks only at [R, 2R], so the check reaches at least
+    # MIN_WIDE_RADIUS, at the grid step of GRID_POINTS over WIDE_FACTOR sqrt(b)
     wide = WIDE_FACTOR * np.sqrt(b_param)
-    pts = cube_points(wide, GRID_POINTS, f.dim_in)
+    points = GRID_POINTS
+    if wide < MIN_WIDE_RADIUS:
+        points = int(np.ceil((GRID_POINTS - 1) * MIN_WIDE_RADIUS / wide)) + 1
+        wide = MIN_WIDE_RADIUS
+    pts = cube_points(wide, points, f.dim_in)
     err = float(
         np.max(np.linalg.norm(f.sample(pts) - candidate.sample(pts), axis=1))
     )

@@ -29,6 +29,10 @@ class TestOperator:
         with pytest.raises(PreconditionError):
             dd.CompositionOperator(leaky_shifted, np.array([1.0, np.inf]))
 
+    def test_nonempty_shift_required(self, leaky_shifted):
+        with pytest.raises(PreconditionError):
+            dd.CompositionOperator(leaky_shifted, np.array([]))
+
     def test_apply_zero_is_identity(self, leaky_shifted, sin_fn):
         op = shifted_op(leaky_shifted)
         assert dd.apply(op, sin_fn, 0) is sin_fn

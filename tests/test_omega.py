@@ -14,6 +14,7 @@ from uaplab.function_space import (
     sup_norm_on_ball,
     weighted_sup_norm,
 )
+from uaplab.network import TreeFunction
 
 FIT = 256  # fit width
 
@@ -175,6 +176,16 @@ class TestApproximateGrowth:
         denom = np.asarray(w(np.abs(pts[:, 0]))) + 1.0
         wide = float(np.max(np.abs(f.sample(pts) - result.sample(pts))[:, 0] / denom))
         assert rep["weighted_error"] >= (1.0 - 1e-5) * wide
+
+    def test_small_core_checked_to_min_wide_radius(self):
+        # zero on [-2, 2], so every candidate's shell search stops at R = 1
+        # (wide radius 3.33); the bump on [10, 11] is still seen and fails
+        bump = TreeFunction(((100.0, 10.0, 11.0),)).as_gridfunction()
+        with pytest.raises(NoControllingWeightError) as err:
+            om.approximate_growth(bump, self.family(), 0.1, FIT)
+        # every weight has a finite norm and fails its error check
+        assert all(flag.startswith("norm ") and "; " in flag
+                   for flag in err.value.flags.values())
 
     def test_uncontrolled_growth_rejected(self):
         boom = GridFunction.from_scalar(
