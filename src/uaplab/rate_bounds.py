@@ -1,13 +1,18 @@
 """Convex-hull approximation rates for iterated-composition bases.
 
-Simplex-constrained L1 fitting is exact: the basis and target are sampled
-at the measure's equal-mass quadrature nodes, runs of equal rows (the
-piecewise-constant trees make many) merge into weighted cells, and the
-linear program min sum w|B a - t| over the simplex is solved by a numpy
-Mehrotra predictor-corrector whose Newton steps reduce to an n x n Cholesky
-solve in the coefficient dimension (the Frisch-Newton reduction of Portnoy
-and Koenker, Statistical Science 1997).  A solve that stops short of
-optimal raises ``LPSolveError`` with its status, gap, iterations and cells.
+Simplex-constrained L1 fitting solves the quadrature problem on the merged
+nodes exactly: the basis and target are sampled at the measure's
+equal-mass quadrature nodes, runs of equal rows (the piecewise-constant
+trees make many) merge into weighted cells, and the linear program
+min sum w|B a - t| over the simplex is solved to optimality.  It is the
+L1(mu) problem only up to that quadrature.  The solver is a numpy Mehrotra
+predictor-corrector whose Newton steps reduce to an n x n system in the
+coefficient dimension (the Frisch-Newton reduction of Portnoy and Koenker,
+Statistical Science 1997).  Each iteration factors that system once by
+Cholesky and inverts the factor's small diagonal blocks; the predictor and
+the corrector then solve by matrix products alone.  A solve that stops
+short of optimal raises ``LPSolveError`` with its status, gap, iterations
+and cells.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ def pushforward_density_norm(sigma: ActivationSpec, b: float,
 
 
 # ---------------------------------------------------------------------------
-# exact L1 fits over the simplex
+# L1 fits over the simplex, exact on the merged quadrature cells
 
 _LP_TOL = 1e-12  # relative duality gap and infeasibility accepted as optimal
 _LP_MAX_ITER = 100
@@ -102,7 +107,6 @@ _LP_STEP = 0.99995  # fraction of the step to the boundary that is taken
 @dataclass(frozen=True)
 class SimplexFit:
     coefficients: np.ndarray
-    basis_ids: tuple
     residual: float
     iterations: int
     status: str  # always "optimal": any other outcome raises LPSolveError
@@ -127,22 +131,38 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - css[k] / (k + 1), 0.0)
 
 
-_SOLVE_BLOCK = 128
+_SOLVE_BLOCK = 32
 
 
-def _cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _block_inverses(chol: np.ndarray) -> list:
+    """Inverses of the _SOLVE_BLOCK-square diagonal blocks of the lower
+    triangular L (the last block may be smaller), for ``_cholesky_solve``."""
+    n = chol.shape[0]
+    k = n // _SOLVE_BLOCK
+    full = k * _SOLVE_BLOCK
+    diag = np.arange(k)
+    blocks = chol[:full, :full].reshape(k, _SOLVE_BLOCK, k, _SOLVE_BLOCK)
+    inverses = list(np.linalg.inv(blocks[diag, :, diag]))
+    if full < n:
+        inverses.append(np.linalg.inv(chol[full:, full:]))
+    return inverses
+
+
+def _cholesky_solve(chol: np.ndarray, inverses: list,
+                    rhs: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = rhs for the lower Cholesky factor L by blocked
-    forward then back substitution: the off-diagonal blocks are matrix
-    products, only the small diagonal blocks go through a dense solve."""
+    forward then back substitution, given ``_block_inverses(L)``: every
+    block step is a matrix product, so one factor serves many right sides
+    without a dense solve."""
     n = chol.shape[0]
     x = np.array(rhs, dtype=np.float64)
-    starts = range(0, n, _SOLVE_BLOCK)
-    for s in starts:  # L y = rhs
-        e = min(s + _SOLVE_BLOCK, n)
-        x[s:e] = np.linalg.solve(chol[s:e, s:e], x[s:e] - chol[s:e, :s] @ x[:s])
-    for s in reversed(starts):  # L^T x = y
-        e = min(s + _SOLVE_BLOCK, n)
-        x[s:e] = np.linalg.solve(chol[s:e, s:e].T, x[s:e] - chol[e:, s:e].T @ x[e:])
+    blocks = list(zip(range(0, n, _SOLVE_BLOCK), inverses))
+    for s, inv in blocks:  # L y = rhs
+        e = s + len(inv)
+        x[s:e] = inv @ (x[s:e] - chol[s:e, :s] @ x[:s])
+    for s, inv in reversed(blocks):  # L^T x = y
+        e = s + len(inv)
+        x[s:e] = inv.T @ (x[s:e] - chol[e:, s:e].T @ x[e:])
     return x
 
 
@@ -154,8 +174,13 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):
     The start is feasible on both sides.  Each Newton step reduces to the
     n x n matrix B^T diag(1/theta) B + diag(s/a), bordered by the simplex
     row; the border is folded in as rho * 1 1^T, which keeps the matrix
-    definite along the one direction only the simplex row fixes, and the
-    matrix is factored by Cholesky after a diagonal scaling.  Returns
+    definite along the one direction only the simplex row fixes.  The
+    matrix is formed as Bs^T Bs with Bs = diag(theta)^-1/2 B, factored once
+    per iteration by Cholesky after a diagonal scaling, and the factor's
+    diagonal blocks are inverted (``_block_inverses``).  The predictor
+    solves for its right side and for M^-1 1 together, the corrector
+    reuses M^-1 1, and each step length is one ratio test over the stacked
+    primal (a, p, q) and one over the stacked slacks (s, zp, zq).  Returns
     (a, status, gap, iterations); status is "optimal", "iteration_limit" or
     "numerical_failure".
     """
@@ -164,21 +189,21 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):
     w = w / mass
     a = np.full(n, 1.0 / n)
     r = B @ a - t
-    p, q = np.maximum(r, 0.0) + 1.0, np.maximum(-r, 0.0) + 1.0
+    # primal x = (a, p, q) and dual slacks z = (s, zp, zq), each stacked so
+    # that a step length is one ratio test per side
+    x = np.concatenate([a, np.maximum(r, 0.0) + 1.0, np.maximum(-r, 0.0) + 1.0])
+    z = np.concatenate([np.ones(n), w, w])
     y, y0 = np.zeros(m), -1.0
-    s, zp, zq = np.ones(n), w.copy(), w.copy()
     t_scale = 1.0 + float(np.max(np.abs(t)))
+    ones = np.ones(n)
 
-    def longest(x, dx):
-        neg = dx < 0
-        return float(np.min(-x[neg] / dx[neg])) if np.any(neg) else np.inf
-
-    def steps(d):
-        da, dp, dq, _, _, ds, dzp, dzq = d
-        return (min(1.0, longest(a, da), longest(p, dp), longest(q, dq)),
-                min(1.0, longest(s, ds), longest(zp, dzp), longest(zq, dzq)))
+    def longest(v, dv):
+        neg = dv < 0
+        return min(1.0, float(np.min(-v[neg] / dv[neg]))) if np.any(neg) else 1.0
 
     for it in range(_LP_MAX_ITER + 1):
+        a, p, q = x[:n], x[n:n + m], x[n + m:]
+        s, zp, zq = z[:n], z[n:n + m], z[n + m:]
         rb = t - B @ a + p - q
         r0 = 1.0 - np.sum(a)
         ra = -(B.T @ y + y0 + s)
@@ -193,7 +218,8 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):
         if it == _LP_MAX_ITER:
             return a, "iteration_limit", gap * mass, it
         theta = p / zp + q / zq
-        M = B.T @ (B / theta[:, None])
+        Bs = B / np.sqrt(theta)[:, None]
+        M = Bs.T @ Bs
         M[np.diag_indices(n)] += s / a
         rho = 1.0 / np.sum(1.0 / np.diag(M))
         M += rho
@@ -202,36 +228,50 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):
             chol = np.linalg.cholesky(M * d[:, None] * d)
         except np.linalg.LinAlgError:
             return a, "numerical_failure", gap * mass, it
+        inverses = _block_inverses(chol)
 
-        def newton(rca, rcp, rcq):
-            g = rb + (rcp - p * rp) / zp - (rcq - q * rq) / zq
-            rhs = B.T @ (g / theta) + rca / a - ra + rho * r0
-            u, v = (d[:, None] * _cholesky_solve(
-                chol, d[:, None] * np.column_stack([rhs, np.ones(n)]))).T
+        def solve(*columns):  # M^-1 c for each column c
+            rhs = d[:, None] * np.column_stack(columns)
+            return (d[:, None] * _cholesky_solve(chol, inverses, rhs)).T
+
+        def reduced(rc):
+            """The pair (g, rhs) of the Newton step for complementarity
+            right side rc: M da = rhs + dy0 * 1 and dy = (g - B da) / theta."""
+            g = rb + (rc[n:n + m] - p * rp) / zp - (rc[n + m:] - q * rq) / zq
+            return g, B.T @ (g / theta) + rc[:n] / a - ra + rho * r0
+
+        def newton(rc, g, u, v):
+            """Direction (dx, dy, dy0, dz) for complementarity right side rc,
+            given u = M^-1 rhs and v = M^-1 1."""
             dy0 = (r0 - np.sum(u)) / np.sum(v)
             da = u + dy0 * v
             dy = (g - B @ da) / theta
-            dzp, dzq = rp + dy, rq - dy
-            return (da, (rcp - p * dzp) / zp, (rcq - q * dzq) / zq,
-                    dy, dy0, (rca - s * da) / a, dzp, dzq)
+            dz = np.concatenate([(rc[:n] - s * da) / a, rp + dy, rq - dy])
+            dx = np.concatenate([da, (rc[n:] - x[n:] * dz[n:]) / z[n:]])
+            return dx, dy, dy0, dz
 
-        mu = (a @ s + p @ zp + q @ zq) / (n + 2 * m)
-        aff = newton(-a * s, -p * zp, -q * zq)
-        ap, ad = steps(aff)
-        da, dp, dq, _, _, ds, dzp, dzq = aff
-        mu_aff = ((a + ap * da) @ (s + ad * ds) + (p + ap * dp) @ (zp + ad * dzp)
-                  + (q + ap * dq) @ (zq + ad * dzq)) / (n + 2 * m)
-        target_mu = (mu_aff / mu) ** 3 * mu
-        step = newton(target_mu - a * s - da * ds, target_mu - p * zp - dp * dzp,
-                      target_mu - q * zq - dq * dzq)
-        ap, ad = (min(1.0, _LP_STEP * x) for x in steps(step))
-        a, p, q = (x + ap * dx for x, dx in zip((a, p, q), step[:3]))
-        y, y0, s, zp, zq = (x + ad * dx for x, dx in zip((y, y0, s, zp, zq), step[3:]))
+        # the predictor solves for 1 next to its right side, and the
+        # corrector reuses that column
+        mu = (x @ z) / (n + 2 * m)
+        rc = -x * z
+        g, rhs = reduced(rc)
+        u, v = solve(rhs, ones)
+        dx, _, _, dz = newton(rc, g, u, v)
+        mu_aff = ((x + longest(x, dx) * dx) @ (z + longest(z, dz) * dz)
+                  / (n + 2 * m))
+        rc = (mu_aff / mu) ** 3 * mu - x * z - dx * dz
+        g, rhs = reduced(rc)
+        (u,) = solve(rhs)
+        dx, dy, dy0, dz = newton(rc, g, u, v)
+        ap, ad = _LP_STEP * longest(x, dx), _LP_STEP * longest(z, dz)
+        x = x + ap * dx
+        y, y0, z = y + ad * dy, y0 + ad * dy0, z + ad * dz
 
 
 def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
                 mu: Measure1D, *, quad_nodes: int = 2001) -> SimplexFit:
-    """Best convex combination of the basis in L1(mu), solved exactly.
+    """Best convex combination of the basis in L1(mu), exact for the
+    quadrature problem on the merged nodes.
 
     The basis and target are sampled at the equal-mass quadrature nodes of
     mu; runs of equal rows (piecewise-constant functions on sorted nodes)
@@ -261,8 +301,7 @@ def _fit_columns(B: np.ndarray, t: np.ndarray, w: float) -> SimplexFit:
         raise LPSolveError(status, gap, iterations, len(tc))
     a = _project_simplex(a)
     residual = float(w * np.sum(np.abs(B @ a - t)))
-    return SimplexFit(a, tuple(range(B.shape[1])), residual, iterations,
-                      status, gap, len(tc))
+    return SimplexFit(a, residual, iterations, status, gap, len(tc))
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +365,15 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     through S^N once, and one ``_kernels.tree_columns`` call samples every
     tree at S^N(nodes): column j equals ``simplex_fit``'s sampling of
     ``apply(op, f_j, N)`` bit for bit.  Each row fits a prefix of the
-    columns exactly (as ``simplex_fit``: equal quadrature rows merged into
-    cells, then an interior-point LP).  Rows run in the given order; while n
-    increases the previous row's coefficients, padded with zeros, are
-    feasible, and a row reports the smaller of the two residuals, so that
-    tolerance-level differences between equal optima cannot make the table
-    rise.  Each row carries the LP's status, gap, iterations and cell
-    count, and ``degenerate`` when its residual is no better than
-    predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
+    columns as ``simplex_fit`` does (equal quadrature rows merged into
+    cells, then an interior-point LP solved to optimality on them).  Rows
+    run in the given order; while n increases the previous row's
+    coefficients, padded with zeros, are feasible, and a row reports the
+    smaller of the two residuals, so that tolerance-level differences
+    between equal optima cannot make the table rise.  Each row carries the
+    LP's status, gap, iterations and cell count, and ``degenerate`` when
+    its residual is no better than predicting 0
+    (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
     if N < 0:
         raise PreconditionError(f"depth N must be >= 0, got {N}")

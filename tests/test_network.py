@@ -7,7 +7,7 @@ from uaplab import _kernels as K
 from uaplab import activations as act
 from uaplab.errors import DimensionMismatchError, FitBudgetError, PreconditionError
 from uaplab.function_space import d_ucc
-from uaplab.rate_bounds import _cholesky_solve
+from uaplab.rate_bounds import _block_inverses, _cholesky_solve
 from uaplab.network import (
     AffineLayer,
     FeedForwardNet,
@@ -274,16 +274,17 @@ class TestFitShallow:
         with pytest.raises(PreconditionError):
             fit_shallow([0.0, 1.0], [0.0, 1.0], three_branch_affine())
 
-    @pytest.mark.parametrize("size", [1, 127, 128, 129, 1025])
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 127, 128, 129, 1025])
     @pytest.mark.parametrize("columns", [None, 3])
     def test_cholesky_solve_matches_dense_solve(self, size, columns):
-        # sizes straddle the substitution block of 128
+        # sizes straddle the substitution block of 32 and its multiples
         rng = np.random.default_rng(size)
         feats = rng.standard_normal((size + 7, size))
         gram = feats.T @ feats + 1e-3 * np.eye(size)
         shape = (size,) if columns is None else (size, columns)
         rhs = rng.standard_normal(shape)
-        got = _cholesky_solve(np.linalg.cholesky(gram), rhs)
+        chol = np.linalg.cholesky(gram)
+        got = _cholesky_solve(chol, _block_inverses(chol), rhs)
         want = np.linalg.solve(gram, rhs)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
