@@ -25,6 +25,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
     VerificationError,
+    check_keys,
 )
 
 __all__ = [
@@ -250,8 +251,12 @@ def activation_to_config(spec: ActivationSpec) -> dict:
 
 
 def activation_from_config(cfg: dict) -> ActivationSpec:
+    """A built-in name, {"name": <built-in>}, or {"name": ..., "branches":
+    [...]} with the keys of activation_to_config.  An unknown key is a
+    ConfigError naming it."""
     if isinstance(cfg, str):
         return by_name(cfg)
+    check_keys(cfg, ("name", "branches"))
     if "branches" not in cfg:
         return by_name(cfg["name"])
     branches = []
@@ -270,6 +275,8 @@ def activation_from_config(cfg: dict) -> ActivationSpec:
             )
         else:
             raise ValueError(f"unknown branch kind {kind!r}")
+        power = ("scale", "p") if kind == "power" else ()
+        check_keys(e, ("lo", "hi", "kind", "a", "b", *power), "branches.")
         branches.append(Branch(lo, hi, kind, params))
     return ActivationSpec(cfg.get("name", "custom"), branches)
 

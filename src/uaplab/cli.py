@@ -6,7 +6,8 @@ config and writing a result JSON (plus CSV tables where tabular).
 Exit codes: 0 success, 1 computation failure, 2 config error.  Result JSON is
 byte-reproducible for a fixed config and seed except for the wall_time_s
 field; every result embeds the sha256 hash of its canonical (command, params,
-seed) triple.
+seed) triple, and the params resolved through the command's key table in
+_COMMANDS.
 """
 
 from __future__ import annotations
@@ -16,32 +17,21 @@ import hashlib
 import json
 import sys
 import time
+from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError, UaplabError
+from .errors import ConfigError, PreconditionError, UaplabError, check_keys
 
 # The library modules are imported inside the parsers and handlers that use
 # them, so a cold process loads only the modules of the command it runs.
 if TYPE_CHECKING:
     from . import activations as act
-    from . import constrained_approx as ca
     from . import depth_dynamics as dd
-    from .function_space import GridFunction
-
-COMMANDS = (
-    "check-activation",
-    "escape",
-    "transitivity-demo",
-    "constrained-fit",
-    "omega-approx",
-    "rate-sweep",
-    "limitation-demo",
-    "free-space-tests",
-)
+    from .function_space import GridFunction, Measure1D
 
 
 @dataclass(frozen=True)
@@ -53,31 +43,79 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config-described functions
+# the loader of the key tables (the tables follow the handlers)
+
 
 _REQUIRED = object()
+_IGNORED = (None, None)  # a key of older configs, accepted and not read
 
 
-def _num(params: dict, key: str, default=_REQUIRED, cast=float,
-         where: str = "params"):
-    """params[key], or default, passed through cast; a missing or
-    unconvertible value is a ConfigError naming the field."""
-    if key not in params and default is _REQUIRED:
-        raise ConfigError([f"{where}.{key}: required"])
-    value = params.get(key, default)
+def _load(cfg: dict, table: dict, where: str = "") -> tuple[dict, dict]:
+    """cfg checked against table, which maps each key to (parse, default):
+    the parsed values, and the JSON cfg resolves to, with every default
+    written out and the ignored keys left out.
+
+    A missing or null key takes its default; a callable default computes it
+    from the values parsed before it, and a null default stays null.  A
+    nested table in place of parse loads an object the same way.  One
+    ConfigError names every unknown key, missing required key and value its
+    parser refuses, each as where + its path in cfg."""
+    violations = []
     try:
-        return cast(value)
+        check_keys(cfg, table)
+    except ConfigError as exc:
+        violations += exc.violations
+    values, resolved = {}, {}
+    for key, (parse, default) in table.items():
+        if parse is None:
+            continue
+        value = cfg.get(key)
+        if value is None:
+            try:
+                value = default(values) if callable(default) else deepcopy(default)
+            except KeyError:  # the key it is computed from failed, and is named
+                continue
+        if value is _REQUIRED:
+            violations.append(f"{key}: required")
+            continue
+        try:
+            if value is None:
+                values[key] = resolved[key] = None
+            elif isinstance(parse, dict):
+                values[key], resolved[key] = _load(value, parse)
+            else:
+                values[key], resolved[key] = parse(value), value
+        except ConfigError as exc:  # named from inside the value
+            violations += [f"{key}.{v}" for v in exc.violations]
+        except KeyError as exc:
+            violations.append(f"{key}: missing key {exc}")
+        except (TypeError, ValueError, AttributeError) as exc:
+            violations.append(f"{key}: {exc}")
+    if violations:
+        raise ConfigError([where + v for v in violations])
+    return values, resolved
+
+
+# ---------------------------------------------------------------------------
+# parsers: a JSON value to what the handlers take, or a ValueError
+
+
+def _given(value):
+    return value
+
+
+def _number(value) -> float:
+    try:
+        return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError([f"{where}.{key}: not a valid number: {value!r}"])
+        raise ValueError(f"not a valid number: {value!r}") from None
 
 
-def _positive(params: dict, key: str, default=_REQUIRED,
-              where: str = "params") -> float:
-    """_num(params, key, default), when it is > 0; a smaller value or NaN
-    is a ConfigError naming the field."""
-    value = _num(params, key, default, where=where)
+def _positive(value) -> float:
+    """_number(value), when it is > 0; a smaller value or NaN is refused."""
+    value = _number(value)
     if not value > 0:
-        raise ConfigError([f"{where}.{key}: must be positive, got {value!r}"])
+        raise ValueError(f"must be positive, got {value!r}")
     return value
 
 
@@ -86,31 +124,51 @@ def _is_int(value) -> bool:
     return type(value) is int or type(value) is float and value.is_integer()
 
 
-def _int(params: dict, key: str, default: int, minimum: int,
-         where: str = "params") -> int:
-    """params[key], or default, when it is an integer >= minimum; a
-    fraction, boolean, string or smaller value is a ConfigError naming the
-    field."""
-    value = params.get(key, default)
-    if not (_is_int(value) and value >= minimum):
-        raise ConfigError([f"{where}.{key}: must be an integer >= {minimum}, "
-                           f"got {value!r}"])
-    return int(value)
+def _int(minimum: int):
+    """The parser of an integer >= minimum: a fraction, boolean, string or
+    smaller value is refused."""
+    def parse(value) -> int:
+        if not (_is_int(value) and value >= minimum):
+            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+        return int(value)
+    return parse
+
+
+def _positive_ints(values) -> list:
+    """values as ints, when it is a non-empty list of positive integers."""
+    if not (isinstance(values, list) and values
+            and all(map(_is_int, values)) and min(values) >= 1):
+        raise ValueError(f"must be a non-empty list of positive integers, "
+                         f"got {values!r}")
+    return [int(v) for v in values]
 
 
 def _vector(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value, dtype=np.float64))
 
 
-def _operator(params: dict, sigma: act.ActivationSpec) -> dd.CompositionOperator:
-    """The composition operator of sigma and the shift params.b (default 1);
-    a shift the operator rejects is a ConfigError naming params.b."""
-    from . import depth_dynamics as dd
+def _metric(value) -> str:
+    if value not in ("ducc", "l1"):
+        raise ValueError(f'must be "ducc" or "l1", got {value!r}')
+    return value
 
-    try:
-        return dd.CompositionOperator(sigma, _num(params, "b", 1.0, _vector))
-    except PreconditionError as exc:
-        raise ConfigError([f"params.b: {exc}, got {params['b']!r}"])
+
+def _activation(cfg) -> act.ActivationSpec:
+    from .activations import activation_from_config
+
+    return activation_from_config(cfg)
+
+
+def _measure(cfg) -> Measure1D:
+    from .function_space import measure_from_config
+
+    return measure_from_config(cfg)
+
+
+def _weights(cfg) -> tuple:
+    from .function_space import weights_from_config
+
+    return weights_from_config(cfg)
 
 
 # bounds on |f''| off 0: gauss_linear's is about 1.952, expabs kinks at 0
@@ -123,29 +181,16 @@ _SCALAR_FUNCTIONS = {
 }
 
 
-def _nested(field: str, parse, *args):
-    """parse(*args), for the nested value params.<field>.  A missing key, a
-    value of the wrong type (a list where an object is expected raises
-    AttributeError) or a bad value is a ConfigError naming the field."""
-    try:
-        return parse(*args)
-    except KeyError as exc:
-        raise ConfigError([f"params.{field}: missing key {exc}"])
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError([f"params.{field}: {exc}"])
-
-
-def _parse_function(params: dict, field: str, default) -> GridFunction:
-    return _nested(field, _function_from_config, params.get(field, default))
-
-
-def _function_from_config(cfg) -> GridFunction:
+def _function(cfg) -> GridFunction:
+    """A kind name, or {"kind": ...} with const's "value" or tree's
+    "terms"."""
     from .function_space import GridFunction
     from .network import TreeFunction
 
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     kind = cfg["kind"]
+    check_keys(cfg, ("kind", {"const": "value", "tree": "terms"}.get(kind)))
     if kind == "zero":
         return GridFunction.zero()
     if kind == "identity":
@@ -160,231 +205,143 @@ def _function_from_config(cfg) -> GridFunction:
     raise ValueError(f"unknown function kind {kind!r}")
 
 
-def _check_keys(params: dict, read: str, ignored: str, where: str) -> None:
-    """A ConfigError naming each key of params that is not among the
-    space-separated names in read or ignored."""
-    unknown = sorted(set(params) - set(read.split()) - set(ignored.split()))
-    if unknown:
-        raise ConfigError([f"{where}.{key}: unknown key" for key in unknown])
+def _constraints(cfgs) -> list:
+    """The constraints of constrained-fit: each {"kind", "threshold",
+    "label"} with sup_on_ball's "radius" or abs_value_at's "x"."""
+    from . import constrained_approx as ca
+    from .function_space import sup_norm_on_ball
+
+    out = []
+    for cfg in cfgs:
+        kind = cfg["kind"]
+        if kind not in _CONSTRAINTS:
+            raise ValueError(f"unknown kind {kind!r}")
+        c = _load(cfg, _CONSTRAINTS[kind])[0]
+        if kind == "sup_on_ball":
+            measure = lambda h, r=c["radius"]: sup_norm_on_ball(h, r, 801)
+        else:
+            measure = lambda h, x0=c["x"]: float(
+                np.linalg.norm(np.atleast_1d(h(x0))))
+        out.append(ca.ConstraintFunctional(measure, c["threshold"], c["label"]))
+    return out
 
 
-def _parse_fit(cfg) -> int:
-    """The fit's width; None is the fit at its defaults, and any other
-    non-object is an error."""
-    cfg = {} if cfg is None else cfg
-    if not isinstance(cfg, dict):
-        raise ConfigError(["params.fit: must be an object"])
-    # the interpolating fits need no training grid, seed or ridge; a fit
-    # with no escaped box covers [-20, 20], the metric's last cube, whatever
-    # the region
-    _check_keys(cfg, "width", "region grid_points seed ridge", "params.fit")
-    return _int(cfg, "width", 256, 1, "params.fit")
+def _samples(cfgs) -> list:
+    from . import omega_modification as om
+
+    return [om.LimitationSample(**_load(cfg, _SAMPLE)[0]) for cfg in cfgs]
 
 
-def _parse_measure(cfg):
-    from .function_space import gaussian_measure, measure_from_config
+def _operator(p: dict) -> dd.CompositionOperator:
+    """The composition operator of p's activation and shift b; a shift the
+    operator rejects is a ConfigError naming params.b."""
+    from . import depth_dynamics as dd
 
-    if cfg is None:
-        return gaussian_measure()
-    return _nested("mu", measure_from_config, cfg)
-
-
-def _parse_activation(cfg) -> act.ActivationSpec:
-    from . import activations as act
-
-    if cfg is None:
-        raise ConfigError(["params.activation: required"])
-    return _nested("activation", act.activation_from_config, cfg)
+    try:
+        return dd.CompositionOperator(p["activation"], p["b"])
+    except PreconditionError as exc:
+        raise ConfigError([f"params.b: {exc}, got {p['b'].tolist()!r}"])
 
 
 # ---------------------------------------------------------------------------
-# command handlers: params, seed -> (outputs dict, [(csv_name, header, rows)])
+# command handlers: the loaded params, seed -> (outputs dict,
+# [(csv_name, header, rows)])
 
 
-def _run_check_activation(params: dict, seed: int):
+def _run_check_activation(p: dict, seed: int):
     from . import activations as act
 
-    sigma = _parse_activation(params.get("activation"))
-    verdict = act.classify(sigma)
-    return (
-        {
-            "activation": sigma.name,
-            "kind": verdict.kind,
-            "dominance": verdict.dominance,
-            "witness": verdict.witness,
+    verdict = act.classify(p["activation"])
+    return {"activation": p["activation"].name, "kind": verdict.kind,
+            "dominance": verdict.dominance, "witness": verdict.witness,
             "injective": verdict.injective,
             "fixed_points": list(verdict.fixed_points),
-            "infinite_fixed_set": verdict.infinite_fixed_set,
-        },
-        [],
-    )
+            "infinite_fixed_set": verdict.infinite_fixed_set}, []
 
 
-def _run_escape(params: dict, seed: int):
+def _run_escape(p: dict, seed: int):
     from . import depth_dynamics as dd
 
-    sigma = _parse_activation(params.get("activation"))
-    op = _operator(params, sigma)
-    k_radius = _positive(params, "K_radius")
-    guard = _num(params, "guard_radius", k_radius)
-    max_n = _int(params, "max_N", 10_000, 0)
+    op = _operator(p)
+    k_radius, guard, max_n = p["K_radius"], p["guard_radius"], p["max_N"]
     if not guard >= k_radius:
         raise ConfigError([
             f"params.guard_radius: must be >= K_radius ({k_radius!r}), got {guard!r}"
         ])
+    out = {"escaped": True, "K_radius": k_radius, "guard": guard}
     try:
-        n = dd.escape_time(op, k_radius, guard, max_n)
-        return {"escaped": True, "N": n, "K_radius": k_radius, "guard": guard}, []
+        out["N"] = dd.escape_time(op, k_radius, guard, max_n)
     except dd.NoEscapeError:
-        return (
-            {"escaped": False, "N": None, "K_radius": k_radius, "guard": guard,
-             "max_N": max_n},
-            [],
-        )
-
-
-def _run_transitivity_demo(params: dict, seed: int):
-    from . import depth_dynamics as dd
-
-    sigma = _parse_activation(params.get("activation"))
-    op = _operator(params, sigma)
-    g = _parse_function(params, "g", "identity")
-    f = _parse_function(params, "f", "sin")
-    eps = _positive(params, "eps", 0.1)
-    delta = _positive(params, "delta", 0.1)
-    metric = params.get("metric", "ducc")
-    if metric not in ("ducc", "l1"):
-        raise ConfigError([f'params.metric: must be "ducc" or "l1", '
-                           f'got {metric!r}'])
-    if metric == "l1":
-        mu = _parse_measure(params.get("mu"))
-        _, out = dd.l1_transitive_approximant(op, g, f, mu, eps, delta)
-    else:
-        # "fit": {} asks for the default fit, as in the other commands
-        width = None if params.get("fit") is None else _parse_fit(params["fit"])
-        _, out = dd.construct_transitive_approximant(op, g, f, eps, delta, width)
-    out["eps"] = eps
-    out["delta"] = delta
+        out.update(escaped=False, N=None, max_N=max_n)
     return out, []
 
 
-def _parse_constraint(cfg) -> ca.ConstraintFunctional:
-    from . import constrained_approx as ca
-    from .function_space import sup_norm_on_ball
+def _run_transitivity_demo(p: dict, seed: int):
+    from . import depth_dynamics as dd
 
-    kind = cfg["kind"]
-    threshold = _num(cfg, "threshold", where="params.constraints")
-    if kind == "sup_on_ball":
-        radius = _positive(cfg, "radius", 1.0, where="params.constraints")
-        return ca.ConstraintFunctional(
-            lambda h: sup_norm_on_ball(h, radius, 801),
-            threshold,
-            cfg.get("label", f"sup_on_ball[{radius:g}]"),
-        )
-    if kind == "abs_value_at":
-        x0 = _num(cfg, "x", 0.0, where="params.constraints")
-        return ca.ConstraintFunctional(
-            lambda h: float(np.linalg.norm(np.atleast_1d(h(x0)))),
-            threshold,
-            cfg.get("label", f"abs_value_at[{x0:g}]"),
-        )
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _run_constrained_fit(params: dict, seed: int):
-    from . import constrained_approx as ca
-
-    sigma = _parse_activation(params.get("activation"))
-    op = _operator(params, sigma)
-    f = _parse_function(params, "f", "cos")
-    eps = _positive(params, "eps", 0.1)
-    width = _parse_fit(params.get("fit"))
-    if params.get("constraints"):
-        constraints = _nested("constraints", lambda cs: [
-            _parse_constraint(c) for c in cs], params["constraints"])
-        witness = _parse_function(params, "witness", "zero")
-        _, outputs = ca.assemble_constrained(constraints, witness, f, eps, op,
-                                             width)
+    op = _operator(p)
+    if p["metric"] == "l1":
+        _, out = dd.l1_transitive_approximant(op, p["g"], p["f"], p["mu"],
+                                              p["eps"], p["delta"])
     else:
-        f_hat = _parse_function(params, "f_hat", "identity")
-        delta = _positive(params, "delta", eps)
-        _, outputs = ca.assemble_prescribed(f_hat, f, eps, delta, op, width)
+        width = None if p["fit"] is None else p["fit"]["width"]
+        _, out = dd.construct_transitive_approximant(op, p["g"], p["f"], p["eps"],
+                                                     p["delta"], width)
+    out.update(eps=p["eps"], delta=p["delta"])
+    return out, []
+
+
+def _run_constrained_fit(p: dict, seed: int):
+    from . import constrained_approx as ca
+
+    op = _operator(p)
+    if p["constraints"]:
+        _, outputs = ca.assemble_constrained(p["constraints"], p["witness"], p["f"],
+                                             p["eps"], op, p["fit"]["width"])
+    else:
+        _, outputs = ca.assemble_prescribed(p["f_hat"], p["f"], p["eps"],
+                                            p["delta"], op, p["fit"]["width"])
     return outputs, []
 
 
-def _run_omega_approx(params: dict, seed: int):
+def _run_omega_approx(p: dict, seed: int):
     from . import omega_modification as om
-    from .function_space import weights_from_config
 
-    f = _parse_function(params, "f", "gauss_linear")
-    weights = _nested("weights", weights_from_config, params.get(
-        "weights", [{"kind": "unit"}, {"kind": "power", "i": 1},
-                    {"kind": "max_t_power", "i": 2}]))
-    eps = _positive(params, "eps", 0.1)
-    width = _parse_fit(params.get("fit"))
+    f = p["f"]
+    result, outputs = om.approximate_growth(f, p["weights"], p["eps"],
+                                            p["fit"]["width"])
     # measure_radius sets only the x-range of the CSV; the weighted error
     # is measured on the pipeline's own wide grid
-    radius = _positive(params, "measure_radius", 30.0)
-    csv_points = _int(params, "csv_points", 601, 0)
-    result, outputs = om.approximate_growth(f, weights, eps, width)
-    xs = np.linspace(-radius, radius, csv_points)
-    pts = xs[:, None]
-    fv = f.sample(pts)[:, 0]
-    gv = result.sample(pts)[:, 0]
-    rows = [[x, a, b2] for x, a, b2 in zip(xs, fv, gv)]
+    xs = np.linspace(-p["measure_radius"], p["measure_radius"], p["csv_points"])
+    rows = zip(xs, f.sample(xs)[:, 0], result.sample(xs)[:, 0])
     return outputs, [("omega-approx", ["x", "target", "approx"], rows)]
 
 
-def _positive_ints(values) -> list:
-    """values as ints, when it is a non-empty list of positive integers."""
-    if not (isinstance(values, list) and values
-            and all(map(_is_int, values)) and min(values) >= 1):
-        raise ValueError(f"must be a non-empty list of positive integers, "
-                         f"got {values!r}")
-    return [int(v) for v in values]
-
-
-def _run_rate_sweep(params: dict, seed: int):
+def _run_rate_sweep(p: dict, seed: int):
     from . import rate_bounds as rb
 
-    target = _parse_function(params, "target",
-                             {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]})
-    mu = _parse_measure(params.get("mu"))
-    n_values = _nested("n_values", _positive_ints, params.get(
-        "n_values", [4, 8, 16, 32, 64, 128, 256]))
-    depth = _int(params, "N", 0, 0)
-    sigma = _parse_activation(params.get("activation", "leaky_rescaled_paper"))
-    op = _operator(params, sigma)
-    family = _nested("basis", lambda cfg: rb.trees_basis_family(
-        tuple(cfg.get("amp_range", (0.25, 2.0))),
-        tuple(cfg.get("left_range", (-1.5, 1.0))),
-        tuple(cfg.get("len_range", (0.25, 2.5))),
-    ), params.get("basis", {}))
-    outputs = rb.rate_sweep(
-        family, target, mu, n_values, depth, op, seed=seed,
-        quad_nodes=_int(params, "quad_nodes", 2001, 1),
-    )
+    op = _operator(p)
+    try:
+        family = rb.trees_basis_family(**p["basis"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"params.basis: {exc}"])
+    outputs = rb.rate_sweep(family, p["target"], p["mu"], p["n_values"], p["N"],
+                            op, seed=seed, quad_nodes=p["quad_nodes"])
     header = ["n", "N", "residual", "bound_reference", "slope_estimate"]
     rows = [[r[key] for key in header] for r in outputs["rows"]]
     return outputs, [("rate-sweep", header, rows)]
 
 
-def _run_limitation_demo(params: dict, seed: int):
+def _run_limitation_demo(p: dict, seed: int):
     from . import omega_modification as om
 
-    samples = _nested("samples", lambda cfg: [
-        om.LimitationSample(kind=s["kind"], label=s.get("label", s["kind"]),
-                            value=s.get("value"))
-        for s in cfg], params.get("samples", []))
-    return om.demonstrate_limitation(
-        samples, x_radius=_positive(params, "x_radius", 30.0)
-    ), []
+    return om.demonstrate_limitation(p["samples"], x_radius=p["x_radius"]), []
 
 
-def _run_free_space_tests(params: dict, seed: int):
+def _run_free_space_tests(p: dict, seed: int):
     from . import free_space as fs
 
-    pairs = _int(params, "pairs", 1000, 0)
+    pairs = p["pairs"]
     rng = np.random.default_rng(seed)
     rs = rng.uniform(-50.0, 50.0, size=(pairs, 2))
     defect = 0.0
@@ -392,50 +349,101 @@ def _run_free_space_tests(params: dict, seed: int):
         d = fs.l1_distance(fs.eta(r), fs.eta(s))
         defect = max(defect, abs(d - abs(r - s)))
     f = fs.eta(1.5)
-    single = fs.rho(fs.FormalCombination(((1.0, f),)))
     xs = np.linspace(-3, 3, 301)[:, None]
-    left_inverse_defect = float(
-        np.max(np.abs(single.sample(xs) - f.sample(xs)))
-    )
-    halves = fs.rho(fs.FormalCombination(((0.5, f), (0.5, f))))
-    split_defect = float(np.max(np.abs(halves.sample(xs) - f.sample(xs))))
-    return (
-        {
-            "pairs": pairs,
-            "max_isometry_defect": defect,
-            "left_inverse_defect": left_inverse_defect,
-            "split_atom_defect": split_defect,
-        },
-        [],
-    )
+
+    def gap(terms) -> float:
+        g = fs.rho(fs.FormalCombination(terms))
+        return float(np.max(np.abs(g.sample(xs) - f.sample(xs))))
+
+    return {"pairs": pairs, "max_isometry_defect": defect,
+            "left_inverse_defect": gap(((1.0, f),)),
+            "split_atom_defect": gap(((0.5, f), (0.5, f)))}, []
 
 
-_HANDLERS = {
-    "check-activation": _run_check_activation,
-    "escape": _run_escape,
-    "transitivity-demo": _run_transitivity_demo,
-    "constrained-fit": _run_constrained_fit,
-    "omega-approx": _run_omega_approx,
-    "rate-sweep": _run_rate_sweep,
-    "limitation-demo": _run_limitation_demo,
-    "free-space-tests": _run_free_space_tests,
+# The interpolating fits need no training grid, seed or ridge, and a fit
+# with no escaped box covers [-20, 20], the metric's last cube, whatever
+# the region.
+_FIT = {"width": (_int(1), 256), "region": _IGNORED, "grid_points": _IGNORED,
+        "seed": _IGNORED, "ridge": _IGNORED}
+_CONSTRAINT = {"kind": (str, None), "threshold": (_number, _REQUIRED)}
+_CONSTRAINTS = {
+    "sup_on_ball": dict(_CONSTRAINT, radius=(_positive, 1.0), label=(
+        str, lambda c: f"sup_on_ball[{c['radius']:g}]")),
+    "abs_value_at": dict(_CONSTRAINT, x=(_number, 0.0), label=(
+        str, lambda c: f"abs_value_at[{c['x']:g}]")),
 }
+_SAMPLE = {"kind": (str, _REQUIRED), "label": (str, lambda s: s["kind"]),
+           "value": (_given, None)}
+_SIGMA = {"activation": (_activation, _REQUIRED), "b": (_vector, 1.0)}
 
-# Per command: the params keys its handler reads, then the keys it accepts
-# and ignores.  rate-sweep's max_iter and restarts tuned the Frank-Wolfe
-# solver the exact LP replaced; limitation-demo's c_step spaced the
-# constants of the search the closed form replaced.
-_PARAMS = {
-    "check-activation": ("activation", ""),
-    "escape": ("activation b K_radius guard_radius max_N", ""),
-    "transitivity-demo": ("activation b g f eps delta metric mu fit", ""),
-    "constrained-fit": ("activation b f eps fit constraints witness f_hat delta", ""),
-    "omega-approx": ("f weights eps fit measure_radius csv_points", ""),
-    "rate-sweep": ("target mu n_values N activation b basis quad_nodes",
-                   "max_iter restarts"),
-    "limitation-demo": ("samples x_radius", "c_step"),
-    "free-space-tests": ("pairs", ""),
+# Per command: its handler and its key table, key -> (parse, default).
+# rate-sweep's max_iter and restarts tuned the Frank-Wolfe solver the exact
+# LP replaced; limitation-demo's c_step spaced the constants of the search
+# the closed form replaced.
+_COMMANDS = {
+    "check-activation": (_run_check_activation, {
+        "activation": (_activation, _REQUIRED),
+    }),
+    "escape": (_run_escape, dict(
+        _SIGMA,
+        K_radius=(_positive, _REQUIRED),
+        guard_radius=(_number, lambda p: p["K_radius"]),
+        max_N=(_int(0), 10_000),
+    )),
+    "transitivity-demo": (_run_transitivity_demo, dict(
+        _SIGMA,
+        g=(_function, "identity"),
+        f=(_function, "sin"),
+        eps=(_positive, 0.1),
+        delta=(_positive, 0.1),
+        metric=(_metric, "ducc"),
+        mu=(_measure, {"density_kind": "gaussian"}),  # read by metric l1
+        fit=(_FIT, None),  # read by metric ducc; null is no fit
+    )),
+    "constrained-fit": (_run_constrained_fit, dict(
+        _SIGMA,
+        f=(_function, "cos"),
+        eps=(_positive, 0.1),
+        fit=(_FIT, {}),
+        constraints=(_constraints, []),
+        witness=(_function, "zero"),  # with constraints
+        f_hat=(_function, "identity"),  # without
+        delta=(_positive, lambda p: p["eps"]),  # without
+    )),
+    "omega-approx": (_run_omega_approx, {
+        "f": (_function, "gauss_linear"),
+        "weights": (_weights, [{"kind": "unit"}, {"kind": "power", "i": 1},
+                               {"kind": "max_t_power", "i": 2}]),
+        "eps": (_positive, 0.1),
+        "fit": (_FIT, {}),
+        "measure_radius": (_positive, 30.0),
+        "csv_points": (_int(0), 601),
+    }),
+    "rate-sweep": (_run_rate_sweep, {
+        "target": (_function, {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]}),
+        "mu": (_measure, {"density_kind": "gaussian"}),
+        "n_values": (_positive_ints, [4, 8, 16, 32, 64, 128, 256]),
+        "N": (_int(0), 0),
+        "activation": (_activation, "leaky_rescaled_paper"),
+        "b": (_vector, 1.0),
+        # checked by rate_bounds.trees_basis_family
+        "basis": ({"amp_range": (_given, [0.25, 2.0]),
+                   "left_range": (_given, [-1.5, 1.0]),
+                   "len_range": (_given, [0.25, 2.5])}, {}),
+        "quad_nodes": (_int(1), 2001),
+        "max_iter": _IGNORED,
+        "restarts": _IGNORED,
+    }),
+    "limitation-demo": (_run_limitation_demo, {
+        "samples": (_samples, []),
+        "x_radius": (_positive, 30.0),
+        "c_step": _IGNORED,
+    }),
+    "free-space-tests": (_run_free_space_tests, {
+        "pairs": (_int(0), 1000),
+    }),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +509,16 @@ def _write_csv(path: Path, header, rows) -> None:
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment; returns the result document (also written to
     <output_path>/result.json, with CSV tables beside it)."""
-    handler = _HANDLERS[config.command]
-    _check_keys(config.params, *_PARAMS[config.command], "params")
+    handler, table = _COMMANDS[config.command]
     start = time.perf_counter()
-    outputs, tables = handler(config.params, config.seed)
+    params, resolved = _load(config.params, table, "params.")
+    outputs, tables = handler(params, config.seed)
     wall = time.perf_counter() - start
     result = {
         "command": config.command,
         "config_hash": _config_hash(config.command, config.params, config.seed),
         "params": config.params,
+        "resolved_params": resolved,
         "seed": config.seed,
         "outputs": outputs,
         "wall_time_s": wall,
@@ -539,17 +548,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = _load_config(args.command, args.config, args.seed, args.out)
-    except ConfigError as exc:
-        print(json.dumps(exc.payload(), sort_keys=True))
-        return 2
-    try:
         result = run(config)
-    except ConfigError as exc:
-        print(json.dumps(exc.payload(), sort_keys=True))
-        return 2
     except UaplabError as exc:
         print(json.dumps(exc.payload(), sort_keys=True))
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     print(
         json.dumps(
             {

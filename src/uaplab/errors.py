@@ -141,3 +141,14 @@ class LPSolveError(UaplabError):
             f"LP stopped with status {status!r} after {iterations} iterations "
             f"on {cells} cells (duality gap {gap:.3e})"
         )
+
+
+def check_keys(cfg, known, where: str = "") -> None:
+    """Check that the config object cfg has no key outside known: a
+    ConfigError names each other key as where + key, and a cfg that is not
+    an object is a TypeError."""
+    if not isinstance(cfg, dict):
+        raise TypeError("must be an object")
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError([f"{where}{key}: unknown key" for key in unknown])

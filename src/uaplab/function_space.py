@@ -11,6 +11,7 @@ the values of a term-by-term evaluation.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -21,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteValueError,
     QuadratureError,
+    check_keys,
 )
 
 __all__ = [
@@ -220,14 +222,6 @@ class Measure1D:
         hi = float(self.cdf(np.asarray([radius]))[0])
         return max(0.0, self.total_mass - (hi - lo))
 
-    def validate(self, rtol: float = 1e-2, nodes: int = 20001) -> bool:
-        """Check that the density integrates to total_mass (trapezoid)."""
-        u = np.linspace(1e-9, 1 - 1e-9, 2)
-        span = self.quantile(u)
-        xs = np.linspace(span[0], span[1], nodes)
-        mass = float(np.trapezoid(self.density(xs), xs))
-        return abs(mass - self.total_mass) <= rtol * max(1.0, self.total_mass)
-
 
 # Wichura, "Algorithm AS 241: The percentage points of the normal
 # distribution", Applied Statistics 37 (1988), PPND16: rational
@@ -325,6 +319,11 @@ def uniform_window_measure(lo: float, hi: float, height: float = 1.0) -> Measure
 
 
 def table_measure(xs: Sequence[float], densities: Sequence[float]) -> Measure1D:
+    """The measure of the linearly interpolated density table, with the
+    exact cdf cum_i + d_i*s + (d_{i+1} - d_i)*s**2/(2h) at s = x - x_i on
+    the cell [x_i, x_i + h] and its cancellation-free inverse
+    s = 2r / (d_i + sqrt(d_i**2 + 2(d_{i+1} - d_i)*r/h)) for the mass r
+    past cum_i; a zero-density stretch's mass maps to its left end."""
     xs = np.asarray(xs, dtype=np.float64)
     ds = np.asarray(densities, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ds.shape or len(xs) < 2:
@@ -332,36 +331,50 @@ def table_measure(xs: Sequence[float], densities: Sequence[float]) -> Measure1D:
     if np.any(xs[1:] <= xs[:-1]) or np.any(ds < 0) or not np.any(ds > 0):
         raise ValueError("xs must increase; densities nonnegative, not all zero")
     with np.errstate(over="ignore"):  # an infinite mass is rejected below
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * np.diff(xs))])
+        h, slope = np.diff(xs), np.diff(ds)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * h)])
     mass = float(cum[-1])
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ds))
             and math.isfinite(mass)):
         raise ValueError("table needs finite xs, densities and mass")
-    meas = Measure1D(
+
+    def cdf(x):
+        x = np.asarray(x, dtype=np.float64)
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(h) - 1)
+        s = np.clip(x - xs[i], 0.0, h[i])
+        inside = cum[i] + s * (ds[i] + slope[i] * s / (2.0 * h[i]))
+        return np.where(x >= xs[-1], mass, inside)
+
+    def quantile(u):
+        m = np.clip(np.asarray(u, dtype=np.float64) * mass, 0.0, mass)
+        i = np.clip(np.searchsorted(cum, m, side="left") - 1, 0, len(h) - 1)
+        r = m - cum[i]
+        root = ds[i] + np.sqrt(np.maximum(ds[i] ** 2 + 2.0 * slope[i] * r / h[i], 0.0))
+        # root is 0 only where r is: the cell's left end
+        s = 2.0 * r / np.where(root > 0, root, 1.0)
+        return xs[i] + np.minimum(s, h[i])
+
+    return Measure1D(
         density=lambda x: np.interp(x, xs, ds, left=0.0, right=0.0),
         total_mass=mass,
-        quantile=lambda u: np.interp(np.asarray(u) * mass, cum, xs),
-        cdf=lambda x: np.interp(x, xs, cum, left=0.0, right=mass),
+        quantile=quantile,
+        cdf=cdf,
     )
-    if not meas.validate():
-        raise QuadratureError("table density does not integrate to its mass")
-    return meas
 
 
 def measure_from_config(cfg: dict) -> Measure1D:
+    """The measure of {"density_kind": ..., "params": {...}}; the params
+    are the keyword arguments of the kind's constructor.  An unknown key at
+    either level is a ConfigError naming it."""
+    check_keys(cfg, ("density_kind", "params"))
     kind = cfg["density_kind"]
+    make = {"gaussian": gaussian_measure, "uniform_window": uniform_window_measure,
+            "custom_table": table_measure}.get(kind)
+    if make is None:
+        raise ValueError(f"unknown density_kind {kind!r}")
     params = cfg.get("params", {})
-    if kind == "gaussian":
-        return gaussian_measure(
-            params.get("mean", 0.0), params.get("std", 1.0), params.get("mass", 1.0)
-        )
-    if kind == "uniform_window":
-        return uniform_window_measure(
-            params["lo"], params["hi"], params.get("height", 1.0)
-        )
-    if kind == "custom_table":
-        return table_measure(params["xs"], params["densities"])
-    raise ValueError(f"unknown density_kind {kind!r}")
+    check_keys(params, inspect.signature(make).parameters, "params.")
+    return make(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -400,22 +413,21 @@ class Weight:
 
 
 def weights_from_config(cfg: Sequence[dict]) -> tuple[Weight, ...]:
-    """The weights of a non-empty list of weight configs."""
+    """The weights of a non-empty list of {"kind": ..., <argument>} configs,
+    the argument named as in the kind's constructor (``power``'s ``i``,
+    ``exp_decay``'s ``k``).  An unknown key is a ConfigError naming it."""
     if len(cfg) == 0:
         raise ValueError("weight family must be nonempty")
     ws = []
     for item in cfg:
-        kind = item["kind"]
-        if kind == "unit":
-            ws.append(Weight.unit())
-        elif kind == "power":
-            ws.append(Weight.power(item["i"]))
-        elif kind == "max_t_power":
-            ws.append(Weight.max_t_power(item["i"]))
-        elif kind == "exp_decay":
-            ws.append(Weight.exp_decay(item["k"]))
-        else:
-            raise ValueError(f"unknown weight kind {kind!r}")
+        make = {"unit": Weight.unit, "power": Weight.power,
+                "max_t_power": Weight.max_t_power,
+                "exp_decay": Weight.exp_decay}.get(item["kind"])
+        if make is None:
+            raise ValueError(f"unknown weight kind {item['kind']!r}")
+        args = {k: v for k, v in item.items() if k != "kind"}
+        check_keys(args, inspect.signature(make).parameters)
+        ws.append(make(**args))
     return tuple(ws)
 
 

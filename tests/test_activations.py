@@ -13,7 +13,7 @@ import pytest
 
 from uaplab import activations as act
 from uaplab.depth_dynamics import CompositionOperator
-from uaplab.errors import InconclusiveError, PreconditionError
+from uaplab.errors import ConfigError, InconclusiveError, PreconditionError
 
 
 def brute_force_injective(sigma, lo=-50.0, hi=50.0, n=1000):
@@ -475,6 +475,18 @@ class TestSerializationAndRegistry:
                              "xs": [0.0, 1.0], "ys": [0.0, 1.0]}]}
         with pytest.raises(ValueError, match="table"):
             act.activation_from_config(cfg)
+
+    @pytest.mark.parametrize("cfg, violations", [
+        ({"name": "relu", "alias": "relu"}, ["alias: unknown key"]),
+        ({"branches": [{"kind": "affine", "a": 1.1, "b": 0.1, "p": 2.0}]},
+         ["branches.p: unknown key"]),
+        ({"branches": [{"kind": "power", "scale": 1.0, "p": 2.0, "c": 0.0}]},
+         ["branches.c: unknown key"]),
+    ])
+    def test_unknown_config_key_rejected(self, cfg, violations):
+        with pytest.raises(ConfigError) as info:
+            act.activation_from_config(cfg)
+        assert info.value.violations == violations
 
     def test_discontinuous_rejected(self):
         with pytest.raises(ValueError):

@@ -309,6 +309,32 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
                                    "params": {"xs": [0, 1],
                                               "densities": [1, math.inf]}}),
      "mu"),
+    # an unknown key at any depth is named by its path
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "gaussian",
+                                   "params": {"sdt": 5}}), "mu.params.sdt"),
+    ("rate-sweep", dict(SWEEP, mu={"density_kind": "gaussian", "parmas": {}}),
+     "mu.parmas"),
+    ("omega-approx", {"weights": [{"kind": "power", "i": 1, "j": 2}]}, "weights.j"),
+    ("check-activation", {"activation": {"name": "relu", "nmae": "relu"}},
+     "activation.nmae"),
+    ("check-activation", {"activation": {"branches": [
+        {"kind": "affine", "a": 1.1, "b": 0.1, "slope": 2.0}]}},
+     "activation.branches.slope"),
+    ("transitivity-demo", dict(SHIFTED, f={"kind": "sin", "scale": 3}), "f.scale"),
+    ("transitivity-demo", dict(SHIFTED, g={"kind": "const", "value": 1,
+                                           "vlaue": 2}), "g.vlaue"),
+    ("rate-sweep", dict(SWEEP, target={"kind": "tree", "terms": [[1.0, 0.0, 1.0]],
+                                       "term": 1}), "target.term"),
+    ("constrained-fit", dict(SHIFTED, witness={"kind": "zero", "value": 0}),
+     "witness.value"),
+    ("constrained-fit", dict(SHIFTED, f_hat={"kind": "identity", "x": 1}),
+     "f_hat.x"),
+    ("constrained-fit", dict(SHIFTED, constraints=[
+        {"kind": "sup_on_ball", "threshold": 0.5, "radus": 2.0}]),
+     "constraints.radus"),
+    ("limitation-demo", {"samples": [{"kind": "constant", "value": 0.5,
+                                      "lable": "half"}]}, "samples.lable"),
+    ("rate-sweep", dict(SWEEP, basis={"amp_rnge": [0.5, 1.0]}), "basis.amp_rnge"),
 ], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
         "f-no-kind", "target-short-term", "constraint-no-kind",
         "constraint-negative-threshold", "basis-range-number", "basis-list",
@@ -326,12 +352,23 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
         "delta-0", "b-0", "b--1", "b-inf", "b-empty",
         "sweep-b-0", "window-hi-inf",
         "window-height-inf", "window-mass-inf", "table-xs-inf",
-        "table-density-inf"])
+        "table-density-inf", "mu-params-typo", "mu-typo", "weights-typo",
+        "activation-typo", "branch-typo", "f-typo", "g-typo", "target-typo",
+        "witness-typo", "f-hat-typo", "constraint-typo", "samples-typo",
+        "basis-typo"])
 def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
     code, payload = main_in_process(tmp_path, capsys, command, params)
     assert code == 2, payload
     assert payload["error"] == "ConfigError"
     assert payload["violations"][0].startswith(f"params.{field}: "), payload
+
+
+def test_config_error_lists_every_bad_field(tmp_path, capsys):
+    code, payload = main_in_process(tmp_path, capsys, "escape",
+                                    dict(SHIFTED, K_radius=-1, max_N=2.5, max_n=3))
+    assert code == 2, payload
+    assert [v.split(":")[0] for v in payload["violations"]] == [
+        "params.max_n", "params.K_radius", "params.max_N"]
 
 
 def test_constrained_fit_validates_one_activation(tmp_path, monkeypatch):
@@ -643,61 +680,6 @@ def test_ignored_keys_leave_outputs_unchanged(tmp_path, command, params, ignored
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-class RecordingParams(dict):
-    """params that records every key a handler looks up."""
-
-    def __init__(self, params):
-        super().__init__(params)
-        self.seen = set()
-
-    def get(self, key, default=None):
-        self.seen.add(key)
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self.seen.add(key)
-        return super().__contains__(key)
-
-    def __getitem__(self, key):
-        self.seen.add(key)
-        return super().__getitem__(key)
-
-
-def test_key_table_matches_the_keys_handlers_read():
-    from test_acceptance import CLI_CONFIGS
-    from uaplab import cli
-    from uaplab.errors import UaplabError
-
-    extra = [
-        ("transitivity-demo", {
-            "activation": "leaky_rescaled_paper", "b": 1.0, "g": "zero",
-            "f": {"kind": "tree", "terms": [[1.0, 0.0, 1.0]]},
-            "eps": 0.1, "delta": 0.1, "metric": "l1",
-            "mu": {"density_kind": "gaussian", "params": {}},
-        }),
-        ("constrained-fit", {
-            "activation": "leaky_shifted_paper", "b": 1.0, "f": "cos",
-            "witness": "zero", "eps": 0.1, "fit": {"width": 256},
-            "constraints": [{"kind": "sup_on_ball", "radius": 1.0,
-                             "threshold": 0.5}],
-        }),
-    ]
-    runs = (list(CLI_CONFIGS.items()) + [(c, {}) for c in cli.COMMANDS]
-            + extra)
-    seen = {command: set() for command in cli.COMMANDS}
-    for command, params in runs:
-        recorder = RecordingParams(params)
-        try:
-            cli._HANDLERS[command](recorder, 0)
-        except UaplabError:  # a default config may lack a required key
-            pass
-        seen[command] |= recorder.seen
-    for command in cli.COMMANDS:
-        read = set(cli._PARAMS[command][0].split())
-        assert seen[command] <= read, (command, "read but not in the table")
-        assert read <= seen[command], (command, "in the table but never read")
-
-
 def test_every_traced_function_resolves():
     """The benchmark's tracer (uapbench/spans.py) wraps each function that
     TRACED names; one missing from uaplab would drop its spans from traced
@@ -720,3 +702,49 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(module), name,
                                        None))]
     assert traced and not missing, missing
+
+
+# each command at its defaults (with the keys it requires)
+AT_DEFAULTS = {
+    "check-activation": SHIFTED,
+    "escape": dict(SHIFTED, K_radius=2.0),
+    "transitivity-demo": SHIFTED,
+    "constrained-fit": SHIFTED,
+    "omega-approx": {},
+    "rate-sweep": {},
+    "limitation-demo": {},
+    "free-space-tests": {},
+}
+
+
+@pytest.mark.parametrize("given", ["defaults", "tier-1"])
+@pytest.mark.parametrize("command", sorted(AT_DEFAULTS))
+def test_resolved_params_rerun_to_the_same_outputs(tmp_path, command, given):
+    from test_acceptance import CLI_CONFIGS
+    from uaplab import cli
+
+    params = AT_DEFAULTS[command] if given == "defaults" else CLI_CONFIGS[command]
+    first = cli.run(cli.ExperimentConfig(command, params, 7, str(tmp_path / "a")))
+    resolved = first["resolved_params"]
+    assert first["config_hash"] == cli._config_hash(command, params, 7)
+    assert set(params) - {"max_iter", "restarts", "c_step"} <= set(resolved)
+    again = cli.run(cli.ExperimentConfig(command, resolved, 7, str(tmp_path / "b")))
+    assert again["resolved_params"] == resolved
+    assert (json.dumps(again["outputs"], sort_keys=True)
+            == json.dumps(first["outputs"], sort_keys=True))
+    for csv in (tmp_path / "a").glob("*.csv"):
+        assert (tmp_path / "b" / csv.name).read_bytes() == csv.read_bytes()
+
+
+def test_resolved_params_write_defaults_out_and_leave_ignored_keys_out(tmp_path):
+    from uaplab import cli
+
+    params = dict(SMALL_CONFIGS["constrained-fit"], fit={"grid_points": 11})
+    doc = cli.run(cli.ExperimentConfig("constrained-fit", params, 0, str(tmp_path)))
+    assert doc["params"] == params
+    assert doc["resolved_params"]["fit"] == {"width": 256}
+    sweep = cli.run(cli.ExperimentConfig("rate-sweep", RATE_SWEEP | {
+        "max_iter": 5}, 0, str(tmp_path)))["resolved_params"]
+    assert "max_iter" not in sweep and "restarts" not in sweep
+    assert sweep["basis"] == {"amp_range": [0.25, 2.0], "left_range": [-1.5, 1.0],
+                              "len_range": [0.25, 2.5]}

@@ -11,7 +11,12 @@ import pytest
 
 from uaplab import activations as act
 from uaplab.depth_dynamics import CompositionOperator, apply
-from uaplab.errors import DimensionMismatchError, NonFiniteValueError, QuadratureError
+from uaplab.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteValueError,
+    QuadratureError,
+)
 from uaplab.function_space import (
     DUCC_BATCH_POINTS,
     SUP_START_RADIUS,
@@ -294,8 +299,49 @@ class TestWeightedSup:
 
 
 class TestMeasures:
-    def test_gaussian_validates(self, gauss_mu):
-        assert gauss_mu.validate()
+    def test_gaussian_density_integrates_to_mass(self, gauss_mu):
+        xs = np.linspace(-12.0, 12.0, 20001)
+        mass = np.trapezoid(gauss_mu.density(xs), xs)
+        assert mass == pytest.approx(gauss_mu.total_mass, rel=1e-12)
+
+    def test_table_cdf_and_quantile_are_exact(self):
+        # density 0 -> 2 -> 0 on [0, 2]: cdf(x) = x**2 below 1
+        tri = table_measure([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
+        assert tri.cdf(np.array([0.5]))[0] == 0.25
+        assert tri.quantile(np.array([0.125]))[0] == pytest.approx(0.5, rel=1e-15)
+        u = (np.arange(2001) + 0.5) / 2001
+        exact = np.where(u <= 0.5, np.sqrt(2.0 * u), 2.0 - np.sqrt(2.0 * (1.0 - u)))
+        nodes, w = tri.nodes(2001)
+        np.testing.assert_allclose(nodes, exact, rtol=0, atol=1e-15)
+        # the equal-mass midpoint rule itself errs by O(n**-1.5) here, where
+        # the quantile has a square-root end: -7.6e-6 at 2001 nodes
+        for n, tol in ((2001, 1e-5), (20001, 1e-6)):
+            nodes, w = tri.nodes(n)
+            assert abs(np.sum(nodes**2) * w - 7.0 / 3.0) <= tol
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_table_cdf_matches_closed_form(self, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.cumsum(rng.uniform(0.1, 2.0, size=12)) - 5.0
+        ds = rng.uniform(0.1, 3.0, size=12)
+        mu = table_measure(xs, ds)
+        x = rng.uniform(xs[0], xs[-1], size=400)
+        # trapezoid on the part of x's cell left of x, which the linear
+        # density makes exact
+        i = np.searchsorted(xs, x, side="right") - 1
+        d_x = np.interp(x, xs, ds)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * np.diff(xs))])
+        want = cum[i] + 0.5 * (x - xs[i]) * (ds[i] + d_x)
+        np.testing.assert_allclose(mu.cdf(x), want, rtol=1e-14)
+        np.testing.assert_allclose(mu.quantile(mu.cdf(x) / mu.total_mass), x,
+                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(xs)))
+        assert mu.cdf(np.array([xs[0] - 1.0, xs[-1] + 1.0])).tolist() == [
+            0.0, mu.total_mass]
+
+    def test_table_quantile_maps_zero_density_to_its_left_end(self):
+        # the mass 1/2 is reached on all of [1, 2]
+        mu = table_measure([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 1.0])
+        assert mu.quantile(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, 1.0, 3.0]
 
     def test_tail_mass_matches_cdf(self, gauss_mu):
         from scipy.special import ndtr
@@ -321,6 +367,17 @@ class TestMeasures:
             for name, at in (("density", xs), ("cdf", xs), ("quantile", us)):
                 assert np.array_equal(getattr(back, name)(at),
                                       getattr(mu, name)(at)), name
+
+    @pytest.mark.parametrize("cfg, violations", [
+        ({"density_kind": "gaussian", "params": {"sdt": 2.0, "mean": 0.0}},
+         ["params.sdt: unknown key"]),
+        ({"density_kind": "custom_table", "parms": {}, "kind": "x"},
+         ["kind: unknown key", "parms: unknown key"]),
+    ])
+    def test_config_unknown_keys_rejected(self, cfg, violations):
+        with pytest.raises(ConfigError) as info:
+            measure_from_config(cfg)
+        assert info.value.violations == violations
 
     @pytest.mark.parametrize("mean, std, mass", [
         (0.0, -1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0, -1.0), (0.0, 1.0, 0.0),
@@ -405,3 +462,8 @@ class TestWeightFamily:
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError):
             weights_from_config([])
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            weights_from_config([{"kind": "unit"}, {"kind": "power", "i": 1, "k": 2}])
+        assert info.value.violations == ["k: unknown key"]
