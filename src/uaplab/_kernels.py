@@ -71,8 +71,9 @@ def act_invert(edges, kinds, par, vedges, y, tol=1e-14):
     """Invert a strictly increasing tabulated map elementwise.
 
     ``vedges`` holds the map's values at the interior breakpoints.  On a
-    power branch x is found to a relative step of ``tol``.  The map is
-    taken to be onto the real line, so NaN and +-inf map to themselves.
+    power branch x is found to a relative step of ``tol``, once for each
+    distinct value.  The map is taken to be onto the real line, so NaN and
+    +-inf map to themselves.
     """
     y = np.asarray(y, dtype=np.float64)
     flat = y.ravel()
@@ -84,7 +85,12 @@ def act_invert(edges, kinds, par, vedges, y, tol=1e-14):
     finite = np.isfinite(flat)
     for j in np.flatnonzero(kinds == KIND_POWER):
         m = (idx == j) & finite
-        out[m] = _invert_power(par[j], edges[j], edges[j + 1], flat[m], tol)
+        # the inversion is pointwise, so each distinct value (bit pattern)
+        # is solved once and its inverse copied to its duplicates (the
+        # nested d_ucc cube grids repeat many points)
+        bits, first = np.unique(flat[m].view(np.int64), return_inverse=True)
+        out[m] = _invert_power(par[j], edges[j], edges[j + 1],
+                               bits.view(np.float64), tol)[first]
     out[~finite] = flat[~finite]
     return out.reshape(y.shape)
 
@@ -93,24 +99,29 @@ def _invert_power(p4, lo, hi, y, tol):
     """Solve ``s*sign(x)*|x|**p + a*x + b = y`` for x in ``[lo, hi]``,
     pointwise, by Newton's method safeguarded with bisection.  Each point
     stops on its own converged step, so its inverse does not depend on the
-    other points of the call."""
+    other points of the call.  An infinite branch end is first pushed
+    outward, evaluating the residual only at the points still outside the
+    bracket, and each Newton step evaluates only the points not yet
+    converged."""
     s, p, a, b = p4
 
     def resid(x, y):
         return s * np.sign(x) * np.abs(x) ** p + a * x + b - y
 
     # finite brackets: an infinite branch end steps outward, doubling the
-    # step, until the residual there changes sign
+    # step, until the residual at each point changes sign
     anchor = lo if np.isfinite(lo) else (hi if np.isfinite(hi) else 0.0)
     xlo = np.full_like(y, lo if np.isfinite(lo) else anchor - 1.0)
     xhi = np.full_like(y, hi if np.isfinite(hi) else anchor + 1.0)
     for end, sign, bound in ((xlo, -1.0, lo), (xhi, 1.0, hi)):
+        if np.isfinite(bound):
+            continue
         step = 1.0
-        need = np.isinf(bound) & (sign * resid(end, y) < 0)
-        while need.any():
-            end[need] += sign * step
+        outside = np.flatnonzero(sign * resid(end, y) < 0)
+        while outside.size:
+            end[outside] += sign * step
             step *= 2.0
-            need &= sign * resid(end, y) < 0
+            outside = outside[sign * resid(end[outside], y[outside]) < 0]
     # start from the inverse of the dominant term s*sign(x)*|x|**p.  p < 1
     # makes the derivative infinite at 0, and s <= 0 makes the start NaN;
     # such points take a bisection step instead

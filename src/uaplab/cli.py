@@ -51,30 +51,39 @@ _IGNORED = (None, None)  # a key of older configs, accepted and not read
 
 
 def _load(cfg: dict, table: dict, where: str = "") -> tuple[dict, dict]:
-    """cfg checked against table, which maps each key to (parse, default):
-    the parsed values, and the JSON cfg resolves to, with every default
-    written out and the ignored keys left out.
+    """cfg checked against table, which maps each key to (parse, default)
+    or (parse, default, (condition, read)): the parsed values, and the JSON
+    cfg resolves to, with every default written out and the ignored keys
+    left out.
 
     A missing or null key takes its default; a callable default computes it
-    from the values parsed before it, and a null default stays null.  A
-    nested table in place of parse loads an object the same way.  One
-    ConfigError names every unknown key, missing required key and value its
-    parser refuses, each as where + its path in cfg."""
+    from the values parsed before it, and a null default stays null.  A key
+    with a read test is read only when read(values parsed before it) holds;
+    given otherwise, it must equal its default (as resolved params write
+    it).  A nested table in place of parse loads an object the same way.
+    One ConfigError names every unknown key, missing required key, unread
+    key and value its parser refuses, each as where + its path in cfg."""
     violations = []
     try:
         check_keys(cfg, table)
     except ConfigError as exc:
         violations += exc.violations
     values, resolved = {}, {}
-    for key, (parse, default) in table.items():
+    for key, (parse, default, *when) in table.items():
         if parse is None:
             continue
         value = cfg.get(key)
+        try:
+            unread = value is not None and bool(when) and not when[0][1](values)
+            if value is None or unread:
+                fill = default(values) if callable(default) else deepcopy(default)
+        except KeyError:  # a key it is computed from failed, and is named
+            continue
+        if unread and value != fill:
+            violations.append(f"{key}: read only when {when[0][0]}")
+            continue
         if value is None:
-            try:
-                value = default(values) if callable(default) else deepcopy(default)
-            except KeyError:  # the key it is computed from failed, and is named
-                continue
+            value = fill
         if value is _REQUIRED:
             violations.append(f"{key}: required")
             continue
@@ -313,7 +322,8 @@ def _run_omega_approx(p: dict, seed: int):
     # measure_radius sets only the x-range of the CSV; the weighted error
     # is measured on the pipeline's own wide grid
     xs = np.linspace(-p["measure_radius"], p["measure_radius"], p["csv_points"])
-    rows = zip(xs, f.sample(xs)[:, 0], result.sample(xs)[:, 0])
+    rows = zip(xs.tolist(), f.sample(xs)[:, 0].tolist(),
+               result.sample(xs)[:, 0].tolist())
     return outputs, [("omega-approx", ["x", "target", "approx"], rows)]
 
 
@@ -375,6 +385,11 @@ _CONSTRAINTS = {
 _SAMPLE = {"kind": (str, _REQUIRED), "label": (str, lambda s: s["kind"]),
            "value": (_given, None)}
 _SIGMA = {"activation": (_activation, _REQUIRED), "b": (_vector, 1.0)}
+# the conditions under which a key read on one branch only is read
+_L1 = ('metric is "l1"', lambda p: p["metric"] == "l1")
+_DUCC = ('metric is "ducc"', lambda p: p["metric"] == "ducc")
+_CONSTRAINED = ("constraints are given", lambda p: bool(p["constraints"]))
+_PRESCRIBED = ("no constraints are given", lambda p: not p["constraints"])
 
 # Per command: its handler and its key table, key -> (parse, default).
 # rate-sweep's max_iter and restarts tuned the Frank-Wolfe solver the exact
@@ -397,8 +412,8 @@ _COMMANDS = {
         eps=(_positive, 0.1),
         delta=(_positive, 0.1),
         metric=(_metric, "ducc"),
-        mu=(_measure, {"density_kind": "gaussian"}),  # read by metric l1
-        fit=(_FIT, None),  # read by metric ducc; null is no fit
+        mu=(_measure, {"density_kind": "gaussian"}, _L1),
+        fit=(_FIT, None, _DUCC),  # null is no fit
     )),
     "constrained-fit": (_run_constrained_fit, dict(
         _SIGMA,
@@ -406,9 +421,9 @@ _COMMANDS = {
         eps=(_positive, 0.1),
         fit=(_FIT, {}),
         constraints=(_constraints, []),
-        witness=(_function, "zero"),  # with constraints
-        f_hat=(_function, "identity"),  # without
-        delta=(_positive, lambda p: p["eps"]),  # without
+        witness=(_function, "zero", _CONSTRAINED),
+        f_hat=(_function, "identity", _PRESCRIBED),
+        delta=(_positive, lambda p: p["eps"], _PRESCRIBED),
     )),
     "omega-approx": (_run_omega_approx, {
         "f": (_function, "gauss_linear"),

@@ -29,13 +29,14 @@ from .errors import (
     NoEscapeError,
     PreconditionError,
     QuadratureError,
+    UnboundedDensityError,
     VerificationError,
 )
 from .function_space import (
     GridFunction,
     Measure1D,
     d_ucc,
-    lp_norm,
+    quadrature_norm,
     sup_norm_on_ball,
 )
 from .network import FitResult, fit_shallow
@@ -213,18 +214,33 @@ def _certificate(n: int, d_seed: float, d_target: float, k0: float,
 def _blend(g: GridFunction, f: GridFunction, op: CompositionOperator, n: int,
            box_lo: np.ndarray, box_hi: np.ndarray, margin: float) -> GridFunction:
     """g outside the margin shell of the escaped box, f o S^{-n} on the box,
-    linear sup-distance interpolation in between."""
+    linear sup-distance interpolation in between: (1 - w) f(S^{-n}(clamp
+    Y)) + w g(Y), w the distance to the box over the margin, clipped to
+    [0, 1].
+
+    f is pulled back only at the points with w < 1 and g sampled only at
+    those with w > 0: a term with zero weight is not evaluated, so a
+    non-finite value there no longer makes the point NaN, and a zero
+    result may carry the other sign.  A NaN weight takes both terms, so a
+    NaN point stays NaN."""
 
     def sample(Y: np.ndarray) -> np.ndarray:
         Y = np.asarray(Y, dtype=np.float64)
-        clamped = np.clip(Y, box_lo[None, :], box_hi[None, :])
-        pulled = f.sample(op.inverse_iterate(clamped, n))
         dist = np.max(
             np.maximum(box_lo[None, :] - Y, Y - box_hi[None, :]).clip(min=0.0),
             axis=1,
         )
-        w = np.clip(dist / margin, 0.0, 1.0)[:, None]
-        return (1.0 - w) * pulled + w * g.sample(Y)
+        w = np.clip(dist / margin, 0.0, 1.0)
+        # the rows to pull back and to seed, by index (NaN is in both)
+        pull, seed = np.flatnonzero(~(w >= 1.0)), np.flatnonzero(~(w <= 0.0))
+        out = np.zeros((len(Y), g.dim_out))
+        if pull.size:
+            clamped = np.clip(np.take(Y, pull, axis=0), box_lo, box_hi)
+            out[pull] = f.sample(op.inverse_iterate(clamped, n))
+        if seed.size:  # where w is 1, the formula adds g(Y) to a 0
+            ws, gy = w[seed, None], g.sample(np.take(Y, seed, axis=0))
+            out[seed] = (1.0 - ws) * np.take(out, seed, axis=0) + ws * gy
+        return out
 
     return GridFunction(
         sample, g.dim_in, g.dim_out, name=f"blend[{g.name}->{f.name}]",
@@ -391,16 +407,19 @@ def l1_transitive_approximant(
             f"{op.activation.name} classified {verdict.kind}; need a "
             f"transitive or Lp-transitive activation"
         )
-    from .rate_bounds import pushforward_density_norm
+    from .rate_bounds import pushforward_flat_stretch
 
-    push = pushforward_density_norm(op.activation, float(op.b[0]), mu)
-    if not push.well_defined:
-        raise PreconditionError(
+    witness = pushforward_flat_stretch(op.activation, float(op.b[0]), mu)
+    if witness is not None:
+        raise UnboundedDensityError(
             "the composition operator is not well-defined on L1(mu): the "
-            "pushforward density is unbounded (flat stretch in the activation)"
+            "pushforward density is unbounded (flat stretch in the activation)",
+            witness,
         )
 
-    diff0 = lp_norm(f - g, mu, 1.0, QUAD_NODES)
+    # the three distances share one set of equal-mass nodes
+    nodes, weight = mu.nodes(QUAD_NODES)
+    diff0 = quadrature_norm(f - g, nodes[:, None], weight)
     if diff0 == 0.0:
         return g, _certificate(0, 0.0, 0.0, 0.0, "l1", op)
 
@@ -425,8 +444,8 @@ def l1_transitive_approximant(
         )
 
     n, box_lo, box_hi, g_tilde, _ = _escape_blend_fit(op, g, f, radius)
-    d_seed = lp_norm(g_tilde - g, mu, 1.0, QUAD_NODES)
-    d_target = lp_norm(f - apply(op, g_tilde, n), mu, 1.0, QUAD_NODES)
+    d_seed = quadrature_norm(g_tilde - g, nodes[:, None], weight)
+    d_target = quadrature_norm(f - apply(op, g_tilde, n), nodes[:, None], weight)
     if not (d_seed < delta and d_target < eps):
         raise VerificationError(
             "L1 certificate verification failed",

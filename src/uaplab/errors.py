@@ -57,6 +57,16 @@ class PreconditionError(UaplabError):
     """An operation's documented precondition was violated."""
 
 
+class UnboundedDensityError(PreconditionError):
+    """The pushforward density of the measure is unbounded, so the
+    composition operator is not well-defined on L1(mu): sigma(x + b) is
+    flat (slope <= 1e-12) at grid points spanning witness_interval."""
+
+    def __init__(self, message: str, witness_interval):
+        self.witness_interval = tuple(witness_interval)
+        super().__init__(message)
+
+
 class InconclusiveError(UaplabError):
     """Sign analysis could not be resolved at tolerance on an interval."""
 

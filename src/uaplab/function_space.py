@@ -35,6 +35,7 @@ __all__ = [
     "d_ucc",
     "d_ucc_tail_bound",
     "lp_norm",
+    "quadrature_norm",
     "sup_norm_on_ball",
     "weighted_sup_norm",
     "gaussian_measure",
@@ -509,7 +510,15 @@ def lp_norm(f: GridFunction, mu, p: float = 1.0, quad_nodes: int = 10_000) -> fl
     else:
         g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
         pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
-    w = float(np.prod(weights))
+    return quadrature_norm(f, pts, float(np.prod(weights)), p)
+
+
+def quadrature_norm(f: GridFunction, pts: np.ndarray, w: float,
+                    p: float = 1.0) -> float:
+    """(w * sum ||f(x)||^p over the points x of pts)^(1/p): the L^p norm
+    by a quadrature rule with one weight w for every point, as ``lp_norm``
+    takes it on its equal-mass nodes.  A non-finite sum raises
+    QuadratureError naming the first non-finite point."""
     vals = np.linalg.norm(f.sample(pts), axis=1)
     total = float(np.sum(vals**p) * w)
     if not np.isfinite(total):

@@ -268,6 +268,8 @@ class LimitationSample:
             if self.value is None:
                 raise ValueError("constant samples need a value")
             object.__setattr__(self, "value", float(self.value))
+        elif self.value is not None:
+            raise ValueError("unbounded samples take no value")
 
 
 def demonstrate_limitation(

@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     LPSolveError,
     PreconditionError,
+    UnboundedDensityError,
     VerificationError,
 )
 from .function_space import GridFunction, Measure1D
@@ -37,6 +38,7 @@ __all__ = [
     "PushforwardReport",
     "SimplexFit",
     "pushforward_density_norm",
+    "pushforward_flat_stretch",
     "simplex_fit",
     "rate_sweep",
     "kappa_growth_check",
@@ -48,7 +50,7 @@ __all__ = [
 # pushforward density
 
 PUSHFORWARD_POINTS = 200_001  # grid points of the density-over-slope maximum
-PUSHFORWARD_BLOCK = 16_384  # points evaluated per block
+PUSHFORWARD_BLOCK = 16_384  # most grid points evaluated at once
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,72 @@ class PushforwardReport:
     witness_interval: Optional[tuple] = None
 
 
+def _branch_slopes(sigma: ActivationSpec, b: float, mu: Measure1D):
+    """The pushforward grid, branch by branch: pairs (x, slope) of grid
+    points x whose x + b lie on one branch of sigma and sigma'(x + b) there,
+    one float on an affine branch.
+
+    The grid is PUSHFORWARD_POINTS even points from mu's 1e-9 quantile
+    less |b| + 1 to its 1 - 1e-9 quantile plus |b| + 1, and three probes
+    around each breakpoint.  A branch takes one slice of the sorted grid
+    (x + b does not decrease with x), in blocks of at most
+    PUSHFORWARD_BLOCK points that stay in cache, and the probes that fall
+    on it; an empty block is left out."""
+    q = mu.quantile(np.asarray([1e-9, 1.0 - 1e-9]))
+    lo = float(q[0]) - abs(b) - 1.0
+    hi = float(q[1]) + abs(b) + 1.0
+    grid = np.linspace(lo, hi, PUSHFORWARD_POINTS)
+    at = np.asarray(sigma.breakpoints, dtype=np.float64) - b
+    probes = np.concatenate([at - 1e-9, at, at + 1e-9])
+    edges, kinds, par, _ = sigma._table
+    ends = [0, *(_first_at(grid, b, e) for e in edges[1:-1]), len(grid)]
+    on = np.searchsorted(edges[1:-1], probes + b, side="right")
+    for j, kind in enumerate(kinds):
+        starts = range(ends[j], ends[j + 1], PUSHFORWARD_BLOCK)
+        for x in [*(grid[i:min(i + PUSHFORWARD_BLOCK, ends[j + 1])]
+                    for i in starts), probes[on == j]]:
+            if not x.size:
+                continue
+            if kind == K.KIND_AFFINE:
+                yield x, float(par[j, 0])
+            else:
+                yield x, K.act_deriv(edges, kinds, par, x + b)
+
+
+def _first_at(grid: np.ndarray, b: float, e: float) -> int:
+    """The index of the first point x of the sorted grid with x + b >= e:
+    the search for e - b, moved past the rounding of x + b."""
+    i = int(np.searchsorted(grid, e - b))
+    while i > 0 and grid[i - 1] + b >= e:
+        i -= 1
+    while i < len(grid) and grid[i] + b < e:
+        i += 1
+    return i
+
+
+def _flat_ends(blocks) -> Optional[tuple]:
+    """(min, max) of the points of (x, slope) blocks where slope <= 1e-12,
+    or None when there is none."""
+    flat = []
+    for x, slope in blocks:
+        hit = slope <= 1e-12
+        if np.any(hit):
+            flat.append(x[hit] if np.ndim(hit) else x)
+    if not flat:
+        return None
+    return (float(min(np.min(x) for x in flat)),
+            float(max(np.max(x) for x in flat)))
+
+
+def pushforward_flat_stretch(sigma: ActivationSpec, b: float,
+                             mu: Measure1D) -> Optional[tuple]:
+    """The witness interval of ``pushforward_density_norm``: the ends of
+    the grid points x with sigma'(x + b) <= 1e-12, or None when there is
+    none and the composition operator is well-defined on L1(mu).  It
+    evaluates no density, and on an affine branch no derivative."""
+    return _flat_ends(_branch_slopes(sigma, float(b), mu))
+
+
 def pushforward_density_norm(sigma: ActivationSpec, b: float,
                              mu: Measure1D) -> PushforwardReport:
     """Sup of the density of the pushforward of mu under x -> sigma(x + b).
@@ -67,32 +135,20 @@ def pushforward_density_norm(sigma: ActivationSpec, b: float,
     the grid maximum of density(x)/sigma'(x+b); the map is well-defined on L1
     exactly when the derivative is bounded away from zero (monotone
     criterion).  A flat stretch (e.g. the rectifier's zero branch) is
-    reported with its witness interval.
+    reported with its witness interval (``pushforward_flat_stretch``).
+
+    The density is evaluated once per grid point.  On an affine branch of
+    slope a the maximum is max(density)/a: a correctly rounded division by
+    a > 0 is monotone, so that equals max(density/a) bit for bit; a power
+    branch divides point by point.
     """
-    b = float(b)
-    q = mu.quantile(np.asarray([1e-9, 1.0 - 1e-9]))
-    lo = float(q[0]) - abs(b) - 1.0
-    hi = float(q[1]) + abs(b) + 1.0
-    # the maximum and the flat stretch's ends do not depend on the order of
-    # the points, so the probes around each breakpoint follow the grid, and
-    # the points are taken in blocks that stay in cache
-    at = np.asarray(sigma.breakpoints, dtype=np.float64) - b
-    x = np.concatenate([np.linspace(lo, hi, PUSHFORWARD_POINTS),
-                        at - 1e-9, at, at + 1e-9])
-    flat_ends, peaks = [], []
-    for start in range(0, len(x), PUSHFORWARD_BLOCK):
-        xb = x[start:start + PUSHFORWARD_BLOCK]
-        slope = np.asarray(sigma.derivative(xb + b), dtype=np.float64)
-        flat = slope <= 1e-12
-        if np.any(flat):
-            flat_ends += [np.min(xb[flat]), np.max(xb[flat])]
-        elif not flat_ends:
-            peaks.append(np.max(np.asarray(mu.density(xb), dtype=np.float64)
-                                / slope))
-    if flat_ends:
-        return PushforwardReport(float("inf"), False, False,
-                                 (float(min(flat_ends)), float(max(flat_ends))))
-    norm = float(np.max(peaks))
+    blocks = list(_branch_slopes(sigma, float(b), mu))
+    witness = _flat_ends(blocks)
+    if witness is not None:
+        return PushforwardReport(float("inf"), False, False, witness)
+    norm = float(np.max([np.max(mu.density(x) / slope) if np.ndim(slope)
+                         else float(np.max(mu.density(x))) / slope
+                         for x, slope in blocks]))
     return PushforwardReport(norm, True, norm > 1.0)
 
 
@@ -383,8 +439,9 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     if op is not None:
         push = pushforward_density_norm(op.activation, float(op.b[0]), mu)
         if not push.well_defined:
-            raise PreconditionError("pushforward density unbounded: operator "
-                                    "not well-defined on L1(mu)")
+            raise UnboundedDensityError("pushforward density unbounded: operator "
+                                        "not well-defined on L1(mu)",
+                                        push.witness_interval)
         norm = push.norm_value
     else:
         norm = 1.0
@@ -448,7 +505,8 @@ def kappa_growth_check(sigma: ActivationSpec, b: float, mu: Measure1D,
     geometric growth of the iterated operator."""
     push = pushforward_density_norm(sigma, b, mu)
     if not push.well_defined:
-        raise PreconditionError("pushforward density unbounded")
+        raise UnboundedDensityError("pushforward density unbounded",
+                                    push.witness_interval)
     if push.norm_value <= 1.0:
         raise VerificationError(
             "pushforward norm <= 1 contradicts the growth requirement",

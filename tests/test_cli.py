@@ -325,7 +325,9 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
                                            "vlaue": 2}), "g.vlaue"),
     ("rate-sweep", dict(SWEEP, target={"kind": "tree", "terms": [[1.0, 0.0, 1.0]],
                                        "term": 1}), "target.term"),
-    ("constrained-fit", dict(SHIFTED, witness={"kind": "zero", "value": 0}),
+    ("constrained-fit", dict(SHIFTED, witness={"kind": "zero", "value": 0},
+                             constraints=[{"kind": "sup_on_ball",
+                                           "threshold": 0.5}]),
      "witness.value"),
     ("constrained-fit", dict(SHIFTED, f_hat={"kind": "identity", "x": 1}),
      "f_hat.x"),
@@ -335,6 +337,12 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
     ("limitation-demo", {"samples": [{"kind": "constant", "value": 0.5,
                                       "lable": "half"}]}, "samples.lable"),
     ("rate-sweep", dict(SWEEP, basis={"amp_rnge": [0.5, 1.0]}), "basis.amp_rnge"),
+    ("limitation-demo", {"samples": [{"kind": "unbounded", "value": 3.0}]},
+     "samples"),
+    ("transitivity-demo", dict(SHIFTED, metric="l1", fit={"width": 4}), "fit"),
+    ("transitivity-demo", dict(SHIFTED, mu={"density_kind": "uniform_window",
+                                            "params": {"lo": 0, "hi": 1}}), "mu"),
+    ("constrained-fit", dict(SHIFTED, witness="identity"), "witness"),
 ], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
         "f-no-kind", "target-short-term", "constraint-no-kind",
         "constraint-negative-threshold", "basis-range-number", "basis-list",
@@ -355,12 +363,27 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
         "table-density-inf", "mu-params-typo", "mu-typo", "weights-typo",
         "activation-typo", "branch-typo", "f-typo", "g-typo", "target-typo",
         "witness-typo", "f-hat-typo", "constraint-typo", "samples-typo",
-        "basis-typo"])
+        "basis-typo", "samples-unbounded-value", "l1-with-fit", "ducc-with-mu",
+        "witness-without-constraints"])
 def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
     code, payload = main_in_process(tmp_path, capsys, command, params)
     assert code == 2, payload
     assert payload["error"] == "ConfigError"
     assert payload["violations"][0].startswith(f"params.{field}: "), payload
+
+
+def test_keys_the_branch_never_reads_are_named_together(tmp_path, capsys):
+    ball = [{"kind": "sup_on_ball", "threshold": 0.5}]
+    code, payload = main_in_process(tmp_path, capsys, "constrained-fit", dict(
+        SHIFTED, constraints=ball, f_hat="cos", delta=0.3))
+    assert code == 2, payload
+    assert payload["violations"] == [
+        "params.f_hat: read only when no constraints are given",
+        "params.delta: read only when no constraints are given"]
+    # a key given as its default, or as null, is accepted
+    code, _ = main_in_process(tmp_path, capsys, "transitivity-demo", dict(
+        SHIFTED, metric="l1", fit=None, eps=0.2, delta=0.2))
+    assert code == 0
 
 
 def test_config_error_lists_every_bad_field(tmp_path, capsys):
@@ -571,6 +594,25 @@ def test_computation_failure_exits_1(tmp_path):
     assert payload["error"] == "PreconditionError"
 
 
+NEAR_FLAT = {"name": "near-flat", "branches": [
+    {"hi": 0.0, "kind": "affine", "a": 1e-13, "b": 0.0},
+    {"lo": 0.0, "kind": "affine", "a": 2.0, "b": 0.0}]}
+
+
+@pytest.mark.parametrize("command, params", [
+    ("rate-sweep", dict(SWEEP, activation="relu")),
+    ("transitivity-demo", {"activation": NEAR_FLAT, "metric": "l1"}),
+], ids=["rate-sweep", "l1-certificate"])
+def test_unbounded_density_refusal_carries_its_witness(tmp_path, capsys,
+                                                       command, params):
+    # sigma(x + 1) is flat (slope <= 1e-12) for x < -1
+    code, payload = main_in_process(tmp_path, capsys, command, params)
+    assert code == 1, payload
+    assert payload["error"] == "UnboundedDensityError"
+    lo, hi = payload["witness_interval"]
+    assert lo < hi <= -1.0 + 1e-6
+
+
 @pytest.mark.parametrize("command, params, field", [
     ("escape", {"activation": "leaky_shifted_paper", "K_radius": 2.0,
                 "max_n": 32}, "params.max_n"),
@@ -748,3 +790,42 @@ def test_resolved_params_write_defaults_out_and_leave_ignored_keys_out(tmp_path)
     assert "max_iter" not in sweep and "restarts" not in sweep
     assert sweep["basis"] == {"amp_range": [0.25, 2.0], "left_range": [-1.5, 1.0],
                               "len_range": [0.25, 2.5]}
+
+
+CERTIFY = {"b": 1.0, "g": "identity", "f": "sin", "eps": 0.1, "delta": 0.1}
+
+
+@pytest.mark.parametrize("command, params, want, csv_sha256", [
+    ("transitivity-demo",
+     dict(CERTIFY, activation="leaky_rescaled_paper", metric="l1",
+          mu={"density_kind": "gaussian"}),
+     {"N": 6, "d_seed": 0.0, "d_target": 8.339868064893879e-05}, None),
+    ("transitivity-demo", dict(CERTIFY, activation="cube"),
+     {"N": 3, "d_seed": 0.0008935226821744041,
+      "d_target": 0.031249046325683844}, None),
+    ("omega-approx",
+     {"f": "gauss_linear", "eps": 0.1, "measure_radius": 30.0, "csv_points": 601,
+      "weights": [{"kind": "unit"}, {"kind": "power", "i": 1},
+                  {"kind": "max_t_power", "i": 2}], "fit": {"width": 256}},
+     {"weighted_error": 0.07925471460360321},
+     "cff7b4c55893c107309e9eb07a6816f0b5bf68b5823f638d76e90ee9d8834d7a"),
+], ids=["l1", "x^3", "omega"])
+def test_certificates_keep_their_recorded_values(tmp_path, command, params, want,
+                                                 csv_sha256):
+    # the values of the benchmark's certify items at one seed, as measured
+    # before the certificates learned to skip the points whose values are
+    # multiplied by 0 or never read: a faster path must not move a bit
+    import hashlib
+
+    from test_rate_bounds import cube_transitive
+    from uaplab import cli
+    from uaplab.activations import activation_to_config
+
+    if params.get("activation") == "cube":
+        params = dict(params, activation=activation_to_config(cube_transitive()))
+    out = cli.run(cli.ExperimentConfig(command, params, 1201417114,
+                                       str(tmp_path)))["outputs"]
+    assert {key: out[key] for key in want} == want
+    if csv_sha256 is not None:
+        csv = (tmp_path / f"{command}.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == csv_sha256

@@ -10,10 +10,13 @@ from uaplab import depth_dynamics as dd
 from uaplab.errors import NoEscapeError, PreconditionError, QuadratureError
 from uaplab.function_space import (
     GridFunction,
+    cube_points,
     d_ucc,
     lp_norm,
 )
 from uaplab.network import TreeFunction
+
+from test_rate_bounds import cube_transitive
 
 
 def shifted_op(leaky_shifted, b=1.0, m=1):
@@ -126,6 +129,26 @@ class TestEscapeTime:
     def test_multidimensional_cube(self, leaky_shifted):
         op = dd.CompositionOperator(leaky_shifted, np.array([1.0, 1.0]))
         assert dd.escape_time(op, 2.0, 2.0) == 3
+
+
+@pytest.mark.parametrize("spec", [act.by_name("leaky_shifted_paper"),
+                                  cube_transitive()], ids=["leaky", "cube"])
+def test_blend_equals_the_full_formula(spec, ident, sin_fn):
+    # the blend skips the pullback where w = 1 and g where w = 0; on the
+    # certificate's d_ucc grids (and their images under S^N, where d_target
+    # samples it) it equals the formula evaluated everywhere, bit for bit
+    op = dd.CompositionOperator(spec, np.array([1.0]))
+    radius = 5.0
+    n, lo, hi, blend, _ = dd._escape_blend_fit(op, ident, sin_fn, radius)
+    grid = cube_points(range(1, 21), dd.UCC_POINTS)
+    Y = np.concatenate([grid, op.iterate(grid, n), [[np.nan]]])
+    pulled = sin_fn.sample(op.inverse_iterate(np.clip(Y, lo, hi), n))
+    dist = np.max(np.maximum(lo - Y, Y - hi).clip(min=0.0), axis=1)
+    w = np.clip(dist / dd.BLEND_MARGIN, 0.0, 1.0)[:, None]
+    want = (1.0 - w) * pulled + w * ident.sample(Y)
+    got = blend.sample(Y)
+    assert np.any(w == 0) and np.any((0 < w) & (w < 1)) and np.isnan(got[-1, 0])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestUniformCertificate:

@@ -111,13 +111,21 @@ def test_inversion_near_infinite_derivative():
     (cube(), 1e3),
 ], ids=["p=0.5", "cube"])
 def test_inversion_is_elementwise(spec, span):
-    # a point's inverse must not depend on the points inverted with it
+    # a point's inverse must not depend on the points inverted with it: not
+    # on their number, order or duplicates, bit for bit (signed zeros too)
     edges, kinds, par, vedges = spec._table
-    y = np.random.default_rng(0).uniform(-span, span, 3000)
+    rng = np.random.default_rng(0)
+    y = np.concatenate([rng.uniform(-span, span, 3000), [0.0, -0.0]])
     together = K.act_invert(edges, kinds, par, vedges, y)
     alone = np.array([K.act_invert(edges, kinds, par, vedges, y[i:i + 1])[0]
                       for i in range(len(y))])
-    np.testing.assert_array_equal(together, alone)
+    bits = together.view(np.int64)
+    np.testing.assert_array_equal(bits, alone.view(np.int64))
+    dup = np.concatenate([np.arange(len(y)), rng.integers(0, len(y), 2000)])
+    subset = rng.permutation(len(y))[:700]
+    for idx in (dup, subset):
+        got = K.act_invert(edges, kinds, par, vedges, y[idx])
+        np.testing.assert_array_equal(got.view(np.int64), bits[idx])
 
 
 @pytest.mark.parametrize("spec", [act.by_name("leaky_shifted_paper"), cube()],

@@ -13,6 +13,7 @@ from uaplab.errors import LPSolveError, PreconditionError, VerificationError
 from uaplab.function_space import (
     GridFunction,
     gaussian_measure,
+    table_measure,
     uniform_window_measure,
 )
 from uaplab.network import TreeFunction
@@ -81,20 +82,56 @@ def cube_transitive():
     return act.construct_transitive(cube, 0.5, 1.0)
 
 
+# a branch with slope 1e-13 <= 1e-12, a power branch flat only on
+# [0, 1.83], where 3e-13 x**2 <= 1e-12, and one branch with no breakpoint
+NEAR_FLAT = act.ActivationSpec("near-flat", [
+    act.Branch(-math.inf, 0.0, "affine", (1e-13, 0.0)),
+    act.Branch(0.0, math.inf, "affine", (1.0, 0.0))])
+PARTLY_FLAT = act.ActivationSpec("partly-flat", [
+    act.Branch(-math.inf, 0.0, "affine", (1.0, 0.0)),
+    act.Branch(0.0, math.inf, "power", (1e-13, 3.0, 0.0, 0.0))])
+SHIFT = act.ActivationSpec(
+    "shift", [act.Branch(-math.inf, math.inf, "affine", (2.0, 0.5))])
+MEASURES = {"gaussian": gaussian_measure(),
+            "window": uniform_window_measure(-1.0, 2.0),
+            "table": table_measure([-2.0, 0.0, 1.0, 3.0], [0.0, 1.0, 0.5, 0.0])}
+
+
 @pytest.mark.parametrize("sigma, b, mu", [
-    (act.by_name("leaky_rescaled_paper"), 1.0, gaussian_measure()),
+    *((sigma, 1.0, mu) for sigma in (act.by_name("relu"),
+                                     act.by_name("leaky_rescaled_paper"),
+                                     cube_transitive(), NEAR_FLAT,
+                                     PARTLY_FLAT, SHIFT)
+      for mu in MEASURES.values()),
     (act.by_name("leaky_rescaled_paper"), 0.3, gaussian_measure(0.5, 2.0)),
-    (act.by_name("relu"), 1.0, gaussian_measure()),
-    (cube_transitive(), 1.0, gaussian_measure()),
     (cube_transitive(), 0.25, gaussian_measure()),
     # every probe falls below the grid, then above it
     (act.by_name("leaky_rescaled_paper"), 1.0, uniform_window_measure(10.0, 12.0)),
     (act.by_name("relu"), 1.0, uniform_window_measure(-12.0, -10.0)),
-], ids=["leaky", "leaky-shifted-mu", "relu", "cube", "cube-small-b",
-        "probes-below-grid", "probes-above-grid"])
+], ids=[*(sigma if mu == "gaussian" else f"{sigma}-{mu}"
+          for sigma in ("relu", "leaky", "cube", "near-flat", "partly-flat",
+                        "shift")
+          for mu in MEASURES),
+        "leaky-shifted-mu", "cube-small-b", "probes-below-grid",
+        "probes-above-grid"])
 def test_pushforward_matches_unique_grid(sigma, b, mu):
-    got = rb.pushforward_density_norm(sigma, b, mu)
-    assert repr(got) == repr(unique_grid_pushforward(sigma, b, mu))
+    # the branch-by-branch scan against the point-by-point one, bit for bit
+    want = unique_grid_pushforward(sigma, b, mu)
+    assert repr(rb.pushforward_density_norm(sigma, b, mu)) == repr(want)
+    assert rb.pushforward_flat_stretch(sigma, b, mu) == want.witness_interval
+
+
+def test_first_grid_point_of_a_branch_matches_the_shifted_search():
+    # _first_at searches the grid for e - b and corrects for rounding: it
+    # must find the first x with x + b >= e exactly, also where x + b hits e
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        grid = np.linspace(*np.sort(rng.uniform(-10.0, 10.0, 2)), 1001)
+        b = float(rng.uniform(0.0, 3.0))
+        hits = grid[rng.integers(0, len(grid), 5)] + b
+        for e in [*hits, *np.nextafter(hits, np.inf), *np.nextafter(hits, -np.inf),
+                  *rng.uniform(-15.0, 15.0, 5), -100.0, 100.0]:
+            assert rb._first_at(grid, b, float(e)) == np.searchsorted(grid + b, e)
 
 
 def highs_optimum(basis, target, mu, quad_nodes=2001):
