@@ -142,14 +142,16 @@ class ConfigError(UaplabError):
 class LPSolveError(UaplabError):
     """An interior-point solve stopped short of an optimal point."""
 
-    def __init__(self, status: str, gap: float, iterations: int, cells: int):
+    def __init__(self, status: str, gap: float, iterations: int, cells: int,
+                 columns: int):
         self.status = status
         self.gap = gap
         self.iterations = iterations
         self.cells = cells
+        self.columns = columns
         super().__init__(
             f"LP stopped with status {status!r} after {iterations} iterations "
-            f"on {cells} cells (duality gap {gap:.3e})"
+            f"on {cells} cells and {columns} columns (bracket {gap:.3e})"
         )
 
 

@@ -10,9 +10,11 @@ predictor-corrector whose Newton steps reduce to an n x n system in the
 coefficient dimension (the Frisch-Newton reduction of Portnoy and Koenker,
 Statistical Science 1997).  Each iteration factors that system once by
 Cholesky and inverts the factor's small diagonal blocks; the predictor and
-the corrector then solve by matrix products alone.  A solve that stops
-short of optimal raises ``LPSolveError`` with its status, gap, iterations
-and cells.
+the corrector then solve by matrix products alone.  The LP is solved on a
+growing set of columns (column generation), and a fit is optimal when a
+weak-duality lower bound over every column certifies its residual to
+1e-12 relative.  A solve that stops short of that raises ``LPSolveError``
+with its status, bracket, iterations, cells and columns.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ PUSHFORWARD_BLOCK = 16_384  # most grid points evaluated at once
 class PushforwardReport:
     norm_value: float
     well_defined: bool
-    kappa_check: bool
     witness_interval: Optional[tuple] = None
 
 
@@ -145,38 +146,60 @@ def pushforward_density_norm(sigma: ActivationSpec, b: float,
     blocks = list(_branch_slopes(sigma, float(b), mu))
     witness = _flat_ends(blocks)
     if witness is not None:
-        return PushforwardReport(float("inf"), False, False, witness)
+        return PushforwardReport(float("inf"), False, witness)
     norm = float(np.max([np.max(mu.density(x) / slope) if np.ndim(slope)
                          else float(np.max(mu.density(x))) / slope
                          for x, slope in blocks]))
-    return PushforwardReport(norm, True, norm > 1.0)
+    return PushforwardReport(norm, True)
 
 
 # ---------------------------------------------------------------------------
 # L1 fits over the simplex, exact on the merged quadrature cells
 
-_LP_TOL = 1e-12  # relative duality gap and infeasibility accepted as optimal
+_LP_TOL = 1e-12  # certified bracket accepted, relative to 1 + residual
 _LP_MAX_ITER = 100
 _LP_STEP = 0.99995  # fraction of the step to the boundary that is taken
+_START_COLUMNS = 8  # best single columns in the first restricted column set
+_ADD_COLUMNS = 4  # most violated columns added per restricted solve
+_SUPPORT = 1e-9  # coefficients above it start the next ladder row's solve
+_UNIT = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
 class SimplexFit:
     coefficients: np.ndarray
     residual: float
-    iterations: int
+    iterations: int  # Newton steps, summed over the restricted solves
     status: str  # always "optimal": any other outcome raises LPSolveError
-    gap: float  # duality gap of the final interior point, in residual units
+    gap: float  # residual - lower_bound, so residual - optimum <= gap
     cells: int  # quadrature rows left after merging equal ones
+    lower_bound: float  # weak-duality bound on the optimum over every column
+    columns: int  # columns of the final restricted solve
 
 
-def _merge_rows(B: np.ndarray, t: np.ndarray, w: float):
-    """Merge runs of equal rows of [B | t] into cells, summing their
-    weights: equal rows have equal residuals, so the L1 objective is kept
-    exactly."""
-    new = (t[1:] != t[:-1]) | np.any(B[1:] != B[:-1], axis=1)
-    starts = np.flatnonzero(np.r_[True, new])
-    return B[starts], t[starts], w * np.diff(np.r_[starts, len(t)])
+def _cell_starts(B: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of [B | t] that differ from the row before.  Each
+    run of equal rows merges into one cell of their summed weight: equal
+    rows have equal residuals, so the L1 objective is kept exactly."""
+    return np.r_[True, (t[1:] != t[:-1]) | np.any(B[1:] != B[:-1], axis=1)]
+
+
+def _dual_bound(B: np.ndarray, t: np.ndarray, y: np.ndarray, m: int,
+                bmax: float):
+    """(lower bound, B^T y) of min sum w|B a - t| over the simplex, for a
+    dual point y with |y_i| <= w_i.
+
+    Weak duality of the L1 fitting LP (Charnes, Cooper & Ferguson 1955):
+    sum w|B a - t| >= y.t - y^T B a >= y.t - max_j (B^T y)_j for every a on
+    the simplex.  The bound is lowered by
+    gamma_m (sum |y_i t_i| + bmax sum |y_i|), which covers the rounding of
+    dot products of at most m terms with |B| <= bmax (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1)."""
+    gamma = m * _UNIT / (1.0 - m * _UNIT)
+    price = B.T @ y
+    ay = np.abs(y)
+    err = gamma * (ay @ np.abs(t) + bmax * np.sum(ay))
+    return float(y @ t - np.max(price) - err), price
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -193,15 +216,8 @@ _SOLVE_BLOCK = 32
 def _block_inverses(chol: np.ndarray) -> list:
     """Inverses of the _SOLVE_BLOCK-square diagonal blocks of the lower
     triangular L (the last block may be smaller), for ``_cholesky_solve``."""
-    n = chol.shape[0]
-    k = n // _SOLVE_BLOCK
-    full = k * _SOLVE_BLOCK
-    diag = np.arange(k)
-    blocks = chol[:full, :full].reshape(k, _SOLVE_BLOCK, k, _SOLVE_BLOCK)
-    inverses = list(np.linalg.inv(blocks[diag, :, diag]))
-    if full < n:
-        inverses.append(np.linalg.inv(chol[full:, full:]))
-    return inverses
+    return [np.linalg.inv(chol[s:s + _SOLVE_BLOCK, s:s + _SOLVE_BLOCK])
+            for s in range(0, chol.shape[0], _SOLVE_BLOCK)]
 
 
 def _cholesky_solve(chol: np.ndarray, inverses: list,
@@ -222,7 +238,8 @@ def _cholesky_solve(chol: np.ndarray, inverses: list,
     return x
 
 
-def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):
+def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
+                   bmax: float):
     """min sum w|B a - t| over the simplex, by Mehrotra predictor-corrector.
 
     Primal (a, p, q) >= 0 with B a - p + q = t and sum(a) = 1; dual (y, y0)
@@ -236,43 +253,51 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):
     diagonal blocks are inverted (``_block_inverses``).  The predictor
     solves for its right side and for M^-1 1 together, the corrector
     reuses M^-1 1, and each step length is one ratio test over the stacked
-    primal (a, p, q) and one over the stacked slacks (s, zp, zq).  Returns
-    (a, status, gap, iterations); status is "optimal", "iteration_limit" or
-    "numerical_failure".
+    primal (a, p, q) and one over the stacked slacks (s, zp, zq).
+
+    The iterations run on the weights scaled to sum 1.  Every iterate is
+    checked by its certified bracket: the residual of a projected onto the
+    simplex, and the ``_dual_bound`` of y scaled back to w and clipped to
+    |y| <= w.  Its rounding term is sized by m_all and bmax, the cell
+    count and the largest |entry| of the full problem that B restricts to
+    some columns, so that the bound matches the full problem's bound over
+    those columns.  Both sides are feasible by construction, so no infeasibility
+    tolerance enters: the solve stops when residual - bound <= _LP_TOL
+    (1 + residual).  Returns (a, y, status, gap, iterations) with that
+    projected a and clipped y, gap = residual - bound, and status
+    "optimal", "iteration_limit" or "numerical_failure".
     """
     m, n = B.shape
     mass = float(np.sum(w))
-    w = w / mass
+    wn = w / mass
     a = np.full(n, 1.0 / n)
     r = B @ a - t
     # primal x = (a, p, q) and dual slacks z = (s, zp, zq), each stacked so
     # that a step length is one ratio test per side
     x = np.concatenate([a, np.maximum(r, 0.0) + 1.0, np.maximum(-r, 0.0) + 1.0])
-    z = np.concatenate([np.ones(n), w, w])
+    z = np.concatenate([np.ones(n), wn, wn])
     y, y0 = np.zeros(m), -1.0
-    t_scale = 1.0 + float(np.max(np.abs(t)))
     ones = np.ones(n)
 
-    def longest(v, dv):
-        neg = dv < 0
-        return min(1.0, float(np.min(-v[neg] / dv[neg]))) if np.any(neg) else 1.0
+    def longest(v, dv):  # the largest step <= 1 that keeps v + step dv >= 0
+        return 1.0 / max(1.0, float(np.max(-dv / v)))
 
     for it in range(_LP_MAX_ITER + 1):
         a, p, q = x[:n], x[n:n + m], x[n + m:]
         s, zp, zq = z[:n], z[n:n + m], z[n + m:]
+        a_on = _project_simplex(a)
+        y_on = np.clip(y * mass, -w, w)
+        residual = float(w @ np.abs(B @ a_on - t))
+        gap = residual - _dual_bound(B, t, y_on, m_all, bmax)[0]
+        if gap <= _LP_TOL * (1.0 + residual):
+            return a_on, y_on, "optimal", gap, it
+        if it == _LP_MAX_ITER:
+            return a_on, y_on, "iteration_limit", gap, it
         rb = t - B @ a + p - q
         r0 = 1.0 - np.sum(a)
         ra = -(B.T @ y + y0 + s)
-        rp = w + y - zp
-        rq = w - y - zq
-        primal = float(w @ (p + q))
-        gap = primal - float(t @ y + y0)
-        infeas = max(float(np.max(np.abs(rb))) / t_scale, abs(r0),
-                     *(float(np.max(np.abs(v))) for v in (ra, rp, rq)))
-        if abs(gap) <= _LP_TOL * (1.0 + primal) and infeas <= _LP_TOL:
-            return a, "optimal", gap * mass, it
-        if it == _LP_MAX_ITER:
-            return a, "iteration_limit", gap * mass, it
+        rp = wn + y - zp
+        rq = wn - y - zq
         theta = p / zp + q / zq
         Bs = B / np.sqrt(theta)[:, None]
         M = Bs.T @ Bs
@@ -283,7 +308,7 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray):
         try:
             chol = np.linalg.cholesky(M * d[:, None] * d)
         except np.linalg.LinAlgError:
-            return a, "numerical_failure", gap * mass, it
+            return a_on, y_on, "numerical_failure", gap, it
         inverses = _block_inverses(chol)
 
         def solve(*columns):  # M^-1 c for each column c
@@ -333,10 +358,13 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
     mu; runs of equal rows (piecewise-constant functions on sorted nodes)
     merge into weighted cells, and the linear program
     min sum w|B a - t| over the simplex is solved by a primal-dual interior
-    point (``_l1_simplex_lp``).  The returned coefficients are the final
-    interior point projected onto the simplex, and the residual is
-    evaluated from them on every node.  A solve that does not reach
-    status "optimal" raises ``LPSolveError``.
+    point (``_l1_simplex_lp``) on a growing column set (``_fit_columns``).
+    The returned coefficients are an interior point projected onto the
+    simplex, the residual is evaluated from them on every cell, and
+    ``lower_bound`` is a weak-duality bound on the optimum, so the optimum
+    lies in [lower_bound, residual], an interval of width ``gap`` <=
+    _LP_TOL (1 + residual).  A solve that does not reach status "optimal"
+    raises ``LPSolveError``.
     """
     if len(basis) == 0:
         raise PreconditionError("basis must be nonempty")
@@ -348,16 +376,55 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
     return _fit_columns(B, target.sample(pts)[:, 0], w)
 
 
-def _fit_columns(B: np.ndarray, t: np.ndarray, w: float) -> SimplexFit:
+def _fit_columns(B: np.ndarray, t: np.ndarray, w: float,
+                 start: Sequence[int] = ()) -> SimplexFit:
     """``simplex_fit`` on the basis sampled as node-by-function columns B,
-    the target t and the uniform node weight w."""
-    Bc, tc, wc = _merge_rows(B, t, w)
-    a, status, gap, iterations = _l1_simplex_lp(Bc, tc, wc)
-    if status != "optimal":
-        raise LPSolveError(status, gap, iterations, len(tc))
-    a = _project_simplex(a)
-    residual = float(w * np.sum(np.abs(B @ a - t)))
-    return SimplexFit(a, residual, iterations, status, gap, len(tc))
+    the target t and the uniform node weight w, by column generation
+    (Dantzig & Wolfe, Operations Research 1960).
+
+    The nodes merge into cells over every column.  The LP is solved on a
+    column set S only, on the coarser cells merged over S: at first the
+    columns ``start`` and the _START_COLUMNS of smallest single-column
+    residual.  Each coarse cell's dual is spread over its cells by weight,
+    so that |y_i| <= w_i holds cell by cell, and ``_dual_bound`` of that y
+    bounds the optimum over every column.  When residual - bound <=
+    _LP_TOL (1 + residual) the fit is done; otherwise the _ADD_COLUMNS
+    columns of largest B^T y above S's maximum join S, or every column
+    when none is above it, and S is solved again.  At worst S grows to
+    every column.  ``iterations`` sums the Newton steps of the solves, and
+    ``columns`` is the size of the last S."""
+    starts = np.flatnonzero(_cell_starts(B, t))
+    Bc, tc = B[starts], t[starts]
+    wc = w * np.diff(np.r_[starts, len(t)])
+    (m, n), bmax = Bc.shape, float(np.max(np.abs(Bc)))
+    single = wc @ np.abs(Bc - tc[:, None])
+    chosen = np.zeros(n, dtype=bool)
+    chosen[np.asarray(start, dtype=np.intp)] = True
+    chosen[np.argsort(single, kind="stable")[:_START_COLUMNS]] = True
+    iterations = 0
+    while True:
+        cols = np.flatnonzero(chosen)
+        first = _cell_starts(Bc[:, cols], tc)
+        starts = np.flatnonzero(first)
+        ws = np.add.reduceat(wc, starts)
+        a, y, status, gap, it = _l1_simplex_lp(Bc[np.ix_(starts, cols)],
+                                               tc[starts], ws, m, bmax)
+        iterations += it
+        if status != "optimal":
+            raise LPSolveError(status, gap, iterations, m, len(cols))
+        owner = np.cumsum(first) - 1
+        y = np.clip(y[owner] * (wc / ws[owner]), -wc, wc)
+        lower, price = _dual_bound(Bc, tc, y, m, bmax)
+        residual = float(wc @ np.abs(Bc[:, cols] @ a - tc))
+        if residual - lower <= _LP_TOL * (1.0 + residual) or len(cols) == n:
+            break
+        over = np.flatnonzero(price > np.max(price[cols]))
+        top = over[np.argsort(-price[over], kind="stable")[:_ADD_COLUMNS]]
+        chosen[top if top.size else slice(None)] = True
+    coefficients = np.zeros(n)
+    coefficients[cols] = a
+    return SimplexFit(coefficients, residual, iterations, "optimal",
+                      residual - lower, m, lower, len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +489,17 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     tree at S^N(nodes): column j equals ``simplex_fit``'s sampling of
     ``apply(op, f_j, N)`` bit for bit.  Each row fits a prefix of the
     columns as ``simplex_fit`` does (equal quadrature rows merged into
-    cells, then an interior-point LP solved to optimality on them).  Rows
-    run in the given order; while n increases the previous row's
-    coefficients, padded with zeros, are feasible, and a row reports the
-    smaller of the two residuals, so that tolerance-level differences
-    between equal optima cannot make the table rise.  Each row carries the
-    LP's status, gap, iterations and cell count, and ``degenerate`` when
-    its residual is no better than predicting 0
+    cells, then an interior-point LP solved to optimality on a growing
+    column set), starting from the previous row's support.  Rows run in
+    the given order; while n increases the previous row's coefficients,
+    padded with zeros, are feasible, and a row reports the smaller of the
+    two residuals, so that tolerance-level differences between equal
+    optima cannot make the table rise.  Each row carries the LP's status,
+    ``lower_bound`` (a weak-duality bound on the row's optimum), ``gap``
+    (residual - lower_bound, at most 1e-12 (1 + residual)), ``iterations``
+    (Newton steps summed over the restricted solves), cell count,
+    ``columns`` (the size of the last restricted column set), and
+    ``degenerate`` when its residual is no better than predicting 0
     (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
     if N < 0:
@@ -466,8 +537,10 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     t = target.sample(nodes[:, None])[:, 0]
     target_norm = float(w * np.sum(np.abs(t)))
     rows = []
+    support = np.zeros(0, dtype=np.intp)
     for n in ns:
-        fit = _fit_columns(B[:, :n], t, w)
+        fit = _fit_columns(B[:, :n], t, w, support[support < n])
+        support = np.flatnonzero(fit.coefficients > _SUPPORT)
         residual = fit.residual
         if rows and rows[-1]["n"] < n:
             residual = min(residual, rows[-1]["residual"])
@@ -481,9 +554,11 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
                                      / root),
             "bound_proof_final": float((1.0 + np.sqrt(2.0 * mass)) / root),
             "status": fit.status,
-            "gap": fit.gap,
+            "lower_bound": fit.lower_bound,
+            "gap": residual - fit.lower_bound,
             "iterations": fit.iterations,
             "cells": fit.cells,
+            "columns": fit.columns,
             "degenerate": residual >= (1.0 - 1e-9) * target_norm,
         })
     log_n = np.log([row["n"] for row in rows])

@@ -25,8 +25,10 @@ from uaplab import errors
      {"label": "mean", "value": 0.5, "threshold": 0.4, "stage": "final"}),
     (errors.ConfigError(["params.eps: must be positive", "seed: required"]),
      {"violations": ["params.eps: must be positive", "seed: required"]}),
-    (errors.LPSolveError("iteration_limit", np.float64(3e-7), 100, np.int64(430)),
-     {"status": "iteration_limit", "gap": 3e-7, "iterations": 100, "cells": 430}),
+    (errors.LPSolveError("iteration_limit", np.float64(3e-7), 100, np.int64(430),
+                         np.int64(12)),
+     {"status": "iteration_limit", "gap": 3e-7, "iterations": 100, "cells": 430,
+      "columns": 12}),
 ])
 def test_payload_keeps_structured_fields(exc, fields):
     payload = json.loads(json.dumps(exc.payload()))

@@ -28,7 +28,7 @@ class TestPushforward:
         rep = rb.pushforward_density_norm(leaky_rescaled, 1.0, gauss_mu)
         assert rep.well_defined
         assert rep.norm_value == pytest.approx(10 * PHI_AT(-1.0), rel=1e-4)
-        assert rep.kappa_check
+        assert rep.norm_value > 1.0
 
     def test_pure_shift_gives_density_peak(self, gauss_mu):
         shift = act.ActivationSpec(
@@ -36,7 +36,7 @@ class TestPushforward:
         )
         rep = rb.pushforward_density_norm(shift, 0.7, gauss_mu)
         assert rep.norm_value == pytest.approx(PHI_AT(0.0), rel=1e-6)
-        assert not rep.kappa_check
+        assert not rep.norm_value > 1.0
 
     def test_affine_slope_closed_form(self, gauss_mu):
         for slope in (0.5, 2.0):
@@ -69,10 +69,10 @@ def unique_grid_pushforward(sigma, b, mu):
     if np.any(flat):
         i = int(np.argmax(flat))
         j = len(flat) - 1 - int(np.argmax(flat[::-1]))
-        return rb.PushforwardReport(math.inf, False, False,
+        return rb.PushforwardReport(math.inf, False,
                                     (float(x[i]), float(x[j])))
     norm = float(np.max(mu.density(x) / slope))
-    return rb.PushforwardReport(norm, True, norm > 1.0)
+    return rb.PushforwardReport(norm, True)
 
 
 def cube_transitive():
@@ -153,6 +153,29 @@ def highs_optimum(basis, target, mu, quad_nodes=2001):
     c = np.r_[np.zeros(n), np.full(2 * m, w)]
     out = linprog(c, A_eq=A, b_eq=np.r_[t, 1.0], bounds=(0, None),
                   method="highs")
+    assert out.status == 0, out.message
+    return out.fun
+
+
+def highs_on_cells(B, t, w):
+    """Oracle: the L1 simplex LP of node-by-function columns B, target t and
+    node weight w, with runs of equal rows of [B | t] merged into cells,
+    by scipy's HiGHS."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    new = np.any(np.diff(np.column_stack([B, t]), axis=0) != 0, axis=1)
+    starts = np.flatnonzero(np.r_[True, new])
+    B, t, wc = B[starts], t[starts], w * np.diff(np.r_[starts, len(t)])
+    m, n = B.shape
+    eye = sparse.identity(m, format="csr")
+    A = sparse.vstack([
+        sparse.hstack([sparse.csr_matrix(B), -eye, eye]),
+        sparse.hstack([sparse.csr_matrix(np.ones((1, n))),
+                       sparse.csr_matrix((1, 2 * m))]),
+    ])
+    out = linprog(np.r_[np.zeros(n), wc, wc], A_eq=A, b_eq=np.r_[t, 1.0],
+                  bounds=(0, None), method="highs")
     assert out.status == 0, out.message
     return out.fun
 
@@ -295,6 +318,63 @@ class TestAgainstHighs:
         assert_on_simplex(fit)
         best = highs_optimum(basis, target, gauss_mu)
         assert abs(fit.residual - best) <= 1e-9, (fit.residual, best)
+
+
+class TestCertifiedBracket:
+    NS = [4, 8, 16, 32, 64, 128, 256]
+
+    def sweep(self, seed, N):
+        mu = gaussian_measure()
+        target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        return rb.rate_sweep(rb.trees_basis_family(), target, mu, self.NS, N,
+                             op, seed=seed)
+
+    @pytest.mark.parametrize("N", [0, 2])
+    def test_default_sweeps_bracket_the_highs_optimum(self, N):
+        # the CLI's default sweep at seeds 0-3: each row's residual and
+        # lower bound enclose the optimum on its cells, and are within
+        # 1e-12 (1 + residual) of each other
+        nodes, w = gaussian_measure().nodes(2001)
+        pts = nodes[:, None]
+        t = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction().sample(pts)[:, 0]
+        for seed in range(4):
+            B = np.column_stack([f.sample(pts)[:, 0]
+                                 for f in paper_ladder(seed, N)])
+            for row in self.sweep(seed, N)["rows"]:
+                best = highs_on_cells(B[:, :row["n"]], t, w)
+                where = (seed, row["n"], row["lower_bound"], best,
+                         row["residual"])
+                assert row["lower_bound"] <= best <= row["residual"], where
+                assert row["gap"] == row["residual"] - row["lower_bound"]
+                assert row["gap"] <= 1e-12 * (1.0 + row["residual"]), where
+                assert 1 <= row["columns"] <= row["n"]
+
+    def test_pricing_leaves_most_columns_out(self):
+        # at N=0 the optimum uses a few of the 256 columns: pricing closes
+        # the bracket before the set falls back to every column
+        row = self.sweep(0, 0)["rows"][-1]
+        assert row["n"] == 256
+        assert row["columns"] < 256
+
+    def test_pricing_grows_to_every_column_the_optimum_needs(self, gauss_mu):
+        # the target is the uniform mixture of 24 indicators whose ends are
+        # all distinct, so its only convex representation puts 1/24 on
+        # every column: pricing must bring each of them into the solve
+        n = 24
+        terms = [(1.0, -2.0 + 0.1 * j, 0.05 + 0.1 * j) for j in range(n)]
+        basis = [TreeFunction((term,)).as_gridfunction() for term in terms]
+        target = TreeFunction(tuple((1.0 / n, lo, hi)
+                                    for _, lo, hi in terms)).as_gridfunction()
+        fit = rb.simplex_fit(basis, target, gauss_mu)
+        assert fit.columns == n
+        assert fit.coefficients == pytest.approx(np.full(n, 1.0 / n), abs=1e-9)
+        best = highs_optimum(basis, target, gauss_mu)
+        assert abs(fit.residual - best) <= 1e-9, (fit.residual, best)
+        assert fit.lower_bound <= best <= fit.residual
+        assert fit.gap <= 1e-12 * (1.0 + fit.residual)
 
 
 class TestRateSweep:
