@@ -53,14 +53,14 @@ _IGNORED = (None, None)  # a key of older configs, accepted and not read
 def _load(cfg: dict, table: dict, where: str = "") -> tuple[dict, dict]:
     """cfg checked against table, which maps each key to (parse, default)
     or (parse, default, (condition, read)): the parsed values, and the JSON
-    cfg resolves to, with every default written out and the ignored keys
-    left out.
+    cfg resolves to, with every default written out and the ignored and
+    unread keys left out.
 
     A missing or null key takes its default; a callable default computes it
     from the values parsed before it, and a null default stays null.  A key
     with a read test is read only when read(values parsed before it) holds;
-    given otherwise, it must equal its default (as resolved params write
-    it).  A nested table in place of parse loads an object the same way.
+    otherwise it is left out, and if given it must equal its default.  A
+    nested table in place of parse loads an object the same way.
     One ConfigError names every unknown key, missing required key, unread
     key and value its parser refuses, each as where + its path in cfg."""
     violations = []
@@ -74,13 +74,14 @@ def _load(cfg: dict, table: dict, where: str = "") -> tuple[dict, dict]:
             continue
         value = cfg.get(key)
         try:
-            unread = value is not None and bool(when) and not when[0][1](values)
+            unread = bool(when) and not when[0][1](values)
             if value is None or unread:
                 fill = default(values) if callable(default) else deepcopy(default)
         except KeyError:  # a key it is computed from failed, and is named
             continue
-        if unread and value != fill:
-            violations.append(f"{key}: read only when {when[0][0]}")
+        if unread:
+            if value is not None and value != fill:
+                violations.append(f"{key}: read only when {when[0][0]}")
             continue
         if value is None:
             value = fill

@@ -13,7 +13,10 @@ Cholesky and inverts the factor's small diagonal blocks; the predictor and
 the corrector then solve by matrix products alone.  The LP is solved on a
 growing set of columns (column generation), and a fit is optimal when a
 weak-duality lower bound over every column certifies its residual to
-1e-12 relative.  A solve that stops short of that raises ``LPSolveError``
+1e-12 relative.  A rate sweep runs one column generation along its n
+ladder: each row starts from the column set, coefficients and dual the
+previous row ended in, and is done without a solve when they already
+certify it.  A solve that stops short of that raises ``LPSolveError``
 with its status, bracket, iterations, cells and columns.
 """
 
@@ -161,12 +164,15 @@ _LP_MAX_ITER = 100
 _LP_STEP = 0.99995  # fraction of the step to the boundary that is taken
 _START_COLUMNS = 8  # best single columns in the first restricted column set
 _ADD_COLUMNS = 4  # most violated columns added per restricted solve
-_SUPPORT = 1e-9  # coefficients above it start the next ladder row's solve
 _UNIT = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
 class SimplexFit:
+    """An optimal fit, its certified bracket [lower_bound, residual], and
+    the state a fit of more columns on the same nodes starts from: the
+    final column set, the coefficients and the dual per node."""
+
     coefficients: np.ndarray
     residual: float
     iterations: int  # Newton steps, summed over the restricted solves
@@ -174,7 +180,12 @@ class SimplexFit:
     gap: float  # residual - lower_bound, so residual - optimum <= gap
     cells: int  # quadrature rows left after merging equal ones
     lower_bound: float  # weak-duality bound on the optimum over every column
-    columns: int  # columns of the final restricted solve
+    column_set: np.ndarray  # indices of the final restricted solve's columns
+    node_dual: np.ndarray  # its clipped dual y_i / count_i on each node of cell i
+
+    @property
+    def columns(self) -> int:  # columns of the final restricted solve
+        return len(self.column_set)
 
 
 def _cell_starts(B: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -377,43 +388,55 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
 
 
 def _fit_columns(B: np.ndarray, t: np.ndarray, w: float,
-                 start: Sequence[int] = ()) -> SimplexFit:
+                 carried: Optional[SimplexFit] = None) -> SimplexFit:
     """``simplex_fit`` on the basis sampled as node-by-function columns B,
     the target t and the uniform node weight w, by column generation
     (Dantzig & Wolfe, Operations Research 1960).
 
     The nodes merge into cells over every column.  The LP is solved on a
     column set S only, on the coarser cells merged over S: at first the
-    columns ``start`` and the _START_COLUMNS of smallest single-column
-    residual.  Each coarse cell's dual is spread over its cells by weight,
-    so that |y_i| <= w_i holds cell by cell, and ``_dual_bound`` of that y
-    bounds the optimum over every column.  When residual - bound <=
-    _LP_TOL (1 + residual) the fit is done; otherwise the _ADD_COLUMNS
-    columns of largest B^T y above S's maximum join S, or every column
-    when none is above it, and S is solved again.  At worst S grows to
-    every column.  ``iterations`` sums the Newton steps of the solves, and
-    ``columns`` is the size of the last S."""
+    _START_COLUMNS of smallest single-column residual.  Each coarse cell's
+    dual is spread over its cells by weight, so that |y_i| <= w_i holds
+    cell by cell, and ``_dual_bound`` of that y bounds the optimum over
+    every column.  When residual - bound <= _LP_TOL (1 + residual) the fit
+    is done; otherwise the _ADD_COLUMNS columns of largest B^T y above S's
+    maximum join S, or every column when none is above it, and S is solved
+    again.  At worst S grows to every column.
+
+    ``carried``, the fit of a prefix of B's columns on the same nodes,
+    starts S instead: its coefficients padded with zeros (feasible) and its
+    node dual summed over each of the finer cells (a dual point) are
+    checked first, so a fit they certify takes no Newton step; otherwise S
+    is the carried set and its most violated columns.  ``iterations`` sums
+    the Newton steps of the solves, and ``column_set`` is the last S."""
     starts = np.flatnonzero(_cell_starts(B, t))
     Bc, tc = B[starts], t[starts]
-    wc = w * np.diff(np.r_[starts, len(t)])
+    counts = np.diff(np.r_[starts, len(t)])
+    wc = w * counts
     (m, n), bmax = Bc.shape, float(np.max(np.abs(Bc)))
-    single = wc @ np.abs(Bc - tc[:, None])
     chosen = np.zeros(n, dtype=bool)
-    chosen[np.asarray(start, dtype=np.intp)] = True
-    chosen[np.argsort(single, kind="stable")[:_START_COLUMNS]] = True
+    if carried is None:
+        single = wc @ np.abs(Bc - tc[:, None])
+        chosen[np.argsort(single, kind="stable")[:_START_COLUMNS]] = True
+        y = None
+    else:
+        chosen[carried.column_set] = True
+        a = carried.coefficients[carried.column_set]
+        y = np.clip(np.add.reduceat(carried.node_dual, starts), -wc, wc)
     iterations = 0
     while True:
         cols = np.flatnonzero(chosen)
-        first = _cell_starts(Bc[:, cols], tc)
-        starts = np.flatnonzero(first)
-        ws = np.add.reduceat(wc, starts)
-        a, y, status, gap, it = _l1_simplex_lp(Bc[np.ix_(starts, cols)],
-                                               tc[starts], ws, m, bmax)
-        iterations += it
-        if status != "optimal":
-            raise LPSolveError(status, gap, iterations, m, len(cols))
-        owner = np.cumsum(first) - 1
-        y = np.clip(y[owner] * (wc / ws[owner]), -wc, wc)
+        if y is None:  # no dual point for S yet: solve on S
+            first = _cell_starts(Bc[:, cols], tc)
+            coarse = np.flatnonzero(first)
+            ws = np.add.reduceat(wc, coarse)
+            a, y, status, gap, it = _l1_simplex_lp(Bc[np.ix_(coarse, cols)],
+                                                   tc[coarse], ws, m, bmax)
+            iterations += it
+            if status != "optimal":
+                raise LPSolveError(status, gap, iterations, m, len(cols))
+            owner = np.cumsum(first) - 1
+            y = np.clip(y[owner] * (wc / ws[owner]), -wc, wc)
         lower, price = _dual_bound(Bc, tc, y, m, bmax)
         residual = float(wc @ np.abs(Bc[:, cols] @ a - tc))
         if residual - lower <= _LP_TOL * (1.0 + residual) or len(cols) == n:
@@ -421,10 +444,12 @@ def _fit_columns(B: np.ndarray, t: np.ndarray, w: float,
         over = np.flatnonzero(price > np.max(price[cols]))
         top = over[np.argsort(-price[over], kind="stable")[:_ADD_COLUMNS]]
         chosen[top if top.size else slice(None)] = True
+        y = None
     coefficients = np.zeros(n)
     coefficients[cols] = a
     return SimplexFit(coefficients, residual, iterations, "optimal",
-                      residual - lower, m, lower, len(cols))
+                      residual - lower, m, lower, cols,
+                      np.repeat(y / counts, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +515,19 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     ``apply(op, f_j, N)`` bit for bit.  Each row fits a prefix of the
     columns as ``simplex_fit`` does (equal quadrature rows merged into
     cells, then an interior-point LP solved to optimality on a growing
-    column set), starting from the previous row's support.  Rows run in
-    the given order; while n increases the previous row's coefficients,
-    padded with zeros, are feasible, and a row reports the smaller of the
-    two residuals, so that tolerance-level differences between equal
-    optima cannot make the table rise.  Each row carries the LP's status,
-    ``lower_bound`` (a weak-duality bound on the row's optimum), ``gap``
-    (residual - lower_bound, at most 1e-12 (1 + residual)), ``iterations``
-    (Newton steps summed over the restricted solves), cell count,
-    ``columns`` (the size of the last restricted column set), and
+    column set).  Rows run in the given order, as one column generation:
+    while n increases, a row starts from the column set, coefficients and
+    dual the previous row ended in (``_fit_columns``' ``carried``), and is
+    done without a Newton step when they certify it; the first row and a
+    row whose n does not grow start from scratch.  The previous row's
+    coefficients, padded with zeros, are feasible, and a row reports the
+    smaller of the two residuals, so that tolerance-level differences
+    between equal optima cannot make the table rise.  Each row carries the
+    LP's status, ``lower_bound`` (a weak-duality bound on the row's
+    optimum), ``gap`` (residual - lower_bound, at most 1e-12
+    (1 + residual)), ``iterations`` (Newton steps summed over the
+    restricted solves, 0 for a row the carried state certifies), cell
+    count, ``columns`` (the size of the last restricted column set), and
     ``degenerate`` when its residual is no better than predicting 0
     (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
@@ -537,12 +566,12 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     t = target.sample(nodes[:, None])[:, 0]
     target_norm = float(w * np.sum(np.abs(t)))
     rows = []
-    support = np.zeros(0, dtype=np.intp)
+    fit = None
     for n in ns:
-        fit = _fit_columns(B[:, :n], t, w, support[support < n])
-        support = np.flatnonzero(fit.coefficients > _SUPPORT)
+        grows = bool(rows) and rows[-1]["n"] < n
+        fit = _fit_columns(B[:, :n], t, w, fit if grows else None)
         residual = fit.residual
-        if rows and rows[-1]["n"] < n:
+        if grows:
             residual = min(residual, rows[-1]["residual"])
         root = float(np.sqrt(n))
         rows.append({

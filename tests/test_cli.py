@@ -792,6 +792,37 @@ def test_resolved_params_write_defaults_out_and_leave_ignored_keys_out(tmp_path)
                               "len_range": [0.25, 2.5]}
 
 
+BALL = [{"kind": "sup_on_ball", "threshold": 0.5}]
+
+
+@pytest.mark.parametrize("command, params, unread, read", [
+    ("transitivity-demo", SHIFTED, {"mu"}, {"fit"}),
+    ("transitivity-demo", dict(SHIFTED, mu={"density_kind": "gaussian"}),
+     {"mu"}, {"fit"}),
+    ("transitivity-demo", dict(SHIFTED, metric="l1"), {"fit"}, {"mu"}),
+    ("transitivity-demo", dict(SHIFTED, metric="l1", fit=None), {"fit"}, {"mu"}),
+    ("constrained-fit", SHIFTED, {"witness"}, {"f_hat", "delta"}),
+    ("constrained-fit", dict(SHIFTED, witness="zero"), {"witness"},
+     {"f_hat", "delta"}),
+    ("constrained-fit", dict(SHIFTED, constraints=BALL), {"f_hat", "delta"},
+     {"witness"}),
+    ("constrained-fit", dict(SHIFTED, constraints=BALL, f_hat="identity"),
+     {"f_hat", "delta"}, {"witness"}),
+], ids=["mu-under-ducc", "mu-given-under-ducc", "fit-under-l1",
+        "fit-given-under-l1", "witness-without-constraints",
+        "witness-given-without-constraints", "prescribed-with-constraints",
+        "f-hat-given-with-constraints"])
+def test_resolved_params_leave_out_the_keys_the_branch_never_reads(
+        command, params, unread, read):
+    # a key the chosen branch never reads is not a setting of the run, so
+    # resolved params leave it out, given at its default or not
+    from uaplab import cli
+
+    _, resolved = cli._load(params, cli._COMMANDS[command][1], "params.")
+    assert not unread & set(resolved), resolved
+    assert read <= set(resolved), resolved
+
+
 CERTIFY = {"b": 1.0, "g": "identity", "f": "sin", "eps": 0.1, "delta": 0.1}
 
 

@@ -323,26 +323,30 @@ class TestAgainstHighs:
 class TestCertifiedBracket:
     NS = [4, 8, 16, 32, 64, 128, 256]
 
-    def sweep(self, seed, N):
+    def sweep(self, seed, N, ns=NS):
         mu = gaussian_measure()
         target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
         op = dd.CompositionOperator(
             act.by_name("leaky_rescaled_paper"), np.array([1.0])
         )
-        return rb.rate_sweep(rb.trees_basis_family(), target, mu, self.NS, N,
+        return rb.rate_sweep(rb.trees_basis_family(), target, mu, ns, N,
                              op, seed=seed)
+
+    def sampled(self, seed, N):
+        """(B, t, w) of the sweep's ladder, sampled as simplex_fit does."""
+        nodes, w = gaussian_measure().nodes(2001)
+        pts = nodes[:, None]
+        t = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction().sample(pts)[:, 0]
+        B = np.column_stack([f.sample(pts)[:, 0] for f in paper_ladder(seed, N)])
+        return B, t, w
 
     @pytest.mark.parametrize("N", [0, 2])
     def test_default_sweeps_bracket_the_highs_optimum(self, N):
         # the CLI's default sweep at seeds 0-3: each row's residual and
         # lower bound enclose the optimum on its cells, and are within
         # 1e-12 (1 + residual) of each other
-        nodes, w = gaussian_measure().nodes(2001)
-        pts = nodes[:, None]
-        t = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction().sample(pts)[:, 0]
         for seed in range(4):
-            B = np.column_stack([f.sample(pts)[:, 0]
-                                 for f in paper_ladder(seed, N)])
+            B, t, w = self.sampled(seed, N)
             for row in self.sweep(seed, N)["rows"]:
                 best = highs_on_cells(B[:, :row["n"]], t, w)
                 where = (seed, row["n"], row["lower_bound"], best,
@@ -351,6 +355,28 @@ class TestCertifiedBracket:
                 assert row["gap"] == row["residual"] - row["lower_bound"]
                 assert row["gap"] <= 1e-12 * (1.0 + row["residual"]), where
                 assert 1 <= row["columns"] <= row["n"]
+
+    @pytest.mark.parametrize("N", [0, 2])
+    def test_ladder_that_does_not_grow_brackets_the_highs_optimum(self, N):
+        # rows whose n does not grow start from scratch, and the 32 row
+        # from the 8 row's state: each still encloses its optimum
+        B, t, w = self.sampled(0, N)
+        for row in self.sweep(0, N, [16, 4, 8, 8, 32])["rows"]:
+            best = highs_on_cells(B[:, :row["n"]], t, w)
+            where = (row["n"], row["lower_bound"], best, row["residual"])
+            assert row["lower_bound"] <= best <= row["residual"], where
+
+    def test_rows_the_carried_state_certifies_take_no_step(self):
+        # the row before's columns, coefficients and dual certify some
+        # rows of the default N=2 sweep with no solve
+        rows = self.sweep(0, 2)["rows"]
+        carried = [(prev, row) for prev, row in zip(rows, rows[1:])
+                   if row["iterations"] == 0]
+        assert carried and rows[0]["iterations"] > 0
+        for prev, row in carried:
+            assert row["columns"] == prev["columns"]
+            assert row["lower_bound"] <= row["residual"]
+            assert row["gap"] <= 1e-12 * (1.0 + row["residual"])
 
     def test_pricing_leaves_most_columns_out(self):
         # at N=0 the optimum uses a few of the 256 columns: pricing closes
@@ -446,8 +472,10 @@ class TestRateSweep:
         assert table["degenerate"] is False
 
     def assert_rows_match_their_fits(self, N):
-        """Each row is the exact fit of its prefix of f o S^N, or the row
-        before it when that is smaller."""
+        """Each row and the exact fit of its prefix of f o S^N bracket the
+        same optimum, and the rows never rise.  The row starts from the
+        state of the row before and the fit from scratch, so they may end
+        on different column sets and differ within their brackets."""
         mu = gaussian_measure()
         target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
         op = dd.CompositionOperator(
@@ -459,7 +487,9 @@ class TestRateSweep:
         prev = math.inf
         for row in table["rows"]:
             fit = rb.simplex_fit(basis[: row["n"]], target, mu, quad_nodes=1001)
-            assert row["residual"] == min(fit.residual, prev)
+            assert row["lower_bound"] <= fit.residual
+            assert fit.lower_bound <= row["residual"] <= prev
+            assert row["gap"] <= 1e-12 * (1.0 + row["residual"])
             prev = row["residual"]
 
     def test_rows_never_rise_and_match_their_fits(self):
