@@ -384,17 +384,28 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
     nodes, w = mu.nodes(quad_nodes)
     pts = nodes[:, None]
     B = np.column_stack([f.sample(pts)[:, 0] for f in basis])
-    return _fit_columns(B, target.sample(pts)[:, 0], w)
+    return _fit_columns(*_merge(np.arange(len(nodes)), B,
+                                target.sample(pts)[:, 0], len(nodes)), w)
 
 
-def _fit_columns(B: np.ndarray, t: np.ndarray, w: float,
-                 carried: Optional[SimplexFit] = None) -> SimplexFit:
-    """``simplex_fit`` on the basis sampled as node-by-function columns B,
-    the target t and the uniform node weight w, by column generation
-    (Dantzig & Wolfe, Operations Research 1960).
+def _merge(rows: np.ndarray, B: np.ndarray, t: np.ndarray, nodes: int):
+    """(Bc, tc, counts) of the cells: B and t are sampled at the sorted
+    node indices ``rows`` (row 0 among them) of ``nodes`` nodes, and every
+    node between two rows repeats the row before it.  Equal neighbouring
+    rows merge (``_cell_starts``), and a cell counts its nodes."""
+    keep = _cell_starts(B, t)
+    return B[keep], t[keep], np.diff(np.r_[rows[keep], nodes])
 
-    The nodes merge into cells over every column.  The LP is solved on a
-    column set S only, on the coarser cells merged over S: at first the
+
+def _fit_columns(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
+                 w: float, carried: Optional[SimplexFit] = None) -> SimplexFit:
+    """``simplex_fit`` on the cells of the basis and the target: the rows
+    Bc and values tc of each run of ``counts`` equal nodes of uniform node
+    weight w (``_merge``), by column generation (Dantzig & Wolfe,
+    Operations Research 1960).
+
+    The LP is solved on a column set S only, on the coarser cells merged
+    over S: at first the
     _START_COLUMNS of smallest single-column residual.  Each coarse cell's
     dual is spread over its cells by weight, so that |y_i| <= w_i holds
     cell by cell, and ``_dual_bound`` of that y bounds the optimum over
@@ -409,9 +420,7 @@ def _fit_columns(B: np.ndarray, t: np.ndarray, w: float,
     checked first, so a fit they certify takes no Newton step; otherwise S
     is the carried set and its most violated columns.  ``iterations`` sums
     the Newton steps of the solves, and ``column_set`` is the last S."""
-    starts = np.flatnonzero(_cell_starts(B, t))
-    Bc, tc = B[starts], t[starts]
-    counts = np.diff(np.r_[starts, len(t)])
+    starts = np.cumsum(counts) - counts
     wc = w * counts
     (m, n), bmax = Bc.shape, float(np.max(np.abs(Bc)))
     chosen = np.zeros(n, dtype=bool)
@@ -494,6 +503,39 @@ def trees_basis_family(amp_range=(0.25, 2.0), left_range=(-1.5, 1.0),
     return family
 
 
+def _tree_ends(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, t: np.ndarray) -> Optional[tuple]:
+    """Where the rows of the trees amp_j * 1_(lo_j, hi_j) and the target t
+    at the nodes S^N(nodes) = y can change: (first, end, changes), where
+    tree j is nonzero on the nodes [first_j, end_j) and t changes at the
+    nodes ``changes``.  On a non-decreasing y the open interval holds one
+    run of nodes, found by two binary searches.  None when y is not
+    non-decreasing (a NaN, or rounding at an activation breakpoint) or an
+    amplitude is NaN (a NaN row differs from the next): then any node may
+    start a cell."""
+    if not (np.all(y[1:] >= y[:-1]) and not np.any(np.isnan(amp))):
+        return None
+    return (np.searchsorted(y, lo, "right"), np.searchsorted(y, hi, "left"),
+            np.flatnonzero(t[1:] != t[:-1]) + 1)
+
+
+def _tree_cells(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray, t: np.ndarray, ends: Optional[tuple]):
+    """The cells (Bc, tc, counts) of the trees amp_j * 1_(lo_j, hi_j) at
+    the nodes y and the target t, equal to ``_merge`` of every node's row
+    bit for bit.  With the ``_tree_ends`` of the first len(amp) trees, only
+    node 0, the ends of those trees' runs and t's changes are sampled: rows
+    are equal between them.  With None, every node is."""
+    if ends is None:
+        rows = np.arange(len(y))
+    else:
+        first, end, changes = ends
+        k = len(amp)
+        rows = np.sort(np.r_[0, first[:k], end[:k], changes])
+        rows = rows[np.r_[True, rows[1:] != rows[:-1]] & (rows < len(y))]
+    return _merge(rows, K.tree_columns(amp, lo, hi, y[rows]), t[rows], len(y))
+
+
 def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
                n_values: Sequence[int], N: int, op, seed: int = 0,
                quad_nodes: int = 2001) -> dict:
@@ -510,12 +552,16 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     The family is drawn once, at the largest n, and every element must
     carry a one-term indicator tree (``TreeGridFunction.tree``); any other
     element raises ``PreconditionError``.  The quadrature nodes are pushed
-    through S^N once, and one ``_kernels.tree_columns`` call samples every
-    tree at S^N(nodes): column j equals ``simplex_fit``'s sampling of
-    ``apply(op, f_j, N)`` bit for bit.  Each row fits a prefix of the
-    columns as ``simplex_fit`` does (equal quadrature rows merged into
-    cells, then an interior-point LP solved to optimality on a growing
-    column set).  Rows run in the given order, as one column generation:
+    through S^N once.  On the sorted S^N(nodes), tree j is nonzero on one
+    run of nodes, whose ends two binary searches find once per sweep
+    (``_tree_ends``).  A row samples its n trees with
+    ``_kernels.tree_columns`` only at node 0, the ends of their runs and
+    the nodes where the target changes, and merges equal neighbours: the
+    rows are constant in between, so the cells are those of every node's
+    row bit for bit, and ``tree_columns`` equals ``simplex_fit``'s sampling
+    of ``apply(op, f_j, N)``.  When S^N(nodes) is not sorted, every node
+    is sampled.  Each row fits its cells as ``simplex_fit`` does (an
+    interior-point LP solved to optimality on a growing column set).  Rows run in the given order, as one column generation:
     while n increases, a row starts from the column set, coefficients and
     dual the previous row ended in (``_fit_columns``' ``carried``), and is
     done without a Newton step when they certify it; the first row and a
@@ -562,14 +608,15 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     nodes, w = mu.nodes(quad_nodes)
     y = nodes if N == 0 else op.iterate(nodes, N)[:, 0]
     amp, lo, hi = np.array([tree.terms[0] for tree in trees]).T
-    B = K.tree_columns(amp, lo, hi, y)
     t = target.sample(nodes[:, None])[:, 0]
+    ends = _tree_ends(y, amp, lo, hi, t)
     target_norm = float(w * np.sum(np.abs(t)))
     rows = []
     fit = None
     for n in ns:
         grows = bool(rows) and rows[-1]["n"] < n
-        fit = _fit_columns(B[:, :n], t, w, fit if grows else None)
+        cells = _tree_cells(y, amp[:n], lo[:n], hi[:n], t, ends)
+        fit = _fit_columns(*cells, w, fit if grows else None)
         residual = fit.residual
         if grows:
             residual = min(residual, rows[-1]["residual"])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from uaplab import _kernels as K
 from uaplab import activations as act
 from uaplab import depth_dynamics as dd
 from uaplab import rate_bounds as rb
@@ -401,6 +402,73 @@ class TestCertifiedBracket:
         assert abs(fit.residual - best) <= 1e-9, (fit.residual, best)
         assert fit.lower_bound <= best <= fit.residual
         assert fit.gap <= 1e-12 * (1.0 + fit.residual)
+
+
+class TestTreeCells:
+    """The sweep's cells from the trees' node runs against the merge of
+    every node's row."""
+
+    def assert_node_cells(self, y, amp, lo, hi, t):
+        ends = rb._tree_ends(y, amp, lo, hi, t)
+        for k in sorted({1, 2, 5, len(amp)}):
+            got = rb._tree_cells(y, amp[:k], lo[:k], hi[:k], t, ends)
+            B = K.tree_columns(amp[:k], lo[:k], hi[:k], y)
+            want = rb._merge(np.arange(len(y)), B, t, len(y))
+            for g, v in zip(got, want):
+                assert g.dtype == v.dtype and g.shape == v.shape
+                assert g.tobytes() == v.tobytes(), k
+        return ends
+
+    def family(self, rng, y, k=40):
+        """k trees with zero amplitudes, empty and tied intervals, ends on
+        nodes and ends past the first and last node."""
+        amp = rng.uniform(0.25, 2.0, k)
+        amp[rng.integers(0, k, 6)] = 0.0
+        lo = rng.uniform(-3.0, 2.0, k)
+        hi = lo + rng.uniform(0.0, 2.5, k)
+        finite = y[np.isfinite(y)]
+        on_node = rng.choice(finite, 8)
+        lo[:4], hi[4:8] = on_node[:4], on_node[4:]
+        lo[8:12] = hi[8:12] = on_node[:4]  # empty: lo == hi on a node
+        lo[12:16], hi[12:16] = lo[16:20], hi[16:20]  # tied with other trees
+        lo[20], hi[21] = -10.0, 10.0
+        return amp, lo, np.maximum(hi, lo)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("N", [0, 2])
+    def test_runs_give_the_node_cells(self, seed, N):
+        rng = np.random.default_rng(seed)
+        nodes, _ = gaussian_measure().nodes(501)
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        y = nodes if N == 0 else op.iterate(nodes, N)[:, 0]
+        t = TreeFunction(((1.0, 0.0, 1.0),)).sample(nodes)[:, 0]
+        assert self.assert_node_cells(y, *self.family(rng, y), t) is not None
+
+    def test_tied_nodes_and_rough_targets(self):
+        # nodes rounded to one decimal repeat, so runs end inside ties, a
+        # smooth target changes at every distinct node, and a NaN target
+        # value differs from every row
+        rng = np.random.default_rng(11)
+        y = np.round(gaussian_measure().nodes(501)[0], 1)
+        holes = np.where(np.isin(np.arange(len(y)), [0, 7, 8, 300]), np.nan, y)
+        for t in (np.sin(3.0 * y), np.zeros_like(y), holes):
+            assert self.assert_node_cells(y, *self.family(rng, y), t) is not None
+
+    @pytest.mark.parametrize("case", ["nan_node", "unsorted", "nan_amplitude"])
+    def test_falls_back_to_every_node(self, case):
+        rng = np.random.default_rng(5)
+        y = gaussian_measure().nodes(301)[0].copy()
+        amp, lo, hi = self.family(rng, y)
+        if case == "nan_node":
+            y[150] = np.nan
+        elif case == "unsorted":
+            y[[100, 101]] = y[[101, 100]]
+        else:
+            amp[0] = np.nan
+        t = TreeFunction(((1.0, 0.0, 1.0),)).sample(y)[:, 0]
+        assert self.assert_node_cells(y, amp, lo, hi, t) is None
 
 
 class TestRateSweep:
