@@ -11,13 +11,15 @@ coefficient dimension (the Frisch-Newton reduction of Portnoy and Koenker,
 Statistical Science 1997).  Each iteration factors that system once by
 Cholesky and inverts the factor's small diagonal blocks; the predictor and
 the corrector then solve by matrix products alone.  The LP is solved on a
-growing set of columns (column generation), and a fit is optimal when a
-weak-duality lower bound over every column certifies its residual to
-1e-12 relative.  A rate sweep runs one column generation along its n
-ladder: each row starts from the column set, coefficients and dual the
-previous row ended in, and is done without a solve when they already
-certify it.  A solve that stops short of that raises ``LPSolveError``
-with its status, bracket, iterations, cells and columns.
+growing set of columns (column generation), each solve after the first
+starting warm from the last coefficients and dual, and a fit is optimal
+when a weak-duality lower bound over every column certifies its residual,
+rounding included, to 1e-12 relative.  A rate sweep runs one column
+generation along its n ladder: each row starts from the column set,
+coefficients and dual the previous row ended in, and is done without a
+solve when they already certify it.  A solve that stops short of that
+raises ``LPSolveError`` with its status, bracket, iterations, cells and
+columns.
 """
 
 from __future__ import annotations
@@ -165,19 +167,20 @@ _LP_STEP = 0.99995  # fraction of the step to the boundary that is taken
 _START_COLUMNS = 8  # best single columns in the first restricted column set
 _ADD_COLUMNS = 4  # most violated columns added per restricted solve
 _UNIT = 2.0 ** -53  # unit roundoff of float64
+_WARM_BLEND = 0.5  # weight of the cold start in a warm start
 
 
 @dataclass(frozen=True)
 class SimplexFit:
-    """An optimal fit, its certified bracket [lower_bound, residual], and
-    the state a fit of more columns on the same nodes starts from: the
-    final column set, the coefficients and the dual per node."""
+    """An optimal fit, its certified bracket [lower_bound, lower_bound +
+    gap], and the state a fit of more columns on the same nodes starts
+    from: the final column set, the coefficients and the dual per node."""
 
     coefficients: np.ndarray
     residual: float
     iterations: int  # Newton steps, summed over the restricted solves
     status: str  # always "optimal": any other outcome raises LPSolveError
-    gap: float  # residual - lower_bound, so residual - optimum <= gap
+    gap: float  # upper - lower_bound: the residual and its rounding term
     cells: int  # quadrature rows left after merging equal ones
     lower_bound: float  # weak-duality bound on the optimum over every column
     column_set: np.ndarray  # indices of the final restricted solve's columns
@@ -211,6 +214,22 @@ def _dual_bound(B: np.ndarray, t: np.ndarray, y: np.ndarray, m: int,
     ay = np.abs(y)
     err = gamma * (ay @ np.abs(t) + bmax * np.sum(ay))
     return float(y @ t - np.max(price) - err), price
+
+
+def _primal_bound(B: np.ndarray, t: np.ndarray, w: np.ndarray,
+                  a: np.ndarray, m: int):
+    """(residual, upper bound) of min sum w|B a - t| over the simplex, at
+    a >= 0 with sum(a) near 1: the computed sum w|B a - t|, and that sum
+    plus (gamma_{m+2k+1} + |sum(a) - 1|) sum w (|t| + |B| a), k = len(a).
+    The term covers the rounding of B a - t (k + 1 terms) and of the
+    weighted sum of at most m terms (Higham 2002, section 3.1, as in
+    ``_dual_bound``) and the move of a onto the simplex as a / sum(a), to
+    first order in the unit roundoff."""
+    k = len(a)
+    gamma = (m + 2 * k + 1) * _UNIT / (1.0 - (m + 2 * k + 1) * _UNIT)
+    residual = float(w @ np.abs(B @ a - t))
+    size = float(w @ (np.abs(t) + np.abs(B) @ a))
+    return residual, residual + (gamma + abs(float(np.sum(a)) - 1.0)) * size
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -249,45 +268,74 @@ def _cholesky_solve(chol: np.ndarray, inverses: list,
     return x
 
 
+def _lp_start(B: np.ndarray, t: np.ndarray, wn: np.ndarray, a: np.ndarray,
+              y: np.ndarray, beta: float):
+    """The interior point (x, y, y0, z) ``_l1_simplex_lp`` starts from, for
+    the weights wn that sum to 1: a point a of the simplex and a dual y
+    with |y| <= wn, blended with the uniform a and y = 0 by beta in (0, 1].
+    The coefficients are (1 - beta) a + beta / n, p and q are
+    max(+-(B a - t), 0) + beta, y is scaled by 1 - beta, y0 is
+    -max(B^T y) - beta, and the slacks are s = -(B^T y + y0) >= beta and
+    wn +- y >= beta wn.  So both sides are strictly feasible, and their
+    equality residuals are rounding only.  beta = 1 is the cold start."""
+    n = B.shape[1]
+    a = (1.0 - beta) * a + beta / n
+    r = B @ a - t
+    y = (1.0 - beta) * y
+    price = B.T @ y
+    y0 = -float(np.max(price)) - beta
+    # primal x = (a, p, q) and dual slacks z = (s, zp, zq), each stacked so
+    # that a step length is one ratio test per side
+    x = np.concatenate([a, np.maximum(r, 0.0) + beta,
+                        np.maximum(-r, 0.0) + beta])
+    z = np.concatenate([-(price + y0), wn + y, wn - y])
+    return x, y, y0, z
+
+
 def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
-                   bmax: float):
+                   bmax: float, start: Optional[tuple] = None):
     """min sum w|B a - t| over the simplex, by Mehrotra predictor-corrector.
 
     Primal (a, p, q) >= 0 with B a - p + q = t and sum(a) = 1; dual (y, y0)
     with slacks s = -(B^T y + y0) >= 0, zp = w + y >= 0 and zq = w - y >= 0.
-    The start is feasible on both sides.  Each Newton step reduces to the
+    The start (``_lp_start``) is strictly feasible on both sides: from the
+    uniform a and y = 0, or, given ``start`` = (a, y) with a on the
+    simplex and |y| <= w, from that point blended half way (_WARM_BLEND)
+    with the uniform one.  Each Newton step reduces to the
     n x n matrix B^T diag(1/theta) B + diag(s/a), bordered by the simplex
     row; the border is folded in as rho * 1 1^T, which keeps the matrix
     definite along the one direction only the simplex row fixes.  The
     matrix is formed as Bs^T Bs with Bs = diag(theta)^-1/2 B, factored once
     per iteration by Cholesky after a diagonal scaling, and the factor's
-    diagonal blocks are inverted (``_block_inverses``).  The predictor
+    diagonal blocks are inverted (``_block_inverses``).  Where the optimum
+    is not unique, the matrix becomes singular to rounding along the face
+    of optima; a factorization that fails is tried once more with the
+    unit diagonal lifted by n u.  The predictor
     solves for its right side and for M^-1 1 together, the corrector
     reuses M^-1 1, and each step length is one ratio test over the stacked
     primal (a, p, q) and one over the stacked slacks (s, zp, zq).
 
     The iterations run on the weights scaled to sum 1.  Every iterate is
     checked by its certified bracket: the residual of a projected onto the
-    simplex, and the ``_dual_bound`` of y scaled back to w and clipped to
-    |y| <= w.  Its rounding term is sized by m_all and bmax, the cell
-    count and the largest |entry| of the full problem that B restricts to
-    some columns, so that the bound matches the full problem's bound over
-    those columns.  Both sides are feasible by construction, so no infeasibility
-    tolerance enters: the solve stops when residual - bound <= _LP_TOL
-    (1 + residual).  Returns (a, y, status, gap, iterations) with that
-    projected a and clipped y, gap = residual - bound, and status
-    "optimal", "iteration_limit" or "numerical_failure".
+    simplex with its rounding term (``_primal_bound``), and the
+    ``_dual_bound`` of y scaled back to w and clipped to |y| <= w.  The
+    rounding terms are sized by m_all and bmax, the cell count and the
+    largest |entry| of the full problem that B restricts to some columns,
+    so that the bounds match the full problem's bounds over those columns.
+    Both sides are feasible by construction, so no infeasibility tolerance
+    enters: the solve stops when upper - lower <= _LP_TOL (1 + residual).
+    Returns (a, y, status, gap, iterations) with that projected a and
+    clipped y, gap = upper - lower, and status "optimal",
+    "iteration_limit" or "numerical_failure".
     """
     m, n = B.shape
     mass = float(np.sum(w))
     wn = w / mass
-    a = np.full(n, 1.0 / n)
-    r = B @ a - t
-    # primal x = (a, p, q) and dual slacks z = (s, zp, zq), each stacked so
-    # that a step length is one ratio test per side
-    x = np.concatenate([a, np.maximum(r, 0.0) + 1.0, np.maximum(-r, 0.0) + 1.0])
-    z = np.concatenate([np.ones(n), wn, wn])
-    y, y0 = np.zeros(m), -1.0
+    if start is None:
+        x, y, y0, z = _lp_start(B, t, wn, np.zeros(n), np.zeros(m), 1.0)
+    else:
+        x, y, y0, z = _lp_start(B, t, wn, start[0], start[1] / mass,
+                                _WARM_BLEND)
     ones = np.ones(n)
 
     def longest(v, dv):  # the largest step <= 1 that keeps v + step dv >= 0
@@ -298,8 +346,8 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
         s, zp, zq = z[:n], z[n:n + m], z[n + m:]
         a_on = _project_simplex(a)
         y_on = np.clip(y * mass, -w, w)
-        residual = float(w @ np.abs(B @ a_on - t))
-        gap = residual - _dual_bound(B, t, y_on, m_all, bmax)[0]
+        residual, upper = _primal_bound(B, t, w, a_on, m_all)
+        gap = upper - _dual_bound(B, t, y_on, m_all, bmax)[0]
         if gap <= _LP_TOL * (1.0 + residual):
             return a_on, y_on, "optimal", gap, it
         if it == _LP_MAX_ITER:
@@ -316,10 +364,17 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
         rho = 1.0 / np.sum(1.0 / np.diag(M))
         M += rho
         d = 1.0 / np.sqrt(np.diag(M))
+        scaled = M * d[:, None] * d
         try:
-            chol = np.linalg.cholesky(M * d[:, None] * d)
+            chol = np.linalg.cholesky(scaled)
         except np.linalg.LinAlgError:
-            return a_on, y_on, "numerical_failure", gap, it
+            # near a face of optima the matrix is singular to rounding
+            # along the face: lift its unit diagonal by n u and factor again
+            scaled[np.diag_indices(n)] += n * _UNIT
+            try:
+                chol = np.linalg.cholesky(scaled)
+            except np.linalg.LinAlgError:
+                return a_on, y_on, "numerical_failure", gap, it
         inverses = _block_inverses(chol)
 
         def solve(*columns):  # M^-1 c for each column c
@@ -373,8 +428,9 @@ def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
     The returned coefficients are an interior point projected onto the
     simplex, the residual is evaluated from them on every cell, and
     ``lower_bound`` is a weak-duality bound on the optimum, so the optimum
-    lies in [lower_bound, residual], an interval of width ``gap`` <=
-    _LP_TOL (1 + residual).  A solve that does not reach status "optimal"
+    lies in [lower_bound, lower_bound + gap], whose upper end is the
+    residual plus a bound on its rounding, and ``gap`` <= _LP_TOL
+    (1 + residual).  A solve that does not reach status "optimal"
     raises ``LPSolveError``.
     """
     if len(basis) == 0:
@@ -405,59 +461,70 @@ def _fit_columns(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
     Operations Research 1960).
 
     The LP is solved on a column set S only, on the coarser cells merged
-    over S: at first the
-    _START_COLUMNS of smallest single-column residual.  Each coarse cell's
-    dual is spread over its cells by weight, so that |y_i| <= w_i holds
-    cell by cell, and ``_dual_bound`` of that y bounds the optimum over
-    every column.  When residual - bound <= _LP_TOL (1 + residual) the fit
-    is done; otherwise the _ADD_COLUMNS columns of largest B^T y above S's
-    maximum join S, or every column when none is above it, and S is solved
-    again.  At worst S grows to every column.
+    over S: at first the _START_COLUMNS of smallest single-column residual.
+    Each coarse cell's dual is spread over its cells by weight, so that
+    |y_i| <= w_i holds cell by cell, and ``_dual_bound`` of that y bounds
+    the optimum over every column.  When the upper end (``_primal_bound``)
+    less that bound is <= _LP_TOL (1 + residual) the fit is done; otherwise
+    the _ADD_COLUMNS columns of largest B^T y above S's maximum join S, or
+    every column when none is above it, and S is solved again.  At worst S
+    grows to every column.  Each solve after the first starts warm from
+    the last coefficients and dual (the dual summed over the coarse cells
+    of the new S); a warm solve that does not end "optimal" is solved
+    again from the cold start before ``LPSolveError``.
 
     ``carried``, the fit of a prefix of B's columns on the same nodes,
     starts S instead: its coefficients padded with zeros (feasible) and its
     node dual summed over each of the finer cells (a dual point) are
     checked first, so a fit they certify takes no Newton step; otherwise S
-    is the carried set and its most violated columns.  ``iterations`` sums
-    the Newton steps of the solves, and ``column_set`` is the last S."""
+    is the carried set and its most violated columns, solved warm from
+    them.  ``iterations`` sums the Newton steps of the solves, and
+    ``column_set`` is the last S."""
     starts = np.cumsum(counts) - counts
     wc = w * counts
     (m, n), bmax = Bc.shape, float(np.max(np.abs(Bc)))
     chosen = np.zeros(n, dtype=bool)
+    coefficients = np.zeros(n)
     if carried is None:
         single = wc @ np.abs(Bc - tc[:, None])
         chosen[np.argsort(single, kind="stable")[:_START_COLUMNS]] = True
         y = None
     else:
         chosen[carried.column_set] = True
-        a = carried.coefficients[carried.column_set]
+        coefficients[:len(carried.coefficients)] = carried.coefficients
         y = np.clip(np.add.reduceat(carried.node_dual, starts), -wc, wc)
+    solve = carried is None
     iterations = 0
     while True:
         cols = np.flatnonzero(chosen)
-        if y is None:  # no dual point for S yet: solve on S
+        if solve:  # on S, warm from the last (a, y) when there is one
             first = _cell_starts(Bc[:, cols], tc)
             coarse = np.flatnonzero(first)
             ws = np.add.reduceat(wc, coarse)
-            a, y, status, gap, it = _l1_simplex_lp(Bc[np.ix_(coarse, cols)],
-                                                   tc[coarse], ws, m, bmax)
+            lp = (Bc[np.ix_(coarse, cols)], tc[coarse], ws, m, bmax)
+            warm = None if y is None else (coefficients[cols],
+                                           np.add.reduceat(y, coarse))
+            a, yc, status, gap, it = _l1_simplex_lp(*lp, warm)
             iterations += it
+            if status != "optimal" and warm is not None:
+                a, yc, status, gap, it = _l1_simplex_lp(*lp)
+                iterations += it
             if status != "optimal":
                 raise LPSolveError(status, gap, iterations, m, len(cols))
+            coefficients[cols] = a
             owner = np.cumsum(first) - 1
-            y = np.clip(y[owner] * (wc / ws[owner]), -wc, wc)
+            y = np.clip(yc[owner] * (wc / ws[owner]), -wc, wc)
         lower, price = _dual_bound(Bc, tc, y, m, bmax)
-        residual = float(wc @ np.abs(Bc[:, cols] @ a - tc))
-        if residual - lower <= _LP_TOL * (1.0 + residual) or len(cols) == n:
+        residual, upper = _primal_bound(Bc[:, cols], tc, wc,
+                                        coefficients[cols], m)
+        if upper - lower <= _LP_TOL * (1.0 + residual) or len(cols) == n:
             break
         over = np.flatnonzero(price > np.max(price[cols]))
         top = over[np.argsort(-price[over], kind="stable")[:_ADD_COLUMNS]]
         chosen[top if top.size else slice(None)] = True
-        y = None
-    coefficients = np.zeros(n)
-    coefficients[cols] = a
+        solve = True
     return SimplexFit(coefficients, residual, iterations, "optimal",
-                      residual - lower, m, lower, cols,
+                      upper - lower, m, lower, cols,
                       np.repeat(y / counts, counts))
 
 
@@ -561,18 +628,20 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     row bit for bit, and ``tree_columns`` equals ``simplex_fit``'s sampling
     of ``apply(op, f_j, N)``.  When S^N(nodes) is not sorted, every node
     is sampled.  Each row fits its cells as ``simplex_fit`` does (an
-    interior-point LP solved to optimality on a growing column set).  Rows run in the given order, as one column generation:
-    while n increases, a row starts from the column set, coefficients and
-    dual the previous row ended in (``_fit_columns``' ``carried``), and is
-    done without a Newton step when they certify it; the first row and a
-    row whose n does not grow start from scratch.  The previous row's
+    interior-point LP solved to optimality on a growing column set).  Rows
+    run in the given order, as one column generation: while n increases,
+    a row starts from the column set, coefficients and dual the previous
+    row ended in (``_fit_columns``' ``carried``), and is done without a
+    Newton step when they certify it, or else solved warm from them; the
+    first row and a row whose n does not grow start from scratch.  The previous row's
     coefficients, padded with zeros, are feasible, and a row reports the
     smaller of the two residuals, so that tolerance-level differences
     between equal optima cannot make the table rise.  Each row carries the
     LP's status, ``lower_bound`` (a weak-duality bound on the row's
-    optimum), ``gap`` (residual - lower_bound, at most 1e-12
-    (1 + residual)), ``iterations`` (Newton steps summed over the
-    restricted solves, 0 for a row the carried state certifies), cell
+    optimum), ``gap`` (the optimum lies in [lower_bound, lower_bound +
+    gap], whose upper end is the residual plus a bound on its rounding; at
+    most 1e-12 (1 + residual)), ``iterations`` (Newton steps summed over
+    the restricted solves, 0 for a row the carried state certifies), cell
     count, ``columns`` (the size of the last restricted column set), and
     ``degenerate`` when its residual is no better than predicting 0
     (>= (1 - 1e-9) * ||target||_L1(mu)).
@@ -617,9 +686,10 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
         grows = bool(rows) and rows[-1]["n"] < n
         cells = _tree_cells(y, amp[:n], lo[:n], hi[:n], t, ends)
         fit = _fit_columns(*cells, w, fit if grows else None)
-        residual = fit.residual
+        residual, upper = fit.residual, fit.lower_bound + fit.gap
         if grows:
             residual = min(residual, rows[-1]["residual"])
+            upper = min(upper, rows[-1]["lower_bound"] + rows[-1]["gap"])
         root = float(np.sqrt(n))
         rows.append({
             "n": n,
@@ -631,7 +701,7 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
             "bound_proof_final": float((1.0 + np.sqrt(2.0 * mass)) / root),
             "status": fit.status,
             "lower_bound": fit.lower_bound,
-            "gap": residual - fit.lower_bound,
+            "gap": upper - fit.lower_bound,
             "iterations": fit.iterations,
             "cells": fit.cells,
             "columns": fit.columns,
