@@ -574,13 +574,13 @@ def _tree_ends(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
                hi: np.ndarray, t: np.ndarray) -> Optional[tuple]:
     """Where the rows of the trees amp_j * 1_(lo_j, hi_j) and the target t
     at the nodes S^N(nodes) = y can change: (first, end, changes), where
-    tree j is nonzero on the nodes [first_j, end_j) and t changes at the
-    nodes ``changes``.  On a non-decreasing y the open interval holds one
+    the interval of tree j holds the nodes [first_j, end_j) and t changes
+    at the nodes ``changes``.  On a non-decreasing y the open interval holds one
     run of nodes, found by two binary searches.  None when y is not
     non-decreasing (a NaN, or rounding at an activation breakpoint) or an
     amplitude is NaN (a NaN row differs from the next): then any node may
     start a cell."""
-    if not (np.all(y[1:] >= y[:-1]) and not np.any(np.isnan(amp))):
+    if not np.all(y[1:] >= y[:-1]) or np.any(np.isnan(amp)):
         return None
     return (np.searchsorted(y, lo, "right"), np.searchsorted(y, hi, "left"),
             np.flatnonzero(t[1:] != t[:-1]) + 1)
@@ -590,9 +590,10 @@ def _tree_cells(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
                 hi: np.ndarray, t: np.ndarray, ends: Optional[tuple]):
     """The cells (Bc, tc, counts) of the trees amp_j * 1_(lo_j, hi_j) at
     the nodes y and the target t, equal to ``_merge`` of every node's row
-    bit for bit.  With the ``_tree_ends`` of the first len(amp) trees, only
-    node 0, the ends of those trees' runs and t's changes are sampled: rows
-    are equal between them.  With None, every node is."""
+    bit for bit.  Given ``ends``, the ``_tree_ends`` of trees whose first
+    len(amp) are these, only node 0, the ends of these trees' runs and t's
+    changes are sampled: rows are equal between them.  Given None, every
+    node is."""
     if ends is None:
         rows = np.arange(len(y))
     else:

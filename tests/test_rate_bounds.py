@@ -330,12 +330,8 @@ class TestStartAndBounds:
     def cells(self, n=32):
         """(B, t, w) on the merged cells of the first n trees of the N = 0
         ladder at seed 0."""
-        nodes, w = gaussian_measure().nodes(2001)
-        pts = nodes[:, None]
-        t = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction().sample(pts)[:, 0]
-        B = np.column_stack([f.sample(pts)[:, 0]
-                             for f in paper_ladder(0, 0)[:n]])
-        Bc, tc, counts = rb._merge(np.arange(len(t)), B, t, len(t))
+        B, t, w = TestCertifiedBracket().sampled(0, 0)
+        Bc, tc, counts = rb._merge(np.arange(len(t)), B[:, :n], t, len(t))
         return Bc, tc, w * counts
 
     def test_warm_start_is_strictly_interior(self):
