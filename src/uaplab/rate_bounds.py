@@ -575,11 +575,11 @@ def _tree_ends(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
     """Where the rows of the trees amp_j * 1_(lo_j, hi_j) and the target t
     at the nodes S^N(nodes) = y can change: (first, end, changes), where
     the interval of tree j holds the nodes [first_j, end_j) and t changes
-    at the nodes ``changes``.  On a non-decreasing y the open interval holds one
-    run of nodes, found by two binary searches.  None when y is not
-    non-decreasing (a NaN, or rounding at an activation breakpoint) or an
-    amplitude is NaN (a NaN row differs from the next): then any node may
-    start a cell."""
+    at the nodes ``changes``.  On a non-decreasing y the open interval
+    holds one run of nodes, found by two binary searches.  None when y is
+    not non-decreasing (a NaN, or rounding at an activation breakpoint) or
+    an amplitude is NaN (a NaN row differs from the next): then any node
+    may start a cell."""
     if not np.all(y[1:] >= y[:-1]) or np.any(np.isnan(amp)):
         return None
     return (np.searchsorted(y, lo, "right"), np.searchsorted(y, hi, "left"),
@@ -634,17 +634,17 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     a row starts from the column set, coefficients and dual the previous
     row ended in (``_fit_columns``' ``carried``), and is done without a
     Newton step when they certify it, or else solved warm from them; the
-    first row and a row whose n does not grow start from scratch.  The previous row's
-    coefficients, padded with zeros, are feasible, and a row reports the
-    smaller of the two residuals, so that tolerance-level differences
-    between equal optima cannot make the table rise.  Each row carries the
-    LP's status, ``lower_bound`` (a weak-duality bound on the row's
-    optimum), ``gap`` (the optimum lies in [lower_bound, lower_bound +
-    gap], whose upper end is the residual plus a bound on its rounding; at
-    most 1e-12 (1 + residual)), ``iterations`` (Newton steps summed over
-    the restricted solves, 0 for a row the carried state certifies), cell
-    count, ``columns`` (the size of the last restricted column set), and
-    ``degenerate`` when its residual is no better than predicting 0
+    first row and a row whose n does not grow start from scratch.  The
+    previous row's coefficients, padded with zeros, are feasible, and a
+    row reports the smaller of the two residuals, so that tolerance-level
+    differences between equal optima cannot make the table rise.  Each row
+    carries the LP's status, ``lower_bound`` (a weak-duality bound on the
+    row's optimum), ``gap`` (the optimum lies in [lower_bound, lower_bound
+    + gap], whose upper end is the residual plus a bound on its rounding;
+    at most 1e-12 (1 + residual)), ``iterations`` (Newton steps summed
+    over the restricted solves, 0 for a row the carried state certifies),
+    cell count, ``columns`` (the size of the last restricted column set),
+    and ``degenerate`` when its residual is no better than predicting 0
     (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
     if N < 0:

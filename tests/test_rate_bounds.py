@@ -402,8 +402,9 @@ class TestStartAndBounds:
             residual, upper = rb._primal_bound(B, t, w, a, 30)
             total = sum(map(Fraction, a))
             on = [Fraction(c) / total for c in a]  # a / sum(a), exactly
-            exact = sum(Fraction(wi) * abs(sum(map(lambda b, c: Fraction(b) * c,
-                                                   row, on)) - Fraction(ti))
+            exact = sum(Fraction(wi) * abs(sum(Fraction(b) * c
+                                               for b, c in zip(row, on))
+                                           - Fraction(ti))
                         for wi, row, ti in zip(w, B, t))
             assert Fraction(residual) <= Fraction(upper)
             assert exact <= Fraction(upper), (exact - Fraction(upper))
@@ -585,7 +586,8 @@ class TestTreeCells:
         y = np.round(gaussian_measure().nodes(501)[0], 1)
         holes = np.where(np.isin(np.arange(len(y)), [0, 7, 8, 300]), np.nan, y)
         for t in (np.sin(3.0 * y), np.zeros_like(y), holes):
-            assert self.assert_node_cells(y, *self.family(rng, y), t) is not None
+            ends = self.assert_node_cells(y, *self.family(rng, y), t)
+            assert ends is not None
 
     @pytest.mark.parametrize("case", ["nan_node", "unsorted", "nan_amplitude"])
     def test_falls_back_to_every_node(self, case):
@@ -668,7 +670,8 @@ class TestRateSweep:
         for row in table["rows"]:
             assert row["status"] == "optimal"
             assert abs(row["gap"]) <= 1e-10
-            assert isinstance(row["iterations"], int) and row["iterations"] >= 0
+            assert isinstance(row["iterations"], int)
+            assert row["iterations"] >= 0
             if row["iterations"] == 0:
                 assert prev is not None and prev["n"] < row["n"]
                 assert row["columns"] == prev["columns"]
