@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
     check_keys,
+    immutable,
 )
 
 __all__ = [
@@ -47,7 +47,6 @@ _NEAR_TOL = 1e-9  # values in (_ROOT_TOL, _NEAR_TOL) are unresolved
 _FMAX = sys.float_info.max  # classification covers [-_FMAX, _FMAX]
 
 
-@dataclass(frozen=True)
 class Branch:
     """One piece of a piecewise map on [lo, hi).
 
@@ -55,23 +54,32 @@ class Branch:
       affine: (a, b)                 value = a*x + b
       power:  (scale, p, a, b)       value = scale*sign(x)*|x|**p + a*x + b,
                                      with p > 0
+
+    Equal and hashed by its fields, as the cache of ``classify`` reads it.
     """
 
-    lo: float
-    hi: float
-    kind: str
-    params: tuple
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        if self.kind not in ("affine", "power"):
+    def __init__(self, lo: float, hi: float, kind: str, params: tuple):
+        if kind not in ("affine", "power"):
             raise ValueError(
-                f"unknown branch kind {self.kind!r}; known: 'affine', 'power'"
+                f"unknown branch kind {kind!r}; known: 'affine', 'power'"
             )
-        if len(self.params) != (2 if self.kind == "affine" else 4):
-            raise ValueError(f"{self.kind} branch params have the wrong "
-                             f"length: {self.params!r}")
-        if self.kind == "power" and not self.params[1] > 0.0:
-            raise ValueError(f"power exponent must be positive, got {self.params[1]!r}")
+        if len(params) != (2 if kind == "affine" else 4):
+            raise ValueError(f"{kind} branch params have the wrong "
+                             f"length: {params!r}")
+        if kind == "power" and not params[1] > 0.0:
+            raise ValueError(f"power exponent must be positive, got {params[1]!r}")
+        vars(self).update(lo=lo, hi=hi, kind=kind, params=params)
+
+    def _key(self):
+        return (self.lo, self.hi, self.kind, self.params)
+
+    def __eq__(self, other):
+        return type(other) is Branch and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def _table(self):
@@ -285,8 +293,7 @@ def activation_from_config(cfg: dict) -> ActivationSpec:
 # classification
 
 
-@dataclass(frozen=True)
-class TransitivityVerdict:
+class TransitivityVerdict(NamedTuple):
     """Outcome of the injectivity + fixed-point analysis.
 
     kind:      "Transitive" | "LpTransitiveOnly" | "NotTransitive"

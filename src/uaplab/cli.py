@@ -18,9 +18,8 @@ import json
 import sys
 import time
 from copy import deepcopy
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ if TYPE_CHECKING:
     from .function_space import GridFunction, Measure1D
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     command: str
     params: dict
     seed: int
@@ -456,7 +454,7 @@ _COMMANDS = {
         "c_step": _IGNORED,
     }),
     "free-space-tests": (_run_free_space_tests, {
-        "pairs": (_int(0), 1000),
+        "pairs": (_int(1), 1000),
     }),
 }
 COMMANDS = tuple(_COMMANDS)

@@ -13,7 +13,6 @@ forced to meet it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .depth_dynamics import (
@@ -25,7 +24,12 @@ from .depth_dynamics import (
     _min_tail_cutoff,
     _ucc_gate,
 )
-from .errors import ConstraintViolationError, FitBudgetError, PreconditionError
+from .errors import (
+    ConstraintViolationError,
+    FitBudgetError,
+    PreconditionError,
+    immutable,
+)
 from .function_space import GridFunction, d_ucc
 from .network import (
     FeedForwardNet,
@@ -45,17 +49,16 @@ __all__ = [
 GUARD_BAND = 0.01  # a fitted segment must stay this fraction below thresholds
 
 
-@dataclass(frozen=True)
 class ConstraintFunctional:
     """Continuous functional on functions with a strict positive threshold."""
 
-    eval: Callable[[GridFunction], float]
-    threshold: float
-    label: str
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        if not self.threshold > 0:
+    def __init__(self, eval: Callable[[GridFunction], float], threshold: float,
+                 label: str):
+        if not threshold > 0:
             raise ValueError("constraint thresholds must be positive")
+        vars(self).update(eval=eval, threshold=threshold, label=label)
 
     def __call__(self, f: GridFunction) -> float:
         return float(self.eval(f))

@@ -17,7 +17,6 @@ run this escape -> blend (-> shallow fit) sequence as _escape_blend_fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,6 +30,7 @@ from .errors import (
     QuadratureError,
     UnboundedDensityError,
     VerificationError,
+    immutable,
 )
 from .function_space import (
     GridFunction,
@@ -56,21 +56,19 @@ BLEND_MARGIN = 1.0     # width of the shell blending the target back into g
 MAX_N = 10_000         # escape steps before NoEscapeError
 
 
-@dataclass(frozen=True)
 class CompositionOperator:
     """f -> f o sigma•(x + b), with at least one shift component and every
     one finite and positive (the regime in which injective fixed-point-free
     activations make the iterated cube escape every compact)."""
 
-    activation: ActivationSpec
-    b: np.ndarray
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
-        object.__setattr__(self, "b", b)
+    def __init__(self, activation: ActivationSpec, b: np.ndarray):
+        b = np.atleast_1d(np.asarray(b, dtype=np.float64))
         if not (b.size and np.all(np.isfinite(b) & (b > 0))):
             raise PreconditionError(
                 "operators need a non-empty shift with every entry finite and > 0")
+        vars(self).update(activation=activation, b=b)
 
     @property
     def dim(self) -> int:
@@ -300,7 +298,7 @@ def _interpolate(target: GridFunction, fns, radius: float, tol: float,
     result = fit_shallow(knots, target.sample(knots), activation, width)
     h = 2.0 * radius / cells
     bound = None if curvature is None else curvature * h * h / 8.0 + 2.0**-radius
-    return replace(result, h=h, curvature=curvature, bound=bound)
+    return result._replace(h=h, curvature=curvature, bound=bound)
 
 
 def _escape_blend_fit(op: CompositionOperator, g: GridFunction,

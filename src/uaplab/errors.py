@@ -164,3 +164,9 @@ def check_keys(cfg, known, where: str = "") -> None:
     unknown = sorted(set(cfg) - set(known))
     if unknown:
         raise ConfigError([f"{where}{key}: unknown key" for key in unknown])
+
+
+def immutable(self, name, *value):
+    """The ``__setattr__`` and ``__delattr__`` of the immutable records,
+    whose ``__init__`` fills ``vars(self)``: any other write raises."""
+    raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")

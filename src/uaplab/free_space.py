@@ -16,13 +16,12 @@ atoms, so it is not applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, immutable
 from .function_space import GridFunction
 from .network import TreeFunction, TreeGridFunction
 
@@ -52,20 +51,19 @@ def eta(r: float) -> TreeGridFunction:
     return TreeFunction((term,)).as_gridfunction(name=f"eta({r:g})")
 
 
-@dataclass(frozen=True)
 class FormalCombination:
     """Finite weighted list of point evaluations, prior to barycentering."""
 
-    atoms: tuple  # (weight, GridFunction) pairs
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        atoms = tuple((float(w), f) for w, f in self.atoms)
+    def __init__(self, atoms: tuple):  # (weight, GridFunction) pairs
+        atoms = tuple((float(w), f) for w, f in atoms)
         for w, f in atoms:
             if not np.isfinite(w):
                 raise ValueError("weights must be finite")
             if not isinstance(f, GridFunction):
                 raise TypeError("atoms must wrap GridFunctions")
-        object.__setattr__(self, "atoms", atoms)
+        vars(self)["atoms"] = atoms
 
     def scaled(self, c: float) -> "FormalCombination":
         return FormalCombination(tuple((c * w, f) for w, f in self.atoms))

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .errors import (
     NonFiniteValueError,
     QuadratureError,
     check_keys,
+    immutable,
 )
 
 __all__ = [
@@ -69,7 +69,6 @@ def cube_points(half_width, points: int, dim: int = 1) -> np.ndarray:
 # functions
 
 
-@dataclass(frozen=True)
 class GridFunction:
     """A total map R^m -> R^n backed by a vectorized closure.
 
@@ -79,11 +78,13 @@ class GridFunction:
     always place a knot at 0.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    dim_in: int = 1
-    dim_out: int = 1
-    name: str = ""
-    curvature: Optional[float] = None
+    __setattr__ = __delattr__ = immutable
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim_in: int = 1,
+                 dim_out: int = 1, name: str = "",
+                 curvature: Optional[float] = None):
+        vars(self).update(fn=fn, dim_in=dim_in, dim_out=dim_out, name=name,
+                          curvature=curvature)
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -195,8 +196,7 @@ def _ensure_finite(values: np.ndarray, points: np.ndarray, context: str) -> None
 # measures
 
 
-@dataclass(frozen=True)
-class Measure1D:
+class Measure1D(NamedTuple):
     """Finite measure on R given by a positive density w.r.t. Lebesgue.
 
     ``quantile`` maps normalized levels in (0,1) to points (used for
@@ -382,8 +382,7 @@ def measure_from_config(cfg: dict) -> Measure1D:
 # weight families
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Continuous growth weight [0, inf) -> [0, inf)."""
 
     kind: str
@@ -544,8 +543,7 @@ def sup_norm_on_ball(f: GridFunction, radius: float,
     return float(np.max(np.linalg.norm(vals, axis=1)))
 
 
-@dataclass(frozen=True)
-class WeightedSupResult:
+class WeightedSupResult(NamedTuple):
     value: float
     diverged: bool
     radius_reached: float

@@ -16,22 +16,24 @@ it is within M h^2 / 8 of a target whose second derivative is bounded by M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels as K
-from .activations import (
-    ActivationSpec,
-    activation_from_config,
-    activation_to_config,
-    builtin_names,
-    by_name,
+from .errors import (
+    DimensionMismatchError,
+    FitBudgetError,
+    PreconditionError,
+    immutable,
 )
-from .errors import DimensionMismatchError, FitBudgetError, PreconditionError
 from .function_space import GridFunction
+
+# activations is imported by the two functions that call it, so that
+# free-space-tests does not load it
+if TYPE_CHECKING:
+    from .activations import ActivationSpec
 
 __all__ = [
     "AffineLayer",
@@ -48,25 +50,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AffineLayer:
     """x -> matrix @ x + bias, optionally followed by the net's activation."""
 
-    matrix: np.ndarray
-    bias: np.ndarray
-    activation_after: bool = True
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
+    def __init__(self, matrix: np.ndarray, bias: np.ndarray,
+                 activation_after: bool = True):
+        m = np.asarray(matrix, dtype=np.float64)
+        b = np.asarray(bias, dtype=np.float64)
         if m.ndim != 2 or b.ndim != 1 or m.shape[0] != b.shape[0]:
             raise DimensionMismatchError(
                 f"layer shapes inconsistent: matrix {m.shape}, bias {b.shape}"
             )
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
             raise ValueError("layer entries must be finite")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "bias", b)
+        vars(self).update(matrix=m, bias=b, activation_after=activation_after)
 
     @property
     def dim_in(self) -> int:
@@ -84,15 +83,13 @@ def identity_layer(dim: int, bias=None, activation_after: bool = True) -> Affine
     return AffineLayer(np.eye(dim), b, activation_after)
 
 
-@dataclass(frozen=True)
 class FeedForwardNet:
     """Alternating affine/activation stack; the final layer stays affine."""
 
-    layers: tuple
-    activation: ActivationSpec
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        layers = tuple(self.layers)
+    def __init__(self, layers: tuple, activation: ActivationSpec):
+        layers = tuple(layers)
         if not layers:
             raise ValueError("a net needs at least one layer")
         for a, b in zip(layers, layers[1:]):
@@ -102,7 +99,7 @@ class FeedForwardNet:
                 )
         if layers[-1].activation_after:
             raise ValueError("the final layer must not carry an activation")
-        object.__setattr__(self, "layers", layers)
+        vars(self).update(layers=layers, activation=activation)
 
     @property
     def dim_in(self) -> int:
@@ -175,8 +172,7 @@ def stack(net: FeedForwardNet, front_layers: Sequence[AffineLayer]) -> FeedForwa
 # shallow interpolating fits
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """A fitted shallow net with the data of its a-priori error bound.
 
     ``sup_residual`` is the largest |net - value| over the knots and
@@ -263,18 +259,17 @@ def fit_shallow(knots, values, activation: ActivationSpec,
 # indicator trees
 
 
-@dataclass(frozen=True)
 class TreeFunction:
     """Finite sum of amplitudes over open intervals: sum a_j * 1_(b_j, c_j)."""
 
-    terms: tuple = ()
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        terms = tuple((float(a), float(b), float(c)) for a, b, c in self.terms)
+    def __init__(self, terms: tuple = ()):
+        terms = tuple((float(a), float(b), float(c)) for a, b, c in terms)
         for a, b, c in terms:
             if b > c:
                 raise ValueError(f"term ({a}, {b}, {c}) needs b <= c")
-        object.__setattr__(self, "terms", terms)
+        vars(self)["terms"] = terms
 
     def _arrays(self):
         if not self.terms:
@@ -314,11 +309,14 @@ class TreeFunction:
         return float(np.sum(np.abs(self.sample(mids)[:, 0]) * np.diff(edges)))
 
 
-@dataclass(frozen=True)
 class TreeGridFunction(GridFunction):
     """GridFunction carrying the indicator tree it samples."""
 
-    tree: TreeFunction = TreeFunction()
+    def __init__(self, fn, dim_in: int = 1, dim_out: int = 1, name: str = "",
+                 curvature: Optional[float] = None,
+                 tree: TreeFunction = TreeFunction()):
+        vars(self).update(fn=fn, dim_in=dim_in, dim_out=dim_out, name=name,
+                          curvature=curvature, tree=tree)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +325,8 @@ class TreeGridFunction(GridFunction):
 
 def net_to_config(net: FeedForwardNet) -> dict:
     """The net as a config; a built-in activation is written by its name."""
+    from .activations import activation_to_config, builtin_names, by_name
+
     name = net.activation.name
     builtin = name in builtin_names() and by_name(name) == net.activation
     return {
@@ -343,6 +343,8 @@ def net_to_config(net: FeedForwardNet) -> dict:
 
 
 def net_from_config(cfg: dict) -> FeedForwardNet:
+    from .activations import activation_from_config
+
     act = cfg["activation"]
     activation = activation_from_config(act)
     layers = tuple(

@@ -15,16 +15,15 @@ decay distance is ||x|| - sqrt(b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .activations import by_name
 from .errors import (
     FitBudgetError,
     NoControllingWeightError,
     PreconditionError,
+    immutable,
 )
 from .function_space import (
     GridFunction,
@@ -32,7 +31,6 @@ from .function_space import (
     cube_points,
     weighted_sup_norm,
 )
-from .network import fit_shallow
 
 __all__ = [
     "LimitationSample",
@@ -120,6 +118,10 @@ def approximate_vanishing(
     slope.  So ``width`` sets the graded knots here, not a cap: the net has
     one hidden unit per knot but the last.
     """
+    # imported here, so that limitation-demo loads neither module
+    from .activations import by_name
+    from .network import fit_shallow
+
     if eps <= 0:
         raise PreconditionError("eps must be positive")
 
@@ -255,21 +257,19 @@ def approximate_growth(
 # the negative result: constant-or-unbounded families cannot reach e^{-|x|}
 
 
-@dataclass(frozen=True)
 class LimitationSample:
-    kind: str  # "constant" | "unbounded"
-    label: str
-    value: Optional[float] = None
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "unbounded"):
+    def __init__(self, kind: str, label: str, value: Optional[float] = None):
+        if kind not in ("constant", "unbounded"):
             raise ValueError("sample kind must be 'constant' or 'unbounded'")
-        if self.kind == "constant":
-            if self.value is None:
+        if kind == "constant":
+            if value is None:
                 raise ValueError("constant samples need a value")
-            object.__setattr__(self, "value", float(self.value))
-        elif self.value is not None:
+            value = float(value)
+        elif value is not None:
             raise ValueError("unbounded samples take no value")
+        vars(self).update(kind=kind, label=label, value=value)
 
 
 def demonstrate_limitation(

@@ -24,8 +24,7 @@ columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,8 +59,7 @@ PUSHFORWARD_POINTS = 200_001  # grid points of the density-over-slope maximum
 PUSHFORWARD_BLOCK = 16_384  # most grid points evaluated at once
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
+class PushforwardReport(NamedTuple):
     norm_value: float
     well_defined: bool
     witness_interval: Optional[tuple] = None
@@ -170,8 +168,7 @@ _UNIT = 2.0 ** -53  # unit roundoff of float64
 _WARM_BLEND = 0.5  # weight of the cold start in a warm start
 
 
-@dataclass(frozen=True)
-class SimplexFit:
+class SimplexFit(NamedTuple):
     """An optimal fit, its certified bracket [lower_bound, lower_bound +
     gap], and the state a fit of more columns on the same nodes starts
     from: the final column set, the coefficients and the dual per node."""

@@ -253,6 +253,7 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
     ("rate-sweep", {"n_values": 4}, "n_values"),
     ("limitation-demo", {"samples": [{"kind": "constant"}]}, "samples"),
     ("free-space-tests", {"pairs": -1}, "pairs"),
+    ("free-space-tests", {"pairs": 0}, "pairs"),
     ("rate-sweep", {"quad_nodes": 0}, "quad_nodes"),
     ("rate-sweep", {"quad_nodes": -5}, "quad_nodes"),
     ("rate-sweep", {"N": -1}, "N"),
@@ -349,9 +350,9 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
         "basis-range-short", "basis-range-reversed", "basis-length-negative",
         "basis-range-infinite", "n-values-empty", "n-values-zero",
         "n-values-negative", "n-values-fraction", "n-values-number",
-        "samples-constant-no-value", "pairs-negative", "quad-nodes-zero",
-        "quad-nodes-negative", "depth-negative", "depth-fraction",
-        "depth-string", "depth-boolean", "csv-points-negative",
+        "samples-constant-no-value", "pairs-negative", "pairs-zero",
+        "quad-nodes-zero", "quad-nodes-negative", "depth-negative",
+        "depth-fraction", "depth-string", "depth-boolean", "csv-points-negative",
         "max-n-fraction", "fit-width-zero", "metric-sup", "metric-upper-l1",
         "ball-radius-zero", "ball-radius-negative", "measure-radius--5",
         "measure-radius-0", "measure-radius--1", "x-radius--5", "x-radius-0",
@@ -523,22 +524,24 @@ def test_cli_import_loads_no_scipy():
          "    if m.name != '__main__':\n"
          "        importlib.import_module('uaplab.' + m.name)\n"
          "print(len([m for m in sys.modules if m.startswith('uaplab.')]),\n"
+         "      'dataclasses' in sys.modules,\n"
          "      [m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    count, scipy = proc.stdout.split(" ", 1)
-    assert int(count) >= 11 and scipy.strip() == "[]", proc.stdout
+    count, dataclasses, scipy = proc.stdout.split(" ", 2)
+    assert int(count) >= 11 and dataclasses == "False", proc.stdout
+    assert scipy.strip() == "[]", proc.stdout
 
 
 def loaded_modules(code: str) -> list:
-    """The uaplab modules, without their "uaplab." prefix, and numpy.ma
-    (which np.unique imports) in sys.modules after code runs in a fresh
-    process."""
+    """The uaplab modules, without their "uaplab." prefix, numpy.ma (which
+    np.unique imports) and dataclasses (whose classes cost ~1 ms each to
+    build) in sys.modules after code runs in a fresh process."""
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted("
          "m.removeprefix('uaplab.') for m in sys.modules "
-         "if m.startswith('uaplab') or m == 'numpy.ma')))"],
+         "if m.startswith('uaplab') or m in ('numpy.ma', 'dataclasses'))))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -569,9 +572,11 @@ L1_DEMO = {
      ESCAPE_CHAIN | {"constrained_approx"}),
     ("rate-sweep", SMALL_CONFIGS["rate-sweep"], ESCAPE_CHAIN | {"rate_bounds"}),
     ("omega-approx", SMALL_CONFIGS["omega-approx"], GROWTH_CHAIN),
-    ("limitation-demo", SMALL_CONFIGS["limitation-demo"], GROWTH_CHAIN),
+    ("limitation-demo", SMALL_CONFIGS["limitation-demo"],
+     {"uaplab", "cli", "errors", "function_space", "omega_modification"}),
     ("free-space-tests", SMALL_CONFIGS["free-space-tests"],
-     ACTIVATION_CHAIN | {"function_space", "network", "free_space"}),
+     {"uaplab", "cli", "errors", "_kernels", "function_space", "network",
+      "free_space"}),
 ], ids=["check-activation", "escape", "transitivity-demo", "transitivity-demo-l1",
         "constrained-fit", "rate-sweep", "omega-approx", "limitation-demo",
         "free-space-tests"])
