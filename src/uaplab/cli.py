@@ -81,11 +81,11 @@ def _load(cfg: dict, table: dict, where: str = "") -> tuple[dict, dict]:
             if value is not None and value != fill:
                 violations.append(f"{key}: read only when {when[0][0]}")
             continue
-        if value is None:
-            value = fill
-        if value is _REQUIRED:
+        if value is None and default is _REQUIRED:
             violations.append(f"{key}: required")
             continue
+        if value is None:
+            value = fill
         try:
             if value is None:
                 values[key] = resolved[key] = None
@@ -124,6 +124,15 @@ def _positive(value) -> float:
     value = _number(value)
     if not value > 0:
         raise ValueError(f"must be positive, got {value!r}")
+    return value
+
+
+def _radius(value) -> float:
+    """_positive(value), when [-value, value] has a finite length."""
+    value = _positive(value)
+    if 2.0 * value == float("inf"):
+        raise ValueError(f"must be at most {sys.float_info.max / 2:.6g}, "
+                         f"got {value!r}")
     return value
 
 
@@ -376,7 +385,7 @@ _FIT = {"width": (_int(1), 256), "region": _IGNORED, "grid_points": _IGNORED,
         "seed": _IGNORED, "ridge": _IGNORED}
 _CONSTRAINT = {"kind": (str, None), "threshold": (_number, _REQUIRED)}
 _CONSTRAINTS = {
-    "sup_on_ball": dict(_CONSTRAINT, radius=(_positive, 1.0), label=(
+    "sup_on_ball": dict(_CONSTRAINT, radius=(_radius, 1.0), label=(
         str, lambda c: f"sup_on_ball[{c['radius']:g}]")),
     "abs_value_at": dict(_CONSTRAINT, x=(_number, 0.0), label=(
         str, lambda c: f"abs_value_at[{c['x']:g}]")),
@@ -430,7 +439,7 @@ _COMMANDS = {
                                {"kind": "max_t_power", "i": 2}]),
         "eps": (_positive, 0.1),
         "fit": (_FIT, {}),
-        "measure_radius": (_positive, 30.0),
+        "measure_radius": (_radius, 30.0),
         "csv_points": (_int(0), 601),
     }),
     "rate-sweep": (_run_rate_sweep, {
@@ -450,7 +459,7 @@ _COMMANDS = {
     }),
     "limitation-demo": (_run_limitation_demo, {
         "samples": (_samples, []),
-        "x_radius": (_positive, 30.0),
+        "x_radius": (_radius, 30.0),
         "c_step": _IGNORED,
     }),
     "free-space-tests": (_run_free_space_tests, {

@@ -405,14 +405,14 @@ def l1_transitive_approximant(
             f"{op.activation.name} classified {verdict.kind}; need a "
             f"transitive or Lp-transitive activation"
         )
-    from .rate_bounds import pushforward_flat_stretch
+    from .rate_bounds import pushforward_density_norm
 
-    witness = pushforward_flat_stretch(op.activation, float(op.b[0]), mu)
-    if witness is not None:
+    push = pushforward_density_norm(op.activation, float(op.b[0]), mu)
+    if not push.well_defined:
         raise UnboundedDensityError(
             "the composition operator is not well-defined on L1(mu): the "
             "pushforward density is unbounded (flat stretch in the activation)",
-            witness,
+            push.witness_interval,
         )
 
     # the three distances share one set of equal-mass nodes

@@ -60,7 +60,8 @@ class PreconditionError(UaplabError):
 class UnboundedDensityError(PreconditionError):
     """The pushforward density of the measure is unbounded, so the
     composition operator is not well-defined on L1(mu): sigma(x + b) is
-    flat (slope <= 1e-12) at grid points spanning witness_interval."""
+    flat (slope <= 1e-12) on a stretch of x, and witness_interval is the
+    smallest interval holding the whole stretch (an end may be infinite)."""
 
     def __init__(self, message: str, witness_interval):
         self.witness_interval = tuple(witness_interval)

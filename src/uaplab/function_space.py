@@ -200,7 +200,9 @@ class Measure1D(NamedTuple):
     """Finite measure on R given by a positive density w.r.t. Lebesgue.
 
     ``quantile`` maps normalized levels in (0,1) to points (used for
-    equal-mass quadrature nodes); ``cdf`` returns cumulative mass.  The
+    equal-mass quadrature nodes); ``cdf`` returns cumulative mass;
+    ``density_sup(lo, hi)`` is the density's essential supremum on [lo, hi]
+    in closed form, or an upper bound on it (ends may be infinite).  The
     transitivity theory additionally assumes the density is positive
     everywhere (Lebesgue equivalence); that is the caller's contract.
     """
@@ -209,6 +211,7 @@ class Measure1D(NamedTuple):
     total_mass: float
     quantile: Callable[[np.ndarray], np.ndarray]
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    density_sup: Optional[Callable[[float, float], float]] = None
 
     def nodes(self, count: int) -> tuple[np.ndarray, float]:
         """Equal-mass quadrature nodes and the (constant) weight per node."""
@@ -295,12 +298,15 @@ def gaussian_measure(mean: float = 0.0, std: float = 1.0, mass: float = 1.0) -> 
     if not (math.isfinite(mean) and 0 < std < math.inf and 0 < mass < math.inf):
         raise ValueError("gaussian needs a finite mean and positive finite std "
                          f"and mass, got {mean!r}, {std!r}, {mass!r}")
+    density = (lambda x: mass * np.exp(-0.5 * ((x - mean) / std) ** 2)
+               / (std * np.sqrt(2 * np.pi)))
     return Measure1D(
-        density=lambda x: mass * np.exp(-0.5 * ((x - mean) / std) ** 2)
-        / (std * np.sqrt(2 * np.pi)),
+        density=density,
         total_mass=mass,
         quantile=lambda u: mean + std * _ndtri(u),
         cdf=lambda x: mass * _ndtr((x - mean) / std),
+        # the density falls with the distance from the mean
+        density_sup=lambda lo, hi: float(density(min(max(mean, lo), hi))),
     )
 
 
@@ -316,6 +322,8 @@ def uniform_window_measure(lo: float, hi: float, height: float = 1.0) -> Measure
         total_mass=mass,
         quantile=lambda u: lo + u * (hi - lo),
         cdf=lambda x: height * (np.clip(x, lo, hi) - lo),
+        # a single point of the window carries no mass
+        density_sup=lambda x0, x1: height if min(x1, hi) > max(x0, lo) else 0.0,
     )
 
 
@@ -355,11 +363,20 @@ def table_measure(xs: Sequence[float], densities: Sequence[float]) -> Measure1D:
         s = 2.0 * r / np.where(root > 0, root, 1.0)
         return xs[i] + np.minimum(s, h[i])
 
+    def density(x):
+        return np.interp(x, xs, ds, left=0.0, right=0.0)
+
+    def density_sup(lo, hi):
+        # the interpolant is linear between knots
+        inside = ds[(xs > lo) & (xs < hi)]
+        return float(max(np.max(density([lo, hi])), np.max(inside, initial=0.0)))
+
     return Measure1D(
-        density=lambda x: np.interp(x, xs, ds, left=0.0, right=0.0),
+        density=density,
         total_mass=mass,
         quantile=quantile,
         cdf=cdf,
+        density_sup=density_sup,
     )
 
 

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .activations import ActivationSpec
+from .activations import ActivationSpec, Branch, _affine_params, _inside, _zeros
 from .errors import (
     DimensionMismatchError,
     LPSolveError,
@@ -44,7 +44,6 @@ __all__ = [
     "PushforwardReport",
     "SimplexFit",
     "pushforward_density_norm",
-    "pushforward_flat_stretch",
     "simplex_fit",
     "rate_sweep",
     "kappa_growth_check",
@@ -55,9 +54,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # pushforward density
 
-PUSHFORWARD_POINTS = 200_001  # grid points of the density-over-slope maximum
-PUSHFORWARD_BLOCK = 16_384  # most grid points evaluated at once
-
 
 class PushforwardReport(NamedTuple):
     norm_value: float
@@ -65,94 +61,58 @@ class PushforwardReport(NamedTuple):
     witness_interval: Optional[tuple] = None
 
 
-def _branch_slopes(sigma: ActivationSpec, b: float, mu: Measure1D):
-    """The pushforward grid, branch by branch: pairs (x, slope) of grid
-    points x whose x + b lie on one branch of sigma and sigma'(x + b) there,
-    one float on an affine branch.
-
-    The grid is PUSHFORWARD_POINTS even points from mu's 1e-9 quantile
-    less |b| + 1 to its 1 - 1e-9 quantile plus |b| + 1, and three probes
-    around each breakpoint.  A branch takes one slice of the sorted grid
-    (x + b does not decrease with x), in blocks of at most
-    PUSHFORWARD_BLOCK points that stay in cache, and the probes that fall
-    on it; an empty block is left out."""
-    q = mu.quantile(np.asarray([1e-9, 1.0 - 1e-9]))
-    lo = float(q[0]) - abs(b) - 1.0
-    hi = float(q[1]) + abs(b) + 1.0
-    grid = np.linspace(lo, hi, PUSHFORWARD_POINTS)
-    at = np.asarray(sigma.breakpoints, dtype=np.float64) - b
-    probes = np.concatenate([at - 1e-9, at, at + 1e-9])
-    edges, kinds, par, _ = sigma._table
-    ends = [0, *(_first_at(grid, b, e) for e in edges[1:-1]), len(grid)]
-    on = np.searchsorted(edges[1:-1], probes + b, side="right")
-    for j, kind in enumerate(kinds):
-        starts = range(ends[j], ends[j + 1], PUSHFORWARD_BLOCK)
-        for x in [*(grid[i:min(i + PUSHFORWARD_BLOCK, ends[j + 1])]
-                    for i in starts), probes[on == j]]:
-            if not x.size:
-                continue
-            if kind == K.KIND_AFFINE:
-                yield x, float(par[j, 0])
-            else:
-                yield x, K.act_deriv(edges, kinds, par, x + b)
+def _flat_pieces(branch: Branch) -> list:
+    """Intervals (lo, hi) that together hold every z of branch's [lo, hi)
+    with sigma'(z) <= 1e-12.  On a power branch sigma' = s*p*|z|**(p-1) + a
+    is monotone in |z|, so it crosses 1e-12 only at the zeros +-t of
+    s*p*|z|**(p-1) + a - 1e-12; between those, 0 and the branch's ends it
+    is flat throughout or nowhere."""
+    affine = _affine_params(branch)
+    if affine is not None:
+        return [(branch.lo, branch.hi)] if affine[0] <= 1e-12 else []
+    cuts = sorted({branch.lo, branch.hi, *_zeros(branch, branch.params[2] - 1e-12),
+                   *([0.0] if branch.lo < 0.0 < branch.hi else [])})
+    with np.errstate(divide="ignore", over="ignore"):  # at 0 when p < 1, far out
+        return [*((z, z) for z in cuts[:-1]
+                  if np.isfinite(z) and branch.derivative(z) <= 1e-12),
+                *((lo, hi) for lo, hi in zip(cuts, cuts[1:])
+                  if branch.derivative(_inside(lo, hi)) <= 1e-12)]
 
 
-def _first_at(grid: np.ndarray, b: float, e: float) -> int:
-    """The index of the first point x of the sorted grid with x + b >= e:
-    the search for e - b, moved past the rounding of x + b."""
-    i = int(np.searchsorted(grid, e - b))
-    while i > 0 and grid[i - 1] + b >= e:
-        i -= 1
-    while i < len(grid) and grid[i] + b < e:
-        i += 1
-    return i
-
-
-def _flat_ends(blocks) -> Optional[tuple]:
-    """(min, max) of the points of (x, slope) blocks where slope <= 1e-12,
-    or None when there is none."""
-    flat = []
-    for x, slope in blocks:
-        hit = slope <= 1e-12
-        if np.any(hit):
-            flat.append(x[hit] if np.ndim(hit) else x)
-    if not flat:
-        return None
-    return (float(min(np.min(x) for x in flat)),
-            float(max(np.max(x) for x in flat)))
-
-
-def pushforward_flat_stretch(sigma: ActivationSpec, b: float,
-                             mu: Measure1D) -> Optional[tuple]:
-    """The witness interval of ``pushforward_density_norm``: the ends of
-    the grid points x with sigma'(x + b) <= 1e-12, or None when there is
-    none and the composition operator is well-defined on L1(mu).  It
-    evaluates no density, and on an affine branch no derivative."""
-    return _flat_ends(_branch_slopes(sigma, float(b), mu))
+def _least_slope(branch: Branch) -> float:
+    """The infimum of sigma' on branch's [lo, hi): the slope of an affine
+    branch; on a power branch, monotone in |z|, the least of sigma' at the
+    ends (its limits at +-inf) and at 0."""
+    affine = _affine_params(branch)
+    if affine is not None:
+        return float(affine[0])
+    at = [branch.lo, branch.hi, *([0.0] if branch.lo < 0.0 < branch.hi else [])]
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.min(branch.derivative(np.asarray(at))))
 
 
 def pushforward_density_norm(sigma: ActivationSpec, b: float,
                              mu: Measure1D) -> PushforwardReport:
     """Sup of the density of the pushforward of mu under x -> sigma(x + b).
 
-    At y = S(x) the pushforward density is density(x) / S'(x), so the norm is
-    the grid maximum of density(x)/sigma'(x+b); the map is well-defined on L1
-    exactly when the derivative is bounded away from zero (monotone
-    criterion).  A flat stretch (e.g. the rectifier's zero branch) is
-    reported with its witness interval (``pushforward_flat_stretch``).
-
-    The density is evaluated once per grid point.  On an affine branch of
-    slope a the maximum is max(density)/a: a correctly rounded division by
-    a > 0 is monotone, so that equals max(density/a) bit for bit; a power
-    branch divides point by point.
+    At y = S(x) the pushforward density is density(x) / S'(x).  The map is
+    well-defined on L1 exactly when the derivative is bounded away from
+    zero (monotone criterion): where sigma'(x + b) <= 1e-12 for some x on
+    the line, the report is not well-defined, and its witness interval is
+    the smallest one holding every such x (an end may be infinite, as the
+    rectifier's zero branch gives).  Otherwise the norm is the largest, over
+    sigma's branches [e_j, e_j+1), of mu.density_sup on [e_j - b, e_j+1 - b]
+    over the infimum of sigma' on the branch: exact on an affine branch, an
+    upper bound on a power branch, and evaluated on no grid.
     """
-    blocks = list(_branch_slopes(sigma, float(b), mu))
-    witness = _flat_ends(blocks)
-    if witness is not None:
-        return PushforwardReport(float("inf"), False, witness)
-    norm = float(np.max([np.max(mu.density(x) / slope) if np.ndim(slope)
-                         else float(np.max(mu.density(x))) / slope
-                         for x, slope in blocks]))
+    b = float(b)
+    flat = [piece for branch in sigma.branches for piece in _flat_pieces(branch)]
+    if flat:
+        return PushforwardReport(float("inf"), False,
+                                 (min(lo for lo, _ in flat) - b,
+                                  max(hi for _, hi in flat) - b))
+    norm = max(mu.density_sup(branch.lo - b, branch.hi - b) / _least_slope(branch)
+               for branch in sigma.branches)
     return PushforwardReport(norm, True)
 
 

@@ -277,6 +277,13 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
     ("limitation-demo", {"x_radius": -5}, "x_radius"),
     ("limitation-demo", {"x_radius": 0}, "x_radius"),
     ("limitation-demo", {"x_radius": -1}, "x_radius"),
+    ("constrained-fit", dict(SHIFTED, constraints=[
+        {"kind": "sup_on_ball", "radius": math.inf, "threshold": 0.5}]),
+     "constraints.radius"),
+    ("omega-approx", {"measure_radius": math.inf}, "measure_radius"),
+    ("limitation-demo", {"x_radius": math.inf}, "x_radius"),
+    # [-1e308, 1e308] is longer than the largest float
+    ("limitation-demo", {"x_radius": 1e308}, "x_radius"),
     ("rate-sweep", dict(SWEEP, mu={"density_kind": "gaussian",
                                    "params": {"std": -1}}), "mu"),
     ("rate-sweep", dict(SWEEP, mu={"density_kind": "gaussian",
@@ -356,7 +363,9 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
         "max-n-fraction", "fit-width-zero", "metric-sup", "metric-upper-l1",
         "ball-radius-zero", "ball-radius-negative", "measure-radius--5",
         "measure-radius-0", "measure-radius--1", "x-radius--5", "x-radius-0",
-        "x-radius--1", "mu-std--1", "mu-std-0", "mu-mass--1",
+        "x-radius--1", "ball-radius-inf", "measure-radius-inf", "x-radius-inf",
+        "x-radius-1e308",
+        "mu-std--1", "mu-std-0", "mu-mass--1",
         "samples-value-string", "samples-value-list", "eps-0", "eps--1",
         "delta-0", "b-0", "b--1", "b-inf", "b-empty",
         "sweep-b-0", "window-hi-inf",
@@ -371,6 +380,28 @@ def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, fiel
     assert code == 2, payload
     assert payload["error"] == "ConfigError"
     assert payload["violations"][0].startswith(f"params.{field}: "), payload
+
+
+@pytest.mark.parametrize("command, params, violations", [
+    ("escape", {}, ["params.activation: required", "params.K_radius: required"]),
+    ("check-activation", {}, ["params.activation: required"]),
+    ("constrained-fit", dict(SHIFTED, constraints=[{"kind": "sup_on_ball"}]),
+     ["params.constraints.threshold: required"]),
+    ("limitation-demo", {"samples": [{"value": 0.5}]},
+     ["params.samples.kind: required"]),
+], ids=["escape", "check-activation", "constraint-threshold", "sample-kind"])
+def test_missing_required_key_is_named(tmp_path, capsys, command, params,
+                                       violations):
+    from uaplab import cli
+
+    cfg = write_config(tmp_path, "cfg", params)
+    outs = []
+    for _ in range(2):
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / "o")]) == 2
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0])["violations"] == violations
+    assert outs[0] == outs[1]  # nothing run-dependent, such as an address
 
 
 def test_keys_the_branch_never_reads_are_named_together(tmp_path, capsys):

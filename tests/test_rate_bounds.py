@@ -56,25 +56,8 @@ class TestPushforward:
         assert hi <= -1.0 + 1e-6  # the flat stretch maps from x + 1 < 0
 
 
-def unique_grid_pushforward(sigma, b, mu):
-    """Reference: the pushforward maximum over np.unique of the grid and
-    the breakpoint probes, read off the sorted points."""
-    q = mu.quantile(np.asarray([1e-9, 1.0 - 1e-9]))
-    lo = float(q[0]) - abs(b) - 1.0
-    hi = float(q[1]) + abs(b) + 1.0
-    xs = [np.linspace(lo, hi, rb.PUSHFORWARD_POINTS)]
-    for bp in sigma.breakpoints:
-        xs.append(np.asarray([bp - b - 1e-9, bp - b, bp - b + 1e-9]))
-    x = np.unique(np.concatenate(xs))
-    slope = sigma.derivative(x + b)
-    flat = slope <= 1e-12
-    if np.any(flat):
-        i = int(np.argmax(flat))
-        j = len(flat) - 1 - int(np.argmax(flat[::-1]))
-        return rb.PushforwardReport(math.inf, False,
-                                    (float(x[i]), float(x[j])))
-    norm = float(np.max(mu.density(x) / slope))
-    return rb.PushforwardReport(norm, True)
+def phi(x, mean=0.0, std=1.0):
+    return math.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
 
 
 def cube_transitive():
@@ -85,7 +68,8 @@ def cube_transitive():
 
 
 # a branch with slope 1e-13 <= 1e-12, a power branch flat only on
-# [0, 1.83], where 3e-13 x**2 <= 1e-12, and one branch with no breakpoint
+# [0, sqrt(10/3)], where 3e-13 x**2 <= 1e-12, and one branch with no
+# breakpoint
 NEAR_FLAT = act.ActivationSpec("near-flat", [
     act.Branch(-math.inf, 0.0, "affine", (1e-13, 0.0)),
     act.Branch(0.0, math.inf, "affine", (1.0, 0.0))])
@@ -98,8 +82,52 @@ MEASURES = {"gaussian": gaussian_measure(),
             "window": uniform_window_measure(-1.0, 2.0),
             "table": table_measure([-2.0, 0.0, 1.0, 3.0], [0.0, 1.0, 0.5, 0.0])}
 
+# The closed forms at b = 1, by hand: x + 1 crosses every breakpoint 0 at
+# x = -1.  Each norm is the largest, over the branches, of the density's
+# supremum on the branch's x-range over sigma's least slope there.  The
+# rectifier and NEAR_FLAT are flat on x < -1, whatever the measure.
+# leaky_rescaled_paper has slopes 0.1 below x = -1 and 1.1 above.  The
+# table's density is 0.5 at -1 and peaks at 1 at 0, and the window meets
+# x < -1 in one point only.  cube_transitive has slope 0.5 below x = -1
+# and 3z**2 + 1 >= 1 above.
+RELU_FLAT = (-math.inf, -1.0)
+ORACLE = {
+    "relu": RELU_FLAT, "relu-window": RELU_FLAT, "relu-table": RELU_FLAT,
+    "leaky": phi(-1.0) / 0.1, "leaky-window": 1.0 / 1.1,
+    "leaky-table": max(0.5 / 0.1, 1.0 / 1.1),
+    "cube": max(phi(-1.0) / 0.5, phi(0.0) / 1.0), "cube-window": 1.0,
+    "cube-table": max(0.5 / 0.5, 1.0 / 1.0),
+    "near-flat": RELU_FLAT, "near-flat-window": RELU_FLAT,
+    "near-flat-table": RELU_FLAT,
+    **dict.fromkeys(("partly-flat", "partly-flat-window", "partly-flat-table"),
+                    (-1.0, math.sqrt(10.0 / 3.0) - 1.0)),
+    "shift": phi(0.0) / 2.0, "shift-window": 0.5, "shift-table": 0.5,
+    # the leaky branches meet at x = -0.3, below the mean 0.5
+    "leaky-shifted-mu": max(phi(-0.3, 0.5, 2.0) / 0.1, phi(0.5, 0.5, 2.0) / 1.1),
+    "cube-small-b": max(phi(-0.25) / 0.5, phi(0.0) / 1.0),
+    # the breakpoint lies below the window's grid, then above it
+    "probes-below-grid": 1.0 / 1.1,
+    "probes-above-grid": RELU_FLAT,
+    # z**3 + z: sigma' = 3z**2 + 1 is least at 0, inside the branch
+    "cube-plus-identity": phi(0.0) / 1.0,
+}
 
-@pytest.mark.parametrize("sigma, b, mu", [
+
+def unique_grid_maximum(sigma, b, mu, points=2_000_001):
+    """max density(x) / sigma'(x + b) over np.unique of an even grid and
+    three probes around each breakpoint: a lower bound on the norm.  The
+    grid spans mu's 1e-9 to 1 - 1e-9 quantile, widened by |b| + 1."""
+    q = mu.quantile(np.asarray([1e-9, 1.0 - 1e-9]))
+    xs = [np.linspace(float(q[0]) - abs(b) - 1.0, float(q[1]) + abs(b) + 1.0,
+                      points)]
+    for bp in sigma.breakpoints:
+        xs.append(np.asarray([bp - b - 1e-9, bp - b, bp - b + 1e-9]))
+    x = np.unique(np.concatenate(xs))
+    return float(np.max(mu.density(x) / sigma.derivative(x + b)))
+
+
+# the (sigma, b, mu) of each ORACLE entry, in its order
+ORACLE_CASES = [
     *((sigma, 1.0, mu) for sigma in (act.by_name("relu"),
                                      act.by_name("leaky_rescaled_paper"),
                                      cube_transitive(), NEAR_FLAT,
@@ -107,33 +135,75 @@ MEASURES = {"gaussian": gaussian_measure(),
       for mu in MEASURES.values()),
     (act.by_name("leaky_rescaled_paper"), 0.3, gaussian_measure(0.5, 2.0)),
     (cube_transitive(), 0.25, gaussian_measure()),
-    # every probe falls below the grid, then above it
     (act.by_name("leaky_rescaled_paper"), 1.0, uniform_window_measure(10.0, 12.0)),
     (act.by_name("relu"), 1.0, uniform_window_measure(-12.0, -10.0)),
-], ids=[*(sigma if mu == "gaussian" else f"{sigma}-{mu}"
-          for sigma in ("relu", "leaky", "cube", "near-flat", "partly-flat",
-                        "shift")
-          for mu in MEASURES),
-        "leaky-shifted-mu", "cube-small-b", "probes-below-grid",
-        "probes-above-grid"])
-def test_pushforward_matches_unique_grid(sigma, b, mu):
-    # the branch-by-branch scan against the point-by-point one, bit for bit
-    want = unique_grid_pushforward(sigma, b, mu)
-    assert repr(rb.pushforward_density_norm(sigma, b, mu)) == repr(want)
-    assert rb.pushforward_flat_stretch(sigma, b, mu) == want.witness_interval
+    (act.ActivationSpec("cube-plus-identity", [
+        act.Branch(-math.inf, math.inf, "power", (1.0, 3.0, 1.0, 0.0))]),
+     1.0, gaussian_measure()),
+]
 
 
-def test_first_grid_point_of_a_branch_matches_the_shifted_search():
-    # _first_at searches the grid for e - b and corrects for rounding: it
-    # must find the first x with x + b >= e exactly, also where x + b hits e
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        grid = np.linspace(*np.sort(rng.uniform(-10.0, 10.0, 2)), 1001)
-        b = float(rng.uniform(0.0, 3.0))
-        hits = grid[rng.integers(0, len(grid), 5)] + b
-        for e in [*hits, *np.nextafter(hits, np.inf), *np.nextafter(hits, -np.inf),
-                  *rng.uniform(-15.0, 15.0, 5), -100.0, 100.0]:
-            assert rb._first_at(grid, b, float(e)) == np.searchsorted(grid + b, e)
+@pytest.mark.parametrize("sigma, b, mu, want", [
+    (*case, want) for case, want in zip(ORACLE_CASES, ORACLE.values(), strict=True)
+], ids=list(ORACLE))
+def test_pushforward_matches_unique_grid(sigma, b, mu, want):
+    # the report against ORACLE's closed form; a well-defined norm also
+    # bounds the unique grid's maximum from above
+    rep = rb.pushforward_density_norm(sigma, b, mu)
+    if isinstance(want, tuple):
+        assert not rep.well_defined and rep.norm_value == math.inf
+        assert rep.witness_interval == pytest.approx(want, rel=1e-12)
+    else:
+        assert rep.well_defined and rep.witness_interval is None
+        assert rep.norm_value == pytest.approx(want, rel=1e-12)
+        assert rep.norm_value >= unique_grid_maximum(sigma, b, mu)
+
+
+def test_benchmark_pushforward_is_the_closed_form(relu, gauss_mu):
+    leaky = act.by_name("leaky_rescaled_paper")
+    assert rb.pushforward_density_norm(leaky, 1.0, gauss_mu).norm_value == \
+        2.4197072451914337
+    assert rb.pushforward_density_norm(relu, 1.0, gauss_mu).witness_interval == \
+        (-math.inf, -1.0)
+
+
+def test_cube_alone_is_not_well_defined(gauss_mu):
+    # sigma'(0) = 0: no grid point need land near x = -1 to see it
+    cube = act.ActivationSpec(
+        "cube", [act.Branch(-math.inf, math.inf, "power", (1.0, 3.0, 0.0, 0.0))])
+    for b in (1.0, 0.7):
+        rep = rb.pushforward_density_norm(cube, b, gauss_mu)
+        assert not rep.well_defined
+        lo, hi = rep.witness_interval
+        t = math.sqrt(1e-12 / 3.0)  # 3 z**2 <= 1e-12
+        assert (lo, hi) == pytest.approx((-b - t, -b + t), rel=1e-12)
+        assert lo < -b < hi
+
+
+def test_vanishing_slope_tail_is_refused(gauss_mu):
+    # sigma' = 0.5 z**-0.5 on z >= 0 falls to 1e-12 at z = (0.5/1e-12)**2
+    root = act.ActivationSpec("root", [
+        act.Branch(-math.inf, 0.0, "affine", (1.0, 0.0)),
+        act.Branch(0.0, math.inf, "power", (1.0, 0.5, 0.0, 0.0))])
+    rep = rb.pushforward_density_norm(root, 1.0, gauss_mu)
+    assert not rep.well_defined
+    assert rep.witness_interval == pytest.approx((0.25e24 - 1.0, math.inf),
+                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("name", MEASURES)
+def test_density_sup_bounds_the_density(name):
+    # the closed-form essential supremum on random intervals against a
+    # fine grid inside them: one point carries no mass, so the ends are left
+    # out, as the window's x = -1 is from (-inf, -1]
+    mu = MEASURES[name]
+    rng = np.random.default_rng(5)
+    for lo, hi in [*np.sort(rng.uniform(-4.0, 4.0, (50, 2))), (-np.inf, -1.0),
+                   (-1.0, np.inf), (-np.inf, np.inf)]:
+        x = np.linspace(max(lo, -12.0), min(hi, 12.0), 20_001)[1:-1]
+        sup = mu.density_sup(lo, hi)
+        assert sup >= np.max(mu.density(x))
+        assert sup == pytest.approx(np.max(mu.density(x)), rel=1e-3, abs=1e-12)
 
 
 def highs_optimum(basis, target, mu, quad_nodes=2001):
