@@ -22,6 +22,7 @@ import numpy as np
 
 KIND_AFFINE = 0
 KIND_POWER = 1
+INVERT_TOL = 1e-14  # relative step at which a power-branch inversion stops
 
 
 def _branch_index(interior, flat):
@@ -67,13 +68,13 @@ def act_deriv(edges, kinds, par, x):
     return out.reshape(x.shape)
 
 
-def act_invert(edges, kinds, par, vedges, y, tol=1e-14):
+def act_invert(edges, kinds, par, vedges, y):
     """Invert a strictly increasing tabulated map elementwise.
 
     ``vedges`` holds the map's values at the interior breakpoints.  On a
-    power branch x is found to a relative step of ``tol``, once for each
-    distinct value.  The map is taken to be onto the real line, so NaN and
-    +-inf map to themselves.
+    power branch x is found to a relative step of ``INVERT_TOL``, once for
+    each distinct value.  The map is taken to be onto the real line, so NaN
+    and +-inf map to themselves.
     """
     y = np.asarray(y, dtype=np.float64)
     flat = y.ravel()
@@ -90,12 +91,12 @@ def act_invert(edges, kinds, par, vedges, y, tol=1e-14):
         # nested d_ucc cube grids repeat many points)
         bits, first = np.unique(flat[m].view(np.int64), return_inverse=True)
         out[m] = _invert_power(par[j], edges[j], edges[j + 1],
-                               bits.view(np.float64), tol)[first]
+                               bits.view(np.float64))[first]
     out[~finite] = flat[~finite]
     return out.reshape(y.shape)
 
 
-def _invert_power(p4, lo, hi, y, tol):
+def _invert_power(p4, lo, hi, y):
     """Solve ``s*sign(x)*|x|**p + a*x + b = y`` for x in ``[lo, hi]``,
     pointwise, by Newton's method safeguarded with bisection.  Each point
     stops on its own converged step, so its inverse does not depend on the
@@ -138,7 +139,8 @@ def _invert_power(p4, lo, hi, y, tol):
             nx = xl - r / d
             newton = np.isfinite(d) & (d > 0) & (nx >= xlo) & (nx <= xhi)
             nx = np.where(newton, nx, 0.5 * (xlo + xhi))
-            going = ~(np.abs(nx - xl) <= tol * np.abs(nx))  # NaN goes on
+            # a NaN step goes on
+            going = ~(np.abs(nx - xl) <= INVERT_TOL * np.abs(nx))
             x[live] = nx
             live, xl, yl = live[going], nx[going], yl[going]
             xlo, xhi = xlo[going], xhi[going]
@@ -157,13 +159,13 @@ def s_iter(edges, kinds, par, x, b, n):
     return out
 
 
-def s_inv_iter(edges, kinds, par, vedges, y, b, n, tol=1e-14):
+def s_inv_iter(edges, kinds, par, vedges, y, b, n):
     """n-fold iteration of y -> sigma^{-1}•(y) - b (inverse of s_iter's step)."""
     out = np.array(y, dtype=np.float64, copy=True)
     if out.ndim == 1:
         out = out[:, None]
     for _ in range(int(n)):
-        out = act_invert(edges, kinds, par, vedges, out, tol) - b[None, :]
+        out = act_invert(edges, kinds, par, vedges, out) - b[None, :]
     return out
 
 

@@ -287,7 +287,7 @@ def _run_escape(p: dict, seed: int):
         ])
     out = {"escaped": True, "K_radius": k_radius, "guard": guard}
     try:
-        out["N"] = dd.escape_time(op, k_radius, guard, max_n)
+        out["N"] = dd.escape_time(op, k_radius, guard, max_n)[0]
     except dd.NoEscapeError:
         out.update(escaped=False, N=None, max_N=max_n)
     return out, []

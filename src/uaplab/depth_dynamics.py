@@ -36,7 +36,7 @@ from .function_space import (
     GridFunction,
     Measure1D,
     d_ucc,
-    quadrature_norm,
+    lp_norm,
     sup_norm_on_ball,
 )
 from .network import FitResult, fit_shallow
@@ -118,13 +118,20 @@ def apply(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
     )
 
 
-def _escape(op: CompositionOperator, K_radius: float, guard: float,
-            max_N: int):
-    """The escape loop: (N, lo, hi) with [lo, hi] the box S^N([-K, K]^m),
-    the first one disjoint from the guard cube."""
+def escape_time(op: CompositionOperator, K_radius: float, guard_radius: float,
+                max_N: int = MAX_N) -> tuple:
+    """(N, lo, hi) for the smallest N with S^N([-K, K]^m) disjoint from the
+    guard cube [-guard_radius, guard_radius]^m, and [lo, hi] that box.
+
+    The activation must be injective with no sign-changing fixed point, so
+    it is increasing (a decreasing map has a fixed point) and each step
+    maps the box [lo, hi] exactly onto the box between the images of its
+    two corners: N is exact, not an over-approximation.  Raises
+    NoEscapeError after max_N steps.
+    """
     if not K_radius > 0:
         raise ValueError("K_radius must be positive")
-    if guard < K_radius:
+    if guard_radius < K_radius:
         raise ValueError("guard_radius must be >= K_radius")
     verdict = classify(op.activation)
     if not verdict.injective:
@@ -142,24 +149,9 @@ def _escape(op: CompositionOperator, K_radius: float, guard: float,
     hi = np.full(m, float(K_radius))
     for n in range(1, int(max_N) + 1):
         lo, hi = op.iterate(np.stack([lo, hi]), 1)
-        if np.any(lo > guard) or np.any(hi < -guard):
+        if np.any(lo > guard_radius) or np.any(hi < -guard_radius):
             return n, lo, hi
     raise NoEscapeError(int(max_N))
-
-
-def escape_time(op: CompositionOperator, K_radius: float,
-                guard_radius: Optional[float] = None,
-                max_N: int = MAX_N) -> int:
-    """Smallest N with S^N([-K, K]^m) disjoint from the guard cube.
-
-    The activation must be injective with no sign-changing fixed point, so
-    it is increasing (a decreasing map has a fixed point) and each step
-    maps the box [lo, hi] exactly onto the box between the images of its
-    two corners: N is exact, not an over-approximation.  Raises
-    NoEscapeError after max_N steps.
-    """
-    guard = K_radius if guard_radius is None else float(guard_radius)
-    return _escape(op, K_radius, guard, max_N)[0]
 
 
 def _pullback_kinks(op: CompositionOperator, n: int, box_lo: np.ndarray,
@@ -304,7 +296,8 @@ def _interpolate(target: GridFunction, fns, radius: float, tol: float,
 def _escape_blend_fit(op: CompositionOperator, g: GridFunction,
                       f: GridFunction, radius: float,
                       width: Optional[int] = None, tol: float = 0.0):
-    """Escape [-radius, radius]^m, blend f into g there, optionally fit.
+    """Escape [-radius, radius]^m (``escape_time``), blend f into g there,
+    optionally fit.
 
     Returns (N, box_lo, box_hi, blend, fit) where [box_lo, box_hi] is the
     escaped box S^N([-radius, radius]^m), first clear of the guard cube of
@@ -318,7 +311,7 @@ def _escape_blend_fit(op: CompositionOperator, g: GridFunction,
     2^-radius, with M the larger curvature bound of g and f and h chosen
     for ``tol``.
     """
-    n, box_lo, box_hi = _escape(op, radius, radius + BLEND_MARGIN, MAX_N)
+    n, box_lo, box_hi = escape_time(op, radius, radius + BLEND_MARGIN)
     blend = _blend(g, f, op, n, box_lo, box_hi, BLEND_MARGIN)
     if width is None:
         return n, box_lo, box_hi, blend, None
@@ -417,7 +410,7 @@ def l1_transitive_approximant(
 
     # the three distances share one set of equal-mass nodes
     nodes, weight = mu.nodes(QUAD_NODES)
-    diff0 = quadrature_norm(f - g, nodes[:, None], weight)
+    diff0 = lp_norm(f - g, nodes[:, None], weight)
     if diff0 == 0.0:
         return g, _certificate(0, 0.0, 0.0, 0.0, "l1", op)
 
@@ -442,8 +435,8 @@ def l1_transitive_approximant(
         )
 
     n, box_lo, box_hi, g_tilde, _ = _escape_blend_fit(op, g, f, radius)
-    d_seed = quadrature_norm(g_tilde - g, nodes[:, None], weight)
-    d_target = quadrature_norm(f - apply(op, g_tilde, n), nodes[:, None], weight)
+    d_seed = lp_norm(g_tilde - g, nodes[:, None], weight)
+    d_target = lp_norm(f - apply(op, g_tilde, n), nodes[:, None], weight)
     if not (d_seed < delta and d_target < eps):
         raise VerificationError(
             "L1 certificate verification failed",

@@ -3,7 +3,7 @@
 The metric of uniform convergence on compacts is approximated by grid
 suprema over the cubes [-k, k]^m and truncated after a configurable number
 of series terms; every reported supremum is a lower bound on the true one,
-and the truncation tail is bounded by ``d_ucc_tail_bound(terms)`` because
+and the truncation tail after ``terms`` terms is below 2**-terms because
 each series term is strictly below 2**-k.  ``d_ucc`` samples each
 function once over the stacked cubes, in batches of bounded size, and gets
 the values of a term-by-term evaluation.
@@ -33,9 +33,7 @@ __all__ = [
     "weights_from_config",
     "WeightedSupResult",
     "d_ucc",
-    "d_ucc_tail_bound",
     "lp_norm",
-    "quadrature_norm",
     "sup_norm_on_ball",
     "weighted_sup_norm",
     "gaussian_measure",
@@ -210,8 +208,8 @@ class Measure1D(NamedTuple):
     density: Callable[[np.ndarray], np.ndarray]
     total_mass: float
     quantile: Callable[[np.ndarray], np.ndarray]
-    cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    density_sup: Optional[Callable[[float, float], float]] = None
+    cdf: Callable[[np.ndarray], np.ndarray]
+    density_sup: Callable[[float, float], float]
 
     def nodes(self, count: int) -> tuple[np.ndarray, float]:
         """Equal-mass quadrature nodes and the (constant) weight per node."""
@@ -219,9 +217,7 @@ class Measure1D(NamedTuple):
         return np.asarray(self.quantile(u), dtype=np.float64), self.total_mass / count
 
     def tail_mass(self, radius: float) -> float:
-        """Mass outside [-radius, radius] (requires a cdf)."""
-        if self.cdf is None:
-            raise QuadratureError("measure has no cdf; tail mass unavailable")
+        """Mass outside [-radius, radius]."""
         lo = float(self.cdf(np.asarray([-radius]))[0])
         hi = float(self.cdf(np.asarray([radius]))[0])
         return max(0.0, self.total_mass - (hi - lo))
@@ -452,11 +448,6 @@ def weights_from_config(cfg: Sequence[dict]) -> tuple[Weight, ...]:
 # metrics and norms
 
 
-def d_ucc_tail_bound(terms: int) -> float:
-    """Upper bound on the truncated series tail (each term is < 2**-k)."""
-    return 2.0 ** (-int(terms))
-
-
 # most points one d_ucc call passes to ``sample`` at once, unless a single
 # cube is larger: consecutive cubes share a call up to this size
 DUCC_BATCH_POINTS = 1 << 16
@@ -468,8 +459,8 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
 
     Sum over k = 1..terms of s_k / (2**k * (1 + s_k)) where s_k is the grid
     supremum of ||f-g|| over [-k, k]^m, ``points`` per axis.  The omitted
-    tail is below ``d_ucc_tail_bound(terms)``; the grid supremum is a lower
-    bound on the true one, so the returned value is a lower bound as well.
+    tail is below 2**-terms; the grid supremum is a lower bound on the true
+    one, so the returned value is a lower bound as well.
     On sampled representatives this is a pseudometric: functions agreeing
     at every grid point are indistinguishable, and no equality of the
     underlying functions is certified.
@@ -503,38 +494,13 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
     return total
 
 
-def lp_norm(f: GridFunction, mu, p: float = 1.0, quad_nodes: int = 10_000) -> float:
-    """L^p norm w.r.t. a product of per-axis measures, by equal-mass quadrature.
-
-    Product measures are supported for dim_in <= 2 (for 2 axes the per-axis
-    node count is capped at 512 to keep the tensor grid at desk scale).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    mus = [mu] if isinstance(mu, Measure1D) else list(mu)
-    m = f.dim_in
-    if len(mus) != m:
-        raise DimensionMismatchError(
-            f"need one measure per axis: got {len(mus)} for dim_in={m}"
-        )
-    if m > 2:
-        raise DimensionMismatchError("product quadrature supports dim_in <= 2")
-    per_axis = quad_nodes if m == 1 else min(quad_nodes, 512)
-    axes, weights = zip(*(mi.nodes(per_axis) for mi in mus))
-    if m == 1:
-        pts = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
-    return quadrature_norm(f, pts, float(np.prod(weights)), p)
-
-
-def quadrature_norm(f: GridFunction, pts: np.ndarray, w: float,
-                    p: float = 1.0) -> float:
+def lp_norm(f: GridFunction, pts: np.ndarray, w: float,
+            p: float = 1.0) -> float:
     """(w * sum ||f(x)||^p over the points x of pts)^(1/p): the L^p norm
-    by a quadrature rule with one weight w for every point, as ``lp_norm``
-    takes it on its equal-mass nodes.  A non-finite sum raises
-    QuadratureError naming the first non-finite point."""
+    by a quadrature rule with one weight w for every point, such as a
+    measure's equal-mass nodes and weight (``Measure1D.nodes``).  A
+    non-finite sum raises QuadratureError naming the first non-finite
+    point."""
     vals = np.linalg.norm(f.sample(pts), axis=1)
     total = float(np.sum(vals**p) * w)
     if not np.isfinite(total):

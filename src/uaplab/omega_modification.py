@@ -175,11 +175,15 @@ def approximate_vanishing(
 
 
 def phi_omega(f: GridFunction, omega: Callable) -> GridFunction:
-    """Multiply by the weight envelope: x -> (omega(||x||)+1) f(x)."""
+    """Multiply by the weight envelope: x -> (omega(||x||)+1) f(x).  A zero
+    f(x) stays zero where the envelope overflows to inf."""
 
     def sample(X: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(np.asarray(X, dtype=np.float64), axis=1)
-        return f.sample(X) * (np.asarray(omega(r)) + 1.0)[:, None]
+        vals = f.sample(X)
+        with np.errstate(invalid="ignore"):  # 0 * inf, replaced below
+            out = vals * (np.asarray(omega(r)) + 1.0)[:, None]
+        return np.where(vals == 0.0, vals, out)
 
     return GridFunction(sample, f.dim_in, f.dim_out,
                         name=f"weighted[{f.name}]")

@@ -1,14 +1,15 @@
 """Convex-hull approximation rates for iterated-composition bases.
 
-Simplex-constrained L1 fitting solves the quadrature problem on the merged
-nodes exactly: the basis and target are sampled at the measure's
-equal-mass quadrature nodes, runs of equal rows (the piecewise-constant
-trees make many) merge into weighted cells, and the linear program
-min sum w|B a - t| over the simplex is solved to optimality.  It is the
-L1(mu) problem only up to that quadrature.  The solver is a numpy Mehrotra
-predictor-corrector whose Newton steps reduce to an n x n system in the
-coefficient dimension (the Frisch-Newton reduction of Portnoy and Koenker,
-Statistical Science 1997).  Each iteration factors that system once by
+A rate sweep fits a target by convex combinations of indicator trees
+composed with S^N, in L1 on the measure's equal-mass quadrature nodes:
+the trees and the target are sampled at the nodes, sorted by their images
+under S^N, runs of equal rows (the piecewise-constant trees make many)
+merge into weighted cells, and ``simplex_fit`` solves the linear program
+min sum w|B a - t| over the simplex on those cells to optimality.  It is
+the L1(mu) problem only up to that quadrature.  The solver is a numpy
+Mehrotra predictor-corrector whose Newton steps reduce to an n x n system
+in the coefficient dimension (the Frisch-Newton reduction of Portnoy and
+Koenker, Statistical Science 1997).  Each iteration factors that system once by
 Cholesky and inverts the factor's small diagonal blocks; the predictor and
 the corrector then solve by matrix products alone.  The LP is solved on a
 growing set of columns (column generation), each solve after the first
@@ -372,35 +373,6 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
         y, y0, z = y + ad * dy, y0 + ad * dy0, z + ad * dz
 
 
-def simplex_fit(basis: Sequence[GridFunction], target: GridFunction,
-                mu: Measure1D, *, quad_nodes: int = 2001) -> SimplexFit:
-    """Best convex combination of the basis in L1(mu), exact for the
-    quadrature problem on the merged nodes.
-
-    The basis and target are sampled at the equal-mass quadrature nodes of
-    mu; runs of equal rows (piecewise-constant functions on sorted nodes)
-    merge into weighted cells, and the linear program
-    min sum w|B a - t| over the simplex is solved by a primal-dual interior
-    point (``_l1_simplex_lp``) on a growing column set (``_fit_columns``).
-    The returned coefficients are an interior point projected onto the
-    simplex, the residual is evaluated from them on every cell, and
-    ``lower_bound`` is a weak-duality bound on the optimum, so the optimum
-    lies in [lower_bound, lower_bound + gap], whose upper end is the
-    residual plus a bound on its rounding, and ``gap`` <= _LP_TOL
-    (1 + residual).  A solve that does not reach status "optimal"
-    raises ``LPSolveError``.
-    """
-    if len(basis) == 0:
-        raise PreconditionError("basis must be nonempty")
-    if target.dim_out != 1 or any(f.dim_out != 1 for f in basis):
-        raise DimensionMismatchError("simplex fitting handles scalar outputs")
-    nodes, w = mu.nodes(quad_nodes)
-    pts = nodes[:, None]
-    B = np.column_stack([f.sample(pts)[:, 0] for f in basis])
-    return _fit_columns(*_merge(np.arange(len(nodes)), B,
-                                target.sample(pts)[:, 0], len(nodes)), w)
-
-
 def _merge(rows: np.ndarray, B: np.ndarray, t: np.ndarray, nodes: int):
     """(Bc, tc, counts) of the cells: B and t are sampled at the sorted
     node indices ``rows`` (row 0 among them) of ``nodes`` nodes, and every
@@ -410,12 +382,14 @@ def _merge(rows: np.ndarray, B: np.ndarray, t: np.ndarray, nodes: int):
     return B[keep], t[keep], np.diff(np.r_[rows[keep], nodes])
 
 
-def _fit_columns(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
-                 w: float, carried: Optional[SimplexFit] = None) -> SimplexFit:
-    """``simplex_fit`` on the cells of the basis and the target: the rows
-    Bc and values tc of each run of ``counts`` equal nodes of uniform node
-    weight w (``_merge``), by column generation (Dantzig & Wolfe,
-    Operations Research 1960).
+def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
+                w: float, carried: Optional[SimplexFit] = None) -> SimplexFit:
+    """Best convex combination of the columns of Bc in L1 on the cells: the
+    rows Bc and target values tc of each run of ``counts`` equal nodes of
+    uniform node weight w (``_merge``).  The linear program
+    min sum w counts |Bc a - tc| over the simplex is solved by a primal-dual
+    interior point (``_l1_simplex_lp``) and column generation (Dantzig &
+    Wolfe, Operations Research 1960).
 
     The LP is solved on a column set S only, on the coarser cells merged
     over S: at first the _START_COLUMNS of smallest single-column residual.
@@ -428,15 +402,21 @@ def _fit_columns(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
     grows to every column.  Each solve after the first starts warm from
     the last coefficients and dual (the dual summed over the coarse cells
     of the new S); a warm solve that does not end "optimal" is solved
-    again from the cold start before ``LPSolveError``.
+    again from the cold start, and then raises ``LPSolveError``.
 
-    ``carried``, the fit of a prefix of B's columns on the same nodes,
+    ``carried``, the fit of a prefix of Bc's columns on the same nodes,
     starts S instead: its coefficients padded with zeros (feasible) and its
     node dual summed over each of the finer cells (a dual point) are
     checked first, so a fit they certify takes no Newton step; otherwise S
     is the carried set and its most violated columns, solved warm from
-    them.  ``iterations`` sums the Newton steps of the solves, and
-    ``column_set`` is the last S."""
+    them.
+
+    The coefficients are an interior point projected onto the simplex, the
+    residual is evaluated from them on every cell, and the optimum lies in
+    [lower_bound, lower_bound + gap], whose upper end is the residual plus
+    a bound on its rounding, with gap <= _LP_TOL (1 + residual).
+    ``iterations`` sums the Newton steps of the solves, and ``column_set``
+    is the last S."""
     starts = np.cumsum(counts) - counts
     wc = w * counts
     (m, n), bmax = Bc.shape, float(np.max(np.abs(Bc)))
@@ -527,37 +507,30 @@ def trees_basis_family(amp_range=(0.25, 2.0), left_range=(-1.5, 1.0),
     return family
 
 
-def _tree_ends(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray, t: np.ndarray) -> Optional[tuple]:
+def _tree_ends(y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               t: np.ndarray) -> tuple:
     """Where the rows of the trees amp_j * 1_(lo_j, hi_j) and the target t
-    at the nodes S^N(nodes) = y can change: (first, end, changes), where
-    the interval of tree j holds the nodes [first_j, end_j) and t changes
-    at the nodes ``changes``.  On a non-decreasing y the open interval
-    holds one run of nodes, found by two binary searches.  None when y is
-    not non-decreasing (a NaN, or rounding at an activation breakpoint) or
-    an amplitude is NaN (a NaN row differs from the next): then any node
-    may start a cell."""
-    if not np.all(y[1:] >= y[:-1]) or np.any(np.isnan(amp)):
-        return None
+    at the sorted nodes y can change: (first, end, changes), where the
+    interval of tree j holds the nodes [first_j, end_j) and t changes at
+    the nodes ``changes``.  y is sorted as ``np.sort`` sorts, NaNs last, so
+    the open interval holds one run of nodes, found by two binary
+    searches."""
     return (np.searchsorted(y, lo, "right"), np.searchsorted(y, hi, "left"),
             np.flatnonzero(t[1:] != t[:-1]) + 1)
 
 
 def _tree_cells(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
-                hi: np.ndarray, t: np.ndarray, ends: Optional[tuple]):
-    """The cells (Bc, tc, counts) of the trees amp_j * 1_(lo_j, hi_j) at
-    the nodes y and the target t, equal to ``_merge`` of every node's row
-    bit for bit.  Given ``ends``, the ``_tree_ends`` of trees whose first
-    len(amp) are these, only node 0, the ends of these trees' runs and t's
-    changes are sampled: rows are equal between them.  Given None, every
-    node is."""
-    if ends is None:
-        rows = np.arange(len(y))
-    else:
-        first, end, changes = ends
-        k = len(amp)
-        rows = np.sort(np.r_[0, first[:k], end[:k], changes])
-        rows = rows[np.r_[True, rows[1:] != rows[:-1]] & (rows < len(y))]
+                hi: np.ndarray, t: np.ndarray, ends: tuple):
+    """The cells (Bc, tc, counts) of the trees amp_j * 1_(lo_j, hi_j) with
+    finite amplitudes at the sorted nodes y and the target t, equal to
+    ``_merge`` of every node's row bit for bit.  Only node 0, the ends of
+    these trees' runs and t's changes are sampled, from ``ends``, the
+    ``_tree_ends`` of trees whose first len(amp) are these: rows are equal
+    between them."""
+    first, end, changes = ends
+    k = len(amp)
+    rows = np.sort(np.r_[0, first[:k], end[:k], changes])
+    rows = rows[np.r_[True, rows[1:] != rows[:-1]] & (rows < len(y))]
     return _merge(rows, K.tree_columns(amp, lo, hi, y[rows]), t[rows], len(y))
 
 
@@ -576,33 +549,34 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
 
     The family is drawn once, at the largest n, and every element must
     carry a one-term indicator tree (``TreeGridFunction.tree``); any other
-    element raises ``PreconditionError``.  The quadrature nodes are pushed
-    through S^N once.  On the sorted S^N(nodes), tree j is nonzero on one
-    run of nodes, whose ends two binary searches find once per sweep
-    (``_tree_ends``).  A row samples its n trees with
+    element raises ``PreconditionError``, as does a non-finite amplitude.
+    The quadrature nodes are pushed through S^N once, and S^N(nodes) is
+    sorted together with the target's values there by a stable argsort:
+    every node weighs the same, so the LP is the same problem in any node
+    order, and an already sorted S^N(nodes) keeps its order.  On the sorted
+    nodes, tree j is nonzero on one run, whose ends two binary searches
+    find once per sweep (``_tree_ends``).  A row samples its n trees with
     ``_kernels.tree_columns`` only at node 0, the ends of their runs and
     the nodes where the target changes, and merges equal neighbours: the
     rows are constant in between, so the cells are those of every node's
-    row bit for bit, and ``tree_columns`` equals ``simplex_fit``'s sampling
-    of ``apply(op, f_j, N)``.  When S^N(nodes) is not sorted, every node
-    is sampled.  Each row fits its cells as ``simplex_fit`` does (an
-    interior-point LP solved to optimality on a growing column set).  Rows
-    run in the given order, as one column generation: while n increases,
-    a row starts from the column set, coefficients and dual the previous
-    row ended in (``_fit_columns``' ``carried``), and is done without a
-    Newton step when they certify it, or else solved warm from them; the
-    first row and a row whose n does not grow start from scratch.  The
-    previous row's coefficients, padded with zeros, are feasible, and a
-    row reports the smaller of the two residuals, so that tolerance-level
-    differences between equal optima cannot make the table rise.  Each row
-    carries the LP's status, ``lower_bound`` (a weak-duality bound on the
-    row's optimum), ``gap`` (the optimum lies in [lower_bound, lower_bound
-    + gap], whose upper end is the residual plus a bound on its rounding;
-    at most 1e-12 (1 + residual)), ``iterations`` (Newton steps summed
-    over the restricted solves, 0 for a row the carried state certifies),
-    cell count, ``columns`` (the size of the last restricted column set),
-    and ``degenerate`` when its residual is no better than predicting 0
-    (>= (1 - 1e-9) * ||target||_L1(mu)).
+    row of ``apply(op, f_j, N)`` bit for bit.  Each row fits its cells by
+    ``simplex_fit`` (an interior-point LP solved to optimality on a growing
+    column set).  Rows run in the given order, as one column generation:
+    while n increases, a row starts from the column set, coefficients and
+    dual the previous row ended in (``simplex_fit``'s ``carried``), and is
+    done without a Newton step when they certify it, or else solved warm
+    from them; the first row and a row whose n does not grow start from
+    scratch.  The previous row's coefficients, padded with zeros, are
+    feasible, and a row reports the smaller of the two residuals, so that
+    tolerance-level differences between equal optima cannot make the table
+    rise.  Each row carries the LP's status, ``lower_bound`` (a
+    weak-duality bound on the row's optimum), ``gap`` (the optimum lies in
+    [lower_bound, lower_bound + gap], whose upper end is the residual plus
+    a bound on its rounding; at most 1e-12 (1 + residual)), ``iterations``
+    (Newton steps summed over the restricted solves, 0 for a row the
+    carried state certifies), cell count, ``columns`` (the size of the last
+    restricted column set), and ``degenerate`` when its residual is no
+    better than predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
     if N < 0:
         raise PreconditionError(f"depth N must be >= 0, got {N}")
@@ -632,18 +606,23 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     if N > 0 and op.dim != 1:
         raise DimensionMismatchError(
             f"operator dimension {op.dim} does not match the trees' dim_in 1")
-    nodes, w = mu.nodes(quad_nodes)
-    y = nodes if N == 0 else op.iterate(nodes, N)[:, 0]
     amp, lo, hi = np.array([tree.terms[0] for tree in trees]).T
+    if not np.all(np.isfinite(amp)):
+        raise PreconditionError("rate sweeps need finite tree amplitudes, got "
+                                f"{float(amp[~np.isfinite(amp)][0])}")
+    nodes, w = mu.nodes(quad_nodes)
     t = target.sample(nodes[:, None])[:, 0]
-    ends = _tree_ends(y, amp, lo, hi, t)
     target_norm = float(w * np.sum(np.abs(t)))
+    y = nodes if N == 0 else op.iterate(nodes, N)[:, 0]
+    order = np.argsort(y, kind="stable")
+    y, t = y[order], t[order]
+    ends = _tree_ends(y, lo, hi, t)
     rows = []
     fit = None
     for n in ns:
         grows = bool(rows) and rows[-1]["n"] < n
         cells = _tree_cells(y, amp[:n], lo[:n], hi[:n], t, ends)
-        fit = _fit_columns(*cells, w, fit if grows else None)
+        fit = simplex_fit(*cells, w, fit if grows else None)
         residual, upper = fit.residual, fit.lower_bound + fit.gap
         if grows:
             residual = min(residual, rows[-1]["residual"])

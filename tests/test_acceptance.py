@@ -110,8 +110,8 @@ def test_criterion_02_construction_recipes():
 def test_criterion_03_escape_times():
     start = time.perf_counter()
     op = dd.CompositionOperator(act.by_name("leaky_shifted_paper"), np.array([1.0]))
-    n2 = dd.escape_time(op, 2.0, 2.0)
-    n5 = dd.escape_time(op, 5.0, 5.0)
+    n2 = dd.escape_time(op, 2.0, 2.0)[0]
+    n5 = dd.escape_time(op, 5.0, 5.0)[0]
     checks = [
         (f"K=2 guard=2 gives stated N=4 (measured {n2})", n2 == 4),
         (f"K=5 guard=5 gives stated N=5 (measured {n5})", n5 == 5),

@@ -84,7 +84,7 @@ def test_escape_matches_library_value(tmp_path):
     import numpy as np
 
     op = dd.CompositionOperator(act.by_name("leaky_shifted_paper"), np.array([1.0]))
-    assert dd.escape_time(op, 2.0, 2.0) == doc["outputs"]["N"]
+    assert dd.escape_time(op, 2.0, 2.0)[0] == doc["outputs"]["N"]
 
 
 def test_check_activation_relu(tmp_path):
@@ -896,3 +896,20 @@ def test_certificates_keep_their_recorded_values(tmp_path, command, params, want
     if csv_sha256 is not None:
         csv = (tmp_path / f"{command}.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == csv_sha256
+
+
+@pytest.mark.parametrize("radius", [1e155, 1e160])
+def test_omega_csv_gives_zero_where_the_weight_overflows(tmp_path, radius):
+    # at |x| = radius the weight overflows to inf and the deweighted
+    # approximation is exactly 0 there, so its weighted value is 0, not the
+    # nan of 0 * inf
+    from uaplab import cli
+
+    cli.run(cli.ExperimentConfig(
+        "omega-approx", {"measure_radius": radius, "csv_points": 3}, 0,
+        str(tmp_path)))
+    lines = (tmp_path / "omega-approx.csv").read_text().splitlines()
+    assert lines[0] == "x,target,approx"
+    approx = [float(line.split(",")[2]) for line in lines[1:]]
+    assert approx[0] == approx[2] == 0.0
+    assert all(math.isfinite(value) for value in approx)

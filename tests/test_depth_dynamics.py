@@ -12,10 +12,10 @@ from uaplab.function_space import (
     GridFunction,
     cube_points,
     d_ucc,
-    lp_norm,
 )
 from uaplab.network import TreeFunction
 
+from test_function_space import node_norm
 from test_rate_bounds import cube_transitive
 
 
@@ -100,16 +100,17 @@ class TestEscapeTime:
         # oracle: S^n(-2) = 0, 1.2, 2.52 -> first clear of [-2,2] at n=3;
         # S^n(-5) = -0.3, 0.87, 2.157, 3.5727, 5.12997 -> n=5
         op = shifted_op(leaky_shifted)
-        assert dd.escape_time(op, 2.0, 2.0) == 3
-        assert dd.escape_time(op, 5.0, 5.0) == 5
+        assert dd.escape_time(op, 2.0, 2.0)[0] == 3
+        assert dd.escape_time(op, 5.0, 5.0)[0] == 5
 
     def test_guard_beyond_cube(self, leaky_shifted):
         op = shifted_op(leaky_shifted)
-        assert dd.escape_time(op, 5.0, 6.0) == 6
+        assert dd.escape_time(op, 5.0, 6.0)[0] == 6
 
     def test_monotone_in_radius(self, leaky_shifted):
         op = shifted_op(leaky_shifted)
-        times = [dd.escape_time(op, r, r) for r in (1.0, 2.0, 4.0, 8.0, 16.0)]
+        times = [dd.escape_time(op, r, r)[0]
+                 for r in (1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(b >= a for a, b in zip(times, times[1:]))
 
     def test_relu_rejected(self, relu):
@@ -128,7 +129,7 @@ class TestEscapeTime:
 
     def test_multidimensional_cube(self, leaky_shifted):
         op = dd.CompositionOperator(leaky_shifted, np.array([1.0, 1.0]))
-        assert dd.escape_time(op, 2.0, 2.0) == 3
+        assert dd.escape_time(op, 2.0, 2.0)[0] == 3
 
 
 @pytest.mark.parametrize("spec", [act.by_name("leaky_shifted_paper"),
@@ -207,7 +208,9 @@ class TestUniformCertificate:
         op = shifted_op(leaky_shifted)
         _, cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.2, 0.2)
         guard = cert["k0"] + cert["blend_margin"]
-        assert cert["N"] == dd.escape_time(op, cert["k0"], guard)
+        n, lo, hi = dd.escape_time(op, cert["k0"], guard)
+        assert (cert["N"], cert["escape_lo"], cert["escape_hi"]) == (
+            n, lo.tolist(), hi.tolist())
         assert cert["metric"] == "d_ucc"
         assert cert["activation"] == "leaky_shifted_paper"
         assert cert["b"] == [1.0] and cert["fit_residual"] is None
@@ -240,7 +243,7 @@ class TestIntegrableCertificate:
         assert cert["N"] >= 1
         assert cert["d_seed"] < 0.1 and cert["d_target"] < 0.1
         # quadrature re-measurement at doubled node count stays within bounds
-        d2 = lp_norm(tree - dd.apply(op, g_tilde, cert["N"]), gauss_mu, 1.0, 40_000)
+        d2 = node_norm(tree - dd.apply(op, g_tilde, cert["N"]), gauss_mu, 1.0, 40_000)
         assert d2 < 0.1 * 1.1
 
     def test_flat_activation_rejected(self, relu, gauss_mu):

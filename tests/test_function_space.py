@@ -27,7 +27,6 @@ from uaplab.function_space import (
     Weight,
     cube_points,
     d_ucc,
-    d_ucc_tail_bound,
     gaussian_measure,
     lp_norm,
     measure_from_config,
@@ -83,7 +82,7 @@ class TestDucc:
     def test_zero_vs_one_full_series(self, grid_1d):
         # geometric series sums to 1/2; truncation misses < 2^-20
         val = d_ucc(ZERO, ONE, 20, grid_1d)
-        assert abs(val - 0.5) <= d_ucc_tail_bound(20)
+        assert abs(val - 0.5) <= 2.0**-20
 
     def test_symmetry_exact(self, sin_fn, cos_fn, grid_1d):
         assert d_ucc(sin_fn, cos_fn, 12, grid_1d) == d_ucc(cos_fn, sin_fn, 12, grid_1d)
@@ -97,7 +96,7 @@ class TestDucc:
         for k in (3, 7, 13):
             lo = d_ucc(ident, sin_fn, k, grid_1d)
             hi = d_ucc(ident, sin_fn, k + 1, grid_1d)
-            assert lo <= hi <= lo + d_ucc_tail_bound(k + 1)
+            assert lo <= hi <= lo + 2.0 ** -(k + 1)
 
     def test_triangle_inequality_random_polynomials(self, grid_1d):
         rng = np.random.default_rng(42)
@@ -112,7 +111,7 @@ class TestDucc:
             dfg = d_ucc(f, g, 10, grid_1d)
             dfh = d_ucc(f, h, 10, grid_1d)
             dhg = d_ucc(h, g, 10, grid_1d)
-            assert dfg <= dfh + dhg + 2 * d_ucc_tail_bound(10)
+            assert dfg <= dfh + dhg + 2 * 2.0**-10
 
     def test_dimension_mismatch(self, grid_1d):
         f2 = GridFunction.zero(dim_in=2)
@@ -202,22 +201,28 @@ class TestDuccBatches:
         assert sum(sizes) == 20 * 151**2
 
 
+def node_norm(f, mu, p=1.0, quad_nodes=10_000):
+    """lp_norm of f on every one of mu's quad_nodes equal-mass nodes."""
+    nodes, w = mu.nodes(quad_nodes)
+    return lp_norm(f, nodes[:, None], w, p)
+
+
 class TestLpNorm:
     def test_zero_function(self, gauss_mu):
-        assert lp_norm(ZERO, gauss_mu, 1.0) == 0.0
+        assert node_norm(ZERO, gauss_mu, 1.0) == 0.0
 
     def test_constant_times_mass(self, gauss_mu):
-        assert lp_norm(ONE, gauss_mu, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert node_norm(ONE, gauss_mu, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_indicator_exact_integral(self):
         # oracle: integral of 1_[0,2) against unit density is exactly 2
         mu = uniform_window_measure(-10.0, 10.0, 1.0)
         ind = TreeFunction(((1.0, 0.0, 2.0),)).as_gridfunction()
-        assert lp_norm(ind, mu, 1.0, quad_nodes=10_000) == pytest.approx(2.0, abs=1e-9)
+        assert node_norm(ind, mu, 1.0, quad_nodes=10_000) == pytest.approx(2.0, abs=1e-9)
 
     def test_homogeneity(self, gauss_mu, sin_fn):
-        base = lp_norm(sin_fn, gauss_mu, 2.0)
-        scaled = lp_norm(3.5 * sin_fn, gauss_mu, 2.0)
+        base = node_norm(sin_fn, gauss_mu, 2.0)
+        scaled = node_norm(3.5 * sin_fn, gauss_mu, 2.0)
         assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
     def test_blowup_raises(self):
@@ -228,15 +233,19 @@ class TestLpNorm:
 
         pole = GridFunction.from_scalar(pole_fn)
         with pytest.raises(QuadratureError):
-            lp_norm(pole, mu, 2.0, quad_nodes=1001)
+            node_norm(pole, mu, 2.0, quad_nodes=1001)
 
-    def test_needs_measure_per_axis(self, gauss_mu):
+    def test_points_must_match_the_input_dimension(self, gauss_mu):
         with pytest.raises(DimensionMismatchError):
-            lp_norm(GridFunction.zero(dim_in=2), gauss_mu, 1.0)
+            node_norm(GridFunction.zero(dim_in=2), gauss_mu, 1.0)
 
     def test_product_measure_two_axes(self):
-        # oracle: integral of the indicator of [0,1]^2 against unit density
-        mus = [uniform_window_measure(-2, 2, 1.0), uniform_window_measure(-2, 2, 1.0)]
+        # oracle: integral of the indicator of [0,1]^2 against unit density,
+        # on the tensor grid of each axis's equal-mass nodes
+        (x0, w0), (x1, w1) = (uniform_window_measure(-2, 2, 1.0).nodes(400)
+                              for _ in range(2))
+        g0, g1 = np.meshgrid(x0, x1, indexing="ij")
+        pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
         box = GridFunction(
             lambda X: (
                 ((X[:, 0] >= 0) & (X[:, 0] < 1) & (X[:, 1] >= 0) & (X[:, 1] < 1))
@@ -246,7 +255,7 @@ class TestLpNorm:
             1,
             name="box",
         )
-        val = lp_norm(box, mus, 1.0, quad_nodes=400)
+        val = lp_norm(box, pts, w0 * w1, 1.0)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_sup_norm_two_axes_ball_mask(self):

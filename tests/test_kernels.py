@@ -227,7 +227,7 @@ def searchsorted_invert(edges, kinds, par, vedges, y):
         out = (y - par[idx, 1]) / par[idx, 0]
     for j in np.flatnonzero(kinds == K.KIND_POWER):
         m = idx == j
-        out[m] = K._invert_power(par[j], edges[j], edges[j + 1], y[m], 1e-14)
+        out[m] = K._invert_power(par[j], edges[j], edges[j + 1], y[m])
     return out
 
 

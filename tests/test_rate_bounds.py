@@ -257,6 +257,17 @@ def assert_on_simplex(fit):
     assert abs(fit.coefficients.sum() - 1.0) <= 1e-14
 
 
+def fit_on_nodes(basis, target, mu, quad_nodes=2001):
+    """simplex_fit of the basis to the target, sampled at every one of mu's
+    equal-mass nodes, with runs of equal rows merged by ``_merge``."""
+    nodes, w = mu.nodes(quad_nodes)
+    pts = nodes[:, None]
+    B = np.column_stack([f.sample(pts)[:, 0] for f in basis])
+    t = target.sample(pts)[:, 0]
+    cells = rb._merge(np.arange(len(nodes)), B, t, len(nodes))
+    return rb.simplex_fit(*cells, w)
+
+
 def paper_ladder(seed, N):
     """The benchmark's basis ladder: indicator trees, optionally composed
     N times with the rescaled leaky operator at b = 1."""
@@ -271,14 +282,14 @@ def paper_ladder(seed, N):
 
 class TestSimplexFit:
     def test_target_in_basis(self, gauss_mu, sin_fn):
-        fit = rb.simplex_fit([sin_fn], sin_fn, gauss_mu)
+        fit = fit_on_nodes([sin_fn], sin_fn, gauss_mu)
         assert fit.coefficients[0] == 1.0
         assert fit.residual == 0.0
 
     def test_two_constant_basis(self, gauss_mu):
         basis = [GridFunction.zero(), GridFunction.constant(1.0)]
         target = GridFunction.constant(0.3)
-        fit = rb.simplex_fit(basis, target, gauss_mu)
+        fit = fit_on_nodes(basis, target, gauss_mu)
         assert fit.cells == 1  # every node has the same row
         assert fit.coefficients == pytest.approx([0.7, 0.3], abs=1e-9)
         assert fit.residual <= 1e-9
@@ -286,7 +297,7 @@ class TestSimplexFit:
     def test_matches_brute_force_on_two_elements(self, gauss_mu):
         basis = [GridFunction.zero(), GridFunction.constant(1.0)]
         target = GridFunction.constant(0.3)
-        fit = rb.simplex_fit(basis, target, gauss_mu)
+        fit = fit_on_nodes(basis, target, gauss_mu)
         # oracle: scan alpha in {0, 0.01, ..., 1.0}
         nodes, w = gauss_mu.nodes(2001)
         best = min(
@@ -298,14 +309,14 @@ class TestSimplexFit:
     def test_target_outside_hull(self, gauss_mu):
         basis = [GridFunction.zero(), GridFunction.constant(1.0)]
         target = GridFunction.constant(2.0)
-        fit = rb.simplex_fit(basis, target, gauss_mu)
+        fit = fit_on_nodes(basis, target, gauss_mu)
         assert fit.coefficients[1] == pytest.approx(1.0, abs=1e-9)
         assert fit.residual == pytest.approx(1.0, abs=1e-9)
 
     def test_status_gap_and_feasibility(self, gauss_mu, sin_fn, cos_fn):
         basis = [sin_fn, cos_fn, GridFunction.constant(0.5), GridFunction.zero()]
         target = GridFunction.from_scalar(lambda x: 0.4 * np.sin(x) + 0.1)
-        fit = rb.simplex_fit(basis, target, gauss_mu)
+        fit = fit_on_nodes(basis, target, gauss_mu)
         assert fit.status == "optimal"
         assert 0 < fit.iterations <= rb._LP_MAX_ITER
         assert abs(fit.gap) <= 1e-10
@@ -318,7 +329,7 @@ class TestSimplexFit:
     def test_tree_rows_are_merged(self, gauss_mu):
         basis = paper_ladder(0, 0)[:4]
         target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
-        fit = rb.simplex_fit(basis, target, gauss_mu)
+        fit = fit_on_nodes(basis, target, gauss_mu)
         # 4 trees and the target have at most 10 breakpoints between them
         assert fit.cells <= 11
 
@@ -329,15 +340,11 @@ class TestSimplexFit:
         inside = np.array([0.25, 0.75])
         assert np.array_equal(rb._project_simplex(inside), inside)
 
-    def test_empty_basis_rejected(self, gauss_mu, sin_fn):
-        with pytest.raises(PreconditionError):
-            rb.simplex_fit([], sin_fn, gauss_mu)
-
     def test_iteration_cap_raises_with_state(self, gauss_mu, sin_fn, cos_fn,
                                              monkeypatch):
         monkeypatch.setattr(rb, "_LP_MAX_ITER", 2)
         with pytest.raises(LPSolveError) as info:
-            rb.simplex_fit([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
+            fit_on_nodes([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
         err = info.value
         assert err.status == "iteration_limit"
         assert err.iterations == 2
@@ -351,7 +358,7 @@ class TestSimplexFit:
 
         monkeypatch.setattr(rb.np.linalg, "cholesky", fail)
         with pytest.raises(LPSolveError) as info:
-            rb.simplex_fit([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
+            fit_on_nodes([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
         assert info.value.status == "numerical_failure"
         assert info.value.iterations == 0
 
@@ -368,7 +375,7 @@ class TestSimplexFit:
             return real(M)
 
         monkeypatch.setattr(rb.np.linalg, "cholesky", fail_first)
-        fit = rb.simplex_fit([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
+        fit = fit_on_nodes([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
         assert fit.status == "optimal"
         assert fit.gap <= 1e-12 * (1 + fit.residual)
         lift = seen[1] - seen[0]
@@ -389,7 +396,7 @@ class TestSimplexFit:
         target = TreeFunction(tuple((1.0 / k, lo[j], hi[j]) for j in
                                     rng.choice(12, k, replace=False)))
         target = target.as_gridfunction()
-        fit = rb.simplex_fit(basis, target, gauss_mu, quad_nodes=501)
+        fit = fit_on_nodes(basis, target, gauss_mu, quad_nodes=501)
         best = highs_optimum(basis, target, gauss_mu, quad_nodes=501)
         assert fit.status == "optimal"
         assert fit.lower_bound <= best <= fit.lower_bound + fit.gap
@@ -487,7 +494,7 @@ class TestAgainstHighs:
         target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
         basis = paper_ladder(seed, N)
         for n in (4, 8, 16, 32, 64, 128, 256):
-            fit = rb.simplex_fit(basis[:n], target, gauss_mu)
+            fit = fit_on_nodes(basis[:n], target, gauss_mu)
             assert fit.status == "optimal"
             assert_on_simplex(fit)
             best = highs_optimum(basis[:n], target, gauss_mu)
@@ -509,7 +516,7 @@ class TestAgainstHighs:
             "n1": (paper_ladder(3, 0)[:1],
                    TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()),
         }[case]
-        fit = rb.simplex_fit(basis, target, gauss_mu)
+        fit = fit_on_nodes(basis, target, gauss_mu)
         assert fit.status == "optimal"
         assert_on_simplex(fit)
         best = highs_optimum(basis, target, gauss_mu)
@@ -529,7 +536,7 @@ class TestCertifiedBracket:
                              op, seed=seed)
 
     def sampled(self, seed, N):
-        """(B, t, w) of the sweep's ladder, sampled as simplex_fit does."""
+        """(B, t, w) of the sweep's ladder, sampled at every node."""
         nodes, w = gaussian_measure().nodes(2001)
         pts = nodes[:, None]
         t = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction().sample(pts)[:, 0]
@@ -597,7 +604,7 @@ class TestCertifiedBracket:
         basis = [TreeFunction((term,)).as_gridfunction() for term in terms]
         target = TreeFunction(tuple((1.0 / n, lo, hi)
                                     for _, lo, hi in terms)).as_gridfunction()
-        fit = rb.simplex_fit(basis, target, gauss_mu)
+        fit = fit_on_nodes(basis, target, gauss_mu)
         assert fit.columns == n
         assert fit.coefficients == pytest.approx(np.full(n, 1.0 / n), abs=1e-9)
         best = highs_optimum(basis, target, gauss_mu)
@@ -611,7 +618,7 @@ class TestTreeCells:
     every node's row."""
 
     def assert_node_cells(self, y, amp, lo, hi, t):
-        ends = rb._tree_ends(y, amp, lo, hi, t)
+        ends = rb._tree_ends(y, lo, hi, t)
         for k in sorted({1, 2, 5, len(amp)}):
             got = rb._tree_cells(y, amp[:k], lo[:k], hi[:k], t, ends)
             B = K.tree_columns(amp[:k], lo[:k], hi[:k], y)
@@ -619,7 +626,6 @@ class TestTreeCells:
             for g, v in zip(got, want):
                 assert g.dtype == v.dtype and g.shape == v.shape
                 assert g.tobytes() == v.tobytes(), k
-        return ends
 
     def family(self, rng, y, k=40):
         """k trees with zero amplitudes, empty and tied intervals, ends on
@@ -646,7 +652,7 @@ class TestTreeCells:
         )
         y = nodes if N == 0 else op.iterate(nodes, N)[:, 0]
         t = TreeFunction(((1.0, 0.0, 1.0),)).sample(nodes)[:, 0]
-        assert self.assert_node_cells(y, *self.family(rng, y), t) is not None
+        self.assert_node_cells(y, *self.family(rng, y), t)
 
     def test_tied_nodes_and_rough_targets(self):
         # nodes rounded to one decimal repeat, so runs end inside ties, a
@@ -656,22 +662,26 @@ class TestTreeCells:
         y = np.round(gaussian_measure().nodes(501)[0], 1)
         holes = np.where(np.isin(np.arange(len(y)), [0, 7, 8, 300]), np.nan, y)
         for t in (np.sin(3.0 * y), np.zeros_like(y), holes):
-            ends = self.assert_node_cells(y, *self.family(rng, y), t)
-            assert ends is not None
+            self.assert_node_cells(y, *self.family(rng, y), t)
 
-    @pytest.mark.parametrize("case", ["nan_node", "unsorted", "nan_amplitude"])
-    def test_falls_back_to_every_node(self, case):
+    @pytest.mark.parametrize("case", ["nan_node", "unsorted", "infinite_nodes"])
+    def test_sorted_nodes_give_the_node_cells(self, case):
+        # the sweep sorts S^N(nodes) with the target by a stable argsort:
+        # NaNs go last, where no open interval holds them, and +-inf sit at
+        # the ends, outside every interval too
         rng = np.random.default_rng(5)
         y = gaussian_measure().nodes(301)[0].copy()
         amp, lo, hi = self.family(rng, y)
+        lo[22], hi[23] = -np.inf, np.inf
         if case == "nan_node":
-            y[150] = np.nan
+            y[[150, 7]] = np.nan
         elif case == "unsorted":
             y[[100, 101]] = y[[101, 100]]
         else:
-            amp[0] = np.nan
+            y[[3, 290]], y[[0, 200]] = -np.inf, np.inf
         t = TreeFunction(((1.0, 0.0, 1.0),)).sample(y)[:, 0]
-        assert self.assert_node_cells(y, amp, lo, hi, t) is None
+        order = np.argsort(y, kind="stable")
+        self.assert_node_cells(y[order], amp, lo, hi, t[order])
 
 
 class TestRateSweep:
@@ -695,7 +705,7 @@ class TestRateSweep:
         table = rb.rate_sweep(fam, target, mu, [1], 0, op, seed=3,
                               quad_nodes=1001)
         basis = fam(3, 1)
-        single = rb.simplex_fit(basis, target, mu, quad_nodes=1001)
+        single = fit_on_nodes(basis, target, mu, quad_nodes=1001)
         assert table["rows"][0]["residual"] == pytest.approx(single.residual, rel=1e-9)
 
     def test_monotone_and_below_bounds(self):
@@ -767,7 +777,7 @@ class TestRateSweep:
         basis = [dd.apply(op, f, N) for f in rb.trees_basis_family()(1, 32)]
         prev = math.inf
         for row in table["rows"]:
-            fit = rb.simplex_fit(basis[: row["n"]], target, mu, quad_nodes=1001)
+            fit = fit_on_nodes(basis[: row["n"]], target, mu, quad_nodes=1001)
             assert row["lower_bound"] <= fit.residual
             assert fit.lower_bound <= row["residual"] <= prev
             assert row["gap"] <= 1e-12 * (1.0 + row["residual"])
@@ -798,6 +808,56 @@ class TestRateSweep:
         with pytest.raises(PreconditionError):
             rb.rate_sweep(family, tree, gaussian_measure(), [4], 0, op,
                           quad_nodes=101)
+
+    def test_empty_basis_rejected(self):
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        with pytest.raises(PreconditionError, match="one-term"):
+            rb.rate_sweep(lambda seed, count: [], tree, gaussian_measure(),
+                          [4], 0, op, quad_nodes=101)
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, amp):
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        odd = TreeFunction(((amp, 0.0, 1.0),)).as_gridfunction()
+
+        def family(seed, count):
+            return rb.trees_basis_family()(seed, count - 1) + [odd]
+
+        with pytest.raises(PreconditionError, match="finite tree amplitudes"):
+            rb.rate_sweep(family, tree, gaussian_measure(), [4], 0, op,
+                          quad_nodes=101)
+
+    @pytest.mark.parametrize("N", [0, 2])
+    def test_unsorted_nodes_match_highs_on_every_node(self, N):
+        # a measure whose quadrature nodes come in shuffled order: the sweep
+        # sorts S^N(nodes) with the target, and its rows are the optima of
+        # the node-level LP, in which every node weighs the same
+        gauss = gaussian_measure()
+        perm = np.random.default_rng(3).permutation(1001)
+        shuffled = gauss._replace(quantile=lambda u: gauss.quantile(u)[perm])
+        nodes = shuffled.nodes(1001)[0]
+        assert np.any(nodes[1:] < nodes[:-1])
+        target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        ns = [4, 8, 16, 32]
+        table = rb.rate_sweep(rb.trees_basis_family(), target, shuffled, ns,
+                              N, op, seed=2, quad_nodes=1001)
+        basis = [dd.apply(op, f, N) for f in rb.trees_basis_family()(2, 32)]
+        for row in table["rows"]:
+            best = highs_optimum(basis[:row["n"]], target, shuffled, 1001)
+            assert abs(row["residual"] - best) <= 1e-9 * best, (row, best)
+        in_order = rb.rate_sweep(rb.trees_basis_family(), target, gauss, ns,
+                                 N, op, seed=2, quad_nodes=1001)
+        assert [row["residual"] for row in table["rows"]] == \
+            [row["residual"] for row in in_order["rows"]]
 
     @pytest.mark.parametrize("ns", [[], [0], [4, -1]])
     def test_nonpositive_n_rejected(self, ns):

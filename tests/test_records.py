@@ -68,9 +68,8 @@ RECORDS = [
     (FitResult, ("net", "sup_residual", "knots", "h", "curvature", "bound"),
      {"curvature": None, "bound": None},
      lambda: FitResult(NET, 0.0, 2, 0.5), True, []),
-    (Measure1D, ("density", "total_mass", "quantile", "cdf", "density_sup"),
-     {"cdf": None, "density_sup": None},
-     lambda: Measure1D(np.exp, 1.0, np.log), True, []),
+    (Measure1D, ("density", "total_mass", "quantile", "cdf", "density_sup"), {},
+     lambda: Measure1D(np.exp, 1.0, np.log, np.exp, max), True, []),
     (Weight, ("kind", "param", "fn"), {},
      lambda: Weight("power", 2.0, np.square), True, []),
     (act.Branch, ("lo", "hi", "kind", "params"), {},
