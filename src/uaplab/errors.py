@@ -50,7 +50,13 @@ class NonFiniteValueError(UaplabError):
 
 
 class QuadratureError(UaplabError):
-    pass
+    """A quadrature did not give a finite value.  ``point`` is the first
+    quadrature point whose term is not finite, or None when no single point
+    is at fault."""
+
+    def __init__(self, message: str, point=None):
+        self.point = point
+        super().__init__(message)
 
 
 class PreconditionError(UaplabError):

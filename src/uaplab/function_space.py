@@ -6,13 +6,16 @@ of series terms; every reported supremum is a lower bound on the true one,
 and the truncation tail after ``terms`` terms is below 2**-terms because
 each series term is strictly below 2**-k.  ``d_ucc`` samples each
 function once over the stacked cubes, in batches of bounded size, and gets
-the values of a term-by-term evaluation.
+the values of a term-by-term evaluation.  ``cube_points`` builds each grid
+once per process, and ``lp_norm`` samples its points in small blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
+import operator
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -47,20 +50,43 @@ __all__ = [
 # grids
 
 
+# the grid cache keeps the GRID_CACHE_SIZE most recently used grids of at
+# most GRID_CACHE_VALUES values each: 64 * 512 KiB = 32 MiB at worst
+GRID_CACHE_SIZE = 64
+GRID_CACHE_VALUES = 1 << 16
+
+
 def cube_points(half_width, points: int, dim: int = 1) -> np.ndarray:
     """The uniform grid of ``points`` per axis over the cube [-h, h]^dim,
     as an (n_points, dim) array, the last axis varying fastest; with an odd
     ``points`` it contains the origin.  Several nonzero half-widths give
     their cubes' points stacked in order, each cube equal to its own call's;
-    one ``np.linspace`` call with array ends builds every axis."""
+    one ``np.linspace`` call with array ends builds every axis.
+
+    The array is read-only.  Equal grids (the same half-widths as floats,
+    ``points`` and ``dim``) of at most ``GRID_CACHE_VALUES`` values are
+    built once per process: later calls return the same array while it is
+    among the ``GRID_CACHE_SIZE`` most recently used."""
     if points < 2:
         raise ValueError("points must be >= 2")
     if dim > 3:
         raise ValueError("grids beyond 3 axes are not supported at desk scale")
-    h = np.atleast_1d(np.asarray(half_width, dtype=np.float64))
-    axes = np.linspace(-h, h, points, axis=1)
+    h = tuple(np.atleast_1d(np.asarray(half_width, dtype=np.float64)).tolist())
+    points = operator.index(points)
+    if len(h) * points**dim * dim > GRID_CACHE_VALUES:
+        return _build_grid(h, points, dim)
+    return _cached_grid(h, points, dim)
+
+
+def _build_grid(h: tuple, points: int, dim: int) -> np.ndarray:
+    axes = np.linspace(-np.asarray(h), np.asarray(h), points, axis=1)
     idx = np.indices((points,) * dim).reshape(dim, -1)
-    return axes[:, idx].transpose(0, 2, 1).reshape(-1, dim)
+    grid = axes[:, idx].transpose(0, 2, 1).reshape(-1, dim)
+    grid.flags.writeable = False
+    return grid
+
+
+_cached_grid = functools.lru_cache(maxsize=GRID_CACHE_SIZE)(_build_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +494,8 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
     The cubes' points are stacked, and each function is sampled once per
     batch of consecutive cubes holding at most ``DUCC_BATCH_POINTS`` points
     (a larger cube goes alone): a one-input grid takes one batch, and one
-    ``cube_points`` call builds each batch's points.  Where a
+    ``cube_points`` call gives each batch's points, built once per
+    process.  Where a
     sample maps each point on its own, every s_k, and the sum taken in k
     order, equal those of a term-by-term evaluation bit for bit.  A
     non-finite value raises for the first term k that holds one.
@@ -494,20 +521,37 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
     return total
 
 
+# most points one lp_norm call passes to ``sample`` at once: a block's
+# one-column float64 temporaries (64 KiB) stay below glibc's 128 KiB mmap
+# threshold, so they do not churn the heap
+LP_BLOCK_POINTS = 1 << 13
+
+
 def lp_norm(f: GridFunction, pts: np.ndarray, w: float,
             p: float = 1.0) -> float:
     """(w * sum ||f(x)||^p over the points x of pts)^(1/p): the L^p norm
     by a quadrature rule with one weight w for every point, such as a
-    measure's equal-mass nodes and weight (``Measure1D.nodes``).  A
-    non-finite sum raises QuadratureError naming the first non-finite
-    point."""
-    vals = np.linalg.norm(f.sample(pts), axis=1)
-    total = float(np.sum(vals**p) * w)
+    measure's equal-mass nodes and weight (``Measure1D.nodes``).
+
+    f is sampled in blocks of at most ``LP_BLOCK_POINTS`` points and one
+    ``np.sum`` adds the terms of all blocks, so where a sample maps each
+    point on its own the norm equals a one-shot evaluation's bit for bit.
+    A non-finite sum raises QuadratureError with ``point`` the first point
+    whose term ||f(x)||^p is not finite, or None when every term is finite
+    and only their sum overflows."""
+    norms = np.concatenate([
+        np.linalg.norm(f.sample(pts[i:i + LP_BLOCK_POINTS]), axis=1)
+        for i in range(0, len(pts) or 1, LP_BLOCK_POINTS)  # one if empty
+    ])
+    with np.errstate(over="ignore"):
+        terms = norms**p
+        total = float(np.sum(terms) * w)
     if not np.isfinite(total):
-        bad = ~np.isfinite(vals)
-        pt = pts[int(np.argmax(bad))] if np.any(bad) else None
+        bad = np.flatnonzero(~np.isfinite(terms))
+        point = np.asarray(pts[bad[0]]).tolist() if len(bad) else None
         raise QuadratureError(
-            f"non-integrable blow-up in L^p quadrature (first bad point {pt})"
+            f"non-integrable blow-up in L^p quadrature (first bad point {point})",
+            point,
         )
     return total ** (1.0 / p)
 

@@ -7,6 +7,7 @@ import pytest
 
 from uaplab import activations as act
 from uaplab import depth_dynamics as dd
+from uaplab import function_space as fs
 from uaplab.errors import NoEscapeError, PreconditionError, QuadratureError
 from uaplab.function_space import (
     GridFunction,
@@ -178,6 +179,13 @@ class TestUniformCertificate:
         _, cert = dd.construct_transitive_approximant(op, ident, sin_fn, 0.1, 0.1)
         guard = cert["k0"] + cert["blend_margin"]
         assert min(cert["escape_lo"]) > guard or max(cert["escape_hi"]) < -guard
+
+    def test_three_distances_build_one_grid(self, leaky_shifted, ident, sin_fn):
+        fs._cached_grid.cache_clear()
+        dd.construct_transitive_approximant(shifted_op(leaky_shifted), ident,
+                                            sin_fn, 0.1, 0.1)
+        info = fs._cached_grid.cache_info()
+        assert info.misses <= 1 and info.hits >= 2  # d0, d_seed and d_target
 
     def test_large_delta_is_vacuous(self, leaky_shifted, ident, cos_fn):
         op = shifted_op(leaky_shifted)

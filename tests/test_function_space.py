@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from uaplab import activations as act
+from uaplab import function_space as fs
 from uaplab.depth_dynamics import CompositionOperator, apply
 from uaplab.errors import (
     ConfigError,
@@ -19,6 +20,8 @@ from uaplab.errors import (
 )
 from uaplab.function_space import (
     DUCC_BATCH_POINTS,
+    GRID_CACHE_VALUES,
+    LP_BLOCK_POINTS,
     SUP_START_RADIUS,
     GridFunction,
     _ensure_finite,
@@ -67,6 +70,37 @@ class TestGridSpec:
         assert (cube_points(widths, points, dim).tobytes()
                 == np.concatenate(want).tobytes())
         assert cube_points(widths[1], points, dim).tobytes() == want[1].tobytes()
+
+
+class TestGridCache:
+    @pytest.mark.parametrize("widths", [
+        (3, 3.0, [3.0], range(3, 4), np.array([3.0]), np.float64(3.0)),
+        (range(1, 21), [float(k) for k in range(1, 21)], np.arange(1.0, 21.0)),
+    ])
+    def test_equal_grids_are_one_array(self, widths):
+        grids = [cube_points(h, 301) for h in widths]
+        assert all(g is grids[0] for g in grids)
+
+    def test_grid_is_read_only(self):
+        grid = cube_points(2.0, 101)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        assert grid[0, 0] == -2.0
+
+    def test_invalid_grids_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cube_points(3.0, 1)
+            with pytest.raises(ValueError):
+                cube_points(3.0, 5, dim=4)
+
+    def test_grid_over_the_limit_is_not_kept(self):
+        kept = fs._cached_grid.cache_info().currsize
+        first = cube_points(1.0, GRID_CACHE_VALUES + 1)
+        second = cube_points(1.0, GRID_CACHE_VALUES + 1)
+        assert first is not second
+        assert first.tobytes() == second.tobytes()
+        assert fs._cached_grid.cache_info().currsize == kept
 
 
 class TestDucc:
@@ -207,7 +241,55 @@ def node_norm(f, mu, p=1.0, quad_nodes=10_000):
     return lp_norm(f, nodes[:, None], w, p)
 
 
+def one_shot_norm(f, pts, w, p):
+    """The L^p quadrature of lp_norm with f sampled on every point at once."""
+    return (w * np.sum(np.linalg.norm(f.sample(pts), axis=1) ** p)) ** (1.0 / p)
+
+
 class TestLpNorm:
+    @pytest.mark.parametrize("count", [20_000, 2 * LP_BLOCK_POINTS])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_blocks_equal_a_one_shot_sum(self, gauss_mu, count, p):
+        nodes, w = gauss_mu.nodes(count)
+        # terms from e^-8 to e^8, so that another order of the sum rounds
+        # differently
+        f = GridFunction.from_scalar(lambda x: np.exp(8.0 * np.sin(1000.0 * x)))
+        assert lp_norm(f, nodes[:, None], w, p) == one_shot_norm(
+            f, nodes[:, None], w, p)
+
+    def test_calls_stay_within_the_block(self, gauss_mu, sin_fn):
+        sizes = []
+        nodes, w = gauss_mu.nodes(20_000)
+        lp_norm(counted(sin_fn, sizes), nodes[:, None], w)
+        assert max(sizes) <= LP_BLOCK_POINTS
+        assert len(sizes) == math.ceil(20_000 / LP_BLOCK_POINTS)
+        assert sum(sizes) == 20_000
+
+    def test_nan_in_the_last_block_is_reported(self, gauss_mu):
+        nodes, w = gauss_mu.nodes(20_000)
+        last = nodes[-1]
+        f = GridFunction.from_scalar(lambda x: np.where(x == last, np.nan, x))
+        with pytest.raises(QuadratureError) as err:
+            lp_norm(f, nodes[:, None], w)
+        assert err.value.point == [last]
+
+    def test_overflowing_term_names_its_point(self):
+        # |f| = 1e150 is finite, |f|^3 is not
+        pts = np.linspace(0.0, 1.0, 11)[:, None]
+        f = GridFunction.from_scalar(lambda x: np.where(x > 0.5, 1e150, 0.0))
+        with pytest.raises(QuadratureError) as err:
+            lp_norm(f, pts, 0.1, 3.0)
+        assert err.value.point == pts[6].tolist()
+        assert err.value.payload()["point"] == pts[6].tolist()
+
+    def test_overflowing_sum_names_no_point(self):
+        # every term 1e306 is finite; a thousand of them are not
+        pts = np.linspace(0.0, 1.0, 1000)[:, None]
+        with pytest.raises(QuadratureError) as err:
+            lp_norm(GridFunction.constant(1e102), pts, 1.0, 3.0)
+        assert err.value.point is None
+        assert err.value.payload()["point"] is None
+
     def test_zero_function(self, gauss_mu):
         assert node_norm(ZERO, gauss_mu, 1.0) == 0.0
 

@@ -4,6 +4,7 @@ the weight isometry, and the best-constant separation demo."""
 import numpy as np
 import pytest
 
+from uaplab import function_space as fs
 from uaplab import omega_modification as om
 from uaplab.errors import NoControllingWeightError, PreconditionError
 from uaplab.function_space import (
@@ -161,6 +162,27 @@ class TestApproximateGrowth:
         result, rep = om.approximate_growth(f, self.family(), 0.1, 512)
         assert rep["weighted_error"] < 0.1
         assert rep["weight_kind"] in ("power", "max_t_power")
+
+    def test_weights_share_their_grids(self, monkeypatch):
+        """Each distinct grid is built once: the weighted sup norms of the
+        three weights miss the cache once per radius, not once per weight
+        and radius."""
+        requests = []
+
+        def recorded(half_width, points, dim=1):
+            requests.append((float(half_width), points, dim))
+            return cube_points(half_width, points, dim)
+
+        monkeypatch.setattr(fs, "cube_points", recorded)
+        monkeypatch.setattr(om, "cube_points", recorded)
+        fs._cached_grid.cache_clear()
+        f = GridFunction.from_scalar(
+            lambda x: x * np.exp(-(x**2)) + x, name="gauss_linear"
+        )
+        om.approximate_growth(f, self.family(), 0.1, 256)
+        norms = [r for r in requests if r[1] == om.NORM_POINTS]
+        assert len(norms) > len(set(norms))
+        assert fs._cached_grid.cache_info().misses == len(set(requests))
 
     def test_weighted_error_covers_the_line(self):
         # the CLI default: the weighted error is the vanishing sup error (the
