@@ -168,13 +168,6 @@ class ActivationSpec:
         out = K.act_eval(edges, kinds, par, arr)
         return float(np.asarray(out).reshape(())) if scalar else out.reshape(arr.shape)
 
-    def derivative(self, x):
-        scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-        arr = np.asarray(x, dtype=np.float64)
-        edges, kinds, par, _ = self._table
-        out = K.act_deriv(edges, kinds, par, arr)
-        return float(np.asarray(out).reshape(())) if scalar else out.reshape(arr.shape)
-
     def derivative_two_sided(self, x0: float) -> tuple[float, float]:
         """(left, right) derivative at x0 from the adjacent branch formulas."""
         interior = np.array([b.hi for b in self.branches[:-1]])

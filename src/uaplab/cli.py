@@ -269,11 +269,7 @@ def _run_check_activation(p: dict, seed: int):
     from . import activations as act
 
     verdict = act.classify(p["activation"])
-    return {"activation": p["activation"].name, "kind": verdict.kind,
-            "dominance": verdict.dominance, "witness": verdict.witness,
-            "injective": verdict.injective,
-            "fixed_points": list(verdict.fixed_points),
-            "infinite_fixed_set": verdict.infinite_fixed_set}, []
+    return {"activation": p["activation"].name, **verdict._asdict()}, []
 
 
 def _run_escape(p: dict, seed: int):

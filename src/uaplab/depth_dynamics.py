@@ -52,6 +52,7 @@ __all__ = [
 TERMS = 20             # series terms of the truncated d_ucc metric
 UCC_POINTS = 301       # grid points per axis for each d_ucc supremum
 QUAD_NODES = 20_000    # quadrature nodes of the L1(mu) distances
+TAIL_RADII = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)  # the L1 certificate's R
 BLEND_MARGIN = 1.0     # width of the shell blending the target back into g
 MAX_N = 10_000         # escape steps before NoEscapeError
 
@@ -163,8 +164,6 @@ def _pullback_kinks(op: CompositionOperator, n: int, box_lo: np.ndarray,
     edges, where the clamp kinks) are returned; a shallow fit cannot resolve
     the slope jumps there without a unit kinked at each.
     """
-    if op.dim != 1:
-        return []
     seeds = [float(np.asarray(op.activation(bp)))
              for bp in op.activation.breakpoints]
     kinks = {float(box_lo[0]), float(box_hi[0])}
@@ -377,16 +376,16 @@ def l1_transitive_approximant(
     mu: Measure1D,
     eps: float,
     delta: float,
-    *,
-    max_radius: float = 64.0,
 ) -> tuple[GridFunction, dict]:
     """Integrable-variant certificate: distances measured in the L1(mu) norm.
     Returns (g_tilde, outputs) as ``construct_transitive_approximant``.
 
     The perturbed region is pushed past a radius R holding all but a small
-    fraction of the measure's mass (tail <= min(eps, delta)/(4*(M+1)) with M
-    a numeric sup bound on f and g), so the seed distance is controlled by
-    the tail mass while the N-th iterate reproduces f exactly on [-R, R]^m.
+    fraction of the measure's mass: R is the first of ``TAIL_RADII`` with
+    tail <= min(eps, delta)/(4*(M+1)), M a numeric sup bound on f and g on
+    the largest of them, and none raises QuadratureError.  So the seed
+    distance is controlled by the tail mass while the N-th iterate
+    reproduces f exactly on [-R, R]^m.
     """
     if eps <= 0 or delta <= 0:
         raise PreconditionError("eps and delta must be positive")
@@ -415,23 +414,15 @@ def l1_transitive_approximant(
         return g, _certificate(0, 0.0, 0.0, 0.0, "l1", op)
 
     bound = max(
-        sup_norm_on_ball(f, max_radius, 4001),
-        sup_norm_on_ball(g, max_radius, 4001),
+        sup_norm_on_ball(f, TAIL_RADII[-1], 4001),
+        sup_norm_on_ball(g, TAIL_RADII[-1], 4001),
     )
     budget = min(eps, delta) / (4.0 * (bound + 1.0))
-    radius = None
-    r = 1.0
-    while r <= max_radius:
-        if mu.tail_mass(r) <= budget:
-            radius = r
-            break
-        r *= 2.0
-    if radius is None and mu.tail_mass(max_radius) <= budget:
-        radius = max_radius
+    radius = next((r for r in TAIL_RADII if mu.tail_mass(r) <= budget), None)
     if radius is None:
         raise QuadratureError(
             f"measure tail too heavy: needs tail mass <= {budget:.3e} within "
-            f"radius {max_radius}"
+            f"radius {TAIL_RADII[-1]}"
         )
 
     n, box_lo, box_hi, g_tilde, _ = _escape_blend_fit(op, g, f, radius)

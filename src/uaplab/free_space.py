@@ -65,12 +65,6 @@ class FormalCombination:
                 raise TypeError("atoms must wrap GridFunctions")
         vars(self)["atoms"] = atoms
 
-    def scaled(self, c: float) -> "FormalCombination":
-        return FormalCombination(tuple((c * w, f) for w, f in self.atoms))
-
-    def merged(self, other: "FormalCombination") -> "FormalCombination":
-        return FormalCombination(self.atoms + other.atoms)
-
 
 def rho(combination: FormalCombination) -> GridFunction:
     """Barycenter: the pointwise weighted sum of the atoms (no prefactor).

@@ -474,6 +474,15 @@ def weights_from_config(cfg: Sequence[dict]) -> tuple[Weight, ...]:
 # metrics and norms
 
 
+def _norms(values: np.ndarray) -> np.ndarray:
+    """||v|| of each row v of values.  One column takes |v|, which is exact
+    where np.linalg.norm's sqrt(v*v) overflows (|v| above ~1.34e154) or
+    underflows, and equals it bit for bit wherever v*v is normal."""
+    if values.shape[1] == 1:
+        return np.abs(values[:, 0])
+    return np.linalg.norm(values, axis=1)
+
+
 # most points one d_ucc call passes to ``sample`` at once, unless a single
 # cube is larger: consecutive cubes share a call up to this size
 DUCC_BATCH_POINTS = 1 << 16
@@ -514,8 +523,7 @@ def d_ucc(f: GridFunction, g: GridFunction, terms: int = 20,
             for i, k in enumerate(ks):
                 cube = slice(i * size, (i + 1) * size)
                 _ensure_finite(diff[cube], pts[cube], f"computing d_ucc term k={k}")
-        sups = np.maximum.reduceat(np.linalg.norm(diff, axis=1),
-                                   np.arange(0, len(pts), size))
+        sups = np.maximum.reduceat(_norms(diff), np.arange(0, len(pts), size))
         for k, s in zip(ks, sups.tolist()):
             total += s / (2.0**k * (1.0 + s))
     return total
@@ -540,7 +548,7 @@ def lp_norm(f: GridFunction, pts: np.ndarray, w: float,
     whose term ||f(x)||^p is not finite, or None when every term is finite
     and only their sum overflows."""
     norms = np.concatenate([
-        np.linalg.norm(f.sample(pts[i:i + LP_BLOCK_POINTS]), axis=1)
+        _norms(f.sample(pts[i:i + LP_BLOCK_POINTS]))
         for i in range(0, len(pts) or 1, LP_BLOCK_POINTS)  # one if empty
     ])
     with np.errstate(over="ignore"):
@@ -567,7 +575,7 @@ def sup_norm_on_ball(f: GridFunction, radius: float,
         pts = pts[np.linalg.norm(pts, axis=1) <= radius]
     vals = f.sample(pts)
     _ensure_finite(vals, pts, "computing sup norm on ball")
-    return float(np.max(np.linalg.norm(vals, axis=1)))
+    return float(np.max(_norms(vals)))
 
 
 class WeightedSupResult(NamedTuple):
@@ -600,7 +608,7 @@ def weighted_sup_norm(f: GridFunction, omega: Callable,
     while radius <= SUP_MAX_RADIUS:
         pts = cube_points(radius, points, f.dim_in)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.linalg.norm(f.sample(pts), axis=1)
+            vals = _norms(f.sample(pts))
             denom = np.asarray(omega(np.linalg.norm(pts, axis=1))) + 1.0
             ratio = vals / denom
         if not np.all(np.isfinite(ratio)):

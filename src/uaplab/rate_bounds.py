@@ -25,7 +25,7 @@ columns.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .errors import (
     LPSolveError,
     PreconditionError,
     UnboundedDensityError,
-    VerificationError,
 )
 from .function_space import GridFunction, Measure1D
 from .network import TreeFunction
@@ -47,7 +46,6 @@ __all__ = [
     "pushforward_density_norm",
     "simplex_fit",
     "rate_sweep",
-    "kappa_growth_check",
     "trees_basis_family",
 ]
 
@@ -469,10 +467,32 @@ def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
 # rate sweep
 
 
+class TreeFamily(NamedTuple):
+    """The (lo, hi) ranges of a ``trees_basis_family``."""
+
+    amp_range: tuple
+    left_range: tuple
+    len_range: tuple
+
+    def draw(self, seed: int, count: int) -> tuple:
+        """(amp, lo, hi): the first ``count`` members' terms as arrays."""
+        u = np.random.default_rng(seed).uniform(size=(count, 3))
+        (a0, a1), (l0, l1), (n0, n1) = self
+        left = l0 + u[:, 1] * (l1 - l0)
+        return a0 + u[:, 0] * (a1 - a0), left, left + (n0 + u[:, 2] * (n1 - n0))
+
+    def __call__(self, seed: int, count: int) -> list:
+        """The first ``count`` members, built from ``draw``."""
+        return [TreeFunction(((a, lo, hi),)).as_gridfunction(name=f"tree{i}")
+                for i, (a, lo, hi) in enumerate(zip(*self.draw(seed, count)))]
+
+
 def trees_basis_family(amp_range=(0.25, 2.0), left_range=(-1.5, 1.0),
-                       len_range=(0.25, 2.5)) -> Callable:
-    """Family of single-interval indicator trees with prefix-consistent draws:
-    for one seed, the first k members agree across counts.
+                       len_range=(0.25, 2.5)) -> TreeFamily:
+    """Family of single-interval indicator trees amp * 1_(left, left +
+    length), each of the three drawn uniformly on its range, with
+    prefix-consistent draws: for one seed, the first k members agree across
+    counts.
 
     Each range is two finite numbers lo <= hi, and lengths are >= 0; any
     other range raises ``ValueError`` here, before a member is drawn.
@@ -486,25 +506,8 @@ def trees_basis_family(amp_range=(0.25, 2.0), left_range=(-1.5, 1.0),
                              f"got {list(r)}")
         if name == "len_range" and ends[0] < 0:
             raise ValueError(f"len_range must be >= 0, got {list(r)}")
-        ranges.append(ends)
-    (a0, a1), (l0, l1), (n0, n1) = ranges
-
-    def family(seed: int, count: int) -> list:
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(size=(count, 3))
-        out = []
-        for i in range(count):
-            a = a0 + u[i, 0] * (a1 - a0)
-            left = l0 + u[i, 1] * (l1 - l0)
-            length = n0 + u[i, 2] * (n1 - n0)
-            out.append(
-                TreeFunction(((a, left, left + length),)).as_gridfunction(
-                    name=f"tree{i}"
-                )
-            )
-        return out
-
-    return family
+        ranges.append(tuple(ends))
+    return TreeFamily(*ranges)
 
 
 def _tree_ends(y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -534,7 +537,7 @@ def _tree_cells(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
     return _merge(rows, K.tree_columns(amp, lo, hi, y[rows]), t[rows], len(y))
 
 
-def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
+def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
                n_values: Sequence[int], N: int, op, seed: int = 0,
                quad_nodes: int = 2001) -> dict:
     """Residual of the best simplex combination of n iterated basis draws,
@@ -547,11 +550,10 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     bound_reference), the displayed norm^{N/2} variant, and the final-chain
     variant with the operator-norm factor dropped; at N=0 all three agree.
 
-    The family is drawn once, at the largest n, and every element must
-    carry a one-term indicator tree (``TreeGridFunction.tree``); any other
-    element raises ``PreconditionError``, as does a non-finite amplitude.
-    The quadrature nodes are pushed through S^N once, and S^N(nodes) is
-    sorted together with the target's values there by a stable argsort:
+    The family's terms are drawn once, at the largest n, as arrays
+    (``TreeFamily.draw``), and a non-finite amplitude raises
+    ``PreconditionError``.  The quadrature nodes are pushed through S^N
+    once, and S^N(nodes) is sorted together with the target's values there by a stable argsort:
     every node weighs the same, so the LP is the same problem in any node
     order, and an already sorted S^N(nodes) keeps its order.  On the sorted
     nodes, tree j is nonzero on one run, whose ends two binary searches
@@ -580,33 +582,23 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
     """
     if N < 0:
         raise PreconditionError(f"depth N must be >= 0, got {N}")
-    if N > 0 and op is None:
-        raise PreconditionError("depth N > 0 needs a composition operator")
     mass = mu.total_mass
-    if op is not None:
-        push = pushforward_density_norm(op.activation, float(op.b[0]), mu)
-        if not push.well_defined:
-            raise UnboundedDensityError("pushforward density unbounded: operator "
-                                        "not well-defined on L1(mu)",
-                                        push.witness_interval)
-        norm = push.norm_value
-    else:
-        norm = 1.0
+    push = pushforward_density_norm(op.activation, float(op.b[0]), mu)
+    if not push.well_defined:
+        raise UnboundedDensityError("pushforward density unbounded: operator "
+                                    "not well-defined on L1(mu)",
+                                    push.witness_interval)
+    norm = push.norm_value
 
     ns = [int(n) for n in n_values]
     if not ns or min(ns) < 1:
         raise PreconditionError(f"n values must be positive, got {ns}")
-    trees = [getattr(f, "tree", None) for f in basis_family(seed, max(ns))]
-    if not trees or not all(isinstance(tree, TreeFunction)
-                            and len(tree.terms) == 1 for tree in trees):
-        raise PreconditionError("rate sweeps need a basis of one-term "
-                                "indicator trees")
     if target.dim_out != 1:
         raise DimensionMismatchError("simplex fitting handles scalar outputs")
     if N > 0 and op.dim != 1:
         raise DimensionMismatchError(
             f"operator dimension {op.dim} does not match the trees' dim_in 1")
-    amp, lo, hi = np.array([tree.terms[0] for tree in trees]).T
+    amp, lo, hi = basis_family.draw(seed, max(ns))
     if not np.all(np.isfinite(amp)):
         raise PreconditionError("rate sweeps need finite tree amplitudes, got "
                                 f"{float(amp[~np.isfinite(amp)][0])}")
@@ -655,28 +647,3 @@ def rate_sweep(basis_family: Callable, target: GridFunction, mu: Measure1D,
         "pushforward_norm": norm,
         "degenerate": all(row["degenerate"] for row in rows),
     }
-
-
-def kappa_growth_check(sigma: ActivationSpec, b: float, mu: Measure1D,
-                       N_values: Sequence[int]) -> dict:
-    """Tabulate norm^N for the pushforward norm; needs norm > 1 to certify
-    geometric growth of the iterated operator."""
-    push = pushforward_density_norm(sigma, b, mu)
-    if not push.well_defined:
-        raise UnboundedDensityError("pushforward density unbounded",
-                                    push.witness_interval)
-    if push.norm_value <= 1.0:
-        raise VerificationError(
-            "pushforward norm <= 1 contradicts the growth requirement",
-            {"norm_value": push.norm_value},
-        )
-    rows = [{"N": int(n), "value": push.norm_value ** int(n)} for n in N_values]
-    values = [r["value"] for r in rows]
-    ns = [r["N"] for r in rows]
-    for (n0, v0), (n1, v1) in zip(zip(ns, values), zip(ns[1:], values[1:])):
-        if n1 > n0 and not v1 > v0:
-            raise VerificationError(
-                "growth table not strictly increasing",
-                {"N": n1, "value": v1, "prev": v0},
-            )
-    return {"norm_value": push.norm_value, "rows": rows}

@@ -262,13 +262,14 @@ class TestIntegrableCertificate:
             )
 
     def test_heavy_tail_rejected(self, leaky_rescaled):
-        # a measure whose mass sits out to +-64 cannot meet a tiny budget
+        # a measure whose mass sits out to +-128 leaves tail mass past every
+        # radius up to 64, so no radius meets a tiny budget
         from uaplab.function_space import uniform_window_measure
 
-        mu = uniform_window_measure(-64.0, 64.0, 1.0)
+        mu = uniform_window_measure(-128.0, 128.0, 1.0)
         op = dd.CompositionOperator(leaky_rescaled, np.array([1.0]))
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="within radius 64.0"):
             dd.l1_transitive_approximant(
                 op, GridFunction.zero(), GridFunction.constant(1.0), mu,
-                1e-4, 1e-4, max_radius=32.0,
+                1e-4, 1e-4,
             )

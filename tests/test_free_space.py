@@ -67,7 +67,9 @@ class TestRho:
         c1 = fs.FormalCombination(((1.0, fs.eta(1.0)), (0.5, fs.eta(-2.0))))
         c2 = fs.FormalCombination(((0.25, fs.eta(3.0)),))
         a, b = 0.7, -1.3
-        merged = fs.rho(c1.scaled(a).merged(c2.scaled(b)))
+        merged = fs.rho(fs.FormalCombination(
+            tuple((a * w, f) for w, f in c1.atoms)
+            + tuple((b * w, f) for w, f in c2.atoms)))
         xs = np.linspace(-5, 5, 401)[:, None]
         want = a * fs.rho(c1).sample(xs) + b * fs.rho(c2).sample(xs)
         assert np.max(np.abs(merged.sample(xs) - want)) < 1e-12

@@ -5,6 +5,7 @@ geometric-series sums, and calculus, recomputed in-line where cheap.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,37 @@ class TestWeightedSup:
             r *= 2.0
         sup = max(sup_norm_on_ball(sin_fn, r, 301) for r in radii)
         assert res.value == pytest.approx(0.5 * sup, abs=1e-9)
+
+
+class TestLargeOneOutputValues:
+    """One output column is measured by |f(x)|, so values whose square
+    overflows (above ~1.34e154) are finite norms."""
+
+    def test_abs_equals_the_euclidean_norm_where_squares_are_normal(self):
+        rng = np.random.default_rng(0)
+        v = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-150, 150, 20_000)
+        got = fs._norms(v[:, None])
+        assert np.array_equal(got, np.linalg.norm(v[:, None], axis=1))
+        two = np.stack([v, v[::-1]], axis=1)
+        assert np.array_equal(fs._norms(two), np.linalg.norm(two, axis=1))
+
+    def test_lp_norm(self):
+        pts = np.linspace(0.0, 1.0, 11)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp_norm(GridFunction.constant(1e300), pts, 1e-10, 1.0)
+        assert got == pytest.approx(1.1e291, rel=1e-15)
+
+    def test_d_ucc(self):
+        # s_k = 1e200 gives the term 2^-k exactly
+        got = d_ucc(GridFunction.constant(1e200), ZERO, 20, 11)
+        assert got == 1.0 - 2.0**-20
+
+    def test_sup_norms(self):
+        big = GridFunction.constant(-1e200)
+        assert sup_norm_on_ball(big, 1.0, 11) == 1e200
+        res = weighted_sup_norm(big, Weight.unit(), 11)
+        assert res.value == 0.5e200 and not res.diverged
 
 
 class TestMeasures:

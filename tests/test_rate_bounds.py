@@ -11,7 +11,7 @@ from uaplab import _kernels as K
 from uaplab import activations as act
 from uaplab import depth_dynamics as dd
 from uaplab import rate_bounds as rb
-from uaplab.errors import LPSolveError, PreconditionError, VerificationError
+from uaplab.errors import LPSolveError, PreconditionError
 from uaplab.function_space import (
     GridFunction,
     gaussian_measure,
@@ -123,7 +123,7 @@ def unique_grid_maximum(sigma, b, mu, points=2_000_001):
     for bp in sigma.breakpoints:
         xs.append(np.asarray([bp - b - 1e-9, bp - b, bp - b + 1e-9]))
     x = np.unique(np.concatenate(xs))
-    return float(np.max(mu.density(x) / sigma.derivative(x + b)))
+    return float(np.max(mu.density(x) / K.act_deriv(*sigma._table[:3], x + b)))
 
 
 # the (sigma, b, mu) of each ORACLE entry, in its order
@@ -789,49 +789,68 @@ class TestRateSweep:
     def test_depth_two_rows_never_rise_and_match_their_fits(self):
         self.assert_rows_match_their_fits(2)
 
-    @pytest.mark.parametrize("element", ["scalar", "two_terms", "composed"])
-    def test_non_tree_basis_element_rejected(self, element):
-        op = dd.CompositionOperator(
-            act.by_name("leaky_rescaled_paper"), np.array([1.0])
-        )
-        tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
-        odd = {
-            "scalar": GridFunction.from_scalar(np.sin),
-            "two_terms": TreeFunction(((1.0, 0.0, 1.0),
-                                       (0.5, 2.0, 3.0))).as_gridfunction(),
-            "composed": dd.apply(op, tree, 1),
-        }[element]
-
-        def family(seed, count):
-            return rb.trees_basis_family()(seed, count - 1) + [odd]
-
-        with pytest.raises(PreconditionError):
-            rb.rate_sweep(family, tree, gaussian_measure(), [4], 0, op,
-                          quad_nodes=101)
-
-    def test_empty_basis_rejected(self):
-        op = dd.CompositionOperator(
-            act.by_name("leaky_rescaled_paper"), np.array([1.0])
-        )
-        tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
-        with pytest.raises(PreconditionError, match="one-term"):
-            rb.rate_sweep(lambda seed, count: [], tree, gaussian_measure(),
-                          [4], 0, op, quad_nodes=101)
-
     @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_rejected(self, amp):
         op = dd.CompositionOperator(
             act.by_name("leaky_rescaled_paper"), np.array([1.0])
         )
         tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
-        odd = TreeFunction(((amp, 0.0, 1.0),)).as_gridfunction()
 
-        def family(seed, count):
-            return rb.trees_basis_family()(seed, count - 1) + [odd]
+        class Odd(rb.TreeFamily):  # the last amplitude drawn is amp
+            def draw(self, seed, count):
+                amps, lo, hi = super().draw(seed, count)
+                amps[-1] = amp
+                return amps, lo, hi
 
+        with pytest.raises(PreconditionError, match="finite tree amplitudes"):
+            rb.rate_sweep(Odd(*rb.trees_basis_family()), tree,
+                          gaussian_measure(), [4], 0, op, quad_nodes=101)
+
+    def test_overflowing_amplitude_range_rejected(self):
+        # finite ends whose width overflows draw infinite amplitudes
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        tree = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        family = rb.trees_basis_family(amp_range=(-1e308, 1e308))
         with pytest.raises(PreconditionError, match="finite tree amplitudes"):
             rb.rate_sweep(family, tree, gaussian_measure(), [4], 0, op,
                           quad_nodes=101)
+
+    def test_draw_is_the_members_terms(self):
+        # one vectorized expression per range gives, bit for bit, the terms
+        # of a per-member draw and of the members the family returns
+        (a0, a1), (l0, l1), (n0, n1) = family = rb.trees_basis_family()
+        for seed in range(60):
+            u = np.random.default_rng(seed).uniform(size=(256, 3))
+            want = []
+            for i in range(256):
+                left = l0 + u[i, 1] * (l1 - l0)
+                want.append((float(a0 + u[i, 0] * (a1 - a0)), float(left),
+                             float(left + (n0 + u[i, 2] * (n1 - n0)))))
+            amp, lo, hi = family.draw(seed, 256)
+            assert list(zip(amp.tolist(), lo.tolist(), hi.tolist())) == want
+            assert [f.tree.terms[0] for f in family(seed, 256)] == want
+
+    def test_sweep_reads_arrays_and_builds_no_member(self, monkeypatch):
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        drawn, built = [], []
+        draw, as_gridfunction = rb.TreeFamily.draw, TreeFunction.as_gridfunction
+        monkeypatch.setattr(rb.TreeFamily, "draw", lambda self, seed, count:
+                            drawn.append(draw(self, seed, count)) or drawn[-1])
+        monkeypatch.setattr(TreeFunction, "as_gridfunction", lambda self, *a, **k:
+                            built.append(self) or as_gridfunction(self, *a, **k))
+        ns = [4, 16, 64, 256]
+        rb.rate_sweep(rb.trees_basis_family(), target, gaussian_measure(), ns,
+                      0, op, seed=5, quad_nodes=101)
+        assert built == [] and len(drawn) == 1
+        amp, lo, hi = drawn[0]
+        members = rb.trees_basis_family()(5, 256)
+        assert list(zip(amp.tolist(), lo.tolist(), hi.tolist())) == \
+            [f.tree.terms[0] for f in members]
 
     @pytest.mark.parametrize("N", [0, 2])
     def test_unsorted_nodes_match_highs_on_every_node(self, N):
@@ -887,21 +906,3 @@ class TestRateSweep:
             assert row["degenerate"] is True
             assert row["residual"] == pytest.approx(mass, rel=1e-9)
         assert table["degenerate"] is True
-
-class TestKappaGrowth:
-    def test_table_growth(self, leaky_rescaled, gauss_mu):
-        out = rb.kappa_growth_check(leaky_rescaled, 1.0, gauss_mu, range(0, 11))
-        values = [r["value"] for r in out["rows"]]
-        assert values[0] == 1.0
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_norm_at_most_one_flagged(self, gauss_mu):
-        shift = act.ActivationSpec(
-            "shift", [act.Branch(-math.inf, math.inf, "affine", (1.0, 0.0))]
-        )
-        with pytest.raises(VerificationError):
-            rb.kappa_growth_check(shift, 1.0, gauss_mu, [0, 1, 2])
-
-    def test_flat_branch_rejected(self, relu, gauss_mu):
-        with pytest.raises(PreconditionError):
-            rb.kappa_growth_check(relu, 1.0, gauss_mu, [0, 1])
