@@ -188,13 +188,18 @@ def _weights(cfg) -> tuple:
     return weights_from_config(cfg)
 
 
+def _gauss(x):
+    with np.errstate(over="ignore"):  # x**2 = inf past ~1.34e154: exp gives 0
+        return np.exp(-(x**2))
+
+
 # bounds on |f''| off 0: gauss_linear's is about 1.952, expabs kinks at 0
 _SCALAR_FUNCTIONS = {
     "sin": (np.sin, 1.0),
     "cos": (np.cos, 1.0),
-    "gauss": (lambda x: np.exp(-(x**2)), 2.0),
+    "gauss": (_gauss, 2.0),
     "expabs": (lambda x: np.exp(-np.abs(x)), 1.0),
-    "gauss_linear": (lambda x: x * np.exp(-(x**2)) + x, 2.0),
+    "gauss_linear": (lambda x: x * _gauss(x) + x, 2.0),
 }
 
 

@@ -28,6 +28,7 @@ from .errors import (
 from .function_space import (
     GridFunction,
     Weight,
+    _norms,
     cube_points,
     weighted_sup_norm,
 )
@@ -67,12 +68,12 @@ def bump_transform(g: GridFunction, a: float, b: float) -> GridFunction:
 
     def sample(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        r = np.linalg.norm(X, axis=1)
-        r2 = r * r
+        r = _norms(X)
         vals = g.sample(X)
-        inside = r2 < b
         out = np.empty_like(vals)
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            r2 = r * r
+            inside = r2 < b
             bump = np.zeros_like(r)
             bump[inside] = np.exp(-b / (b - r2[inside]))
             out[inside] = vals[inside] * bump[inside, None] + a
@@ -89,9 +90,9 @@ def bump_transform(g: GridFunction, a: float, b: float) -> GridFunction:
 
 def _shell_sup(f: GridFunction, radius: float) -> float:
     pts = cube_points(2.0 * radius, GRID_POINTS, f.dim_in)
-    r = np.linalg.norm(pts, axis=1)
+    r = _norms(pts)
     keep = (r >= radius) & (r <= 2.0 * radius)
-    vals = np.linalg.norm(f.sample(pts[keep]), axis=1)
+    vals = _norms(f.sample(pts[keep]))
     return float(np.max(vals)) if len(vals) else 0.0
 
 
@@ -155,9 +156,7 @@ def approximate_vanishing(
         points = int(np.ceil((GRID_POINTS - 1) * MIN_WIDE_RADIUS / wide)) + 1
         wide = MIN_WIDE_RADIUS
     pts = cube_points(wide, points, f.dim_in)
-    err = float(
-        np.max(np.linalg.norm(f.sample(pts) - candidate.sample(pts), axis=1))
-    )
+    err = float(np.max(_norms(f.sample(pts) - candidate.sample(pts))))
     if not err < eps:
         raise FitBudgetError(
             err, eps,
@@ -179,10 +178,12 @@ def phi_omega(f: GridFunction, omega: Callable) -> GridFunction:
     f(x) stays zero where the envelope overflows to inf."""
 
     def sample(X: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(np.asarray(X, dtype=np.float64), axis=1)
+        r = _norms(np.asarray(X, dtype=np.float64))
         vals = f.sample(X)
+        with np.errstate(over="ignore"):  # an inf weight is handled below
+            weight = np.asarray(omega(r)) + 1.0
         with np.errstate(invalid="ignore"):  # 0 * inf, replaced below
-            out = vals * (np.asarray(omega(r)) + 1.0)[:, None]
+            out = vals * weight[:, None]
         return np.where(vals == 0.0, vals, out)
 
     return GridFunction(sample, f.dim_in, f.dim_out,
@@ -193,8 +194,10 @@ def psi_omega(f: GridFunction, omega: Callable) -> GridFunction:
     """Divide by the weight envelope (pointwise inverse of phi_omega)."""
 
     def sample(X: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(np.asarray(X, dtype=np.float64), axis=1)
-        return f.sample(X) / (np.asarray(omega(r)) + 1.0)[:, None]
+        r = _norms(np.asarray(X, dtype=np.float64))
+        with np.errstate(over="ignore"):  # f(x) / inf is 0
+            weight = np.asarray(omega(r)) + 1.0
+        return f.sample(X) / weight[:, None]
 
     return GridFunction(sample, f.dim_in, f.dim_out,
                         name=f"deweighted[{f.name}]")
@@ -292,7 +295,7 @@ def demonstrate_limitation(
     target.  Unbounded samples are reported with an infinite error.
     """
     pts = cube_points(x_radius, LIMIT_POINTS)
-    target = np.exp(-np.linalg.norm(pts, axis=1))
+    target = np.exp(-_norms(pts))
     hi, lo = float(np.max(target)), float(np.min(target))
 
     samples = []

@@ -9,18 +9,19 @@ min sum w|B a - t| over the simplex on those cells to optimality.  It is
 the L1(mu) problem only up to that quadrature.  The solver is a numpy
 Mehrotra predictor-corrector whose Newton steps reduce to an n x n system
 in the coefficient dimension (the Frisch-Newton reduction of Portnoy and
-Koenker, Statistical Science 1997).  Each iteration factors that system once by
-Cholesky and inverts the factor's small diagonal blocks; the predictor and
-the corrector then solve by matrix products alone.  The LP is solved on a
-growing set of columns (column generation), each solve after the first
-starting warm from the last coefficients and dual, and a fit is optimal
-when a weak-duality lower bound over every column certifies its residual,
-rounding included, to 1e-12 relative.  A rate sweep runs one column
-generation along its n ladder: each row starts from the column set,
-coefficients and dual the previous row ended in, and is done without a
-solve when they already certify it.  A solve that stops short of that
-raises ``LPSolveError`` with its status, bracket, iterations, cells and
-columns.
+Koenker, Statistical Science 1997).  Each iteration factors that system
+once by Cholesky and inverts the factor; the predictor and the corrector
+then solve by matrix products alone.  The LP is solved on a growing set of
+columns (column generation), each solve after the first starting warm
+from the last coefficients and dual, and a fit is optimal when a
+weak-duality lower bound over every column certifies its residual,
+rounding included, to 1e-12 relative.  A rate sweep merges the nodes into
+one table of cells for all its trees and fits each row on a prefix of the
+table's columns, as one column generation along its n ladder: each row
+starts from the column set, coefficients and per-cell dual the previous
+row ended in, and is done without a solve when they already certify it.
+A solve that stops short of that raises ``LPSolveError`` with its status,
+bracket, iterations, cells and columns.
 """
 
 from __future__ import annotations
@@ -129,18 +130,17 @@ _WARM_BLEND = 0.5  # weight of the cold start in a warm start
 
 class SimplexFit(NamedTuple):
     """An optimal fit, its certified bracket [lower_bound, lower_bound +
-    gap], and the state a fit of more columns on the same nodes starts
-    from: the final column set, the coefficients and the dual per node."""
+    gap], and the state a fit of more columns on the same cells starts
+    from: the final column set, the coefficients and the dual per cell."""
 
     coefficients: np.ndarray
     residual: float
     iterations: int  # Newton steps, summed over the restricted solves
-    status: str  # always "optimal": any other outcome raises LPSolveError
     gap: float  # upper - lower_bound: the residual and its rounding term
-    cells: int  # quadrature rows left after merging equal ones
+    cells: int  # rows of the cell table it was fitted on
     lower_bound: float  # weak-duality bound on the optimum over every column
     column_set: np.ndarray  # indices of the final restricted solve's columns
-    node_dual: np.ndarray  # its clipped dual y_i / count_i on each node of cell i
+    dual: np.ndarray  # its clipped dual y_i on each cell, |y_i| <= w counts_i
 
     @property
     def columns(self) -> int:  # columns of the final restricted solve
@@ -196,34 +196,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - css[k] / (k + 1), 0.0)
 
 
-_SOLVE_BLOCK = 32
-
-
-def _block_inverses(chol: np.ndarray) -> list:
-    """Inverses of the _SOLVE_BLOCK-square diagonal blocks of the lower
-    triangular L (the last block may be smaller), for ``_cholesky_solve``."""
-    return [np.linalg.inv(chol[s:s + _SOLVE_BLOCK, s:s + _SOLVE_BLOCK])
-            for s in range(0, chol.shape[0], _SOLVE_BLOCK)]
-
-
-def _cholesky_solve(chol: np.ndarray, inverses: list,
-                    rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs for the lower Cholesky factor L by blocked
-    forward then back substitution, given ``_block_inverses(L)``: every
-    block step is a matrix product, so one factor serves many right sides
-    without a dense solve."""
-    n = chol.shape[0]
-    x = np.array(rhs, dtype=np.float64)
-    blocks = list(zip(range(0, n, _SOLVE_BLOCK), inverses))
-    for s, inv in blocks:  # L y = rhs
-        e = s + len(inv)
-        x[s:e] = inv @ (x[s:e] - chol[s:e, :s] @ x[:s])
-    for s, inv in reversed(blocks):  # L^T x = y
-        e = s + len(inv)
-        x[s:e] = inv.T @ (x[s:e] - chol[e:, s:e].T @ x[e:])
-    return x
-
-
 def _lp_start(B: np.ndarray, t: np.ndarray, wn: np.ndarray, a: np.ndarray,
               y: np.ndarray, beta: float):
     """The interior point (x, y, y0, z) ``_l1_simplex_lp`` starts from, for
@@ -262,11 +234,11 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
     row; the border is folded in as rho * 1 1^T, which keeps the matrix
     definite along the one direction only the simplex row fixes.  The
     matrix is formed as Bs^T Bs with Bs = diag(theta)^-1/2 B, factored once
-    per iteration by Cholesky after a diagonal scaling, and the factor's
-    diagonal blocks are inverted (``_block_inverses``).  Where the optimum
-    is not unique, the matrix becomes singular to rounding along the face
-    of optima; a factorization that fails is tried once more with the
-    unit diagonal lifted by n u.  The predictor
+    per iteration by Cholesky after a diagonal scaling, and the factor is
+    inverted once, so that each solve is two matrix products.  Where the
+    optimum is not unique, the matrix becomes singular to rounding along
+    the face of optima; a factorization that fails is tried once more with
+    the unit diagonal lifted by n u.  The predictor
     solves for its right side and for M^-1 1 together, the corrector
     reuses M^-1 1, and each step length is one ratio test over the stacked
     primal (a, p, q) and one over the stacked slacks (s, zp, zq).
@@ -331,11 +303,11 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
                 chol = np.linalg.cholesky(scaled)
             except np.linalg.LinAlgError:
                 return a_on, y_on, "numerical_failure", gap, it
-        inverses = _block_inverses(chol)
+        inverse = np.linalg.inv(chol)
 
         def solve(*columns):  # M^-1 c for each column c
             rhs = d[:, None] * np.column_stack(columns)
-            return (d[:, None] * _cholesky_solve(chol, inverses, rhs)).T
+            return (d[:, None] * (inverse.T @ (inverse @ rhs))).T
 
         def reduced(rc):
             """The pair (g, rhs) of the Newton step for complementarity
@@ -371,20 +343,12 @@ def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
         y, y0, z = y + ad * dy, y0 + ad * dy0, z + ad * dz
 
 
-def _merge(rows: np.ndarray, B: np.ndarray, t: np.ndarray, nodes: int):
-    """(Bc, tc, counts) of the cells: B and t are sampled at the sorted
-    node indices ``rows`` (row 0 among them) of ``nodes`` nodes, and every
-    node between two rows repeats the row before it.  Equal neighbouring
-    rows merge (``_cell_starts``), and a cell counts its nodes."""
-    keep = _cell_starts(B, t)
-    return B[keep], t[keep], np.diff(np.r_[rows[keep], nodes])
-
-
 def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
                 w: float, carried: Optional[SimplexFit] = None) -> SimplexFit:
     """Best convex combination of the columns of Bc in L1 on the cells: the
-    rows Bc and target values tc of each run of ``counts`` equal nodes of
-    uniform node weight w (``_merge``).  The linear program
+    rows Bc and target values tc of runs of ``counts`` nodes with equal
+    rows, each node of weight w (a rate sweep's ``_sweep_cells``, or a
+    prefix of its columns).  The linear program
     min sum w counts |Bc a - tc| over the simplex is solved by a primal-dual
     interior point (``_l1_simplex_lp``) and column generation (Dantzig &
     Wolfe, Operations Research 1960).
@@ -402,20 +366,18 @@ def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
     of the new S); a warm solve that does not end "optimal" is solved
     again from the cold start, and then raises ``LPSolveError``.
 
-    ``carried``, the fit of a prefix of Bc's columns on the same nodes,
+    ``carried``, the fit of a prefix of Bc's columns on the same cells,
     starts S instead: its coefficients padded with zeros (feasible) and its
-    node dual summed over each of the finer cells (a dual point) are
-    checked first, so a fit they certify takes no Newton step; otherwise S
-    is the carried set and its most violated columns, solved warm from
-    them.
+    dual (a dual point) are checked first, so a fit they certify takes no
+    Newton step; otherwise S is the carried set and its most violated
+    columns, solved warm from them.
 
     The coefficients are an interior point projected onto the simplex, the
     residual is evaluated from them on every cell, and the optimum lies in
     [lower_bound, lower_bound + gap], whose upper end is the residual plus
     a bound on its rounding, with gap <= _LP_TOL (1 + residual).
-    ``iterations`` sums the Newton steps of the solves, and ``column_set``
-    is the last S."""
-    starts = np.cumsum(counts) - counts
+    ``iterations`` sums the Newton steps of the solves, ``column_set`` is
+    the last S, and ``dual`` the y of its bound."""
     wc = w * counts
     (m, n), bmax = Bc.shape, float(np.max(np.abs(Bc)))
     chosen = np.zeros(n, dtype=bool)
@@ -427,7 +389,7 @@ def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
     else:
         chosen[carried.column_set] = True
         coefficients[:len(carried.coefficients)] = carried.coefficients
-        y = np.clip(np.add.reduceat(carried.node_dual, starts), -wc, wc)
+        y = carried.dual
     solve = carried is None
     iterations = 0
     while True:
@@ -458,9 +420,8 @@ def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
         top = over[np.argsort(-price[over], kind="stable")[:_ADD_COLUMNS]]
         chosen[top if top.size else slice(None)] = True
         solve = True
-    return SimplexFit(coefficients, residual, iterations, "optimal",
-                      upper - lower, m, lower, cols,
-                      np.repeat(y / counts, counts))
+    return SimplexFit(coefficients, residual, iterations, upper - lower, m,
+                      lower, cols, y)
 
 
 # ---------------------------------------------------------------------------
@@ -510,31 +471,24 @@ def trees_basis_family(amp_range=(0.25, 2.0), left_range=(-1.5, 1.0),
     return TreeFamily(*ranges)
 
 
-def _tree_ends(y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               t: np.ndarray) -> tuple:
-    """Where the rows of the trees amp_j * 1_(lo_j, hi_j) and the target t
-    at the sorted nodes y can change: (first, end, changes), where the
-    interval of tree j holds the nodes [first_j, end_j) and t changes at
-    the nodes ``changes``.  y is sorted as ``np.sort`` sorts, NaNs last, so
-    the open interval holds one run of nodes, found by two binary
-    searches."""
-    return (np.searchsorted(y, lo, "right"), np.searchsorted(y, hi, "left"),
-            np.flatnonzero(t[1:] != t[:-1]) + 1)
-
-
-def _tree_cells(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
-                hi: np.ndarray, t: np.ndarray, ends: tuple):
-    """The cells (Bc, tc, counts) of the trees amp_j * 1_(lo_j, hi_j) with
-    finite amplitudes at the sorted nodes y and the target t, equal to
-    ``_merge`` of every node's row bit for bit.  Only node 0, the ends of
-    these trees' runs and t's changes are sampled, from ``ends``, the
-    ``_tree_ends`` of trees whose first len(amp) are these: rows are equal
-    between them."""
-    first, end, changes = ends
-    k = len(amp)
-    rows = np.sort(np.r_[0, first[:k], end[:k], changes])
+def _sweep_cells(y: np.ndarray, amp: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, t: np.ndarray):
+    """The cell table (B, tc, counts) of the trees amp_j * 1_(lo_j, hi_j)
+    with finite amplitudes and the target t at the sorted nodes y: each run
+    of equal rows of [B | t] merged into one cell (``_cell_starts``) with
+    its row, target value and node count, bit for bit as if every node were
+    sampled.  y is sorted as ``np.sort`` sorts, NaNs last, so tree j is
+    nonzero on the one run of nodes [searchsorted(y, lo_j, "right"),
+    searchsorted(y, hi_j, "left")), and rows can change only at node 0,
+    at the ends of those runs and where t changes: only these nodes are
+    sampled, by ``_kernels.tree_columns``."""
+    rows = np.sort(np.r_[0, np.searchsorted(y, lo, "right"),
+                         np.searchsorted(y, hi, "left"),
+                         np.flatnonzero(t[1:] != t[:-1]) + 1])
     rows = rows[np.r_[True, rows[1:] != rows[:-1]] & (rows < len(y))]
-    return _merge(rows, K.tree_columns(amp, lo, hi, y[rows]), t[rows], len(y))
+    B, tr = K.tree_columns(amp, lo, hi, y[rows]), t[rows]
+    keep = _cell_starts(B, tr)
+    return B[keep], tr[keep], np.diff(np.r_[rows[keep], len(y)])
 
 
 def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
@@ -553,30 +507,30 @@ def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
     The family's terms are drawn once, at the largest n, as arrays
     (``TreeFamily.draw``), and a non-finite amplitude raises
     ``PreconditionError``.  The quadrature nodes are pushed through S^N
-    once, and S^N(nodes) is sorted together with the target's values there by a stable argsort:
-    every node weighs the same, so the LP is the same problem in any node
-    order, and an already sorted S^N(nodes) keeps its order.  On the sorted
-    nodes, tree j is nonzero on one run, whose ends two binary searches
-    find once per sweep (``_tree_ends``).  A row samples its n trees with
-    ``_kernels.tree_columns`` only at node 0, the ends of their runs and
-    the nodes where the target changes, and merges equal neighbours: the
-    rows are constant in between, so the cells are those of every node's
-    row of ``apply(op, f_j, N)`` bit for bit.  Each row fits its cells by
+    once, and S^N(nodes) is sorted together with the target's values there
+    by a stable argsort: every node weighs the same, so the LP is the same
+    problem in any node order, and an already sorted S^N(nodes) keeps its
+    order.  One table of cells serves every row (``_sweep_cells``): the
+    nodes' rows of all the drawn trees, ``apply(op, f_j, N)`` bit for bit,
+    sampled only where a tree's run of nodes or the target can change, with
+    equal neighbours merged.  Each row fits the table's first n columns by
     ``simplex_fit`` (an interior-point LP solved to optimality on a growing
     column set).  Rows run in the given order, as one column generation:
     while n increases, a row starts from the column set, coefficients and
-    dual the previous row ended in (``simplex_fit``'s ``carried``), and is
-    done without a Newton step when they certify it, or else solved warm
-    from them; the first row and a row whose n does not grow start from
-    scratch.  The previous row's coefficients, padded with zeros, are
-    feasible, and a row reports the smaller of the two residuals, so that
-    tolerance-level differences between equal optima cannot make the table
-    rise.  Each row carries the LP's status, ``lower_bound`` (a
+    per-cell dual the previous row ended in (``simplex_fit``'s
+    ``carried``), and is done without a Newton step when they certify it,
+    or else solved warm from them; the first row and a row whose n does not
+    grow start from scratch.  The previous row's coefficients, padded with
+    zeros, are feasible, and a row reports the smaller of the two
+    residuals, so that tolerance-level differences between equal optima
+    cannot make the table rise.  Each row carries ``status`` "optimal" (any
+    other outcome raises ``LPSolveError``), ``lower_bound`` (a
     weak-duality bound on the row's optimum), ``gap`` (the optimum lies in
     [lower_bound, lower_bound + gap], whose upper end is the residual plus
     a bound on its rounding; at most 1e-12 (1 + residual)), ``iterations``
     (Newton steps summed over the restricted solves, 0 for a row the
-    carried state certifies), cell count, ``columns`` (the size of the last
+    carried state certifies), ``cells`` (the count of cells its n columns
+    alone merge the nodes into), ``columns`` (the size of the last
     restricted column set), and ``degenerate`` when its residual is no
     better than predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
@@ -608,13 +562,12 @@ def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
     y = nodes if N == 0 else op.iterate(nodes, N)[:, 0]
     order = np.argsort(y, kind="stable")
     y, t = y[order], t[order]
-    ends = _tree_ends(y, lo, hi, t)
+    B, tc, counts = _sweep_cells(y, amp, lo, hi, t)
     rows = []
     fit = None
     for n in ns:
         grows = bool(rows) and rows[-1]["n"] < n
-        cells = _tree_cells(y, amp[:n], lo[:n], hi[:n], t, ends)
-        fit = simplex_fit(*cells, w, fit if grows else None)
+        fit = simplex_fit(B[:, :n], tc, counts, w, fit if grows else None)
         residual, upper = fit.residual, fit.lower_bound + fit.gap
         if grows:
             residual = min(residual, rows[-1]["residual"])
@@ -628,11 +581,11 @@ def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
             "bound_displayed": float(norm ** (N / 2.0) * (1.0 + np.sqrt(2.0 * mass))
                                      / root),
             "bound_proof_final": float((1.0 + np.sqrt(2.0 * mass)) / root),
-            "status": fit.status,
+            "status": "optimal",
             "lower_bound": fit.lower_bound,
             "gap": upper - fit.lower_bound,
             "iterations": fit.iterations,
-            "cells": fit.cells,
+            "cells": int(np.count_nonzero(_cell_starts(B[:, :n], tc))),
             "columns": fit.columns,
             "degenerate": residual >= (1.0 - 1e-9) * target_norm,
         })

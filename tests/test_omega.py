@@ -117,6 +117,14 @@ class TestWeightMaps:
         out = om.phi_omega(GridFunction.constant(1.0), Weight.power(1))
         assert out(3.0) == pytest.approx(4.0, abs=1e-15)
 
+    def test_radius_beyond_the_square_range(self):
+        # |x| = 1e155 and a value of 1e200 square past the largest double:
+        # the weight 1e155 + 1 and the sup stay finite
+        one = GridFunction.constant(1.0)
+        assert om.phi_omega(one, Weight.power(1))(1e155) == 1e155
+        assert om.psi_omega(one, Weight.power(1))(1e155) == 1e-155
+        assert om._shell_sup(GridFunction.constant(1e200), 1.0) == 1e200
+
     def test_inverse_pair(self, sin_fn):
         w = Weight.max_t_power(2)
         forth = om.phi_omega(sin_fn, w)

@@ -61,9 +61,9 @@ RECORDS = [
      {"witness_interval": None},
      lambda: PushforwardReport(2.0, True), True, []),
     (SimplexFit,
-     ("coefficients", "residual", "iterations", "status", "gap", "cells",
-      "lower_bound", "column_set", "node_dual"), {},
-     lambda: SimplexFit(COEFFS, 0.1, 3, "optimal", 1e-9, 4, 0.1, COEFFS, COEFFS),
+     ("coefficients", "residual", "iterations", "gap", "cells",
+      "lower_bound", "column_set", "dual"), {},
+     lambda: SimplexFit(COEFFS, 0.1, 3, 1e-9, 4, 0.1, COEFFS, COEFFS),
      False, []),
     (FitResult, ("net", "sup_residual", "knots", "h", "curvature", "bound"),
      {"curvature": None, "bound": None},
