@@ -147,7 +147,7 @@ class ConfigError(UaplabError):
 
 
 class LPSolveError(UaplabError):
-    """An interior-point solve stopped short of an optimal point."""
+    """A simplex fit stopped short of a certified optimum."""
 
     def __init__(self, status: str, gap: float, iterations: int, cells: int,
                  columns: int):

@@ -6,22 +6,18 @@ the trees and the target are sampled at the nodes, sorted by their images
 under S^N, runs of equal rows (the piecewise-constant trees make many)
 merge into weighted cells, and ``simplex_fit`` solves the linear program
 min sum w|B a - t| over the simplex on those cells to optimality.  It is
-the L1(mu) problem only up to that quadrature.  The solver is a numpy
-Mehrotra predictor-corrector whose Newton steps reduce to an n x n system
-in the coefficient dimension (the Frisch-Newton reduction of Portnoy and
-Koenker, Statistical Science 1997).  Each iteration factors that system
-once by Cholesky and inverts the factor; the predictor and the corrector
-then solve by matrix products alone.  The LP is solved on a growing set of
-columns (column generation), each solve after the first starting warm
-from the last coefficients and dual, and a fit is optimal when a
-weak-duality lower bound over every column certifies its residual,
+the L1(mu) problem only up to that quadrature.  The solver is one primal
+simplex on the whole cell table, in the condensed form of Barrodale and
+Roberts (SIAM J. Numer. Anal. 1973) with the sum-to-one row: a basis is
+the columns in the fit, the cells it interpolates and the sign of every
+other cell's residual, and each pivot inverts the small basis matrix
+afresh.  A fit ends on a vertex, certified by its weak-duality bracket,
 rounding included, to 1e-12 relative.  A rate sweep merges the nodes into
 one table of cells for all its trees and fits each row on a prefix of the
-table's columns, as one column generation along its n ladder: each row
-starts from the column set, coefficients and per-cell dual the previous
-row ended in, and is done without a solve when they already certify it.
-A solve that stops short of that raises ``LPSolveError`` with its status,
-bracket, iterations, cells and columns.
+table's columns: while n grows, each row starts from the basis the
+previous row ended on, and takes no pivot when that basis is still
+optimal.  A fit that stops short of a certified optimum raises
+``LPSolveError`` with its status, bracket, pivots, cells and columns.
 """
 
 from __future__ import annotations
@@ -120,30 +116,33 @@ def pushforward_density_norm(sigma: ActivationSpec, b: float,
 # L1 fits over the simplex, exact on the merged quadrature cells
 
 _LP_TOL = 1e-12  # certified bracket accepted, relative to 1 + residual
-_LP_MAX_ITER = 100
-_LP_STEP = 0.99995  # fraction of the step to the boundary that is taken
-_START_COLUMNS = 8  # best single columns in the first restricted column set
-_ADD_COLUMNS = 4  # most violated columns added per restricted solve
+_LP_MAX_ITER = 5000  # pivots per fit
+_ZERO = 1e-13  # a residual |r_i| <= _ZERO (1 + |t_i|) counts as zero
+_FLAT = 1e-11  # a cell whose residual moves <= _FLAT max|B| cannot stop a step
+_TINY = 1e-14  # prices and gains within _TINY (1 + objective) of 0 count as 0
+_BLAND = 20  # consecutive stalled pivots before Bland's lowest-index rule
 _UNIT = 2.0 ** -53  # unit roundoff of float64
-_WARM_BLEND = 0.5  # weight of the cold start in a warm start
 
 
 class SimplexFit(NamedTuple):
     """An optimal fit, its certified bracket [lower_bound, lower_bound +
-    gap], and the state a fit of more columns on the same cells starts
-    from: the final column set, the coefficients and the dual per cell."""
+    gap], and the basis it ended on, from which a fit of more columns on the
+    same cells starts: the columns J of a_J > 0, the interpolated cells I
+    (residual 0, |I| = |J| - 1) and the sign of each other cell's residual."""
 
     coefficients: np.ndarray
     residual: float
-    iterations: int  # Newton steps, summed over the restricted solves
+    iterations: int  # simplex pivots
     gap: float  # upper - lower_bound: the residual and its rounding term
     cells: int  # rows of the cell table it was fitted on
     lower_bound: float  # weak-duality bound on the optimum over every column
-    column_set: np.ndarray  # indices of the final restricted solve's columns
-    dual: np.ndarray  # its clipped dual y_i on each cell, |y_i| <= w counts_i
+    column_set: np.ndarray  # J, the basis's columns
+    dual: np.ndarray  # the clipped dual y_i on each cell, |y_i| <= w counts_i
+    interpolated: np.ndarray  # I, the basis's cells of residual 0
+    signs: np.ndarray  # s_i = +-1 per cell, the sign of its residual off I
 
     @property
-    def columns(self) -> int:  # columns of the final restricted solve
+    def columns(self) -> int:  # |J|
         return len(self.column_set)
 
 
@@ -155,9 +154,9 @@ def _cell_starts(B: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _dual_bound(B: np.ndarray, t: np.ndarray, y: np.ndarray, m: int,
-                bmax: float):
-    """(lower bound, B^T y) of min sum w|B a - t| over the simplex, for a
-    dual point y with |y_i| <= w_i.
+                bmax: float) -> float:
+    """Lower bound of min sum w|B a - t| over the simplex, for a dual point
+    y with |y_i| <= w_i.
 
     Weak duality of the L1 fitting LP (Charnes, Cooper & Ferguson 1955):
     sum w|B a - t| >= y.t - y^T B a >= y.t - max_j (B^T y)_j for every a on
@@ -166,10 +165,9 @@ def _dual_bound(B: np.ndarray, t: np.ndarray, y: np.ndarray, m: int,
     dot products of at most m terms with |B| <= bmax (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, section 3.1)."""
     gamma = m * _UNIT / (1.0 - m * _UNIT)
-    price = B.T @ y
     ay = np.abs(y)
     err = gamma * (ay @ np.abs(t) + bmax * np.sum(ay))
-    return float(y @ t - np.max(price) - err), price
+    return float(y @ t - np.max(B.T @ y) - err)
 
 
 def _primal_bound(B: np.ndarray, t: np.ndarray, w: np.ndarray,
@@ -188,240 +186,151 @@ def _primal_bound(B: np.ndarray, t: np.ndarray, w: np.ndarray,
     return residual, residual + (gamma + abs(float(np.sum(a)) - 1.0)) * size
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {a >= 0, sum(a) = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.flatnonzero(u > css / np.arange(1, len(u) + 1))[-1]
-    return np.maximum(v - css[k] / (k + 1), 0.0)
-
-
-def _lp_start(B: np.ndarray, t: np.ndarray, wn: np.ndarray, a: np.ndarray,
-              y: np.ndarray, beta: float):
-    """The interior point (x, y, y0, z) ``_l1_simplex_lp`` starts from, for
-    the weights wn that sum to 1: a point a of the simplex and a dual y
-    with |y| <= wn, blended with the uniform a and y = 0 by beta in (0, 1].
-    The coefficients are (1 - beta) a + beta / n, p and q are
-    max(+-(B a - t), 0) + beta, y is scaled by 1 - beta, y0 is
-    -max(B^T y) - beta, and the slacks are s = -(B^T y + y0) >= beta and
-    wn +- y >= beta wn.  So both sides are strictly feasible, and their
-    equality residuals are rounding only.  beta = 1 is the cold start."""
-    n = B.shape[1]
-    a = (1.0 - beta) * a + beta / n
-    r = B @ a - t
-    y = (1.0 - beta) * y
-    price = B.T @ y
-    y0 = -float(np.max(price)) - beta
-    # primal x = (a, p, q) and dual slacks z = (s, zp, zq), each stacked so
-    # that a step length is one ratio test per side
-    x = np.concatenate([a, np.maximum(r, 0.0) + beta,
-                        np.maximum(-r, 0.0) + beta])
-    z = np.concatenate([-(price + y0), wn + y, wn - y])
-    return x, y, y0, z
-
-
-def _l1_simplex_lp(B: np.ndarray, t: np.ndarray, w: np.ndarray, m_all: int,
-                   bmax: float, start: Optional[tuple] = None):
-    """min sum w|B a - t| over the simplex, by Mehrotra predictor-corrector.
-
-    Primal (a, p, q) >= 0 with B a - p + q = t and sum(a) = 1; dual (y, y0)
-    with slacks s = -(B^T y + y0) >= 0, zp = w + y >= 0 and zq = w - y >= 0.
-    The start (``_lp_start``) is strictly feasible on both sides: from the
-    uniform a and y = 0, or, given ``start`` = (a, y) with a on the
-    simplex and |y| <= w, from that point blended half way (_WARM_BLEND)
-    with the uniform one.  Each Newton step reduces to the
-    n x n matrix B^T diag(1/theta) B + diag(s/a), bordered by the simplex
-    row; the border is folded in as rho * 1 1^T, which keeps the matrix
-    definite along the one direction only the simplex row fixes.  The
-    matrix is formed as Bs^T Bs with Bs = diag(theta)^-1/2 B, factored once
-    per iteration by Cholesky after a diagonal scaling, and the factor is
-    inverted once, so that each solve is two matrix products.  Where the
-    optimum is not unique, the matrix becomes singular to rounding along
-    the face of optima; a factorization that fails is tried once more with
-    the unit diagonal lifted by n u.  The predictor
-    solves for its right side and for M^-1 1 together, the corrector
-    reuses M^-1 1, and each step length is one ratio test over the stacked
-    primal (a, p, q) and one over the stacked slacks (s, zp, zq).
-
-    The iterations run on the weights scaled to sum 1.  Every iterate is
-    checked by its certified bracket: the residual of a projected onto the
-    simplex with its rounding term (``_primal_bound``), and the
-    ``_dual_bound`` of y scaled back to w and clipped to |y| <= w.  The
-    rounding terms are sized by m_all and bmax, the cell count and the
-    largest |entry| of the full problem that B restricts to some columns,
-    so that the bounds match the full problem's bounds over those columns.
-    Both sides are feasible by construction, so no infeasibility tolerance
-    enters: the solve stops when upper - lower <= _LP_TOL (1 + residual).
-    Returns (a, y, status, gap, iterations) with that projected a and
-    clipped y, gap = upper - lower, and status "optimal",
-    "iteration_limit" or "numerical_failure".
-    """
-    m, n = B.shape
-    mass = float(np.sum(w))
-    wn = w / mass
-    if start is None:
-        x, y, y0, z = _lp_start(B, t, wn, np.zeros(n), np.zeros(m), 1.0)
-    else:
-        x, y, y0, z = _lp_start(B, t, wn, start[0], start[1] / mass,
-                                _WARM_BLEND)
-    ones = np.ones(n)
-
-    def longest(v, dv):  # the largest step <= 1 that keeps v + step dv >= 0
-        return 1.0 / max(1.0, float(np.max(-dv / v)))
-
-    for it in range(_LP_MAX_ITER + 1):
-        a, p, q = x[:n], x[n:n + m], x[n + m:]
-        s, zp, zq = z[:n], z[n:n + m], z[n + m:]
-        a_on = _project_simplex(a)
-        y_on = np.clip(y * mass, -w, w)
-        residual, upper = _primal_bound(B, t, w, a_on, m_all)
-        gap = upper - _dual_bound(B, t, y_on, m_all, bmax)[0]
-        if gap <= _LP_TOL * (1.0 + residual):
-            return a_on, y_on, "optimal", gap, it
-        if it == _LP_MAX_ITER:
-            return a_on, y_on, "iteration_limit", gap, it
-        rb = t - B @ a + p - q
-        r0 = 1.0 - np.sum(a)
-        ra = -(B.T @ y + y0 + s)
-        rp = wn + y - zp
-        rq = wn - y - zq
-        theta = p / zp + q / zq
-        Bs = B / np.sqrt(theta)[:, None]
-        M = Bs.T @ Bs
-        M[np.diag_indices(n)] += s / a
-        rho = 1.0 / np.sum(1.0 / np.diag(M))
-        M += rho
-        d = 1.0 / np.sqrt(np.diag(M))
-        scaled = M * d[:, None] * d
-        try:
-            chol = np.linalg.cholesky(scaled)
-        except np.linalg.LinAlgError:
-            # near a face of optima the matrix is singular to rounding
-            # along the face: lift its unit diagonal by n u and factor again
-            scaled[np.diag_indices(n)] += n * _UNIT
-            try:
-                chol = np.linalg.cholesky(scaled)
-            except np.linalg.LinAlgError:
-                return a_on, y_on, "numerical_failure", gap, it
-        inverse = np.linalg.inv(chol)
-
-        def solve(*columns):  # M^-1 c for each column c
-            rhs = d[:, None] * np.column_stack(columns)
-            return (d[:, None] * (inverse.T @ (inverse @ rhs))).T
-
-        def reduced(rc):
-            """The pair (g, rhs) of the Newton step for complementarity
-            right side rc: M da = rhs + dy0 * 1 and dy = (g - B da) / theta."""
-            g = rb + (rc[n:n + m] - p * rp) / zp - (rc[n + m:] - q * rq) / zq
-            return g, B.T @ (g / theta) + rc[:n] / a - ra + rho * r0
-
-        def newton(rc, g, u, v):
-            """Direction (dx, dy, dy0, dz) for complementarity right side rc,
-            given u = M^-1 rhs and v = M^-1 1."""
-            dy0 = (r0 - np.sum(u)) / np.sum(v)
-            da = u + dy0 * v
-            dy = (g - B @ da) / theta
-            dz = np.concatenate([(rc[:n] - s * da) / a, rp + dy, rq - dy])
-            dx = np.concatenate([da, (rc[n:] - x[n:] * dz[n:]) / z[n:]])
-            return dx, dy, dy0, dz
-
-        # the predictor solves for 1 next to its right side, and the
-        # corrector reuses that column
-        mu = (x @ z) / (n + 2 * m)
-        rc = -x * z
-        g, rhs = reduced(rc)
-        u, v = solve(rhs, ones)
-        dx, _, _, dz = newton(rc, g, u, v)
-        mu_aff = ((x + longest(x, dx) * dx) @ (z + longest(z, dz) * dz)
-                  / (n + 2 * m))
-        rc = (mu_aff / mu) ** 3 * mu - x * z - dx * dz
-        g, rhs = reduced(rc)
-        (u,) = solve(rhs)
-        dx, dy, dy0, dz = newton(rc, g, u, v)
-        ap, ad = _LP_STEP * longest(x, dx), _LP_STEP * longest(z, dz)
-        x = x + ap * dx
-        y, y0, z = y + ad * dy, y0 + ad * dy0, z + ad * dz
-
-
 def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
                 w: float, carried: Optional[SimplexFit] = None) -> SimplexFit:
     """Best convex combination of the columns of Bc in L1 on the cells: the
     rows Bc and target values tc of runs of ``counts`` nodes with equal
     rows, each node of weight w (a rate sweep's ``_sweep_cells``, or a
     prefix of its columns).  The linear program
-    min sum w counts |Bc a - tc| over the simplex is solved by a primal-dual
-    interior point (``_l1_simplex_lp``) and column generation (Dantzig &
-    Wolfe, Operations Research 1960).
+    min sum w_i |Bc a - tc|_i over the simplex, w_i = w counts_i, is solved
+    by one primal simplex in the condensed form of Barrodale & Roberts
+    (SIAM J. Numer. Anal. 1973), with the sum-to-one row.
 
-    The LP is solved on a column set S only, on the coarser cells merged
-    over S: at first the _START_COLUMNS of smallest single-column residual.
-    Each coarse cell's dual is spread over its cells by weight, so that
-    |y_i| <= w_i holds cell by cell, and ``_dual_bound`` of that y bounds
-    the optimum over every column.  When the upper end (``_primal_bound``)
-    less that bound is <= _LP_TOL (1 + residual) the fit is done; otherwise
-    the _ADD_COLUMNS columns of largest B^T y above S's maximum join S, or
-    every column when none is above it, and S is solved again.  At worst S
-    grows to every column.  Each solve after the first starts warm from
-    the last coefficients and dual (the dual summed over the coarse cells
-    of the new S); a warm solve that does not end "optimal" is solved
-    again from the cold start, and then raises ``LPSolveError``.
+    A basis is the columns J with a_J > 0, the interpolated cells I of
+    residual 0, |I| = |J| - 1, and the sign s_i of every other cell's
+    residual.  Its vertex solves [B_IJ; 1^T] a_J = [t_I; 1], and its dual
+    is y_i = -w_i s_i off I, with y_I and y0 from
+    [B_IJ; 1^T]^T [y_I; y0] = -B_J^T y (y_I = 0 on the right), so that
+    (B^T y)_j + y0 = 0 on J.  Each pivot inverts that |J| x |J| matrix
+    afresh, prices every column by -(B^T y + y0)_j and every interpolated
+    cell by w_i - |y_i|, and enters the most negative price: a column joins
+    J, or a cell leaves I with its residual's sign against y_i.  The step
+    is Barrodale and Roberts' ratio test: along the edge the objective is
+    piecewise linear, and the step passes each residual that changes sign
+    (its s_i flips) while the slope stays negative.  It stops at the cell at
+    which the slope would turn >= 0, which joins I, or at the first a_j
+    that reaches 0, which leaves J.
 
+    Degeneracy: a residual |r_i| <= 1e-13 (1 + |t_i|) counts as zero; a
+    cell whose residual moves by |dr_i| <= 1e-11 max|B| per unit step, and
+    an a_j that shrinks at a rate within 1e-11 of the step's largest rate,
+    cannot stop a step, which keeps the basis matrix invertible (a cell
+    whose row of Bc is a row of I's stays out of I); a price above
+    -1e-14 (1 + objective) counts as nonnegative; and after _BLAND
+    consecutive pivots that each gain <= 1e-14 (1 + objective), the
+    entering price is the negative one of lowest index, columns before
+    cells (Bland, Math. Oper. Res. 1977), until a pivot gains more.  With
+    no negative price the vertex is optimal.
+
+    A cold fit starts at the single column of smallest residual, a vertex.
     ``carried``, the fit of a prefix of Bc's columns on the same cells,
-    starts S instead: its coefficients padded with zeros (feasible) and its
-    dual (a dual point) are checked first, so a fit they certify takes no
-    Newton step; otherwise S is the carried set and its most violated
-    columns, solved warm from them.
+    starts from the basis it ended on, which is a basis of Bc too.
 
-    The coefficients are an interior point projected onto the simplex, the
-    residual is evaluated from them on every cell, and the optimum lies in
-    [lower_bound, lower_bound + gap], whose upper end is the residual plus
-    a bound on its rounding, with gap <= _LP_TOL (1 + residual).
-    ``iterations`` sums the Newton steps of the solves, ``column_set`` is
-    the last S, and ``dual`` the y of its bound."""
+    The vertex is certified: its coefficients clipped at 0 give the
+    residual and the bracket's upper end (``_primal_bound``), and its dual
+    clipped to |y_i| <= w_i the lower end (``_dual_bound``), so the optimum
+    lies in [lower_bound, lower_bound + gap].  A gap above
+    _LP_TOL (1 + residual) raises ``LPSolveError`` ("numerical_failure"), and
+    so does the pivot cap _LP_MAX_ITER ("iteration_limit"), each with its
+    bracket, pivots, cells and columns.  ``iterations`` counts the pivots
+    and ``dual`` holds the clipped y."""
     wc = w * counts
     (m, n), bmax = Bc.shape, float(np.max(np.abs(Bc)))
-    chosen = np.zeros(n, dtype=bool)
-    coefficients = np.zeros(n)
+    zero, flat = _ZERO * (1.0 + np.abs(tc)), _FLAT * bmax
     if carried is None:
-        single = wc @ np.abs(Bc - tc[:, None])
-        chosen[np.argsort(single, kind="stable")[:_START_COLUMNS]] = True
-        y = None
+        J = [int(np.argmin(wc @ np.abs(Bc - tc[:, None])))]
+        I, s = [], np.where(Bc[:, J[0]] < tc, -1.0, 1.0)
     else:
-        chosen[carried.column_set] = True
-        coefficients[:len(carried.coefficients)] = carried.coefficients
-        y = carried.dual
-    solve = carried is None
-    iterations = 0
+        J, I = carried.column_set.tolist(), carried.interpolated.tolist()
+        s = carried.signs.copy()
+    BT = np.ascontiguousarray(Bc.T)  # a basis's columns are a row gather
+    on = np.zeros(m, dtype=bool)  # the cells of I
+    on[I] = True
+    pivots = stalls = 0
+    last, status = np.inf, "optimal"
     while True:
-        cols = np.flatnonzero(chosen)
-        if solve:  # on S, warm from the last (a, y) when there is one
-            first = _cell_starts(Bc[:, cols], tc)
-            coarse = np.flatnonzero(first)
-            ws = np.add.reduceat(wc, coarse)
-            lp = (Bc[np.ix_(coarse, cols)], tc[coarse], ws, m, bmax)
-            warm = None if y is None else (coefficients[cols],
-                                           np.add.reduceat(y, coarse))
-            a, yc, status, gap, it = _l1_simplex_lp(*lp, warm)
-            iterations += it
-            if status != "optimal" and warm is not None:
-                a, yc, status, gap, it = _l1_simplex_lp(*lp)
-                iterations += it
-            if status != "optimal":
-                raise LPSolveError(status, gap, iterations, m, len(cols))
-            coefficients[cols] = a
-            owner = np.cumsum(first) - 1
-            y = np.clip(yc[owner] * (wc / ws[owner]), -wc, wc)
-        lower, price = _dual_bound(Bc, tc, y, m, bmax)
-        residual, upper = _primal_bound(Bc[:, cols], tc, wc,
-                                        coefficients[cols], m)
-        if upper - lower <= _LP_TOL * (1.0 + residual) or len(cols) == n:
+        BJ = BT[J].T
+        inverse = np.linalg.inv(np.vstack([BJ[I], np.ones(len(J))]))
+        a = inverse @ np.append(tc[I], 1.0)
+        r = BJ @ a - tc
+        r[I] = 0.0
+        objective = float(wc @ np.abs(r))
+        moved = ~on & (np.abs(r) > zero)  # off zero: s is the residual's sign
+        s[moved] = np.sign(r[moved])
+        y = -wc * s
+        y[I] = 0.0
+        dual = -(inverse.T @ (BJ.T @ y))
+        y[I], y0 = dual[:-1], dual[-1]
+        price = np.concatenate((-(BT @ y + y0), wc[I] - np.abs(y[I])))
+        price[J] = 0.0
+        tiny = _TINY * (1.0 + objective)
+        stalls = stalls + 1 if last - objective <= tiny else 0
+        last = objective
+        enter = np.flatnonzero(price < -tiny)
+        if not enter.size:
             break
-        over = np.flatnonzero(price > np.max(price[cols]))
-        top = over[np.argsort(-price[over], kind="stable")[:_ADD_COLUMNS]]
-        chosen[top if top.size else slice(None)] = True
-        solve = True
-    return SimplexFit(coefficients, residual, iterations, upper - lower, m,
-                      lower, cols, y)
+        if pivots == _LP_MAX_ITER:
+            status = "iteration_limit"
+            break
+        pivots += 1
+        if stalls < _BLAND:
+            e = enter[np.argmin(price[enter])]
+        else:
+            index = np.concatenate((np.arange(n), n + np.array(I, dtype=int)))
+            e = enter[np.argmin(index[enter])]
+        if e < n:  # column e joins J
+            step = -(inverse @ np.append(Bc[I, e], 1.0))
+            dr = BJ @ step + BT[e]
+        else:  # cell I[k] leaves I
+            k = e - n
+            s[I[k]] = -np.sign(y[I[k]])
+            step = s[I[k]] * inverse[:, k]
+            dr = BJ @ step
+        # the cells moving toward 0, by the step at which each reaches it,
+        # and the slope after passing each: it turns >= 0 at toward[turn]
+        toward = np.flatnonzero(~on & (s * dr < -flat))
+        near = np.abs(r[toward])
+        theta = np.where(near <= zero[toward], 0.0, near) / np.abs(dr[toward])
+        order = np.argsort(theta, kind="stable")
+        toward, theta = toward[order], np.append(theta[order], np.inf)
+        slope = price[e] + 2.0 * np.cumsum(wc[toward] * np.abs(dr[toward]))
+        turn = int(np.searchsorted(slope, 0.0))
+        # the step at which each a_j that shrinks reaches 0
+        reach = np.full(len(J), np.inf)
+        np.divide(np.maximum(a, 0.0), -step, out=reach,
+                  where=step < -_FLAT * np.max(np.abs(step)))
+        q = int(np.argmin(reach))
+        if not min(reach[q], theta[turn]) < np.inf:
+            status = "numerical_failure"
+            break
+        if reach[q] <= theta[turn]:  # a_j reaches 0 first: j leaves J
+            s[toward[:np.searchsorted(theta, reach[q])]] *= -1.0
+            if e < n:
+                J[q] = int(e)
+            else:
+                del J[q]
+                on[I.pop(k)] = False
+        else:  # the slope turns at cell c: c joins I
+            s[toward[:turn]] *= -1.0
+            c = int(toward[turn])
+            on[c] = True
+            if e < n:
+                J.append(int(e))
+                I.append(c)
+            else:
+                on[I[k]] = False
+                I[k] = c
+    coefficients = np.zeros(n)
+    coefficients[J] = np.maximum(a, 0.0)
+    y = np.clip(y, -wc, wc)
+    residual, upper = _primal_bound(BJ, tc, wc, coefficients[J], m)
+    lower = _dual_bound(Bc, tc, y, m, bmax)
+    if status == "optimal" and upper - lower > _LP_TOL * (1.0 + residual):
+        status = "numerical_failure"
+    if status != "optimal":
+        raise LPSolveError(status, upper - lower, pivots, m, len(J))
+    return SimplexFit(coefficients, residual, pivots, upper - lower, m, lower,
+                      np.array(J), y, np.array(I, dtype=int), s)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +423,12 @@ def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
     nodes' rows of all the drawn trees, ``apply(op, f_j, N)`` bit for bit,
     sampled only where a tree's run of nodes or the target can change, with
     equal neighbours merged.  Each row fits the table's first n columns by
-    ``simplex_fit`` (an interior-point LP solved to optimality on a growing
-    column set).  Rows run in the given order, as one column generation:
-    while n increases, a row starts from the column set, coefficients and
-    per-cell dual the previous row ended in (``simplex_fit``'s
-    ``carried``), and is done without a Newton step when they certify it,
-    or else solved warm from them; the first row and a row whose n does not
-    grow start from scratch.  The previous row's coefficients, padded with
+    ``simplex_fit`` (a vertex simplex solved to a certified optimum).  Rows
+    run in the given order: while n increases, a row starts from the basis
+    the previous row ended on (``simplex_fit``'s ``carried``), a basis of
+    the longer prefix too, and takes no pivot when it is still optimal;
+    the first row and a row whose n does not grow start cold, at the best
+    single column.  The previous row's coefficients, padded with
     zeros, are feasible, and a row reports the smaller of the two
     residuals, so that tolerance-level differences between equal optima
     cannot make the table rise.  Each row carries ``status`` "optimal" (any
@@ -528,11 +436,11 @@ def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
     weak-duality bound on the row's optimum), ``gap`` (the optimum lies in
     [lower_bound, lower_bound + gap], whose upper end is the residual plus
     a bound on its rounding; at most 1e-12 (1 + residual)), ``iterations``
-    (Newton steps summed over the restricted solves, 0 for a row the
-    carried state certifies), ``cells`` (the count of cells its n columns
-    alone merge the nodes into), ``columns`` (the size of the last
-    restricted column set), and ``degenerate`` when its residual is no
-    better than predicting 0 (>= (1 - 1e-9) * ||target||_L1(mu)).
+    (the fit's simplex pivots, 0 for a row whose starting basis is
+    optimal), ``cells`` (the count of cells its n columns alone merge the
+    nodes into), ``columns`` (|J|, the columns of the optimal basis), and
+    ``degenerate`` when its residual is no better than predicting 0
+    (>= (1 - 1e-9) * ||target||_L1(mu)).
     """
     if N < 0:
         raise PreconditionError(f"depth N must be >= 0, got {N}")

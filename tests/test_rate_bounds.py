@@ -339,59 +339,40 @@ class TestSimplexFit:
         # 4 trees and the target have at most 10 breakpoints between them
         assert fit.cells <= 11
 
-    def test_projection_onto_simplex(self):
-        # the nearest point of the simplex: shift by -0.1, clip the last
-        assert rb._project_simplex(np.array([0.5, 0.7, -0.1])) == pytest.approx(
-            [0.4, 0.6, 0.0], abs=1e-15)
-        inside = np.array([0.25, 0.75])
-        assert np.array_equal(rb._project_simplex(inside), inside)
-
-    def test_iteration_cap_raises_with_state(self, gauss_mu, sin_fn, cos_fn,
-                                             monkeypatch):
+    def test_iteration_cap_raises_with_state(self, gauss_mu, monkeypatch):
+        # the cold fit of the first 64 trees of the N = 0 ladder at seed 0
+        # takes 8 pivots: capped at 2, it stops on a vertex of at most 3
+        # columns, with the bracket it has there
         monkeypatch.setattr(rb, "_LP_MAX_ITER", 2)
+        target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
         with pytest.raises(LPSolveError) as info:
-            fit_on_nodes([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
+            fit_on_nodes(paper_ladder(0, 0)[:64], target, gauss_mu)
         err = info.value
+        B, t, _ = TestCertifiedBracket().sampled(0, 0)
         assert err.status == "iteration_limit"
         assert err.iterations == 2
-        assert err.cells == 2001
-        assert err.gap > 0.0
+        assert err.cells == len(node_cells(B[:, :64], t)[2])
+        assert 1 <= err.columns <= 3
+        assert err.gap > 1e-12
 
-    def test_failed_factorization_raises_with_state(self, gauss_mu, sin_fn,
-                                                    cos_fn, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(rb.np.linalg, "cholesky", fail)
+    def test_uncertified_vertex_raises_with_state(self, gauss_mu,
+                                                 monkeypatch):
+        # with no bracket accepted, the optimal vertex of the same fit is
+        # refused with its bracket, pivots, cells and columns
+        basis = paper_ladder(0, 0)[:64]
+        target = TreeFunction(((1.0, 0.0, 1.0),)).as_gridfunction()
+        fit = fit_on_nodes(basis, target, gauss_mu)
+        monkeypatch.setattr(rb, "_LP_TOL", -1.0)
         with pytest.raises(LPSolveError) as info:
-            fit_on_nodes([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
-        assert info.value.status == "numerical_failure"
-        assert info.value.iterations == 0
-
-    def test_failed_factorization_is_lifted_and_factored_again(
-            self, gauss_mu, sin_fn, cos_fn, monkeypatch):
-        # the first factorization fails: the same matrix with its diagonal
-        # lifted is factored, and the solve goes on to the optimum
-        real, seen = np.linalg.cholesky, []
-
-        def fail_first(M):
-            seen.append(M.copy())
-            if len(seen) == 1:
-                raise np.linalg.LinAlgError("not positive definite")
-            return real(M)
-
-        monkeypatch.setattr(rb.np.linalg, "cholesky", fail_first)
-        fit = fit_on_nodes([sin_fn, cos_fn], GridFunction.zero(), gauss_mu)
-        assert fit.gap <= 1e-12 * (1 + fit.residual)
-        lift = seen[1] - seen[0]
-        assert np.array_equal(lift, np.diag(np.diag(lift)))
-        assert np.all(np.diag(lift) > 0.0)
+            fit_on_nodes(basis, target, gauss_mu)
+        err = info.value
+        assert err.status == "numerical_failure"
+        assert (err.gap, err.iterations, err.cells, err.columns) == \
+            (fit.gap, fit.iterations, fit.cells, fit.columns)
 
     def test_face_of_optima(self, gauss_mu):
         # 9 of 12 indicators mix to the target, and other mixtures reach
-        # residual 0 too: near that face of optima a Newton matrix is
-        # singular to rounding (the solve stopped with "numerical_failure"
-        # before its diagonal was lifted)
+        # residual 0 too: the fit ends on one vertex of that face of optima
         rng = np.random.default_rng(29)
         lo = rng.uniform(-2.0, 1.0, 12)
         hi = lo + rng.uniform(0.05, 1.5, 12)
@@ -408,67 +389,34 @@ class TestSimplexFit:
 
 
 class TestStartAndBounds:
-    def cells(self, n=32):
-        """(B, t, w) on the merged cells of the first n trees of the N = 0
-        ladder at seed 0."""
+    def test_cold_fit_starts_at_the_best_single_column(self):
+        # at N = 2 no mixture of the first 4 trees beats the best one of
+        # them: the cold fit ends on its starting vertex with no pivot
+        B, t, w = TestCertifiedBracket().sampled(0, 2)
+        Bc, tc, counts = node_cells(B[:, :4], t)
+        fit = rb.simplex_fit(Bc, tc, counts, w)
+        best = int(np.argmin(w * counts @ np.abs(Bc - tc[:, None])))
+        assert fit.iterations == 0
+        assert fit.column_set.tolist() == [best]
+        assert fit.coefficients.tolist() == np.eye(4)[best].tolist()
+        assert fit.interpolated.size == 0
+        assert fit.gap <= 1e-12 * (1.0 + fit.residual)
+
+    def test_carried_basis_starts_the_longer_fit(self):
+        # the 16-tree fit's basis is a basis of the 32-tree fit on the same
+        # table; it is optimal there too, so the longer fit takes no pivot
+        # and ends on it, with the residual a cold fit finds
         B, t, w = TestCertifiedBracket().sampled(0, 0)
-        Bc, tc, counts = node_cells(B[:, :n], t)
-        return Bc, tc, w * counts
-
-    def test_warm_start_is_strictly_interior(self):
-        B, t, w = self.cells()
-        (m, n), u = B.shape, rb._UNIT
-        wn = w / np.sum(w)
-        rng = np.random.default_rng(2)
-        beta = rb._WARM_BLEND
-        for a in (np.eye(n)[3], rb._project_simplex(rng.uniform(-1, 1, n))):
-            # duals inside the box and on its faces |y| = wn
-            y = wn * np.clip(rng.uniform(-1.5, 1.5, m), -1.0, 1.0)
-            x, y1, y0, z = rb._lp_start(B, t, wn, a, y, beta)
-            a1, p, q = x[:n], x[n:n + m], x[n + m:]
-            s, zp, zq = z[:n], z[n:n + m], z[n + m:]
-            assert np.all(x > 0.0) and np.all(z > 0.0)
-            assert np.all(a1 >= beta / n) and np.all(np.minimum(p, q) >= beta)
-            assert np.all(s >= beta * (1 - 4 * u))
-            assert np.all(np.minimum(zp, zq) >= beta * wn * (1 - 4 * u))
-            # equality residuals at rounding level
-            size = np.abs(B) @ a1 + np.abs(t) + p + q
-            assert np.all(np.abs(B @ a1 - p + q - t) <= 4 * (n + 2) * u * size)
-            assert abs(np.sum(a1) - 1.0) <= 4 * n * u
-            price = B.T @ y1
-            assert np.all(np.abs(price + y0 + s)
-                          <= 4 * u * (np.abs(price) - y0))
-            assert np.array_equal(wn + y1 - zp, np.zeros(m))
-            assert np.all(np.abs(wn - y1 - zq) <= 2 * u * wn)
-
-    def test_full_blend_is_the_cold_start(self):
-        B, t, w = self.cells()
-        (m, n), wn = B.shape, w / np.sum(w)
-        x, y, y0, z = rb._lp_start(B, t, wn, np.eye(n)[0], wn / 2, 1.0)
-        r = B @ np.full(n, 1.0 / n) - t
-        assert np.array_equal(x, np.r_[np.full(n, 1.0 / n),
-                                       np.maximum(r, 0.0) + 1.0,
-                                       np.maximum(-r, 0.0) + 1.0])
-        assert np.array_equal(z, np.r_[np.ones(n), wn, wn])
-        assert not np.any(y) and y0 == -1.0
-
-    def test_warm_solve_that_stops_short_is_solved_again_cold(self,
-                                                              monkeypatch):
-        real, calls = rb._l1_simplex_lp, []
-
-        def warm_fails(*args):
-            warm = len(args) > 5 and args[5] is not None
-            calls.append(warm)
-            a, y, status, gap, it = real(*args)
-            return a, y, "iteration_limit" if warm else status, gap, it
-
-        monkeypatch.setattr(rb, "_l1_simplex_lp", warm_fails)
-        rows = TestCertifiedBracket().sweep(0, 0)["rows"]
-        assert any(calls)
-        assert all(not after for warm, after in zip(calls, calls[1:]) if warm)
-        for row in rows:
-            assert row["status"] == "optimal"
-            assert row["gap"] <= 1e-12 * (1.0 + row["residual"])
+        Bc, tc, counts = node_cells(B, t)
+        short = rb.simplex_fit(Bc[:, :16], tc, counts, w)
+        fit = rb.simplex_fit(Bc[:, :32], tc, counts, w, short)
+        cold = rb.simplex_fit(Bc[:, :32], tc, counts, w)
+        assert short.iterations > 0 and fit.iterations == 0
+        assert np.array_equal(fit.column_set, short.column_set)
+        assert np.array_equal(fit.interpolated, short.interpolated)
+        assert np.array_equal(fit.signs, short.signs)
+        assert fit.residual == pytest.approx(cold.residual, rel=1e-12)
+        assert len(fit.interpolated) == fit.columns - 1
 
     @pytest.mark.parametrize("off", [0.0, -1e-13, 1e-13])
     def test_upper_end_covers_the_exact_objective(self, off):
@@ -479,7 +427,8 @@ class TestStartAndBounds:
             B = rng.uniform(-2.0, 2.0, (30, 6))
             B[rng.uniform(size=B.shape) < 0.4] = 0.0
             t, w = rng.uniform(-1.0, 1.0, 30), rng.uniform(0.0, 0.1, 30)
-            a = rb._project_simplex(rng.uniform(-0.2, 1.0, 6)) * (1.0 + off)
+            u = np.maximum(rng.uniform(-0.2, 1.0, 6), 0.0)  # zeros too
+            a = u / np.sum(u) * (1.0 + off)
             residual, upper = rb._primal_bound(B, t, w, a, 30)
             total = sum(map(Fraction, a))
             on = [Fraction(c) / total for c in a]  # a / sum(a), exactly
@@ -599,9 +548,10 @@ class TestCertifiedBracket:
             assert np.all(np.abs(fit.dual) <= w * counts)
 
     def test_rows_the_carried_state_certifies_take_no_step(self):
-        # the row before's columns, coefficients and dual certify some
-        # rows of the default N=2 sweep with no solve
-        rows = self.sweep(0, 2)["rows"]
+        # the basis of the row before is optimal for some rows of the
+        # default N=0 sweep, which then take no pivot; the first row starts
+        # cold and pivots
+        rows = self.sweep(0, 0)["rows"]
         carried = [(prev, row) for prev, row in zip(rows, rows[1:])
                    if row["iterations"] == 0]
         assert carried and rows[0]["iterations"] > 0
@@ -611,8 +561,7 @@ class TestCertifiedBracket:
             assert row["gap"] <= 1e-12 * (1.0 + row["residual"])
 
     def test_pricing_leaves_most_columns_out(self):
-        # at N=0 the optimum uses a few of the 256 columns: pricing closes
-        # the bracket before the set falls back to every column
+        # at N=0 the optimal basis holds a few of the 256 columns
         row = self.sweep(0, 0)["rows"][-1]
         assert row["n"] == 256
         assert row["columns"] < 256
@@ -620,7 +569,7 @@ class TestCertifiedBracket:
     def test_pricing_grows_to_every_column_the_optimum_needs(self, gauss_mu):
         # the target is the uniform mixture of 24 indicators whose ends are
         # all distinct, so its only convex representation puts 1/24 on
-        # every column: pricing must bring each of them into the solve
+        # every column: the pivots must bring each of them into the basis
         n = 24
         terms = [(1.0, -2.0 + 0.1 * j, 0.05 + 0.1 * j) for j in range(n)]
         basis = [TreeFunction((term,)).as_gridfunction() for term in terms]
@@ -633,6 +582,60 @@ class TestCertifiedBracket:
         assert abs(fit.residual - best) <= 1e-9, (fit.residual, best)
         assert fit.lower_bound <= best <= fit.lower_bound + fit.gap
         assert fit.gap <= 1e-12 * (1.0 + fit.residual)
+
+
+class TestDegenerateTables:
+    def test_targets_a_few_ulps_apart(self, gauss_mu):
+        # cos at 501 nodes: cells 0 and 500 lie outside the first 16 trees
+        # of seed 0, so their rows are equal, and their targets, at mirror
+        # nodes, differ by 4 ulps.  Their residuals count as zero together
+        # (within 1e-13 (1 + |t|)); taken as signed, they would have the
+        # pivots cycle to the cap
+        nodes, w = gauss_mu.nodes(501)
+        t = np.cos(nodes)
+        amp, lo, hi = rb.trees_basis_family().draw(0, 16)
+        Bc, tc, counts = rb._sweep_cells(nodes, amp, lo, hi, t)
+        assert not np.any(Bc[0]) and not np.any(Bc[-1])
+        assert 0.0 < abs(tc[0] - tc[-1]) <= 4 * abs(np.spacing(tc[0]))
+        fit = rb.simplex_fit(Bc, tc, counts, w)
+        best = highs_on_cells(K.tree_columns(amp, lo, hi, nodes), t, w)
+        assert abs(fit.residual - best) <= 1e-9 * best, (fit.residual, best)
+        assert fit.lower_bound <= best <= fit.lower_bound + fit.gap
+        assert fit.gap <= 1e-12 * (1.0 + fit.residual)
+
+    def test_bland_rule_ends_optimal(self, monkeypatch):
+        # with Bland's rule from the first stalled pivot on, the default
+        # N = 0 sweep at seed 0 takes other pivots through its degenerate
+        # vertices, and each row still brackets its optimum
+        cert = TestCertifiedBracket()
+        pivots = [row["iterations"] for row in cert.sweep(0, 0)["rows"]]
+        monkeypatch.setattr(rb, "_BLAND", 1)
+        bland = [row["iterations"] for row in cert.sweep(0, 0)["rows"]]
+        assert bland != pivots
+        cert.assert_sweep_brackets_the_highs_optimum(0, 0)
+
+    def test_gauss_sweep_ends_optimal(self, gauss_mu):
+        # a smooth target at N = 0, seed 3: the n = 256 row's optimum has
+        # over 100 columns on the 2001 cells
+        from uaplab import cli
+
+        target = cli._function("gauss")
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        rows = rb.rate_sweep(rb.trees_basis_family(), target, gauss_mu,
+                             TestCertifiedBracket.NS, 0, op, seed=3)["rows"]
+        for row in rows:
+            assert row["status"] == "optimal"
+            assert row["gap"] <= 1e-12 * (1.0 + row["residual"])
+        nodes, w = gauss_mu.nodes(2001)
+        amp, lo, hi = rb.trees_basis_family().draw(3, 256)
+        best = highs_on_cells(K.tree_columns(amp, lo, hi, nodes),
+                              target.sample(nodes[:, None])[:, 0], w)
+        last = rows[-1]
+        assert last["n"] == 256 and last["columns"] > 100
+        assert abs(last["residual"] - best) <= 1e-9 * best, (last, best)
+        assert last["lower_bound"] <= best <= last["lower_bound"] + last["gap"]
 
 
 class TestTreeCells:
@@ -763,8 +766,9 @@ class TestRateSweep:
 
 
     def test_rows_carry_lp_diagnostics(self):
-        # a row takes 0 Newton steps only when the state of a smaller row
-        # before it certifies it: then it keeps that row's column set
+        # no row's cold start, the best single column, is optimal here, so
+        # a row takes 0 pivots only when the basis of a smaller row before
+        # it is optimal: then it keeps that row's columns
         table = self.setup_sweep(ns=(4, 8, 16, 32, 64))
         prev = None
         for row in table["rows"]:

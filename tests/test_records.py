@@ -62,8 +62,9 @@ RECORDS = [
      lambda: PushforwardReport(2.0, True), True, []),
     (SimplexFit,
      ("coefficients", "residual", "iterations", "gap", "cells",
-      "lower_bound", "column_set", "dual"), {},
-     lambda: SimplexFit(COEFFS, 0.1, 3, 1e-9, 4, 0.1, COEFFS, COEFFS),
+      "lower_bound", "column_set", "dual", "interpolated", "signs"), {},
+     lambda: SimplexFit(COEFFS, 0.1, 3, 1e-9, 4, 0.1, COEFFS, COEFFS,
+                        COEFFS, COEFFS),
      False, []),
     (FitResult, ("net", "sup_residual", "knots", "h", "curvature", "bound"),
      {"curvature": None, "bound": None},
