@@ -13,6 +13,7 @@ tabulated form.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -55,7 +56,8 @@ class Branch:
       power:  (scale, p, a, b)       value = scale*sign(x)*|x|**p + a*x + b,
                                      with p > 0
 
-    Equal and hashed by its fields, as the cache of ``classify`` reads it.
+    Every param must be finite.  Equal and hashed by its fields, as the
+    cache of ``classify`` reads it.
     """
 
     __setattr__ = __delattr__ = immutable
@@ -70,6 +72,8 @@ class Branch:
                              f"length: {params!r}")
         if kind == "power" and not params[1] > 0.0:
             raise ValueError(f"power exponent must be positive, got {params[1]!r}")
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"{kind} branch params must be finite: {params!r}")
         vars(self).update(lo=lo, hi=hi, kind=kind, params=params)
 
     def _key(self):
@@ -397,42 +401,40 @@ def _gap(sigma: ActivationSpec, x: float) -> float:
     return _branch_gap(next(b for b in sigma.branches if b.lo <= x < b.hi), x)
 
 
-_BISECT_LEVELS = 8  # halvings read from one vectorized gap evaluation
+def _ordinal(x: float) -> int:
+    """x's place in the order of the floats: adjacent floats get adjacent
+    integers, and 0.0 and -0.0 both get 0."""
+    n = int.from_bytes(struct.pack("<d", abs(x)), "little")
+    return n if x >= 0.0 else -n
 
 
-def _bisect_gap(sigma: ActivationSpec, a: float, b: float, xtol: float) -> float:
-    """A root of sigma(x) - x in [a, b], where the gap has opposite nonzero
-    signs at the two ends, to within xtol (or to the float spacing).
+def _from_ordinal(n: int) -> float:
+    """The float at place n: the inverse of ``_ordinal``, with +0.0 at 0."""
+    x = struct.unpack("<d", abs(n).to_bytes(8, "little"))[0]
+    return x if n >= 0 else -x
 
-    The gap is evaluated in one call at every point the next _BISECT_LEVELS
-    halvings could reach, and the bisection walks down them.  Each midpoint
-    is 0.5*a + 0.5*b of its own interval, so the root equals that of a
-    bisection that evaluates one point per step."""
-    n = 1 << _BISECT_LEVELS
-    fa = _gap(sigma, a)
-    while True:
-        xs = np.empty(n + 1)
-        xs[0], xs[n] = a, b
-        for step in (n >> j for j in range(_BISECT_LEVELS)):
-            # 0.5 * (lo + hi) can overflow
-            xs[step // 2::step] = 0.5 * xs[:n:step] + 0.5 * xs[step::step]
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = (np.asarray(sigma(xs)) - xs).tolist()
-        xs = xs.tolist()
-        lo, hi = 0, n
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            m = xs[mid]
-            if b - a <= xtol or m in (a, b):
-                return m
-            # _gap stands in where sigma overflows
-            fm = gaps[mid] if math.isfinite(gaps[mid]) else _gap(sigma, m)
-            if fm == 0.0:
-                return m
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa, lo = m, fm, mid
-            else:
-                b, hi = m, mid
+
+def _bisect_gap(b: Branch, lo: float, hi: float, g_lo: float,
+                g_hi: float) -> float:
+    """A root of sigma(x) - x on the piece [lo, hi] of branch b, where the
+    gap is g_lo at lo and g_hi at hi, of opposite nonzero signs.
+
+    The bracket is halved in the order of the floats (``_ordinal``), so at
+    most 64 halvings from any bracket, +-_FMAX ends included, reach an exact
+    zero of ``_branch_gap`` or two adjacent floats, and the end of smaller
+    |gap| is returned."""
+    i, j = _ordinal(lo), _ordinal(hi)
+    while j - i > 1:
+        m = (i + j) // 2
+        x = _from_ordinal(m)
+        g = _branch_gap(b, x)
+        if g == 0.0:
+            return x
+        if (g < 0.0) == (g_lo < 0.0):
+            i, lo, g_lo = m, x, g
+        else:
+            j, hi, g_hi = m, x, g
+    return lo if abs(g_lo) <= abs(g_hi) else hi
 
 
 def _affine_gap_roots(b: Branch) -> list:
@@ -445,22 +447,6 @@ def _affine_gap_roots(b: Branch) -> list:
     return [root] if b.lo <= root < b.hi else []
 
 
-def _outward(sigma: ActivationSpec, x: float, side: int, want: float) -> float:
-    """The first point of the ladder x + side*2^j, j = 0, 1, ..., where the
-    gap has sign ``want``; side*_FMAX, where the caller has read that sign,
-    once the ladder passes it.  The whole ladder is evaluated at once, and
-    each candidate is confirmed by _gap, which also stands in where the
-    ladder's values overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ladder = x + side * np.ldexp(1.0, np.arange(1025))  # ends at +-inf
-        ladder = ladder[:np.argmax(np.abs(ladder) >= _FMAX)]
-        gaps = np.asarray(sigma(ladder)) - ladder
-    for i in np.flatnonzero(~np.isfinite(gaps) | (want * gaps > 0.0)):
-        if want * _gap(sigma, ladder[i]) > 0.0:
-            return float(ladder[i])
-    return side * _FMAX
-
-
 def _power_gap_roots(sigma: ActivationSpec, b: Branch) -> list:
     """Roots of sigma(x)-x on a true power branch, piece by piece.
 
@@ -468,13 +454,15 @@ def _power_gap_roots(sigma: ActivationSpec, b: Branch) -> list:
     root at l, a single root inside where the gap's signs at l and r differ,
     or none.  An infinite end is read at +-_FMAX: a cut whose closed form
     overflows lies beyond it, so the outer piece stays monotone up to there.
-    At a gap extremum, |gap| <= _ROOT_TOL counts as a touching root and a
-    value up to _NEAR_TOL is undecidable in floating point, both scaled by
-    max(1, |x|).
+    A root inside a piece is bisected in the order of the floats
+    (``_bisect_gap``) on the piece itself, +-_FMAX ends included, to an
+    exact zero or to two adjacent floats.  At a gap extremum,
+    |gap| <= _ROOT_TOL counts as a touching root and a value up to
+    _NEAR_TOL is undecidable in floating point, both scaled by max(1, |x|).
     """
     edges = [max(b.lo, -_FMAX), *_cuts(b), min(b.hi, _FMAX)]
     extrema = set(_zeros(b, b.params[2] - 1.0))
-    signs = []
+    gaps = []
     for x in edges:
         v = _branch_gap(b, x) if abs(x) == _FMAX else _gap(sigma, x)
         scale = max(1.0, abs(x))
@@ -486,17 +474,13 @@ def _power_gap_roots(sigma: ActivationSpec, b: Branch) -> list:
                 f"|sigma(x)-x| is {abs(v):.2e} at its extremum x={x:.6g}: a "
                 f"double root or none, unresolvable at tolerance",
             )
-        signs.append(np.sign(v))
+        gaps.append(v)
     roots = []
-    for lo, hi, s_lo, s_hi in zip(edges, edges[1:], signs, signs[1:]):
-        if s_lo == 0:
+    for lo, hi, g_lo, g_hi in zip(edges, edges[1:], gaps, gaps[1:]):
+        if g_lo == 0.0:
             roots.append(lo)
-        elif s_lo * s_hi < 0:
-            if lo == -_FMAX:
-                lo = _outward(sigma, hi, -1, s_lo)
-            if hi == _FMAX:
-                hi = _outward(sigma, lo, 1, s_hi)
-            roots.append(_bisect_gap(sigma, lo, hi, 1e-13))
+        elif np.sign(g_lo) * np.sign(g_hi) < 0:
+            roots.append(_bisect_gap(b, lo, hi, g_lo, g_hi))
     return roots
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from copy import deepcopy
@@ -205,7 +206,8 @@ _SCALAR_FUNCTIONS = {
 
 def _function(cfg) -> GridFunction:
     """A kind name, or {"kind": ...} with const's "value" or tree's
-    "terms"."""
+    "terms", each [amplitude, lo, hi] with a finite amplitude and ends that
+    are not NaN."""
     from .function_space import GridFunction
     from .network import TreeFunction
 
@@ -223,7 +225,12 @@ def _function(cfg) -> GridFunction:
     if kind == "const":
         return GridFunction.constant(cfg["value"])
     if kind == "tree":
-        return TreeFunction(tuple(map(tuple, cfg["terms"]))).as_gridfunction()
+        tree = TreeFunction(tuple(map(tuple, cfg["terms"])))
+        for amp, lo, hi in tree.terms:
+            if not math.isfinite(amp) or math.isnan(lo) or math.isnan(hi):
+                raise ValueError(f"term {[amp, lo, hi]!r} needs a finite "
+                                 f"amplitude and ends that are not NaN")
+        return tree.as_gridfunction()
     raise ValueError(f"unknown function kind {kind!r}")
 
 
@@ -484,6 +491,10 @@ def _load_config(command: str, path: str, cli_seed, cli_out) -> ExperimentConfig
         raise ConfigError([f"config is not valid JSON: {exc}"])
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
+    try:  # a config file holds the fields of ExperimentConfig only
+        check_keys(raw, ExperimentConfig._fields)
+    except ConfigError as exc:
+        violations += exc.violations
     if command not in COMMANDS:
         violations.append(f"command: unknown {command!r}")
     cfg_command = raw.get("command")

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     UnboundedDensityError,
 )
-from .function_space import GridFunction, Measure1D
+from .function_space import GridFunction, Measure1D, _ensure_finite
 from .network import TreeFunction
 
 __all__ = [
@@ -229,10 +229,10 @@ def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
     The vertex is certified: its coefficients clipped at 0 give the
     residual and the bracket's upper end (``_primal_bound``), and its dual
     clipped to |y_i| <= w_i the lower end (``_dual_bound``), so the optimum
-    lies in [lower_bound, lower_bound + gap].  A gap above
-    _LP_TOL (1 + residual) raises ``LPSolveError`` ("numerical_failure"), and
-    so does the pivot cap _LP_MAX_ITER ("iteration_limit"), each with its
-    bracket, pivots, cells and columns.  ``iterations`` counts the pivots
+    lies in [lower_bound, lower_bound + gap].  A gap that is not at most
+    _LP_TOL (1 + residual), NaN included, raises ``LPSolveError``
+    ("numerical_failure"), and so does the pivot cap _LP_MAX_ITER
+    ("iteration_limit"), each with its bracket, pivots, cells and columns.  ``iterations`` counts the pivots
     and ``dual`` holds the clipped y."""
     wc = w * counts
     (m, n), bmax = Bc.shape, float(np.max(np.abs(Bc)))
@@ -325,7 +325,7 @@ def simplex_fit(Bc: np.ndarray, tc: np.ndarray, counts: np.ndarray,
     y = np.clip(y, -wc, wc)
     residual, upper = _primal_bound(BJ, tc, wc, coefficients[J], m)
     lower = _dual_bound(Bc, tc, y, m, bmax)
-    if status == "optimal" and upper - lower > _LP_TOL * (1.0 + residual):
+    if status == "optimal" and not upper - lower <= _LP_TOL * (1.0 + residual):
         status = "numerical_failure"
     if status != "optimal":
         raise LPSolveError(status, upper - lower, pivots, m, len(J))
@@ -415,11 +415,12 @@ def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
 
     The family's terms are drawn once, at the largest n, as arrays
     (``TreeFamily.draw``), and a non-finite amplitude raises
-    ``PreconditionError``.  The quadrature nodes are pushed through S^N
-    once, and S^N(nodes) is sorted together with the target's values there
-    by a stable argsort: every node weighs the same, so the LP is the same
-    problem in any node order, and an already sorted S^N(nodes) keeps its
-    order.  One table of cells serves every row (``_sweep_cells``): the
+    ``PreconditionError``.  A target value that is not finite at a node
+    raises ``NonFiniteValueError`` with that node.  The quadrature nodes
+    are pushed through S^N once, and S^N(nodes) is sorted together with the
+    target's values there by a stable argsort: every node weighs the same,
+    so the LP is the same problem in any node order, and an already sorted
+    S^N(nodes) keeps its order.  One table of cells serves every row (``_sweep_cells``): the
     nodes' rows of all the drawn trees, ``apply(op, f_j, N)`` bit for bit,
     sampled only where a tree's run of nodes or the target can change, with
     equal neighbours merged.  Each row fits the table's first n columns by
@@ -465,7 +466,9 @@ def rate_sweep(basis_family: TreeFamily, target: GridFunction, mu: Measure1D,
         raise PreconditionError("rate sweeps need finite tree amplitudes, got "
                                 f"{float(amp[~np.isfinite(amp)][0])}")
     nodes, w = mu.nodes(quad_nodes)
-    t = target.sample(nodes[:, None])[:, 0]
+    t = target.sample(nodes[:, None])
+    _ensure_finite(t, nodes[:, None], "sampling the rate-sweep target")
+    t = t[:, 0]
     target_norm = float(w * np.sum(np.abs(t)))
     y = nodes if N == 0 else op.iterate(nodes, N)[:, 0]
     order = np.argsort(y, kind="stable")

@@ -88,20 +88,17 @@ class TestClassifyShippedActivations:
 
 
 class TestBisectGap:
-    def test_root_to_xtol(self):
-        # oracle: the gap x^3 - x has its only root in [0.5, 2] at x = 1
-        cube = act.ActivationSpec(
-            "cube", [act.Branch(-math.inf, math.inf, "power", (1.0, 3.0, 0.0, 0.0))]
-        )
-        assert abs(act._bisect_gap(cube, 0.5, 2.0, 1e-13) - 1.0) <= 1e-13
-        assert abs(act._bisect_gap(cube, -2.0, -0.5, 1e-10) + 1.0) <= 1e-10
+    def test_roots_of_cube_minus_x(self):
+        # oracle: the gap x^3 - x has its roots in [0.5, 2] and [-2, -0.5] at
+        # x = 1 and x = -1, where it is exactly 0
+        cube = act.Branch(-math.inf, math.inf, "power", (1.0, 3.0, 0.0, 0.0))
+        assert act._bisect_gap(cube, 0.5, 2.0, -0.375, 6.0) == 1.0
+        assert act._bisect_gap(cube, -2.0, -0.5, -6.0, 0.375) == -1.0
 
     def test_stops_at_float_spacing(self):
-        # near x = 1e6 adjacent floats are 1.2e-10 apart, coarser than xtol
-        far = act.ActivationSpec(
-            "far", [act.Branch(-math.inf, math.inf, "affine", (2.0, -1e6 - 0.3))]
-        )
-        root = act._bisect_gap(far, 5e5, 3e6, 1e-13)
+        # near x = 1e6 adjacent floats are 1.2e-10 apart
+        far = act.Branch(-math.inf, math.inf, "affine", (2.0, -1e6 - 0.3))
+        root = act._bisect_gap(far, 5e5, 3e6, -5e5 - 0.3, 2e6 - 0.3)
         assert abs(root - (1e6 + 0.3)) <= 2 * math.ulp(1e6)
 
 
@@ -164,6 +161,19 @@ class TestExactClassification:
         with pytest.raises(ValueError, match="exponent"):
             act.Branch(-math.inf, math.inf, "power", (1.0, p, 0.0, 0.0))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("affine", (math.nan, 0.0)),
+        ("affine", (math.inf, 0.0)),
+        ("affine", (1.0, -math.inf)),
+        ("power", (math.nan, 2.0, 0.0, 0.0)),
+        ("power", (1.0, math.inf, 0.0, 0.0)),
+        ("power", (1.0, 2.0, math.nan, 0.0)),
+        ("power", (1.0, 2.0, 0.0, math.inf)),
+    ])
+    def test_nonfinite_parameter_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="must be finite"):
+            act.Branch(-math.inf, math.inf, kind, params)
+
     def test_empty_branch_rejected(self):
         with pytest.raises(ValueError, match="empty branch"):
             act.ActivationSpec("inverted", [
@@ -223,70 +233,24 @@ class TestExactClassification:
                 assert any(lo <= r <= hi for r in v.fixed_points), (s, p, a, c)
 
 
-def scalar_outward(sigma, x, side, want):
-    """The one-point-per-call doubling search that _outward vectorizes."""
-    step = 1.0
-    end = x + side * step
-    while abs(end) < act._FMAX and want * act._gap(sigma, end) <= 0.0:
-        step *= 2.0
-        end = x + side * step
-    return end if abs(end) < act._FMAX else side * act._FMAX
-
-
-def test_outward_matches_scalar_search():
-    # exponents near 1 put sign changes of the gap anywhere up to the float
-    # range's edge; p = 3 overflows sigma on most of the ladder, where the
-    # vectorized gap falls back to _gap
-    rng = np.random.default_rng(11)
-    for i in range(60):
-        p = [rng.uniform(0.99, 1.01), rng.uniform(0.4, 0.7), 3.0][i % 3]
-        s, a = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 2.0, 2)
-        sigma = act.ActivationSpec(
-            f"o{i}", [act.Branch(-math.inf, math.inf, "power",
-                                 (s, p, a, rng.uniform(-1.0, 1.0)))]
-        )
-        x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 30.0)
-        for side in (-1, 1):
-            for want in (-1.0, 1.0):
-                got = act._outward(sigma, x, side, want)
-                assert got == scalar_outward(sigma, x, side, want), (i, side, want)
-    # sigma overflows from |x| ~ 1e154, but the gap x*(1e-300*|x| - 6) keeps
-    # its sign up to 6e300: found only through _gap's fallback
-    late = act.ActivationSpec(
-        "late", [act.Branch(-math.inf, math.inf, "power", (1e-300, 2.0, -5.0, 0.0))]
-    )
-    for side in (-1, 1):
-        got = act._outward(late, float(side), side, float(side))
-        assert got == scalar_outward(late, float(side), side, float(side))
-        assert 6e300 < abs(got) < act._FMAX
-
-
-def scalar_bisect(sigma, a, b, xtol):
-    """The one-point-per-step bisection that _bisect_gap vectorizes."""
-    fa = act._gap(sigma, a)
-    while True:
-        m = 0.5 * a + 0.5 * b
-        if b - a <= xtol or m in (a, b):
-            return m
-        fm = act._gap(sigma, m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-
-
-def test_bisect_matches_scalar_search(monkeypatch):
+def test_bisection_ends_at_adjacent_floats(monkeypatch):
     # the seeded draws of the grid-oracle test, then exponents near 1, whose
-    # pieces reach far beyond 1e200 and take ~1000 halvings
-    calls = []
-    bisect = act._bisect_gap
+    # pieces reach far beyond 1e200: every root of a bisection has gap 0 or
+    # a gap of the other sign at an adjacent float, within 64 evaluations
+    branch_gap, bisect = act._branch_gap, act._bisect_gap
+    count, found = [0], []
 
-    def record(sigma, a, b, xtol):
-        calls.append((sigma, a, b, xtol, bisect(sigma, a, b, xtol)))
-        return calls[-1][-1]
+    def counting(b, x):
+        count[0] += 1
+        return branch_gap(b, x)
 
+    def record(b, lo, hi, g_lo, g_hi):
+        count[0] = 0
+        root = bisect(b, lo, hi, g_lo, g_hi)
+        found.append((b, root, count[0]))
+        return root
+
+    monkeypatch.setattr(act, "_branch_gap", counting)
     monkeypatch.setattr(act, "_bisect_gap", record)
     rng = np.random.default_rng(7)
     near = np.random.default_rng(2026)
@@ -301,17 +265,24 @@ def test_bisect_matches_scalar_search(monkeypatch):
         act.classify(act.ActivationSpec(
             f"bisect{i}", [act.Branch(-math.inf, math.inf, "power", (s, p, a, c))]))
     # sigma overflows from |x| ~ 1e154, but the gap x*(1e-300*|x| - 6) is
-    # finite up to its roots at +-6e300: each step there falls back to _gap
+    # finite up to its roots at +-6e300
     act.classify(act.ActivationSpec(
         "bisect-late", [act.Branch(-math.inf, math.inf, "power", (1e-300, 2.0, -5.0, 0.0))]))
-    # roots at +-1.5e308, bracketed by 2^1023 and _FMAX, whose sum overflows
+    # roots at +-1.5e308, bisected from the piece's end at +-_FMAX
     act.classify(act.ActivationSpec(
         "bisect-edge", [act.Branch(-math.inf, math.inf, "power", (4e-308, 2.0, -5.0, 0.0))]))
-    assert len(calls) > 200
-    assert max(b - a for _, a, b, _, _ in calls) > 1e200
-    assert sum(abs(root) > 5e300 for *_, root in calls) == 4
-    for sigma, a, b, xtol, root in calls:
-        assert root == scalar_bisect(sigma, a, b, xtol), (sigma.branches, a, b)
+    assert len(found) > 200
+    assert sum(abs(root) > 5e300 for _, root, _ in found) == 4
+
+    def opposite(u, v):
+        return u < 0.0 < v or v < 0.0 < u
+
+    for b, root, evaluations in found:
+        assert evaluations <= 64, (b.params, root)
+        g = branch_gap(b, root)
+        assert g == 0.0 or any(
+            opposite(g, branch_gap(b, math.nextafter(root, toward)))
+            for toward in (-math.inf, math.inf)), (b.params, root)
 
 
 class TestConstructTransitive:

@@ -169,6 +169,31 @@ def test_missing_seed_exits_2(tmp_path):
     assert "seed" in r.stdout
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"seed": 0, "N": 2, "parms": {"N": 2}}, "N"),
+    ({"params": {}, "seed": 0, "output": "o"}, "output"),
+], ids=["misspelt-params", "misspelt-output-path"])
+def test_unknown_top_level_key_exits_2(tmp_path, capsys, config, key):
+    from uaplab import cli
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2, payload
+    assert payload["error"] == "ConfigError"
+    assert f"{key}: unknown key" in payload["violations"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_rate_sweep_refuses_a_nan_target(tmp_path, capsys):
+    code, payload = main_in_process(tmp_path, capsys, "rate-sweep", dict(
+        SWEEP, target={"kind": "const", "value": math.nan}))
+    assert code == 1, payload
+    assert payload["error"] == "NonFiniteValueError"
+    assert math.isnan(payload["value"][0])
+
+
 def test_command_mismatch_exits_2(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"command": "escape", "params": {}, "seed": 0}))
@@ -187,8 +212,17 @@ def test_command_mismatch_exits_2(tmp_path):
     {"branches": [{"lo": float("-inf"), "hi": 1.0, "kind": "affine", "a": 1.0, "b": 0.0},
                   {"lo": 1.0, "hi": 0.0, "kind": "affine", "a": 1.0, "b": 0.0},
                   {"lo": 0.0, "hi": float("inf"), "kind": "affine", "a": 1.0, "b": 0.0}]},
+    {"branches": [{"lo": float("-inf"), "hi": float("inf"), "kind": "affine",
+                   "a": math.nan, "b": 0.0}]},
+    {"branches": [{"lo": float("-inf"), "hi": float("inf"), "kind": "affine",
+                   "a": math.inf, "b": 0.0}]},
+    {"branches": [{"lo": float("-inf"), "hi": float("inf"), "kind": "power",
+                   "scale": 1.0, "p": 2.0, "b": math.inf}]},
+    {"branches": [{"lo": float("-inf"), "hi": float("inf"), "kind": "power",
+                   "scale": math.nan, "p": 2.0}]},
 ], ids=["unknown-name", "branch-without-b", "table-kind", "negative-exponent",
-        "inverted-branch"])
+        "inverted-branch", "affine-slope-nan", "affine-slope-inf",
+        "power-intercept-inf", "power-scale-nan"])
 def test_bad_activation_config_exits_2(tmp_path, activation):
     cfg = write_config(tmp_path, "bad", {"activation": activation})
     r = run_cli("check-activation", cfg, tmp_path / "o")
@@ -351,6 +385,10 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
     ("transitivity-demo", dict(SHIFTED, mu={"density_kind": "uniform_window",
                                             "params": {"lo": 0, "hi": 1}}), "mu"),
     ("constrained-fit", dict(SHIFTED, witness="identity"), "witness"),
+    ("rate-sweep", dict(SWEEP, target={"kind": "tree", "terms": [[1, math.nan, 1]]}),
+     "target"),
+    ("rate-sweep", dict(SWEEP, target={"kind": "tree",
+                                       "terms": [[math.inf, 0, 1]]}), "target"),
 ], ids=["mu-kind", "weights-missing-i", "weights-empty", "f-const-no-value",
         "f-no-kind", "target-short-term", "constraint-no-kind",
         "constraint-negative-threshold", "basis-range-number", "basis-list",
@@ -374,7 +412,7 @@ SWEEP = {"n_values": [4, 8], "quad_nodes": 51}
         "activation-typo", "branch-typo", "f-typo", "g-typo", "target-typo",
         "witness-typo", "f-hat-typo", "constraint-typo", "samples-typo",
         "basis-typo", "samples-unbounded-value", "l1-with-fit", "ducc-with-mu",
-        "witness-without-constraints"])
+        "witness-without-constraints", "tree-end-nan", "tree-amplitude-inf"])
 def test_malformed_nested_config_exits_2(tmp_path, capsys, command, params, field):
     code, payload = main_in_process(tmp_path, capsys, command, params)
     assert code == 2, payload

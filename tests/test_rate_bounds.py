@@ -11,7 +11,7 @@ from uaplab import _kernels as K
 from uaplab import activations as act
 from uaplab import depth_dynamics as dd
 from uaplab import rate_bounds as rb
-from uaplab.errors import LPSolveError, PreconditionError
+from uaplab.errors import LPSolveError, NonFiniteValueError, PreconditionError
 from uaplab.function_space import (
     GridFunction,
     gaussian_measure,
@@ -369,6 +369,15 @@ class TestSimplexFit:
         assert err.status == "numerical_failure"
         assert (err.gap, err.iterations, err.cells, err.columns) == \
             (fit.gap, fit.iterations, fit.cells, fit.columns)
+
+    def test_nan_bracket_is_not_certified(self):
+        # a NaN target gives a NaN bracket, refused as a wide one is
+        Bc = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        tc = np.array([0.5, np.nan, 0.2])
+        with pytest.raises(LPSolveError) as info:
+            rb.simplex_fit(Bc, tc, np.ones(3), 1.0 / 3)
+        assert info.value.status == "numerical_failure"
+        assert math.isnan(info.value.gap)
 
     def test_face_of_optima(self, gauss_mu):
         # 9 of 12 indicators mix to the target, and other mixtures reach
@@ -730,6 +739,20 @@ class TestRateSweep:
         basis = fam(3, 1)
         single = fit_on_nodes(basis, target, mu, quad_nodes=1001)
         assert table["rows"][0]["residual"] == pytest.approx(single.residual, rel=1e-9)
+
+    def test_nonfinite_target_refused_at_its_node(self):
+        # NaN past 0.5: the first node there is named
+        mu = gaussian_measure()
+        target = GridFunction.from_scalar(lambda x: np.where(x > 0.5, np.nan, 1.0))
+        op = dd.CompositionOperator(
+            act.by_name("leaky_rescaled_paper"), np.array([1.0])
+        )
+        with pytest.raises(NonFiniteValueError) as info:
+            rb.rate_sweep(rb.trees_basis_family(), target, mu, [4, 8], 0, op,
+                          quad_nodes=101)
+        nodes, _ = mu.nodes(101)
+        assert info.value.point == [float(nodes[nodes > 0.5][0])]
+        assert math.isnan(info.value.value[0])
 
     def test_monotone_and_below_bounds(self):
         table = self.setup_sweep()
